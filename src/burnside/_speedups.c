@@ -2426,7 +2426,7 @@ int __pyx_module_is_main_burnside___speedups = 0;
 /* #### Code section: global_var ### */
 static PyObject *__pyx_builtin_reversed;
 /* #### Code section: string_decls ### */
-static const char __pyx_k_Compiled_word_kernels_the_hot_pa[] = "Compiled word kernels: the hot path twin of _purekernels.\n\nSame algorithm, same outputs, C buffers. Because every rule satisfies\nlen(rhs) <= len(lhs), the combined length of the output and pending\nstacks never exceeds the input length, so both buffers are allocated\nonce up front.\n";
+static const char __pyx_k_Compiled_word_kernels_the_hot_pa[] = "Compiled word kernels: the hot path twin of _purekernels.\n\nReturns identical outputs to _purekernels by another matcher: each\nletter scans the bucket of rules whose lhs ends in it, in rule order.\nSince len(rhs) <= len(lhs) for every rule, the output and pending\nstacks never outgrow the input, so both buffers are allocated once.\n";
 /* #### Code section: decls ### */
 static void __pyx_pf_8burnside_9_speedups_9RuleIndex___dealloc__(struct __pyx_obj_8burnside_9_speedups_RuleIndex *__pyx_v_self); /* proto */
 static PyObject *__pyx_pf_8burnside_9_speedups_9RuleIndex_9num_rules___get__(struct __pyx_obj_8burnside_9_speedups_RuleIndex *__pyx_v_self); /* proto */

@@ -1,10 +1,10 @@
 # cython: language_level=3
 """Compiled word kernels: the hot path twin of _purekernels.
 
-Same algorithm, same outputs, C buffers. Because every rule satisfies
-len(rhs) <= len(lhs), the combined length of the output and pending
-stacks never exceeds the input length, so both buffers are allocated
-once up front.
+Returns identical outputs to _purekernels by another matcher: each
+letter scans the bucket of rules whose lhs ends in it, in rule order.
+Since len(rhs) <= len(lhs) for every rule, the output and pending
+stacks never outgrow the input, so both buffers are allocated once.
 """
 
 from libc.stdlib cimport free, malloc

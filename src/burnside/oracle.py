@@ -9,8 +9,7 @@ For a word w in a presented group the cascade tries, in order:
    exact order when the system is confluent or when some cached quotient
    already exhibits an element of order d underneath w;
 3. infinite-order certificates through the stage's quotient ladder (the
-   torsion quotient of the abelianization first, then any quotients the
-   caller supplied);
+   torsion quotient of the abelianization);
 4. Unknown, carrying the budgets that were exhausted.
 
 Every verdict carries machine-checkable evidence. Unknown is contagious
@@ -86,15 +85,7 @@ class StageContext:
         self._abelian = None
         self._torsion_spec = None
         self._certifiers: Optional[List[Tuple[str, subgrp.KernelCertifier]]] = None
-        self._extra_specs: List[Tuple[str, dict]] = []
         self._infinite = self._UNSET
-
-    # -- extra quotients (must be added before certifiers are built) ------
-
-    def add_quotient_spec(self, name: str, spec: dict):
-        if self._certifiers is not None:
-            raise RuntimeError("quotient ladder already built")
-        self._extra_specs.append((name, spec))
 
     # -- cached artifacts --------------------------------------------------
 
@@ -134,7 +125,7 @@ class StageContext:
     def certifiers(self) -> List[Tuple[str, subgrp.KernelCertifier]]:
         if self._certifiers is None:
             machines: List[Tuple[str, subgrp.KernelCertifier]] = []
-            specs = [("abelian-torsion", self.torsion_spec())] + self._extra_specs
+            specs = [("abelian-torsion", self.torsion_spec())]
             for name, spec in specs:
                 size = _spec_size(spec)
                 if size > self.budgets.max_kernel_index:

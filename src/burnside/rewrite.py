@@ -39,6 +39,7 @@ class RewritingSystem:
         self.confluent = confluent
         self.stats = dict(stats or {})
         self._index = None
+        self._automaton = None
 
     @property
     def num_symbols(self) -> int:
@@ -49,12 +50,20 @@ class RewritingSystem:
             self._index = kernels.build_index(self.rules, self.num_symbols)
         return self._index
 
+    def automaton(self):
+        """The Aho-Corasick automaton over the lhs (see ``_purekernels``).
+
+        A state is dead when ``match[state] >= 0``; the irreducible words
+        are exactly the paths from state 0 through live states.
+        """
+        if self._automaton is None:
+            self._automaton = kernels.automaton(
+                self._get_index(), self.rules, self.num_symbols)
+        return self._automaton
+
     def reduce(self, w: Word) -> Word:
         """Rewrite to an irreducible word (canonical iff confluent)."""
         return kernels.reduce_word(self._get_index(), tuple(w))
-
-    def is_irreducible(self, w: Word) -> bool:
-        return self.reduce(w) == tuple(w)
 
     def __repr__(self):
         state = "confluent" if self.confluent else "partial"
@@ -237,26 +246,21 @@ def count_normal_forms(system: RewritingSystem, max_len: int):
     """
     if not system.confluent:
         raise ValueError("normal form counting needs a confluent system")
-    buckets = [[] for _ in range(system.num_symbols)]
-    for lhs, _ in system.rules:
-        buckets[lhs[-1]].append(lhs)
+    auto = system.automaton()
+    delta, match, n = auto.delta, auto.match, auto.num_symbols
     total = 1  # the empty word
-    level = [()]
+    level = {0: 1}  # automaton state -> irreducible words of this length
     for _ in range(max_len):
-        nxt = []
-        for w in level:
-            for x in range(system.num_symbols):
-                child = w + (x,)
-                ok = True
-                for lhs in buckets[x]:
-                    if len(lhs) <= len(child) and child[-len(lhs):] == lhs:
-                        ok = False
-                        break
-                if ok:
-                    nxt.append(child)
+        nxt: dict = {}
+        for u, count in level.items():
+            base = u * n
+            for x in range(n):
+                v = delta[base + x]
+                if match[v] < 0:
+                    nxt[v] = nxt.get(v, 0) + count
         if not nxt:
             return total, True
-        total += len(nxt)
+        total += sum(nxt.values())
         level = nxt
     return total, False
 
@@ -265,15 +269,19 @@ def normal_forms(system: RewritingSystem, max_len: int):
     """Yield the normal forms up to max_len in shortlex order."""
     if not system.confluent:
         raise ValueError("normal form listing needs a confluent system")
+    auto = system.automaton()
+    delta, match, n = auto.delta, auto.match, auto.num_symbols
     yield ()
-    level = [()]
+    level = [((), 0)]
     for _ in range(max_len):
         nxt = []
-        for w in level:
-            for x in range(system.num_symbols):
-                child = w + (x,)
-                if system.is_irreducible(child):
-                    nxt.append(child)
+        for w, u in level:
+            base = u * n
+            for x in range(n):
+                v = delta[base + x]
+                if match[v] < 0:
+                    child = w + (x,)
+                    nxt.append((child, v))
                     yield child
         if not nxt:
             return
@@ -283,74 +291,31 @@ def normal_forms(system: RewritingSystem, max_len: int):
 def language_infinite(system: RewritingSystem) -> bool:
     """Whether the set of irreducible words is infinite.
 
-    Builds the factor-avoidance automaton (Aho-Corasick over the lhs
-    patterns, states that complete a pattern are dead) and looks for a
-    cycle reachable from the start among live states. For a confluent
-    system this decides group infiniteness exactly.
+    Looks for a cycle among the live states of the rule automaton that
+    are reachable from the start. For a confluent system this decides
+    group infiniteness exactly.
     """
     if not system.confluent:
         raise ValueError("language census needs a confluent system")
-    patterns = [lhs for lhs, _ in system.rules]
-    children: list = [{}]
-    dead = [False]
-    for pat in patterns:
-        node = 0
-        for x in pat:
-            nxt = children[node].get(x)
-            if nxt is None:
-                children.append({})
-                dead.append(False)
-                nxt = len(children) - 1
-                children[node][x] = nxt
-            node = nxt
-        dead[node] = True
-    # breadth-first failure links; a state is dead if any suffix is
-    fail = [0] * len(children)
-    order = []
-    queue = deque()
-    for x, v in children[0].items():
-        fail[v] = 0
-        queue.append(v)
-    while queue:
-        u = queue.popleft()
-        order.append(u)
-        dead[u] = dead[u] or dead[fail[u]]
-        for x, v in children[u].items():
-            f = fail[u]
-            while f and x not in children[f]:
-                f = fail[f]
-            fail[v] = children[f].get(x, 0)
-            if fail[v] == v:
-                fail[v] = 0
-            queue.append(v)
-
-    def goto(u, x):
-        while True:
-            if x in children[u]:
-                return children[u][x]
-            if u == 0:
-                return 0
-            u = fail[u]
-
-    num_symbols = system.num_symbols
+    auto = system.automaton()
+    delta, match, n = auto.delta, auto.match, auto.num_symbols
     # iterative cycle detection over live transitions
     WHITE, GRAY, BLACK = 0, 1, 2
-    color = {0: WHITE}
-    stack = [(0, iter(range(num_symbols)))]
-    color[0] = GRAY
+    color = {0: GRAY}
+    stack = [(0, iter(range(n)))]
     while stack:
         u, it = stack[-1]
         advanced = False
         for x in it:
-            v = goto(u, x)
-            if dead[v]:
+            v = delta[u * n + x]
+            if match[v] >= 0:
                 continue
             c = color.get(v, WHITE)
             if c == GRAY:
                 return True
             if c == WHITE:
                 color[v] = GRAY
-                stack.append((v, iter(range(num_symbols))))
+                stack.append((v, iter(range(n))))
                 advanced = True
                 break
         if not advanced:
@@ -366,10 +331,12 @@ def finite_order_by_powers(system: RewritingSystem, w: Word, n_max: int):
     a hit is always sound; the claimed d is the exact order only when the
     system is confluent (callers confirm exactness otherwise).
     """
-    w = tuple(w)
-    cur: Word = ()
+    auto = system.automaton()
+    # out/states hold reduce(w^(d-1)); appending w to them is reduce(w^d)
+    out: list = []
+    states = [0]
     for d in range(1, n_max + 1):
-        cur = system.reduce(cur + w)
-        if cur == ():
+        kernels.append_word(auto, out, states, w)
+        if not out:
             return d
     return None

@@ -29,15 +29,6 @@ def letter(index: int, inverse: bool = False) -> int:
     return 2 * (index - 1) + (1 if inverse else 0)
 
 
-def letter_index(x: int) -> int:
-    """1-based generator index of a letter code."""
-    return (x >> 1) + 1
-
-
-def is_inverse_letter(x: int) -> bool:
-    return bool(x & 1)
-
-
 def inv_letter(x: int) -> int:
     return x ^ 1
 
@@ -131,15 +122,6 @@ def primitive_root(w: Word) -> tuple:
 
 def shortlex_key(w: Word) -> tuple:
     return (len(w), w)
-
-
-def shortlex_cmp(u: Word, v: Word) -> int:
-    ku, kv = (len(u), u), (len(v), v)
-    if ku < kv:
-        return -1
-    if ku > kv:
-        return 1
-    return 0
 
 
 def shortlex_less(u: Word, v: Word) -> bool:

@@ -214,10 +214,14 @@ def cmd_order(args) -> int:
         "verdict": verdict.log_entry(format_word(w, p.rank)),
         "execution": _execution_block(started),
     }
-    if verdict.kind == "infinite" and args.certificate:
-        with open(args.certificate, "w") as fh:
-            json.dump(verdict.certificate.to_json_dict(), fh, indent=2,
-                      sort_keys=True)
+    if verdict.kind == "infinite":
+        ok, reason = subgrp.verify_certificate(verdict.certificate)
+        if not ok:
+            raise _CliError(f"certificate replay failed: {reason}")
+        if args.certificate:
+            with open(args.certificate, "w") as fh:
+                json.dump(verdict.certificate.to_json_dict(), fh, indent=2,
+                          sort_keys=True)
     if verdict.kind == "finite":
         summary = f"finite: order {verdict.order}\n"
     elif verdict.kind == "infinite":
@@ -306,7 +310,7 @@ def cmd_embed(args) -> int:
     result = dihedral.embed_search(sub, spec, r_max=args.r_max,
                                    budget=args.budget)
     report = {
-        "schema": "burnside/embed-report/1",
+        "schema": "burnside/embed-report/2",
         "config": {
             "table": args.table,
             "subgroup_order": sub.order,

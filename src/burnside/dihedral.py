@@ -1,12 +1,12 @@
 """Finite group tables and subgroup embeddings into dihedral products.
 
 The centerpiece is embed_search: decide whether a small group H embeds
-in D x D x ... x D (same dihedral factor throughout, order fixed by the
-spec n = 2^k * n0 handled by the caller), searching images for a
-minimal generating tuple of H. Products are kept lazy above the
-materialization cap so the ambient can be astronomically large while
-membership tests stay cheap: an embedding is a tuple of ambient
-elements, and all constraints are checked coordinatewise.
+in D(n) x D(2^k)^r, n = 2^k * n0 with n0 odd, for some r <= r_max. H
+embeds in a direct product exactly when homomorphisms into the factors
+have trivially intersecting kernels, so the search enumerates Hom(H, D)
+once per factor and meets kernels as bitsets over H. The ambient stays a
+lazy product of coordinate tuples, so its order may exceed any table
+cap; a found embedding is replayed in it coordinatewise.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from math import lcm
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 MAX_TABLE_CELLS = 1 << 16  # materialized tables stop at order 256
 
@@ -265,16 +265,6 @@ class LazyProduct:
     def exponent(self) -> int:
         return lcm(*(f.exponent() for f in self.factors))
 
-    def elements_of_order(self, d: int):
-        """All ambient elements of order exactly d (generator)."""
-        pools = []
-        for f in self.factors:
-            pools.append(sorted(x for x in range(f.order)
-                                if d % f.element_order(x) == 0))
-        for combo in itertools.product(*pools):
-            if self.element_order(combo) == d:
-                yield combo
-
 
 # --- minimal generating tuples ----------------------------------------------
 
@@ -368,42 +358,76 @@ def _structural_obstruction(sub: FiniteGroupTable,
     return None
 
 
-def _close_partial(sub: FiniteGroupTable, gens: Sequence[int],
-                   images: Sequence[Tuple[int, ...]],
-                   ambient: LazyProduct):
-    """Close the Cayley graph of <gens> under the assignment
-    gens -> images. Returns the partial map (covering exactly the
-    subgroup the listed generators span) or None on a clash or on a
-    nonidentity element forced to the identity, which no extension can
-    repair."""
-    phi: Dict[int, Tuple[int, ...]] = {0: ambient.identity}
+def _close(sub: FiniteGroupTable, gens: Sequence[int], images: Sequence[int],
+           target: FiniteGroupTable) -> Optional[List[Optional[int]]]:
+    """The map gens -> images closed over the Cayley graph of <gens>, as
+    a list over sub (None outside the span), or None at the first clash."""
+    phi: List[Optional[int]] = [None] * sub.order
+    phi[0] = 0
     frontier = [0]
     while frontier:
         nxt = []
         for g in frontier:
-            for s, img in zip(gens, images):
+            for s, x in zip(gens, images):
                 h = sub.rows[g][s]
-                cand = ambient.mul(phi[g], img)
-                known = phi.get(h)
-                if known is None:
-                    if h != 0 and cand == ambient.identity:
-                        return None
+                cand = target.rows[phi[g]][x]
+                if phi[h] is None:
                     phi[h] = cand
                     nxt.append(h)
-                elif known != cand:
+                elif phi[h] != cand:
                     return None
         frontier = nxt
     return phi
 
 
-def _homomorphism_extends(sub: FiniteGroupTable, gens: Sequence[int],
-                          images: Sequence[Tuple[int, ...]],
-                          ambient: LazyProduct):
-    """The full extension: defined everywhere and injective, or None."""
-    phi = _close_partial(sub, gens, images, ambient)
-    if phi is None or len(phi) != sub.order:
-        return None
-    return phi
+def _homomorphisms(sub: FiniteGroupTable, gens: Sequence[int],
+                   target: FiniteGroupTable,
+                   tick: Callable[[], None]) -> Dict[int, List[int]]:
+    """One homomorphism sub -> target (as its image list) per distinct
+    kernel, keyed by the kernel as a bitset over sub's elements. The
+    image of each generator g of sub has order dividing ord(g); the span
+    of the generators assigned so far is closed after each assignment.
+    tick() runs once per image tried."""
+    pools = [[x for x in range(target.order)
+              if sub.element_order(g) % target.element_order(x) == 0]
+             for g in gens]
+    by_kernel: Dict[int, List[int]] = {}
+
+    def extend(images: Tuple[int, ...]) -> None:
+        phi = _close(sub, gens[:len(images)], images, target)
+        if phi is None:
+            return
+        if len(images) == len(gens):
+            kernel = sum(1 << h for h, x in enumerate(phi) if x == 0)
+            by_kernel.setdefault(kernel, phi)
+            return
+        for x in pools[len(images)]:
+            tick()
+            extend(images + (x,))
+
+    extend(())
+    return by_kernel
+
+
+def _trivial_meet(lead: Dict[int, List[int]], factor: Dict[int, List[int]],
+                  copies: int,
+                  tick: Callable[[], None]) -> Optional[Tuple[int, ...]]:
+    """A lead kernel then at most `copies` factor kernels intersecting
+    in the trivial subgroup (bitset 1 << 0), or None. Breadth-first over
+    distinct intersections; tick() runs once per intersection taken."""
+    reached = {k: (k,) for k in lead}
+    frontier = list(reached)
+    for _ in range(copies):
+        nxt = []
+        for meet in frontier:
+            for k in factor:
+                tick()
+                m = meet & k
+                if m not in reached:
+                    reached[m] = reached[meet] + (k,)
+                    nxt.append(m)
+        frontier = nxt
+    return reached.get(1)
 
 
 def _verify_embedding(sub: FiniteGroupTable, phi: Dict[int, Tuple[int, ...]],
@@ -422,20 +446,29 @@ def embed_search(sub: FiniteGroupTable, spec: DihedralProductSpec,
                  r_max: int = 4, budget: int = 5_000_000) -> EmbedResult:
     """Search for an embedding of sub into spec's ambient for r = 0..r_max.
 
-    Backtracking over images of a minimal generating tuple. Image
-    candidates for generator g are ambient elements of order exactly
-    ord(g), indexed by their square: once phi(g^2) is forced by earlier
-    assignments (g^2 in the span of earlier generators), only candidates
-    with the matching square are even enumerated. The extension test
-    closes the Cayley graph and fails fast on a clash; any found map is
-    re-verified over the full table before being reported.
+    sub embeds in A x B^r exactly when there are homomorphisms sub -> A
+    and r homomorphisms sub -> B whose kernels intersect trivially.
+    Hom(sub, A) and Hom(sub, B) are enumerated once, by images of a
+    minimal generating tuple, keeping one homomorphism per distinct
+    kernel. `nodes` counts the homomorphism candidates tried (generator
+    images, then kernel intersections) and `budget` caps it. Any found
+    map is replayed over the full table before being reported.
     """
+    if r_max < 0:
+        raise ValueError(f"r_max must be >= 0, got {r_max}")
+    if budget < 1:
+        raise ValueError(f"budget must be >= 1, got {budget}")
     gens = minimal_generating_tuple(sub)
-    if not gens:
-        return EmbedResult(status="embedding", subgroup=sub.name,
-                           ambient=spec.ambient(0).name, copies_tried=0,
-                           images=[], generators=[])
     nodes = 0
+
+    def tick() -> None:
+        nonlocal nodes
+        nodes += 1
+        if nodes > budget:
+            raise _BudgetStop
+
+    # kernels by target order, which fixes a dihedral group
+    homs: Dict[int, Dict[int, List[int]]] = {}
     structural: List[str] = []
     for copies in range(0, r_max + 1):
         ambient = spec.ambient(copies)
@@ -443,69 +476,35 @@ def embed_search(sub: FiniteGroupTable, spec: DihedralProductSpec,
         if obstruction is not None:
             structural.append(obstruction)
             continue
-
-        candidate_pool = []
-        square_index: List[Dict[Tuple[int, ...], List[Tuple[int, ...]]]] = []
-        for g in gens:
-            pool = sorted(ambient.elements_of_order(sub.element_order(g)))
-            candidate_pool.append(pool)
-            by_square: Dict[Tuple[int, ...], List[Tuple[int, ...]]] = {}
-            for cand in pool:
-                by_square.setdefault(ambient.mul(cand, cand), []).append(cand)
-            square_index.append(by_square)
-        squares = {g: sub.rows[g][g] for g in range(sub.order)}
-
-        images: List[Tuple[int, ...]] = []
-
-        def search(idx: int) -> Optional[Dict[int, Tuple[int, ...]]]:
-            nonlocal nodes
-            if idx == len(gens):
-                return _homomorphism_extends(sub, gens, images, ambient)
-            # partial closure of the earlier generators fixes the image
-            # of everything they span; when it covers gens[idx]^2 only
-            # the candidates with that square are tried at all
-            partial = (_close_partial(sub, gens[:idx], images, ambient)
-                       if idx else {0: ambient.identity})
-            if partial is None:
-                return None
-            forced_square = partial.get(squares[gens[idx]])
-            if forced_square is not None:
-                source = square_index[idx].get(forced_square, [])
-            else:
-                source = candidate_pool[idx]
-            for cand in source:
-                nodes += 1
-                if nodes > budget:
-                    raise _BudgetStop
-                images.append(cand)
-                found = search(idx + 1)
-                if found is not None:
-                    return found
-                images.pop()
-            return None
-
         try:
-            phi = search(0)
+            for f in ambient.factors[:2]:
+                if f.order not in homs:
+                    homs[f.order] = _homomorphisms(sub, gens, f, tick)
+            lead = homs[ambient.factors[0].order]
+            factor = homs[ambient.factors[-1].order] if copies else {}
+            path = _trivial_meet(lead, factor, copies, tick)
         except _BudgetStop:
             return EmbedResult(status="budget_exceeded", subgroup=sub.name,
                                ambient=ambient.name, copies_tried=copies,
                                reason=f"node budget {budget} exhausted",
                                nodes=nodes)
-        if phi is not None:
+        if path is not None:
+            maps = [lead[path[0]]] + [factor[k] for k in path[1:]]
+            maps += [[0] * sub.order] * (copies + 1 - len(maps))  # trivial
+            phi = {h: tuple(m[h] for m in maps) for h in range(sub.order)}
             if not _verify_embedding(sub, phi, ambient):
                 raise AssertionError("search produced a non-embedding")
             return EmbedResult(
                 status="embedding", subgroup=sub.name, ambient=ambient.name,
                 copies_tried=copies,
                 images=[phi[g] for g in gens], generators=gens, nodes=nodes)
+    family = f"{spec.ambient(0).name} (+ up to {r_max} copies)"
     if len(structural) == r_max + 1:
         return EmbedResult(status="refuted_structural", subgroup=sub.name,
-                           ambient=f"{spec.ambient(0).name} (+ up to {r_max} copies)",
-                           copies_tried=r_max, reason=structural[-1],
-                           nodes=nodes)
+                           ambient=family, copies_tried=r_max,
+                           reason=structural[-1], nodes=nodes)
     return EmbedResult(status="not_found_exhausted", subgroup=sub.name,
-                       ambient=f"{spec.ambient(0).name} (+ up to {r_max} copies)",
-                       copies_tried=r_max,
+                       ambient=family, copies_tried=r_max,
                        reason="exhaustive search at every r found no embedding",
                        nodes=nodes)
 

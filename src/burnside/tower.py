@@ -337,10 +337,7 @@ def run_tower(m: int, n: int, budgets: Optional[Budgets] = None,
     cursor: Optional[Word] = None
     prior_log: Optional[list] = None
     if resume is not None:
-        if resume.get("schema") != CHECKPOINT_SCHEMA:
-            raise ValueError("not a tower checkpoint")
-        if (resume["m"], resume["n"]) != (m, n):
-            raise ValueError("checkpoint is for different (m, n)")
+        _check_checkpoint(resume, m, n)
         periods = [parse_word(t, m) for t in resume["periods"]]
         cursor = (parse_word(resume["cursor"], m)
                   if resume.get("cursor") else None)
@@ -385,6 +382,26 @@ def run_tower(m: int, n: int, budgets: Optional[Budgets] = None,
         return TowerResult(m, n, TowerStatus.ORACLE_INCONCLUSIVE,
                            tuple(periods), ranks, notes=notes,
                            checkpoint=checkpoint)
+
+
+def _check_checkpoint(resume, m: int, n: int) -> None:
+    """Reject a checkpoint run_tower cannot resume (m, n) from."""
+    if not isinstance(resume, dict) or \
+            resume.get("schema") != CHECKPOINT_SCHEMA:
+        raise ValueError("not a tower checkpoint")
+    for key in ("m", "n"):
+        if type(resume.get(key)) is not int:
+            raise ValueError(f"checkpoint field {key!r} must be an integer")
+    if (resume["m"], resume["n"]) != (m, n):
+        raise ValueError("checkpoint is for different (m, n)")
+    periods = resume.get("periods")
+    if not isinstance(periods, list) or \
+            not all(isinstance(t, str) for t in periods):
+        raise ValueError("checkpoint field 'periods' must be a list of words")
+    if not isinstance(resume.get("cursor"), (str, type(None))):
+        raise ValueError("checkpoint field 'cursor' must be a word or null")
+    if not isinstance(resume.get("partial_log"), (list, type(None))):
+        raise ValueError("checkpoint field 'partial_log' must be a list")
 
 
 def _checkpoint(m, n, budgets, periods, cursor, partial_log) -> dict:

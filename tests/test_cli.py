@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: exit codes, formats, artifact files."""
 
+import dataclasses
 import json
 
 import pytest
@@ -79,6 +80,16 @@ def test_tower_checkpoint_resume(tmp_path, capsys):
     assert "order 27" in out
 
 
+def test_tower_resume_rejects_checkpoint_without_periods(tmp_path, capsys):
+    cp = tmp_path / "cp.json"
+    cp.write_text(json.dumps({"schema": "burnside/tower-checkpoint/1",
+                              "m": 2, "n": 3}))
+    code, _, err = run(["tower", "-m", "2", "-n", "3", "--resume", str(cp)],
+                       capsys)
+    assert code == 1
+    assert "error:" in err and "periods" in err
+
+
 def test_coset_closed(pres, capsys):
     f = pres(KLEIN)
     code, out, _ = run(["coset", f], capsys)
@@ -121,6 +132,28 @@ def test_order_infinite_writes_certificate(pres, tmp_path, capsys):
     cert = Certificate.from_json_dict(json.loads(cert_path.read_text()))
     ok, reason = verify_certificate(cert)
     assert ok, reason
+
+
+def test_order_refuses_a_certificate_that_does_not_replay(pres, tmp_path,
+                                                          capsys,
+                                                          monkeypatch):
+    real = cli.oracle.element_order
+
+    def tampered(*args, **kwargs):
+        verdict = real(*args, **kwargs)
+        cert = verdict.certificate
+        verdict.certificate = dataclasses.replace(
+            cert, witness_coordinate=cert.witness_coordinate + 1)
+        return verdict
+
+    monkeypatch.setattr(cli.oracle, "element_order", tampered)
+    cert_path = tmp_path / "cert.json"
+    code, out, err = run(["order", pres(DINF), "ab",
+                          "--certificate", str(cert_path)], capsys)
+    assert code == 1
+    assert "witness coordinate mismatch" in err
+    assert "verified" not in out
+    assert not cert_path.exists()
 
 
 def test_order_identity_word_is_usage_error(pres, capsys):
@@ -181,6 +214,23 @@ def test_embed_found_and_refuted(tmp_path, capsys):
     code, out, _ = run(["embed", str(q8), "-n", "4", "--r-max", "1"], capsys)
     assert code == 0  # exhaustive refusal is definitive, not inconclusive
     assert "not_found_exhausted" in out
+    code, out, _ = run(["--format", "json", "embed", str(q8), "-n", "4"],
+                       capsys)
+    rep = json.loads(out)
+    assert rep["schema"] == "burnside/embed-report/2"
+    assert rep["result"]["status"] == "not_found_exhausted"
+    assert rep["result"]["nodes"] > 0
+
+
+@pytest.mark.parametrize("flag, value", [("--r-max", "-1"),
+                                         ("--budget", "-3")])
+def test_embed_rejects_bad_search_limits(tmp_path, capsys, flag, value):
+    c4 = tmp_path / "c4.csv"
+    c4.write_text(build_cyclic(4).to_csv())
+    code, out, err = run(["embed", str(c4), "-n", "4", flag, value], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and flag[2:].replace("-", "_") in err
 
 
 def test_output_file_written_in_text_mode(pres, tmp_path, capsys):

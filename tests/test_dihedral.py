@@ -1,7 +1,9 @@
 """Dihedral product targets and the embedding search."""
 
+import itertools
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -91,10 +93,9 @@ def test_lazy_product_agrees_with_table():
     table = dh.direct_product(factors)
     assert lazy.order == table.order
     assert lazy.exponent() == table.exponent()
-    # identical order spectra, counted without materializing the table
-    spectrum = table.order_spectrum()
-    for d, count in spectrum.items():
-        assert sum(1 for _ in lazy.elements_of_order(d)) == count
+    # identical order spectra, counted over coordinate tuples
+    coords = itertools.product(*(range(f.order) for f in lazy.factors))
+    assert Counter(map(lazy.element_order, coords)) == table.order_spectrum()
     assert lazy.element_order(lazy.identity) == 1
     # mul/inverse consistency on a few coordinates
     g = (2, 1)
@@ -186,3 +187,188 @@ def test_subgroup_table_requires_closure():
         dh.subgroup_table(d8, [0, 2])  # rotation r alone: r*r missing
     with pytest.raises(dh.TableError):
         dh.subgroup_table(d8, [1, 2])  # identity missing
+
+
+# --- reference: the product-element backtracking search ----------------------
+#
+# embed_search used to backtrack over LazyProduct coordinate tuples. It is
+# kept here, unchanged apart from living outside the module, as the
+# reference the kernel search must agree with on status and least r.
+
+
+def _elements_of_order(ambient, d):
+    pools = [sorted(x for x in range(f.order) if d % f.element_order(x) == 0)
+             for f in ambient.factors]
+    for combo in itertools.product(*pools):
+        if ambient.element_order(combo) == d:
+            yield combo
+
+
+def _close_partial(sub, gens, images, ambient):
+    phi = {0: ambient.identity}
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for g in frontier:
+            for s, img in zip(gens, images):
+                h = sub.rows[g][s]
+                cand = ambient.mul(phi[g], img)
+                known = phi.get(h)
+                if known is None:
+                    if h != 0 and cand == ambient.identity:
+                        return None
+                    phi[h] = cand
+                    nxt.append(h)
+                elif known != cand:
+                    return None
+        frontier = nxt
+    return phi
+
+
+def backtracking_embed_search(sub, spec, r_max=4):
+    """(status, copies_tried) of the old backtracking search."""
+    gens = dh.minimal_generating_tuple(sub)
+    if not gens:
+        return "embedding", 0
+    structural = 0
+    for copies in range(0, r_max + 1):
+        ambient = spec.ambient(copies)
+        if dh._structural_obstruction(sub, ambient) is not None:
+            structural += 1
+            continue
+        candidate_pool, square_index = [], []
+        for g in gens:
+            pool = sorted(_elements_of_order(ambient, sub.element_order(g)))
+            candidate_pool.append(pool)
+            by_square = {}
+            for cand in pool:
+                by_square.setdefault(ambient.mul(cand, cand), []).append(cand)
+            square_index.append(by_square)
+        images = []
+
+        def search(idx):
+            if idx == len(gens):
+                phi = _close_partial(sub, gens, images, ambient)
+                return phi if phi is not None and len(phi) == sub.order \
+                    else None
+            partial = (_close_partial(sub, gens[:idx], images, ambient)
+                       if idx else {0: ambient.identity})
+            if partial is None:
+                return None
+            forced = partial.get(sub.rows[gens[idx]][gens[idx]])
+            source = (square_index[idx].get(forced, []) if forced is not None
+                      else candidate_pool[idx])
+            for cand in source:
+                images.append(cand)
+                found = search(idx + 1)
+                if found is not None:
+                    return found
+                images.pop()
+            return None
+
+        phi = search(0)
+        if phi is not None:
+            assert dh._verify_embedding(sub, phi, ambient)
+            return "embedding", copies
+    if structural == r_max + 1:
+        return "refuted_structural", r_max
+    return "not_found_exhausted", r_max
+
+
+def _replay_witness(sub, spec, result):
+    """Extend the reported generator images over sub through the ambient
+    and replay the whole map with _verify_embedding."""
+    ambient = spec.ambient(result.copies_tried)
+    phi = _close_partial(sub, result.generators,
+                         [tuple(img) for img in result.images], ambient)
+    assert phi is not None and len(phi) == sub.order
+    assert dh._verify_embedding(sub, phi, ambient)
+
+
+def _named_groups():
+    c2 = dh.build_cyclic(2)
+    return {
+        "D2": dh.build_dihedral(2), "D3": dh.build_dihedral(3),
+        "D4": dh.build_dihedral(4), "D6": dh.build_dihedral(6),
+        "C4": dh.build_cyclic(4),
+        "C4xC2": dh.direct_product([dh.build_cyclic(4), c2]),
+        "C6xC2": dh.direct_product([dh.build_cyclic(6), c2]),
+        "C2^3": dh.direct_product([c2, c2, c2]),
+    }
+
+
+def _b22_draws():
+    # 07b's sampler asks for 8 subgroups of B(2,2); only 5 distinct exist
+    res = tower.run_tower(2, 2)
+    table = dh.FiniteGroupTable(res.realization.multiplication_table(),
+                                verify=True)
+    return [dh.subgroup_table(table, e)
+            for e in dh.sample_subgroups(table, 8, seed=2026)]
+
+
+def _d4xd4_draws(seed):
+    d4 = dh.build_dihedral(4)
+    ambient = dh.direct_product([d4, d4])
+    return [dh.subgroup_table(ambient, e)
+            for e in dh.sample_subgroups(ambient, 8, seed=seed)]
+
+
+def _assert_matches_reference(sub, spec, r_max):
+    r = dh.embed_search(sub, spec, r_max=r_max)
+    assert (r.status, r.copies_tried) == \
+        backtracking_embed_search(sub, spec, r_max=r_max), sub.name
+    if r.status == "embedding":
+        _replay_witness(sub, spec, r)
+    else:
+        assert r.images is None
+    return r
+
+
+# n=3 and n=6 have an odd part, so the lead factor and the copies differ
+# (D(1) is C2 at n=3); C2^3 and C6xC2 need two copies at n=3
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+@pytest.mark.parametrize("name", sorted(_named_groups()))
+def test_kernel_search_matches_backtracking(name, n):
+    _assert_matches_reference(_named_groups()[name],
+                              dh.DihedralProductSpec(n), r_max=4)
+
+
+def test_kernel_search_matches_backtracking_on_b22_draws():
+    draws = _b22_draws()
+    assert len(draws) == 5
+    for sub in draws:
+        r = _assert_matches_reference(sub, dh.DihedralProductSpec(2),
+                                      r_max=4)
+        assert r.status == "embedding"
+
+
+@pytest.mark.parametrize("seed", [101, 102, 7])
+def test_kernel_search_matches_backtracking_on_d4xd4_draws(seed):
+    for sub in _d4xd4_draws(seed):
+        r = _assert_matches_reference(sub, dh.DihedralProductSpec(4),
+                                      r_max=3)
+        assert r.status == "embedding"
+
+
+def test_quaternion_refuted_at_every_r():
+    r = dh.embed_search(dh.build_quaternion(), dh.DihedralProductSpec(4),
+                        r_max=3)
+    assert (r.status, r.copies_tried) == ("not_found_exhausted", 3)
+    assert r.nodes > 0
+    assert r.images is None
+
+
+def test_quaternion_budget_exceeded():
+    r = dh.embed_search(dh.build_quaternion(), dh.DihedralProductSpec(4),
+                        r_max=3, budget=1)
+    assert r.status == "budget_exceeded"
+    assert r.nodes == 2
+    assert r.images is None
+
+
+def test_embed_arguments_are_validated():
+    c4, spec = dh.build_cyclic(4), dh.DihedralProductSpec(4)
+    with pytest.raises(ValueError, match="r_max"):
+        dh.embed_search(c4, spec, r_max=-1)
+    with pytest.raises(ValueError, match="budget"):
+        dh.embed_search(c4, spec, budget=0)

@@ -126,6 +126,24 @@ def test_resume_rejects_mismatched_checkpoint():
         tower.run_tower(2, 3, resume={"schema": "bogus"})
 
 
+@pytest.mark.parametrize("field, value", [
+    ("periods", None), ("m", None), ("n", None),
+    ("periods", "a,b"), ("periods", [1, 2]), ("m", "2"), ("n", 3.0),
+    ("cursor", 7), ("partial_log", {}),
+])
+def test_resume_rejects_malformed_checkpoint(field, value):
+    cp = {"schema": tower.CHECKPOINT_SCHEMA, "m": 2, "n": 3,
+          "periods": ["a", "b"], "cursor": None, "partial_log": []}
+    if value is None:
+        del cp[field]
+    else:
+        cp[field] = value
+    with pytest.raises(ValueError, match=field):
+        tower.run_tower(2, 3, resume=cp)
+    with pytest.raises(ValueError, match="not a tower checkpoint"):
+        tower.run_tower(2, 3, resume=[cp])
+
+
 def test_rank_budget_checkpoints():
     res = tower.run_tower(2, 4, budgets=small_budgets(max_ranks=3))
     assert res.status is TowerStatus.ORACLE_INCONCLUSIVE

@@ -30,8 +30,8 @@ from .subgrp import (
     smith_normal_form,
     verify_certificate,
 )
-from .oracle import OracleBudgets, OrderVerdict, StageContext, element_order
-from .tower import Budgets, TowerResult, audit_tower, build_report, run_tower
+from .oracle import Budgets, OrderVerdict, StageContext, element_order
+from .tower import TowerResult, audit_tower, build_report, run_tower
 from .dihedral import (
     DihedralProductSpec,
     FiniteGroupTable,
@@ -66,11 +66,10 @@ __all__ = [
     "infinite_order_certificate",
     "smith_normal_form",
     "verify_certificate",
-    "OracleBudgets",
+    "Budgets",
     "OrderVerdict",
     "StageContext",
     "element_order",
-    "Budgets",
     "TowerResult",
     "audit_tower",
     "build_report",

@@ -3,9 +3,8 @@
 Every subcommand reads file-based inputs, embeds its full semantic
 config in the report it writes, and keeps everything machine-checkable:
 JSON reports have versioned schemas, and an `execution` block isolates
-the nondeterministic facts (timestamp, wall time, worker count, kernel
-backend) so two runs of the same config are byte-identical everywhere
-else.
+the nondeterministic facts (timestamp, wall time, kernel backend) so
+two runs of the same config are byte-identical everywhere else.
 
 Exit codes: 0 definitive result, 2 inconclusive or budget-limited,
 1 usage or data error.
@@ -45,11 +44,10 @@ class _CliError(Exception):
     pass
 
 
-def _execution_block(started: float, jobs: int = 1) -> dict:
+def _execution_block(started: float) -> dict:
     return {
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "elapsed_seconds": round(time.monotonic() - started, 3),
-        "jobs": jobs,
         "kernel_backend": kernels.IMPLEMENTATION,
     }
 
@@ -79,8 +77,8 @@ def _budget_args(sub):
     sub.add_argument("--max-kernel-index", type=int, default=None)
 
 
-def _budgets_from(args) -> tower.Budgets:
-    return tower.Budgets.from_env(
+def _budgets_from(args) -> oracle.Budgets:
+    return oracle.Budgets.from_env(
         oracle_max_cosets=getattr(args, "max_cosets", None),
         stage_max_cosets=getattr(args, "stage_max_cosets", None),
         kb_max_rules=getattr(args, "kb_max_rules", None),
@@ -88,16 +86,6 @@ def _budgets_from(args) -> tower.Budgets:
         kb_max_steps=getattr(args, "kb_max_steps", None),
         max_candidates=getattr(args, "max_candidates", None),
         max_kernel_index=getattr(args, "max_kernel_index", None),
-    )
-
-
-def _oracle_budgets(b: tower.Budgets) -> oracle.OracleBudgets:
-    return oracle.OracleBudgets(
-        oracle_max_cosets=b.oracle_max_cosets,
-        kb_max_rules=b.kb_max_rules,
-        kb_max_len=b.kb_max_len,
-        kb_max_steps=b.kb_max_steps,
-        max_kernel_index=b.max_kernel_index,
     )
 
 
@@ -111,13 +99,12 @@ def cmd_tower(args) -> int:
     if args.resume:
         with open(args.resume) as fh:
             resume = json.load(fh)
-    result = tower.run_tower(args.m, args.n, budgets, jobs=args.jobs,
-                             resume=resume)
+    result = tower.run_tower(args.m, args.n, budgets, resume=resume)
     audit = None
     if args.audit:
         audit = tower.audit_tower(result, budgets)
     report = tower.build_report(result, budgets, audit=audit)
-    report["execution"] = _execution_block(started, args.jobs)
+    report["execution"] = _execution_block(started)
 
     if result.checkpoint is not None and args.checkpoint:
         with open(args.checkpoint, "w") as fh:
@@ -158,7 +145,8 @@ def cmd_coset(args) -> int:
             if not w:
                 raise _CliError("subgroup generators must be nonempty")
             subgroup.append(w)
-    budget = args.max_cosets or cosets.DEFAULT_MAX_COSETS
+    budget = (cosets.DEFAULT_MAX_COSETS if args.max_cosets is None
+              else args.max_cosets)
     table = cosets.enumerate_cosets(p, subgroup, budget)
     report = {
         "schema": "burnside/coset-report/1",
@@ -199,10 +187,9 @@ def cmd_order(args) -> int:
     if not w:
         raise _CliError("word must be nonempty (it reduced to the identity)")
     budgets = _budgets_from(args)
-    ob = _oracle_budgets(budgets)
-    ctx = oracle.StageContext(p, ob)
+    ctx = oracle.StageContext(p, budgets)
     ctx.infiniteness()
-    verdict = oracle.element_order(p, w, n_hint=1, budgets=ob, ctx=ctx)
+    verdict = oracle.element_order(p, w, n_hint=1, budgets=budgets, ctx=ctx)
     report = {
         "schema": "burnside/order-report/1",
         "config": {
@@ -239,6 +226,8 @@ def cmd_order(args) -> int:
 
 def cmd_kb(args) -> int:
     started = time.monotonic()
+    if args.count_max_len < 0:
+        raise _CliError("--count-max-len must be at least 0")
     p = load_presentation(args.presentation)
     budgets = _budgets_from(args)
     system = rewrite.complete_presentation(
@@ -350,7 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
     t = subs.add_parser("tower", parents=[], help="build B(m, n) by periods")
     t.add_argument("-m", type=int, required=True, help="number of generators")
     t.add_argument("-n", type=int, required=True, help="exponent")
-    t.add_argument("--jobs", type=int, default=1)
     t.add_argument("--audit", action="store_true",
                    help="re-verify every logged verdict with fresh machinery")
     t.add_argument("--resume", help="tower checkpoint JSON to resume from")

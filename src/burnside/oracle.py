@@ -26,7 +26,8 @@ never close, so the skip is outcome-equivalent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import os
+from dataclasses import asdict, dataclass, field, fields
 from typing import List, Optional, Tuple
 
 from . import cosets, rewrite, subgrp
@@ -35,14 +36,52 @@ from .words import Word, free_reduce
 
 
 @dataclass
-class OracleBudgets:
-    """Knobs the oracle reads. Tower budgets duck-type this."""
+class Budgets:
+    """Every knob that bounds work. All overridable via CLI flags or
+    BURNSIDE_<NAME> environment variables (ints), for CI.
+
+    Each field must be an int of at least 1; ``independence_candidates``
+    may be 0. A bad value raises ValueError at construction.
+    """
 
     oracle_max_cosets: int = 5000
+    stage_max_cosets: int = 100_000
     kb_max_rules: int = rewrite.DEFAULT_MAX_RULES
     kb_max_len: int = rewrite.DEFAULT_MAX_LEN
     kb_max_steps: int = rewrite.DEFAULT_MAX_STEPS
+    max_candidates: int = 10_000
     max_kernel_index: int = 2048
+    max_ranks: int = 64
+    max_relator_letters: int = 1_048_576
+    independence_candidates: int = 64
+
+    def __post_init__(self):
+        for name, value in asdict(self).items():
+            if type(value) is not int:
+                raise ValueError(f"budget {name} must be an integer, "
+                                 f"got {value!r}")
+            floor = 0 if name == "independence_candidates" else 1
+            if value < floor:
+                raise ValueError(f"budget {name} must be at least {floor}, "
+                                 f"got {value}")
+
+    @classmethod
+    def from_env(cls, **overrides) -> "Budgets":
+        values = {}
+        for f in fields(cls):
+            var = f"BURNSIDE_{f.name.upper()}"
+            text = os.environ.get(var)
+            if text is not None:
+                try:
+                    values[f.name] = int(text)
+                except ValueError:
+                    raise ValueError(f"{var} must be an integer, "
+                                     f"got {text!r}") from None
+        values.update((k, v) for k, v in overrides.items() if v is not None)
+        return cls(**values)
+
+    def to_dict(self) -> dict:
+        return asdict(self)
 
 
 @dataclass
@@ -78,7 +117,7 @@ class StageContext:
 
     def __init__(self, p: Presentation, budgets=None):
         self.presentation = p
-        self.budgets = budgets if budgets is not None else OracleBudgets()
+        self.budgets = budgets if budgets is not None else Budgets()
         self._enumeration = self._UNSET
         self._realization = self._UNSET
         self._kb = None
@@ -191,8 +230,8 @@ class StageContext:
             max_len *= 2
 
     def prepare_for_scan(self):
-        """Materialize everything candidate evaluation reads, so that a
-        thread pool over candidates touches the caches read-only."""
+        """Build every cache that candidate evaluation reads, before the
+        scan's first candidate."""
         self.infiniteness()
         if self.known_infinite is None:
             self.enumeration()

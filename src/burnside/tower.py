@@ -16,21 +16,20 @@ the rest. A rank closes in one of three ways:
 * budgets run out or the oracle answers Unknown: the run halts with a
   resumable checkpoint. Unknown is never rounded to a verdict.
 
-Candidate evaluation can run on a thread pool (--jobs); batches have a
-fixed size and results are merged in shortlex order, so reports are
-byte-identical whatever the worker count.
+The scan asks the oracle about one candidate at a time and stops at the
+first Infinite or Unknown verdict, so ``max_candidates`` bounds the
+oracle calls of a rank exactly.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import List, Optional, Sequence
 
 from . import cosets, oracle, rewrite, subgrp
+from .oracle import Budgets
 from .presentation import (
     Presentation,
     TowerStatus,
@@ -49,42 +48,9 @@ from .words import (
 )
 
 PAPER_REGIME_EXPONENT = 2 ** 48
-_BATCH = 16
 
 CHECKPOINT_SCHEMA = "burnside/tower-checkpoint/1"
-REPORT_SCHEMA = "burnside/tower-report/1"
-
-
-@dataclass
-class Budgets:
-    """Every knob that bounds work. All overridable via CLI flags or
-    BURNSIDE_<NAME> environment variables (ints), for CI."""
-
-    oracle_max_cosets: int = 5000
-    stage_max_cosets: int = 100_000
-    kb_max_rules: int = rewrite.DEFAULT_MAX_RULES
-    kb_max_len: int = rewrite.DEFAULT_MAX_LEN
-    kb_max_steps: int = rewrite.DEFAULT_MAX_STEPS
-    max_candidates: int = 10_000
-    max_kernel_index: int = 2048
-    max_ranks: int = 64
-    max_relator_letters: int = 1_048_576
-    independence_candidates: int = 64
-
-    @classmethod
-    def from_env(cls, **overrides) -> "Budgets":
-        b = cls()
-        for name in b.__dataclass_fields__:
-            env = os.environ.get(f"BURNSIDE_{name.upper()}")
-            if env is not None:
-                setattr(b, name, int(env))
-        for name, value in overrides.items():
-            if value is not None:
-                setattr(b, name, int(value))
-        return b
-
-    def to_dict(self) -> dict:
-        return asdict(self)
+REPORT_SCHEMA = "burnside/tower-report/2"
 
 
 FILTERS = ("not-cyclically-reduced", "proper-power")
@@ -142,20 +108,8 @@ class RankOutcome:
         return d
 
 
-def _evaluate_batch(p, batch, n, budgets, ctx, jobs):
-    todo = [w for w, reason in batch if reason is None]
-    if jobs > 1 and len(todo) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            verdicts = list(pool.map(
-                lambda w: oracle.element_order(p, w, n, budgets, ctx), todo
-            ))
-    else:
-        verdicts = [oracle.element_order(p, w, n, budgets, ctx) for w in todo]
-    return dict(zip(todo, verdicts))
-
-
 def next_period(m: int, n: int, periods: Sequence[Word], budgets: Budgets,
-                jobs: int = 1, cursor: Optional[Word] = None,
+                cursor: Optional[Word] = None,
                 prior_log: Optional[list] = None) -> RankOutcome:
     """Resolve one rank: find the next period or close the stage."""
     rank = len(periods) + 1
@@ -223,45 +177,38 @@ def next_period(m: int, n: int, periods: Sequence[Word], budgets: Budgets,
     ctx.prepare_for_scan()
     log: list = list(prior_log or ())
     examined = 0
-    stream = reduced_words(m, after=cursor)
     last_done: Optional[Word] = cursor
 
-    while True:
-        batch: List[Tuple[Word, Optional[str]]] = []
-        while len(batch) < _BATCH:
-            w = next(stream)
-            batch.append((w, candidate_filter_reason(w)))
-        evaluated = sum(1 for _, reason in batch if reason is None)
-        if examined + evaluated > budgets.max_candidates:
+    for w in reduced_words(m, after=cursor):
+        text = format_word(w, m)
+        reason = candidate_filter_reason(w)
+        if reason is not None:
+            log.append({"word": text, "filtered": reason})
+            last_done = w
+            continue
+        if examined >= budgets.max_candidates:
             return RankOutcome(
                 kind="inconclusive", rank=rank, stage_relators=stage_relators,
                 stage_probe=probe, examined=examined, log=log, cursor=last_done,
                 note=f"candidate budget {budgets.max_candidates} exhausted",
             )
-        verdicts = _evaluate_batch(p, batch, n, budgets, ctx, jobs)
-        for w, reason in batch:
-            text = format_word(w, m)
-            if reason is not None:
-                log.append({"word": text, "filtered": reason})
-                last_done = w
-                continue
-            v = verdicts[w]
-            if v.kind == "unknown":
-                return RankOutcome(
-                    kind="inconclusive", rank=rank,
-                    stage_relators=stage_relators, stage_probe=probe,
-                    examined=examined, log=log, cursor=last_done,
-                    note=f"oracle returned Unknown for {text}",
-                    unknown_evidence=v.evidence,
-                )
-            examined += 1
-            log.append(v.log_entry(text))
-            last_done = w
-            if v.kind == "infinite":
-                return RankOutcome(
-                    kind="period", rank=rank, stage_relators=stage_relators,
-                    stage_probe=probe, period=w, examined=examined, log=log,
-                )
+        v = oracle.element_order(p, w, n, budgets, ctx)
+        if v.kind == "unknown":
+            return RankOutcome(
+                kind="inconclusive", rank=rank,
+                stage_relators=stage_relators, stage_probe=probe,
+                examined=examined, log=log, cursor=last_done,
+                note=f"oracle returned Unknown for {text}",
+                unknown_evidence=v.evidence,
+            )
+        examined += 1
+        log.append(v.log_entry(text))
+        last_done = w
+        if v.kind == "infinite":
+            return RankOutcome(
+                kind="period", rank=rank, stage_relators=stage_relators,
+                stage_probe=probe, period=w, examined=examined, log=log,
+            )
 
 
 def _realization_from_system(system: rewrite.RewritingSystem, rank: int):
@@ -324,6 +271,9 @@ def run_tower(m: int, n: int, budgets: Optional[Budgets] = None,
         raise ValueError("need at least one generator")
     if n < 1:
         raise ValueError("exponent must be >= 1")
+    # jobs=1 is still accepted because perfbench/workloads.py passes it
+    if jobs != 1:
+        raise ValueError("jobs must be 1: candidates are scanned in order")
     budgets = budgets or Budgets()
     notes: list = []
     if n >= PAPER_REGIME_EXPONENT:
@@ -345,8 +295,8 @@ def run_tower(m: int, n: int, budgets: Optional[Budgets] = None,
         notes.append(f"resumed at rank {len(periods) + 1}")
 
     while True:
-        outcome = next_period(m, n, periods, budgets, jobs=jobs,
-                              cursor=cursor, prior_log=prior_log)
+        outcome = next_period(m, n, periods, budgets, cursor=cursor,
+                              prior_log=prior_log)
         cursor = None
         prior_log = None
         ranks.append(outcome)

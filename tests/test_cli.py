@@ -42,11 +42,12 @@ def test_tower_json(capsys):
                        capsys)
     assert code == 0
     rep = json.loads(out)
-    assert rep["schema"] == "burnside/tower-report/1"
+    assert rep["schema"] == "burnside/tower-report/2"
     assert rep["status"] == "terminated-equals-burnside"
     assert rep["periods"] == ["a", "b", "ab", "aB"]
     assert rep["result"]["order"] == 27
-    assert rep["execution"]["jobs"] == 1
+    assert set(rep["execution"]) == {"timestamp", "elapsed_seconds",
+                                     "kernel_backend"}
 
 
 def test_tower_audit(capsys):
@@ -55,15 +56,58 @@ def test_tower_audit(capsys):
     assert "audit: 100%" in out
 
 
-def test_tower_reports_are_deterministic_across_jobs(capsys):
+def test_tower_reports_are_deterministic_across_runs(capsys):
     reports = []
-    for jobs in ("1", "8"):
-        _, out, _ = run(["--format", "json", "tower", "-m", "2", "-n", "3",
-                         "--jobs", jobs], capsys)
+    for _ in range(2):
+        _, out, _ = run(["--format", "json", "tower", "-m", "2", "-n", "3"],
+                        capsys)
         rep = json.loads(out)
         del rep["execution"]
         reports.append(json.dumps(rep, sort_keys=True))
     assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("argv, env, named", [
+    (["tower", "-m", "2", "-n", "3", "--max-cosets", "-5"], {},
+     "oracle_max_cosets"),
+    (["tower", "-m", "2", "-n", "3", "--kb-max-rules", "-1"], {},
+     "kb_max_rules"),
+    (["tower", "-m", "2", "-n", "3", "--max-candidates", "-3"], {},
+     "max_candidates"),
+    (["order", "PRES", "ab", "--max-kernel-index", "-1"], {},
+     "max_kernel_index"),
+    (["tower", "-m", "2", "-n", "3"], {"BURNSIDE_MAX_RANKS": "-1"},
+     "max_ranks"),
+    (["tower", "-m", "2", "-n", "3"], {"BURNSIDE_MAX_CANDIDATES": "abc"},
+     "BURNSIDE_MAX_CANDIDATES"),
+    (["tower", "-m", "2", "-n", "3", "--jobs", "2"], {}, "--jobs"),
+], ids=["max-cosets", "kb-max-rules", "max-candidates", "max-kernel-index",
+        "env-max-ranks", "env-not-an-int", "jobs-flag-gone"])
+def test_bad_budgets_exit_1(argv, env, named, pres, monkeypatch, capsys):
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    argv = [pres(B23) if a == "PRES" else a for a in argv]
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # argparse rejects an unknown flag
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 1
+    assert any("error:" in line and named in line
+               for line in err.splitlines())
+
+
+def test_coset_max_cosets_zero_is_rejected(pres, capsys):
+    code, _, err = run(["coset", pres(B23), "--max-cosets", "0"], capsys)
+    assert code == 1
+    assert "max_cosets must be at least 1" in err
+
+
+def test_kb_rejects_negative_count_max_len(pres, capsys):
+    code, out, err = run(["kb", pres(B23), "--count-max-len", "-2"], capsys)
+    assert code == 1
+    assert out == ""
+    assert "error:" in err and "--count-max-len" in err
 
 
 def test_tower_checkpoint_resume(tmp_path, capsys):

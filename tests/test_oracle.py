@@ -1,5 +1,7 @@
 """Order-of-element oracle: cascade of strategies, evidence, certificates."""
 
+import pytest
+
 from burnside import oracle
 from burnside.presentation import parse_presentation
 from burnside.subgrp import verify_certificate
@@ -88,7 +90,7 @@ def test_unknown_is_contagious_not_invented():
     rels = "\n".join("rel " + w * 4
                      for w in ("a", "b", "ab", "aB", "aab", "abb"))
     p = P("gens 2\n" + rels + "\n")
-    b = oracle.OracleBudgets(oracle_max_cosets=2000, kb_max_steps=20000)
+    b = oracle.Budgets(oracle_max_cosets=2000, kb_max_steps=20000)
     v = oracle.element_order(p, parse_word("aabb", 2), n_hint=4, budgets=b)
     assert v.kind == "unknown"
     attempts = v.evidence["attempts"]
@@ -100,7 +102,7 @@ def test_unknown_is_contagious_not_invented():
 
 def test_kb_power_strategy_on_small_budget():
     # deny the closure strategy enough cosets so the cascade falls through
-    b = oracle.OracleBudgets(oracle_max_cosets=5)
+    b = oracle.Budgets(oracle_max_cosets=5)
     v = order_of(B23, "ab", budgets=b)
     assert v.finite and v.order == 3
     assert v.evidence["strategy"] == "kb-power"
@@ -120,3 +122,25 @@ def test_stage_context_caches_are_reused():
     v2 = oracle.element_order(P(B23), parse_word("ab", 2), ctx=ctx)
     assert v1.order == 3 and v2.order == 3
     assert ctx.finite_stage_order() == 27
+
+
+@pytest.mark.parametrize("field, value", [
+    ("oracle_max_cosets", -1),
+    ("max_candidates", 0),
+    ("max_ranks", True),
+    ("kb_max_len", 2.0),
+    ("independence_candidates", -1),
+])
+def test_budgets_reject_bad_values(field, value):
+    with pytest.raises(ValueError, match=field):
+        oracle.Budgets(**{field: value})
+
+
+def test_budgets_floors_and_env(monkeypatch):
+    assert oracle.Budgets(independence_candidates=0).independence_candidates == 0
+    monkeypatch.setenv("BURNSIDE_MAX_RANKS", "7")
+    b = oracle.Budgets.from_env(max_candidates=9)
+    assert (b.max_ranks, b.max_candidates) == (7, 9)
+    monkeypatch.setenv("BURNSIDE_MAX_RANKS", "seven")
+    with pytest.raises(ValueError, match="BURNSIDE_MAX_RANKS"):
+        oracle.Budgets.from_env()

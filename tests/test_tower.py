@@ -153,7 +153,7 @@ def test_rank_budget_checkpoints():
 
 
 def test_asymptotic_regime_checkpoints_immediately():
-    res = tower.run_tower(2, tower.PAPER_REGIME_EXPONENT, jobs=1)
+    res = tower.run_tower(2, tower.PAPER_REGIME_EXPONENT)
     assert res.status is TowerStatus.ORACLE_INCONCLUSIVE
     assert res.checkpoint is not None
     assert any("asymptotic regime" in note for note in res.notes)
@@ -161,13 +161,32 @@ def test_asymptotic_regime_checkpoints_immediately():
     assert len(res.periods) <= 2
 
 
-def test_parallel_scan_matches_serial():
-    b = small_budgets()
-    r1 = tower.run_tower(2, 3, budgets=b, jobs=1)
-    r8 = tower.run_tower(2, 3, budgets=b, jobs=8)
-    rep1 = tower.build_report(r1, b)
-    rep8 = tower.build_report(r8, b)
-    assert tower.report_to_json(rep1) == tower.report_to_json(rep8)
+@pytest.mark.parametrize("k, periods, cursor", [
+    (1, ["a"], "a"),
+    (2, ["a"], "A"),
+    (3, ["a", "b"], "b"),
+    (4, ["a", "b"], "aa"),
+    (5, ["a", "b", "ab"], "ab"),
+])
+def test_candidate_budget_is_exact(k, periods, cursor):
+    res = tower.run_tower(2, 3, budgets=tower.Budgets(max_candidates=k))
+    assert res.status is TowerStatus.ORACLE_INCONCLUSIVE
+    assert res.period_texts() == periods
+    halted = res.ranks[-1]
+    assert halted.kind == "inconclusive"
+    assert halted.examined == k
+    assert res.checkpoint["cursor"] == cursor
+    assert res.checkpoint["partial_log"][-1]["word"] == cursor
+    resumed = tower.run_tower(2, 3, resume=json.loads(json.dumps(
+        res.checkpoint)))
+    assert resumed.status is TowerStatus.TERMINATED_EQUALS_BURNSIDE
+    assert resumed.period_texts() == ["a", "b", "ab", "aB"]
+    assert resumed.order == 27
+
+
+def test_run_tower_accepts_only_one_job():
+    with pytest.raises(ValueError, match="jobs"):
+        tower.run_tower(2, 2, jobs=2)
 
 
 def test_report_shape():

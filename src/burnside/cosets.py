@@ -318,14 +318,6 @@ class FiniteRealization:
             e = math.lcm(e, self.element_order(self.reps[c]))
         return e
 
-    def multiplication_table(self) -> list:
-        """order x order table: entry [i][j] = index of reps[i]*reps[j]."""
-        rows = []
-        for i in range(self.order):
-            # right-multiplying coset i by element j is tracing reps[j] from i
-            rows.append([self.trace(i, self.reps[j]) for j in range(self.order)])
-        return rows
-
 
 def transversal_words(rows: list, rank: int) -> List[Word]:
     """Shortlex-minimal word reaching each coset from 0 (BFS, letter order)."""

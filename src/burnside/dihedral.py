@@ -171,11 +171,6 @@ def build_cyclic(h: int) -> FiniteGroupTable:
     return FiniteGroupTable(rows, name=f"C{h}", verify=False)
 
 
-def build_klein_four() -> FiniteGroupTable:
-    rows = [[a ^ b for b in range(4)] for a in range(4)]
-    return FiniteGroupTable(rows, name="V4", verify=False)
-
-
 def build_quaternion() -> FiniteGroupTable:
     """Order-8 group with a unique involution and six order-4 elements.
 

@@ -166,7 +166,7 @@ class StageContext:
             machines: List[Tuple[str, subgrp.KernelCertifier]] = []
             specs = [("abelian-torsion", self.torsion_spec())]
             for name, spec in specs:
-                size = _spec_size(spec)
+                size = subgrp.spec_size(spec)
                 if size > self.budgets.max_kernel_index:
                     continue
                 machines.append((name, subgrp.KernelCertifier(self.presentation, spec)))
@@ -238,12 +238,6 @@ class StageContext:
             self.realization()
         self.kb()
         self.certifiers()
-
-
-def _spec_size(spec: dict) -> int:
-    if spec["kind"] == "abelian":
-        return math.prod(int(d) for d in spec["moduli"]) if spec["moduli"] else 1
-    return len(spec["images"][0]) if spec["images"] else 1
 
 
 def _divisors(n: int) -> List[int]:

@@ -74,10 +74,6 @@ class Presentation:
         return f"<rank {self.rank} | {rels}>"
 
 
-def free_presentation(rank: int) -> Presentation:
-    return Presentation(rank, ())
-
-
 def power_relator(w: Word, n: int) -> Word:
     """The relator w^n. Requires n >= 1 and a nonempty w."""
     if n < 1:
@@ -92,22 +88,6 @@ class TowerStatus(enum.Enum):
     TERMINATED_EQUALS_BURNSIDE = "terminated-equals-burnside"
     STALLED_DIVERGENT = "stalled-divergent"
     ORACLE_INCONCLUSIVE = "oracle-inconclusive"
-
-
-@dataclass(frozen=True)
-class TowerState:
-    """Progress marker: rank m, exponent n, periods found so far."""
-
-    m: int
-    n: int
-    periods: tuple = ()
-    status: TowerStatus = TowerStatus.RUNNING
-
-    def presentation(self) -> Presentation:
-        return tower_presentation(self.m, self.n, self.periods)
-
-    def extended(self, period: Word) -> "TowerState":
-        return TowerState(self.m, self.n, self.periods + (tuple(period),), self.status)
 
 
 def tower_presentation(m: int, n: int, periods: Sequence[Word]) -> Presentation:

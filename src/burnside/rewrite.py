@@ -39,27 +39,20 @@ class RewritingSystem:
         self.confluent = confluent
         self.stats = dict(stats or {})
         self._index = None
-        self._automaton = None
 
     @property
     def num_symbols(self) -> int:
         return 2 * self.rank
 
     def _get_index(self):
+        """The rule automaton (see ``kernels``), built on first use.
+
+        Its live states are the normal-form automaton: the irreducible
+        words are exactly the paths from state 0 through live states.
+        """
         if self._index is None:
             self._index = kernels.build_index(self.rules, self.num_symbols)
         return self._index
-
-    def automaton(self):
-        """The Aho-Corasick automaton over the lhs (see ``_purekernels``).
-
-        A state is dead when ``match[state] >= 0``; the irreducible words
-        are exactly the paths from state 0 through live states.
-        """
-        if self._automaton is None:
-            self._automaton = kernels.automaton(
-                self._get_index(), self.rules, self.num_symbols)
-        return self._automaton
 
     def reduce(self, w: Word) -> Word:
         """Rewrite to an irreducible word (canonical iff confluent)."""
@@ -128,14 +121,11 @@ def knuth_bendix(system: RewritingSystem,
     budget_hit = None
     steps = 0
 
-    index = None  # rebuilt lazily after any rule change
+    # one live automaton over the active rules for the whole completion
+    automaton = kernels.build_index((), num_symbols)
 
     def current_reduce(w):
-        nonlocal index
-        if index is None:
-            ordered = [rules[i] for i in sorted(active)]
-            index = kernels.build_index(ordered, num_symbols)
-        return kernels.reduce_word(index, w)
+        return kernels.reduce_word(automaton, w)
 
     def push_pairs(rid):
         # generating a pair is a step too: otherwise the queue grows
@@ -154,7 +144,7 @@ def knuth_bendix(system: RewritingSystem,
                 tiebreak += 1
 
     def add_equation_as_rule(u, v):
-        nonlocal generated, max_rule_len, budget_hit, index
+        nonlocal generated, max_rule_len, budget_hit
         u = current_reduce(u)
         v = current_reduce(v)
         pair = orient(u, v)
@@ -172,7 +162,7 @@ def knuth_bendix(system: RewritingSystem,
         max_rule_len = max(max_rule_len, len(lhs))
         rules[rid] = (lhs, rhs)
         active.add(rid)
-        index = None
+        automaton.insert(rid, lhs, rhs)
         # interreduce: retire rules whose lhs now reduces, requeueing their
         # equation; renormalize rhs of the rest in place
         for oid in sorted(active):
@@ -181,11 +171,12 @@ def knuth_bendix(system: RewritingSystem,
             olhs, orhs = rules[oid]
             if _contains_factor(olhs, lhs):
                 active.discard(oid)
-                index = None
+                automaton.retire(oid)
                 equations.append((olhs, orhs))
             elif _contains_factor(orhs, lhs):
-                rules[oid] = (olhs, current_reduce(orhs))
-                index = None
+                orhs = current_reduce(orhs)
+                rules[oid] = (olhs, orhs)
+                automaton.set_rhs(oid, orhs)
         push_pairs(rid)
 
     while equations or heap:
@@ -246,17 +237,14 @@ def count_normal_forms(system: RewritingSystem, max_len: int):
     """
     if not system.confluent:
         raise ValueError("normal form counting needs a confluent system")
-    auto = system.automaton()
-    delta, match, n = auto.delta, auto.match, auto.num_symbols
+    row = system._get_index().row
     total = 1  # the empty word
-    level = {0: 1}  # automaton state -> irreducible words of this length
+    level = {0: 1}  # live state -> irreducible words of this length
     for _ in range(max_len):
         nxt: dict = {}
         for u, count in level.items():
-            base = u * n
-            for x in range(n):
-                v = delta[base + x]
-                if match[v] < 0:
+            for v in row(u):
+                if v >= 0:
                     nxt[v] = nxt.get(v, 0) + count
         if not nxt:
             return total, True
@@ -269,17 +257,14 @@ def normal_forms(system: RewritingSystem, max_len: int):
     """Yield the normal forms up to max_len in shortlex order."""
     if not system.confluent:
         raise ValueError("normal form listing needs a confluent system")
-    auto = system.automaton()
-    delta, match, n = auto.delta, auto.match, auto.num_symbols
+    row = system._get_index().row
     yield ()
     level = [((), 0)]
     for _ in range(max_len):
         nxt = []
         for w, u in level:
-            base = u * n
-            for x in range(n):
-                v = delta[base + x]
-                if match[v] < 0:
+            for x, v in enumerate(row(u)):
+                if v >= 0:
                     child = w + (x,)
                     nxt.append((child, v))
                     yield child
@@ -297,25 +282,23 @@ def language_infinite(system: RewritingSystem) -> bool:
     """
     if not system.confluent:
         raise ValueError("language census needs a confluent system")
-    auto = system.automaton()
-    delta, match, n = auto.delta, auto.match, auto.num_symbols
+    row = system._get_index().row
     # iterative cycle detection over live transitions
     WHITE, GRAY, BLACK = 0, 1, 2
     color = {0: GRAY}
-    stack = [(0, iter(range(n)))]
+    stack = [(0, iter(row(0)))]
     while stack:
         u, it = stack[-1]
         advanced = False
-        for x in it:
-            v = delta[u * n + x]
-            if match[v] >= 0:
+        for v in it:
+            if v < 0:
                 continue
             c = color.get(v, WHITE)
             if c == GRAY:
                 return True
             if c == WHITE:
                 color[v] = GRAY
-                stack.append((v, iter(range(n))))
+                stack.append((v, iter(row(v))))
                 advanced = True
                 break
         if not advanced:
@@ -331,12 +314,12 @@ def finite_order_by_powers(system: RewritingSystem, w: Word, n_max: int):
     a hit is always sound; the claimed d is the exact order only when the
     system is confluent (callers confirm exactness otherwise).
     """
-    auto = system.automaton()
+    automaton = system._get_index()
     # out/states hold reduce(w^(d-1)); appending w to them is reduce(w^d)
     out: list = []
     states = [0]
     for d in range(1, n_max + 1):
-        kernels.append_word(auto, out, states, w)
+        kernels.append_word(automaton, out, states, w)
         if not out:
             return d
     return None

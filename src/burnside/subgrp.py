@@ -137,26 +137,6 @@ def mat_identity(n: int) -> list:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def mat_mul(A: list, B: list) -> list:
-    if not A:
-        return []
-    if not B:
-        return [[] for _ in A]
-    cols = len(B[0])
-    inner = len(B)
-    out = []
-    for row in A:
-        acc = [0] * cols
-        for k in range(inner):
-            a = row[k]
-            if a:
-                Bk = B[k]
-                for j in range(cols):
-                    acc[j] += a * Bk[j]
-        out.append(acc)
-    return out
-
-
 def mat_vec_left(v: Sequence[int], M: list) -> list:
     """Row vector times matrix."""
     if not M:
@@ -169,31 +149,6 @@ def mat_vec_left(v: Sequence[int], M: list) -> list:
             for j in range(cols):
                 out[j] += a * Mk[j]
     return out
-
-
-def determinant(M: list) -> int:
-    """Fraction-free (Bareiss) determinant over exact ints."""
-    n = len(M)
-    if n == 0:
-        return 1
-    A = [row[:] for row in M]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if A[k][k] == 0:
-            for i in range(k + 1, n):
-                if A[i][k]:
-                    A[k], A[i] = A[i], A[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                A[i][j] = (A[i][j] * A[k][k] - A[i][k] * A[k][j]) // prev
-            A[i][k] = 0
-        prev = A[k][k]
-    return sign * A[n - 1][n - 1]
 
 
 def smith_normal_form(M: list, ncols: Optional[int] = None):
@@ -344,6 +299,13 @@ def abelian_invariants(p: Presentation) -> AbelianInvariants:
 
 
 # --- quotient actions ------------------------------------------------------
+
+
+def spec_size(spec: dict) -> int:
+    """Element count of a quotient spec, read without building it."""
+    if spec["kind"] == "abelian":
+        return math.prod(int(d) for d in spec["moduli"]) if spec["moduli"] else 1
+    return len(spec["images"][0]) if spec["images"] else 1
 
 
 class QuotientAction:
@@ -590,14 +552,16 @@ def verify_certificate(cert: Certificate):
     a fresh SNF, and the witness coordinate.
     """
     p = cert.presentation
+    # sized before it is built: the spec may name far more elements
+    # than the claimed index
     try:
+        if spec_size(cert.quotient) != cert.kernel_index:
+            return False, "kernel index mismatch"
         action = QuotientAction(cert.quotient, p.rank)
-    except ValueError as e:
+    except (KeyError, TypeError, ValueError) as e:
         return False, f"bad quotient spec: {e}"
     if not action.satisfies(p.relators):
         return False, "quotient does not satisfy the relators"
-    if action.size != cert.kernel_index:
-        return False, "kernel index mismatch"
     w = free_reduce(cert.word)
     if not w:
         return False, "empty word cannot have infinite order"

@@ -436,7 +436,7 @@ def verify_independence(result: TowerResult, budgets: Budgets) -> dict:
                 ))
             certifiers = [(name, subgrp.KernelCertifier(dropped, spec))
                           for name, spec in specs
-                          if oracle._spec_size(spec) <= budgets.max_kernel_index]
+                          if subgrp.spec_size(spec) <= budgets.max_kernel_index]
             candidates = [period] + [w for j, w in enumerate(result.periods)
                                      if j != i]
             stream = reduced_words(m)
@@ -514,7 +514,9 @@ def audit_tower(result: TowerResult, budgets: Budgets) -> dict:
     terminal = result.realization
     periods: List[Word] = []
     for outcome in result.ranks:
-        p = tower_presentation(result.m, result.n, periods)
+        # a rank that halted before its scan (say, on a relator over
+        # max_relator_letters) logged nothing, so it has no stage to build
+        p = tower_presentation(result.m, result.n, periods) if outcome.log else None
         fresh_sys = None
         fresh_ctx = None
         for entry in outcome.log:

@@ -42,15 +42,6 @@ def max_generator(w: Iterable[int]) -> int:
     return m
 
 
-def is_reduced(w: Iterable[int]) -> bool:
-    prev = -2
-    for x in w:
-        if x == prev ^ 1 and prev >= 0:
-            return False
-        prev = x
-    return True
-
-
 def free_reduce(seq: Iterable[int]) -> Word:
     """Cancel adjacent inverse pairs until none remain.
 
@@ -81,12 +72,18 @@ def concat(u: Word, v: Word) -> Word:
 
 
 def power(w: Word, n: int) -> Word:
+    """The reduced word of ``w^n``, in time linear in its length.
+
+    With ``w = c * core * c^-1`` and ``core`` cyclically reduced, the
+    copies of ``core`` do not cancel against each other, so ``w^n`` is
+    ``c * core^n * c^-1`` (``()`` when ``n == 0``).
+    """
     if n < 0:
         return power(invert(w), -n)
-    acc: Word = ()
-    for _ in range(n):
-        acc = concat(acc, w)
-    return acc
+    if n == 0:
+        return ()
+    core, c = cyclic_reduce(w)
+    return c + core * n + invert(c)
 
 
 def cyclic_reduce(w: Word) -> tuple:
@@ -99,10 +96,6 @@ def cyclic_reduce(w: Word) -> tuple:
         i += 1
         j -= 1
     return w[i:j], w[:i]
-
-
-def is_cyclically_reduced(w: Word) -> bool:
-    return len(w) < 2 or w[0] != w[-1] ^ 1
 
 
 def primitive_root(w: Word) -> tuple:
@@ -126,17 +119,6 @@ def shortlex_key(w: Word) -> tuple:
 
 def shortlex_less(u: Word, v: Word) -> bool:
     return (len(u), u) < (len(v), v)
-
-
-def shortlex_min(words: Iterable[Word]) -> Word:
-    return min(words, key=shortlex_key)
-
-
-def count_reduced(m: int, length: int) -> int:
-    """Number of reduced words of exactly this length over m generators."""
-    if length == 0:
-        return 1
-    return 2 * m * (2 * m - 1) ** (length - 1)
 
 
 def _first_allowed(prev: Optional[int]) -> int:

@@ -15,8 +15,9 @@ import pytest
 
 from burnside import cli, cosets, dihedral, rewrite, tower
 from burnside.presentation import TowerStatus, parse_presentation
-from burnside.subgrp import determinant, mat_mul, smith_normal_form, snf_diagonal
+from burnside.subgrp import smith_normal_form, snf_diagonal
 from burnside.words import parse_word, reduced_words
+from support import determinant, mat_mul, multiplication_table
 
 KLEIN = "gens 2\nrel aa\nrel bb\nrel abab\n"
 B23 = "gens 2\nrel aaa\nrel bbb\nrel ababab\nrel aBaBaB\n"
@@ -170,7 +171,7 @@ def test_criterion_07a_order_27_subgroups_cyclic():
     abelian 3x3; the whole group is neither cyclic nor abelian.
     """
     res = tower.run_tower(2, 3)
-    table = dihedral.FiniteGroupTable(res.realization.multiplication_table(),
+    table = dihedral.FiniteGroupTable(multiplication_table(res.realization),
                                       name="exponent-3 group", verify=True)
     assert table.order == 27
     cyclic, noncyclic = _subgroup_census(table)
@@ -184,7 +185,7 @@ def test_criterion_07a_order_27_subgroups_cyclic():
 
 def test_criterion_07b_sampled_exponent2_subgroups_embed():
     res = tower.run_tower(2, 2)
-    table = dihedral.FiniteGroupTable(res.realization.multiplication_table(),
+    table = dihedral.FiniteGroupTable(multiplication_table(res.realization),
                                       name="exponent-2 group", verify=True)
     spec = dihedral.DihedralProductSpec(2)
     subs = dihedral.sample_subgroups(table, 8, seed=2026)

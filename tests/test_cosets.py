@@ -4,6 +4,7 @@ import pytest
 
 from burnside import cosets
 from burnside.presentation import parse_presentation
+from support import multiplication_table
 from burnside.words import format_word, parse_word
 
 
@@ -143,7 +144,7 @@ def test_center_sizes():
 
 def test_multiplication_table_is_group():
     r = cosets.realize(cosets.enumerate_cosets(P(KLEIN), (), 100))
-    rows = r.multiplication_table()
+    rows = multiplication_table(r)
     from burnside.dihedral import FiniteGroupTable
 
     FiniteGroupTable(rows, verify=True)  # raises if not a group

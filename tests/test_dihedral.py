@@ -9,6 +9,7 @@ import pytest
 
 from burnside import dihedral as dh
 from burnside import tower
+from support import multiplication_table
 
 
 def test_dihedral_small():
@@ -124,8 +125,9 @@ def test_spec_decomposition():
 
 
 def test_klein_embeds_identically():
-    r = dh.embed_search(dh.build_klein_four(), dh.DihedralProductSpec(2),
-                        r_max=0)
+    v4 = dh.FiniteGroupTable([[a ^ b for b in range(4)] for a in range(4)],
+                             name="V4")
+    r = dh.embed_search(v4, dh.DihedralProductSpec(2), r_max=0)
     assert r.status == "embedding"
     assert r.copies_tried == 0
     assert len(set(r.images)) == len(r.images)
@@ -170,7 +172,7 @@ def test_found_embeddings_are_verified_injective_homs():
 
 def test_sampled_burnside_subgroups_embed():
     res = tower.run_tower(2, 2)
-    table = dh.FiniteGroupTable(res.realization.multiplication_table(),
+    table = dh.FiniteGroupTable(multiplication_table(res.realization),
                                 name="exponent-2 group", verify=True)
     spec = dh.DihedralProductSpec(2)
     subs = dh.sample_subgroups(table, 6, seed=11)
@@ -300,7 +302,7 @@ def _named_groups():
 def _b22_draws():
     # 07b's sampler asks for 8 subgroups of B(2,2); only 5 distinct exist
     res = tower.run_tower(2, 2)
-    table = dh.FiniteGroupTable(res.realization.multiplication_table(),
+    table = dh.FiniteGroupTable(multiplication_table(res.realization),
                                 verify=True)
     return [dh.subgroup_table(table, e)
             for e in dh.sample_subgroups(table, 8, seed=2026)]

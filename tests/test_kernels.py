@@ -1,23 +1,17 @@
-"""The word kernels must be indistinguishable from the outside.
+"""The reduction kernel against independent references.
 
-The compiled twin and the Aho-Corasick pure kernel are both checked
-against the bucket-scan reducer below, which fires, at each appended
-letter, the first rule in rule order whose lhs is a suffix of the output.
+The Aho-Corasick automaton is checked against the bucket-scan reducer
+below, which fires, at each appended letter, the first rule in rule order
+whose lhs is a suffix of the output. A live automaton, edited by inserts,
+retires and rhs updates, must reduce exactly as a fresh one built over
+its active rules.
 """
 
 import random
 
 import pytest
 
-from burnside import _purekernels as pure
 from burnside import kernels
-
-try:
-    from burnside import _speedups as fast
-except ImportError:
-    fast = None
-
-needs_ext = pytest.mark.skipif(fast is None, reason="extension not built")
 
 B27 = "gens 2\nrel aaa\nrel bbb\nrel ababab\nrel aBaBaB\n"
 # its seed system has a duplicate lhs (BB -> bb before BB -> aa) and lhs
@@ -91,25 +85,18 @@ def random_raw_words(rank, count, max_len, seed):
 
 
 def test_pure_reduce_basics():
-    idx = pure.build_index([((0, 0), (1,)), ((2, 3), ())], 4)
-    assert pure.reduce_word(idx, ()) == ()
-    assert pure.reduce_word(idx, (0, 0)) == (1,)
-    assert pure.reduce_word(idx, (0, 0, 0)) == (1, 0)
-    assert pure.reduce_word(idx, (2, 3, 2, 3)) == ()
-
-
-def test_pure_free_reduce():
-    assert pure.free_reduce_word((0, 1)) == ()
-    assert pure.free_reduce_word((0, 1, 1, 0, 2)) == (2,)
-    assert pure.free_reduce_word(()) == ()
+    idx = kernels.build_index([((0, 0), (1,)), ((2, 3), ())], 4)
+    assert kernels.reduce_word(idx, ()) == ()
+    assert kernels.reduce_word(idx, (0, 0)) == (1,)
+    assert kernels.reduce_word(idx, (0, 0, 0)) == (1, 0)
+    assert kernels.reduce_word(idx, (2, 3, 2, 3)) == ()
 
 
 def test_empty_lhs_rejected():
     with pytest.raises(ValueError):
-        pure.build_index([((), (0,))], 2)
-    if fast is not None:
-        with pytest.raises(ValueError):
-            fast.build_index([((), (0,))], 2)
+        kernels.build_index([((), (0,))], 2)
+    with pytest.raises(ValueError):
+        kernels.build_index([], 2).insert(0, (), ())
 
 
 def test_seed_system_pins_rule_precedence():
@@ -123,23 +110,20 @@ def test_seed_system_pins_rule_precedence():
 def test_reduction_matches_bucket_scan(kind):
     system = _system(kind)
     rules = system.rules
-    indexes = [(pure, pure.build_index(rules, 4)),
-               (kernels, kernels.build_index(rules, 4))]
+    index = kernels.build_index(rules, 4)
     for w in random_raw_words(2, 2000, 40, seed=7):
-        expect = bucket_scan_reduce(rules, 4, w)
-        for module, index in indexes:
-            assert module.reduce_word(index, w) == expect
+        assert kernels.reduce_word(index, w) == bucket_scan_reduce(rules, 4, w)
 
 
 def test_append_word_resumes_from_an_irreducible_prefix():
     rules = _system("seed").rules
-    index = pure.build_index(rules, 4)
+    index = kernels.build_index(rules, 4)
     for w in random_raw_words(2, 300, 20, seed=11):
         cut = len(w) // 2
         out = []
         states = [0]
-        pure.append_word(index, out, states, w[:cut])
-        pure.append_word(index, out, states, w[cut:])
+        kernels.append_word(index, out, states, w[:cut])
+        kernels.append_word(index, out, states, w[cut:])
         assert tuple(out) == bucket_scan_reduce(rules, 4, w)
         assert len(states) == len(out) + 1
         assert (states[-1] == 0) == (not out)
@@ -178,40 +162,6 @@ def test_rhs_longer_never_built_by_rewrite():
         assert len(rhs) <= len(lhs)
 
 
-@needs_ext
-def test_kernels_agree_on_random_words():
-    rules = _rules()
-    pi = pure.build_index(rules, 4)
-    fi = fast.build_index(rules, 4)
-    for w in random_raw_words(2, 3000, 50, seed=99):
-        assert pure.reduce_word(pi, w) == fast.reduce_word(fi, w)
-        assert pure.free_reduce_word(w) == fast.free_reduce_word(w)
-
-
-@needs_ext
-def test_kernels_agree_on_structured_words():
-    # powers of short words stress the rhs-push path
-    rules = _rules()
-    pi = pure.build_index(rules, 4)
-    fi = fast.build_index(rules, 4)
-    bases = [(0,), (0, 2), (0, 3), (0, 2, 1, 3), (2, 2), (0, 0, 2)]
-    for base in bases:
-        for k in range(1, 30):
-            w = base * k
-            assert pure.reduce_word(pi, w) == fast.reduce_word(fi, w)
-
-
-@needs_ext
-def test_selected_backend():
-    import os
-
-    # kernels module picked the compiled twin unless the env var says not to
-    if os.environ.get("BURNSIDE_PURE_PYTHON"):
-        assert kernels.IMPLEMENTATION == "python"
-    else:
-        assert kernels.IMPLEMENTATION == "c"
-
-
 def test_reduction_matches_slow_substitution():
     # independent oracle: repeatedly scan for any lhs factor and replace
     rules = _rules()
@@ -239,3 +189,115 @@ def test_reduction_matches_slow_substitution():
         # leftmost-first vs suffix-stack orders can differ midway, but a
         # confluent system lands both on the same normal form
         assert got == expect
+
+
+def test_long_power_trace_of_an_infinite_order_word():
+    # in C3 * Z the word ab has infinite order and every power (ab)^d is
+    # irreducible, so the trace appends through 8192 live states
+    from burnside import rewrite
+    from burnside.presentation import parse_presentation
+
+    system = rewrite.complete_presentation(parse_presentation("gens 2\nrel aaa\n"))
+    assert system.confluent
+    w = (0, 2)
+    assert rewrite.finite_order_by_powers(system, w, 4096) is None
+    assert system.reduce(w * 4096) == w * 4096
+    assert system.reduce(w * 4096 + (3, 1) * 4095) == w
+
+
+def _random_rule(rng, active):
+    """A shortlex-oriented rule whose lhs often repeats, extends or is a
+    suffix of an active lhs, so precedence between nested and duplicate
+    lhs is exercised."""
+    pick = rng.random()
+    if active and pick < 0.6:
+        base = rng.choice(list(active.values()))[0]
+        if pick < 0.2:
+            lhs = base
+        elif pick < 0.4 and len(base) > 1:
+            lhs = base[rng.randrange(1, len(base)):]
+        else:
+            lhs = tuple(rng.randrange(4) for _ in range(rng.randrange(3))) + base
+    else:
+        lhs = tuple(rng.randrange(4) for _ in range(rng.randrange(1, 5)))
+    return lhs, _random_rhs(rng, lhs)
+
+
+def _random_rhs(rng, lhs):
+    while True:
+        rhs = tuple(rng.randrange(4) for _ in range(rng.randrange(len(lhs) + 1)))
+        if (len(rhs), rhs) < (len(lhs), lhs):
+            return rhs
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_live_automaton_matches_fresh_build(seed):
+    rng = random.Random(seed)
+    live = kernels.build_index((), 4)
+    active = {}  # rule id -> (lhs, rhs)
+    next_id = 0
+    ops = []
+    shapes = set()
+    for step in range(40):
+        op = rng.random()
+        if len(active) < 2 or op < 0.5:
+            # ids arrive with gaps and sometimes below an active id
+            rule_id = next_id + rng.randrange(3)
+            if rng.random() < 0.4:
+                rule_id = rng.randrange(rule_id + 1)
+            while rule_id in active:
+                rule_id += 1
+            next_id = max(next_id, rule_id + 1)
+            lhs, rhs = _random_rule(rng, active)
+            live.insert(rule_id, lhs, rhs)
+            active[rule_id] = (lhs, rhs)
+            ops.append("insert")
+        elif op < 0.8:
+            rule_id = rng.choice(sorted(active))
+            live.retire(rule_id)
+            del active[rule_id]
+            ops.append("retire")
+        else:
+            rule_id = rng.choice(sorted(active))
+            lhs = active[rule_id][0]
+            rhs = _random_rhs(rng, lhs)
+            live.set_rhs(rule_id, rhs)
+            active[rule_id] = (lhs, rhs)
+            ops.append("set_rhs")
+        rules = [active[i] for i in sorted(active)]
+        shapes |= _lhs_shapes([lhs for lhs, _ in rules])
+        fresh = kernels.build_index(rules, 4)
+        for w in random_raw_words(2, 500, 12, seed=1000 * seed + step):
+            got = kernels.reduce_word(live, w)
+            assert got == kernels.reduce_word(fresh, w), (ops, w)
+            assert got == bucket_scan_reduce(rules, 4, w), (ops, w)
+    assert {"insert", "retire", "set_rhs"} <= set(ops)
+    assert shapes == {"duplicate", "nested"}
+
+
+def _lhs_shapes(lhs):
+    shapes = set()
+    if len(set(lhs)) < len(lhs):
+        shapes.add("duplicate")
+    if any(len(u) < len(v) and v[-len(u):] == u for u in lhs for v in lhs):
+        shapes.add("nested")
+    return shapes
+
+
+def test_live_automaton_shares_lhs_between_ids():
+    # a duplicate lhs fires the lowest active id; retiring it hands the
+    # match to the next, and retiring both leaves the trie path inert
+    live = kernels.build_index([((0, 2), (2,)), ((0, 2), (0,))], 4)
+    assert kernels.reduce_word(live, (0, 2)) == (2,)
+    live.retire(0)
+    assert kernels.reduce_word(live, (0, 2)) == (0,)
+    live.set_rhs(1, ())
+    assert kernels.reduce_word(live, (1, 0, 2)) == (1,)
+    live.retire(1)
+    assert kernels.reduce_word(live, (0, 2)) == (0, 2)
+    # precedence follows ids, not insertion order
+    live.insert(7, (0, 2), (2,))
+    live.insert(3, (0, 2), (0,))
+    assert kernels.reduce_word(live, (0, 2)) == (0,)
+    with pytest.raises(ValueError):
+        live.insert(3, (2,), ())

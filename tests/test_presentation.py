@@ -5,10 +5,7 @@ import pytest
 from burnside.presentation import (
     Presentation,
     PresentationSyntaxError,
-    TowerState,
-    TowerStatus,
     format_presentation,
-    free_presentation,
     parse_presentation,
     power_relator,
     tower_presentation,
@@ -27,7 +24,7 @@ def test_free_group_file():
     p = parse_presentation("gens 2\n")
     assert p.rank == 2
     assert p.relators == ()
-    assert p == free_presentation(2)
+    assert p == Presentation(2, ())
 
 
 def test_empty_relator_rejected():
@@ -77,15 +74,7 @@ def test_tower_presentation():
     p = tower_presentation(2, 2, periods)
     assert p.rank == 2
     assert p.relators == ((0, 0), (2, 2), (0, 2, 0, 2))
-    assert tower_presentation(2, 2, []) == free_presentation(2)
-
-
-def test_tower_state_extension():
-    s = TowerState(m=2, n=2, periods=(), status=TowerStatus.RUNNING)
-    s2 = s.extended(parse_word("a", 2))
-    assert s2.periods == ((0,),)
-    assert s.periods == ()  # immutable
-    assert s2.presentation().relators == ((0, 0),)
+    assert tower_presentation(2, 2, []) == Presentation(2, ())
 
 
 def test_relator_validation():

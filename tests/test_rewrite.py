@@ -5,7 +5,7 @@ import random
 import pytest
 
 from burnside import cosets, rewrite
-from burnside.presentation import free_presentation, parse_presentation
+from burnside.presentation import Presentation, parse_presentation
 from burnside.words import (
     format_word,
     free_reduce,
@@ -27,7 +27,7 @@ def test_seed_rules_a_squared():
 
 
 def test_seed_rules_free_group():
-    system = rewrite.rules_from_presentation(free_presentation(2))
+    system = rewrite.rules_from_presentation(Presentation(2, ()))
     # cancellation only: xX -> 1 for all four letters
     assert set(system.rules) == {
         ((0, 1), ()), ((1, 0), ()), ((2, 3), ()), ((3, 2), ())}
@@ -95,7 +95,7 @@ def test_dinf_normal_forms_alternating():
 
 def test_free_rank2_census():
     system = rewrite.knuth_bendix(
-        rewrite.rules_from_presentation(free_presentation(2)))
+        rewrite.rules_from_presentation(Presentation(2, ())))
     assert system.confluent
     count, stabilized = rewrite.count_normal_forms(system, 2)
     assert (count, stabilized) == (17, False)

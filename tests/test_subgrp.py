@@ -14,9 +14,7 @@ from burnside.subgrp import (
     NotInSubgroup,
     abelian_invariants,
     abelian_torsion_quotient,
-    determinant,
     infinite_order_certificate,
-    mat_mul,
     rewrite_in_subgroup,
     schreier_data,
     smith_normal_form,
@@ -24,6 +22,7 @@ from burnside.subgrp import (
     verify_certificate,
 )
 from burnside.words import format_word, parse_word
+from support import determinant, mat_mul
 
 
 def P(text):
@@ -210,6 +209,17 @@ def test_certificate_tampering_is_caught():
     bad = dataclasses.replace(cert, witness_position=cert.num_schreier_gens + 5)
     ok, _ = verify_certificate(bad)
     assert not ok
+
+
+def test_oversized_quotient_is_rejected_before_it_is_built():
+    # 10^12 elements would exhaust memory; the claimed index is checked first
+    p = P(DINF)
+    cert = infinite_order_certificate(p, parse_word("ab", 2),
+                                      abelian_torsion_quotient(p))
+    huge = {"kind": "abelian", "moduli": [10**6, 10**6],
+            "images": [[1, 0], [0, 1]]}
+    bad = dataclasses.replace(cert, quotient=huge)
+    assert verify_certificate(bad) == (False, "kernel index mismatch")
 
 
 def test_quotient_spec_must_hold():

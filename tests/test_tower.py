@@ -1,6 +1,7 @@
 """Inductive period tower: pins for small exponents, resume, audits."""
 
 import json
+import time
 
 import pytest
 
@@ -159,6 +160,19 @@ def test_asymptotic_regime_checkpoints_immediately():
     assert any("asymptotic regime" in note for note in res.notes)
     # nothing got materialized: the run must come back fast and small
     assert len(res.periods) <= 2
+
+
+def test_audit_skips_a_rank_that_never_scanned():
+    # the second rank halts on its relator a^(2^48), which is over
+    # max_relator_letters; the audit must not build that stage either
+    t0 = time.monotonic()
+    res = tower.run_tower(1, 2**48)
+    assert res.period_texts() == ["a"]
+    assert res.ranks[-1].log == []
+    audit = tower.audit_tower(res, tower.Budgets())
+    assert time.monotonic() - t0 < 10
+    assert audit["agreement"] == "100%"
+    assert sum(audit["checks"].values()) == len(res.ranks[0].log)
 
 
 @pytest.mark.parametrize("k, periods, cursor", [

@@ -10,18 +10,22 @@ its definition budget.
 
 Everything downstream that says "order" or "trace" sits on a closed
 table: a closed table over the trivial subgroup is the regular action of
-the group on itself, so element orders, centralizers, conjugacy and the
-center are all plain permutation computations here.
+the group on itself, so element orders, conjugacy and the center are all
+plain permutation computations here, and where coset 0 goes already
+decides an element.
 """
 
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, List, Optional, Sequence
 
 from .presentation import Presentation
-from .words import Word, format_word, free_reduce, invert, shortlex_key
+from .words import (Word, format_word, free_reduce, invert, primitive_root,
+                    shortlex_key)
 
 DEFAULT_MAX_COSETS = 2 * 10**6
 
@@ -38,12 +42,15 @@ class _Enumerator:
         self.p = [0]
         self.deductions: List = []
         self.defined_total = 1
-        # cyclic conjugates of each relator and its inverse, by first letter
+        # cyclic conjugates of each relator and its inverse, by first letter;
+        # rotations repeat with the primitive root's period, so only the
+        # offsets below it can be new
         buckets = [[] for _ in range(self.ns)]
         seen = set()
         for r in p.relators:
+            period = len(primitive_root(r)[0])
             for w in (r, invert(r)):
-                for i in range(len(w)):
+                for i in range(period):
                     rot = w[i:] + w[:i]
                     if rot not in seen:
                         seen.add(rot)
@@ -307,16 +314,29 @@ class FiniteRealization:
             d += 1
         return d
 
-    def element_row(self, word: Word) -> tuple:
-        return tuple(self.trace(c, word) for c in range(self.order))
+    @cached_property
+    def element_orders(self) -> List[int]:
+        """Order of every element, indexed by coset.
+
+        One trace of an element g of order d passes through all its
+        powers, and g^k has order d / gcd(k, d), so an element met on an
+        earlier trace is never traced itself.
+        """
+        orders = [1] + [0] * (self.order - 1)
+        for c in range(1, self.order):
+            if orders[c]:
+                continue
+            powers, cur = [0], c  # powers[k] is the coset of reps[c]^k
+            while cur:
+                powers.append(cur)
+                cur = self.trace(cur, self.reps[c])
+            d = len(powers)
+            for k, p in enumerate(powers):
+                orders[p] = d // math.gcd(k, d)
+        return orders
 
     def exponent(self) -> int:
-        import math
-
-        e = 1
-        for c in range(self.order):
-            e = math.lcm(e, self.element_order(self.reps[c]))
-        return e
+        return math.lcm(*self.element_orders)
 
 
 def transversal_words(rows: list, rank: int) -> List[Word]:
@@ -347,39 +367,28 @@ def conjugacy_decide(r: FiniteRealization, u: Word, v: Word):
     """Whether u and v are conjugate; returns (True, g) with g^-1 u g = v
     (so the example pair (ab, ba) gets witness g = a), else (False, None).
 
-    Checked over the regular action: for each candidate g the rows must
-    satisfy row(v) = row(g)^-1 . row(u) . row(g) pointwise.
+    Candidates g run over the reps in coset order. g^-1 u g = v means
+    u g = g v, and in the regular action two elements are equal iff they
+    send coset 0 to the same place, so one trace of each side decides.
     """
-    row_u = r.element_row(u)
-    row_v = r.element_row(v)
-    n = r.order
-    for c in range(n):
-        g = r.reps[c]
-        row_g = r.element_row(g)
-        ok = True
-        for k in range(n):
-            # g^-1 u g = v  <=>  u g = g v, which needs no inverse rows
-            if row_g[row_u[k]] != row_v[row_g[k]]:
-                ok = False
-                break
-        if ok:
+    cu = r.eval_word(u)
+    for c, g in enumerate(r.reps):
+        if r.trace(cu, g) == r.trace(c, v):
             return True, g
     return False, None
 
 
 def center(r: FiniteRealization):
-    """Words (shortlex reps) of the elements commuting with everything."""
-    gens = [(x,) for x in range(0, 2 * r.rank, 2)]
-    gen_rows = [r.element_row(g) for g in gens]
+    """Words (shortlex reps) of the elements commuting with everything.
+
+    z is central iff it commutes with each plain generator x, that is
+    iff z x and x z send coset 0 to the same place.
+    """
+    rows = r.table.rows
+    gens = range(0, 2 * r.rank, 2)
     out = []
-    for c in range(r.order):
-        w = r.reps[c]
-        row_w = r.element_row(w)
-        if all(
-            row_w[gr[k]] == gr[row_w[k]]
-            for gr in gen_rows
-            for k in range(r.order)
-        ):
-            out.append(w)
+    for c, z in enumerate(r.reps):
+        if all(rows[c][x] == r.trace(rows[0][x], z) for x in gens):
+            out.append(z)
     out.sort(key=shortlex_key)
     return out

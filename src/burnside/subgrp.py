@@ -48,24 +48,16 @@ class SchreierData:
 
 def schreier_data(rows: list, rank: int) -> SchreierData:
     """Transversal plus Schreier generators for the subgroup a closed
-    table describes (coset 0 is the subgroup)."""
+    table describes (coset 0 is the subgroup): one generator per
+    non-tree edge (c, x) with x a plain letter, numbered by c, then x."""
     n = len(rows)
     reps = transversal_words(rows, rank)
+    # the breadth-first tree edge into coset d is the last letter of reps[d]
     tree = set()
-    seen = [False] * n
-    seen[0] = True
-    queue = [0]
-    qi = 0
-    while qi < len(queue):
-        c = queue[qi]
-        qi += 1
-        for x in range(2 * rank):
-            d = rows[c][x]
-            if not seen[d]:
-                seen[d] = True
-                tree.add((c, x))
-                tree.add((d, x ^ 1))
-                queue.append(d)
+    for d in range(1, n):
+        x = reps[d][-1]
+        tree.add((rows[d][x ^ 1], x))
+        tree.add((d, x ^ 1))
     gen_of_edge: Dict[Tuple[int, int], int] = {}
     gens: List[Word] = []
     for c in range(n):
@@ -152,11 +144,15 @@ def mat_vec_left(v: Sequence[int], M: list) -> list:
 
 
 def smith_normal_form(M: list, ncols: Optional[int] = None):
-    """Diagonalize an integer matrix: returns (S, U, V) with U*M*V = S,
-    U and V unimodular, diagonal nonnegative with d_i | d_{i+1}.
+    """Diagonalize an integer matrix: returns (S, V) with V unimodular
+    and S = U*M*V for some unimodular U, S diagonal nonnegative with
+    d_i | d_{i+1}.
 
-    Pivoting picks the smallest nonzero |entry| (then lowest row, column),
-    which keeps intermediate entries modest and the result deterministic.
+    U itself is not kept: row operations act on S alone, so a relation
+    matrix with many more rows than columns never pays for a rows x rows
+    transform. Pivoting picks the smallest nonzero |entry| (then lowest
+    row, column), which keeps intermediate entries modest and the result
+    deterministic.
     """
     nrows = len(M)
     if ncols is None:
@@ -165,12 +161,10 @@ def smith_normal_form(M: list, ncols: Optional[int] = None):
     for row in S:
         if len(row) != ncols:
             raise ValueError("ragged matrix")
-    U = mat_identity(nrows)
     V = mat_identity(ncols)
 
     def swap_rows(i, j):
         S[i], S[j] = S[j], S[i]
-        U[i], U[j] = U[j], U[i]
 
     def swap_cols(i, j):
         for row in S:
@@ -178,18 +172,11 @@ def smith_normal_form(M: list, ncols: Optional[int] = None):
         for row in V:
             row[i], row[j] = row[j], row[i]
 
-    def negate_row(i):
-        S[i] = [-a for a in S[i]]
-        U[i] = [-a for a in U[i]]
-
     def row_sub(i, j, q):
         # row i -= q * row j
         Si, Sj = S[i], S[j]
         for k in range(ncols):
             Si[k] -= q * Sj[k]
-        Ui, Uj = U[i], U[j]
-        for k in range(nrows):
-            Ui[k] -= q * Uj[k]
 
     def col_sub(i, j, q):
         # col i -= q * col j
@@ -201,7 +188,7 @@ def smith_normal_form(M: list, ncols: Optional[int] = None):
     def clear_at(t):
         while True:
             if S[t][t] < 0:
-                negate_row(t)
+                S[t] = [-a for a in S[t]]
             pivot = S[t][t]
             swapped = False
             for i in range(t + 1, nrows):
@@ -266,7 +253,7 @@ def smith_normal_form(M: list, ncols: Optional[int] = None):
                 break
             row_sub(t, bad, -1)  # add the offending row into row t
         t += 1
-    return S, U, V
+    return S, V
 
 
 def snf_diagonal(S: list, ncols: Optional[int] = None) -> list:
@@ -291,7 +278,7 @@ class AbelianInvariants:
 def abelian_invariants(p: Presentation) -> AbelianInvariants:
     """Invariant factors of G^ab from the relator exponent matrix."""
     rows = [_exponent_vector(r, p.rank) for r in p.relators]
-    S, _, _ = smith_normal_form(rows, ncols=p.rank)
+    S, _ = smith_normal_form(rows, ncols=p.rank)
     diag = snf_diagonal(S, p.rank)
     torsion = tuple(d for d in diag if d > 1)
     nonzero = sum(1 for d in diag if d != 0)
@@ -406,7 +393,7 @@ def abelian_torsion_quotient(p: Presentation) -> dict:
     to the torsion positions.
     """
     rows = [_exponent_vector(r, p.rank) for r in p.relators]
-    S, _, V = smith_normal_form(rows, ncols=p.rank)
+    S, V = smith_normal_form(rows, ncols=p.rank)
     diag = snf_diagonal(S, p.rank)
     positions = [j for j, d in enumerate(diag) if d > 1]
     moduli = [diag[j] for j in positions]
@@ -500,7 +487,7 @@ class KernelCertifier:
             raise ValueError("spec is not a quotient of the presentation")
         self.sd = schreier_data(self.action.rows, p.rank)
         matrix, num_gens = subgroup_relation_matrix(p, self.sd)
-        S, _, V = smith_normal_form(matrix, ncols=num_gens)
+        S, V = smith_normal_form(matrix, ncols=num_gens)
         diag = snf_diagonal(S, num_gens)
         self.V = V
         self.diag = diag
@@ -572,7 +559,7 @@ def verify_certificate(cert: Certificate):
     if sd.num_gens != cert.num_schreier_gens:
         return False, "schreier generator count mismatch"
     matrix, num_gens = subgroup_relation_matrix(p, sd)
-    S, U, V = smith_normal_form(matrix, ncols=num_gens)
+    S, V = smith_normal_form(matrix, ncols=num_gens)
     diag = snf_diagonal(S, num_gens)
     free_positions = tuple(
         j for j in range(num_gens) if j >= len(diag) or diag[j] == 0

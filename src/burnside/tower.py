@@ -239,12 +239,11 @@ def _realization_from_system(system: rewrite.RewritingSystem, rank: int):
 def exponent_divides(r: cosets.FiniteRealization, n: int):
     """(True, None) if every element order divides n, else (False, w)
     with w the shortlex-least witness."""
-    order_by_rep = sorted(range(r.order), key=lambda c: shortlex_key(r.reps[c]))
-    for c in order_by_rep:
-        d = r.element_order(r.reps[c])
-        if n % d:
-            return False, r.reps[c]
-    return True, None
+    orders = r.element_orders
+    bad = [r.reps[c] for c in range(r.order) if n % orders[c]]
+    if not bad:
+        return True, None
+    return False, min(bad, key=shortlex_key)
 
 
 @dataclass
@@ -287,12 +286,18 @@ def run_tower(m: int, n: int, budgets: Optional[Budgets] = None,
     cursor: Optional[Word] = None
     prior_log: Optional[list] = None
     if resume is not None:
-        _check_checkpoint(resume, m, n)
+        saved = _check_checkpoint(resume, m, n)
         periods = [parse_word(t, m) for t in resume["periods"]]
         cursor = (parse_word(resume["cursor"], m)
                   if resume.get("cursor") else None)
         prior_log = resume.get("partial_log") or None
         notes.append(f"resumed at rank {len(periods) + 1}")
+        # the run's own budgets win; each difference gets a note
+        had = saved.to_dict() if saved else {}
+        for name, now in budgets.to_dict().items():
+            if had.get(name, now) != now:
+                notes.append(f"resumed with {name} {now} "
+                             f"(checkpoint had {had[name]})")
 
     while True:
         outcome = next_period(m, n, periods, budgets, cursor=cursor,
@@ -316,9 +321,10 @@ def run_tower(m: int, n: int, budgets: Optional[Budgets] = None,
             status = (TowerStatus.TERMINATED_EQUALS_BURNSIDE if divides
                       else TowerStatus.STALLED_DIVERGENT)
             if not divides:
+                order = r.element_orders[r.eval_word(witness)]
                 notes.append(
                     f"element {format_word(witness, m)} has order "
-                    f"{r.element_order(witness)}, which does not divide {n}"
+                    f"{order}, which does not divide {n}"
                 )
             return TowerResult(m, n, status, tuple(periods), ranks,
                                realization=r, order=r.order,
@@ -334,8 +340,9 @@ def run_tower(m: int, n: int, budgets: Optional[Budgets] = None,
                            checkpoint=checkpoint)
 
 
-def _check_checkpoint(resume, m: int, n: int) -> None:
-    """Reject a checkpoint run_tower cannot resume (m, n) from."""
+def _check_checkpoint(resume, m: int, n: int) -> Optional[Budgets]:
+    """Reject a checkpoint run_tower cannot resume (m, n) from; return
+    its validated budgets, or None when it stores none."""
     if not isinstance(resume, dict) or \
             resume.get("schema") != CHECKPOINT_SCHEMA:
         raise ValueError("not a tower checkpoint")
@@ -352,6 +359,12 @@ def _check_checkpoint(resume, m: int, n: int) -> None:
         raise ValueError("checkpoint field 'cursor' must be a word or null")
     if not isinstance(resume.get("partial_log"), (list, type(None))):
         raise ValueError("checkpoint field 'partial_log' must be a list")
+    if "budgets" not in resume:
+        return None
+    try:  # TypeError: not a mapping, or an unknown field
+        return Budgets(**resume["budgets"])
+    except (TypeError, ValueError) as e:
+        raise ValueError(f"checkpoint budgets: {e}") from None
 
 
 def _checkpoint(m, n, budgets, periods, cursor, partial_log) -> dict:

@@ -1,5 +1,10 @@
 """Reference helpers shared by several test modules; the engine needs none."""
 
+import itertools
+import math
+
+from burnside.words import shortlex_key
+
 
 def mat_mul(A: list, B: list) -> list:
     if not A:
@@ -50,3 +55,94 @@ def multiplication_table(realization) -> list:
     reps = realization.reps
     return [[realization.trace(i, w) for w in reps]
             for i in range(realization.order)]
+
+
+def determinantal_divisors(M: list) -> list:
+    """[D_1, ..., D_r] for r = min(rows, cols): D_k is the gcd of all
+    k x k minors of M (0 once every k x k minor vanishes)."""
+    nrows = len(M)
+    ncols = len(M[0]) if M else 0
+    out = []
+    for k in range(1, min(nrows, ncols) + 1):
+        if out and out[-1] == 0:
+            # every (k-1)-minor vanishes, so by Laplace so does every k-minor
+            out.append(0)
+            continue
+        g = 0
+        for rows in itertools.combinations(range(nrows), k):
+            for cols in itertools.combinations(range(ncols), k):
+                g = math.gcd(g, determinant([[M[i][j] for j in cols]
+                                             for i in rows]))
+                if g == 1:
+                    break
+            if g == 1:
+                break
+        out.append(g)
+    return out
+
+
+def check_smith_form(M: list, S: list, V: list, ncols: int) -> None:
+    """Assert that (S, V) is a Smith normal form of M with its column
+    transform, without a row transform U.
+
+    Four checks that together say U*M*V == S for some unimodular U:
+    V is unimodular; S is diagonal and nonnegative with d_i | d_{i+1};
+    every row of M*V lies in the row lattice of S; and d_1...d_k equals
+    the gcd of the k x k minors of M for every k.
+    """
+    assert len(V) == ncols and all(len(row) == ncols for row in V)
+    assert determinant(V) in (1, -1)
+    assert len(S) == len(M)
+    diag = []
+    for i, row in enumerate(S):
+        assert len(row) == ncols
+        for j, v in enumerate(row):
+            if i == j:
+                diag.append(v)
+            else:
+                assert v == 0, (i, j, S)
+    assert all(d >= 0 for d in diag)
+    for a, b in zip(diag, diag[1:]):
+        assert (b % a == 0) if a else b == 0, diag
+    for row in mat_mul(M, V):
+        for j, v in enumerate(row):
+            d = diag[j] if j < len(diag) else 0
+            assert (v % d == 0) if d else v == 0, (row, diag)
+    assert list(itertools.accumulate(diag, lambda a, b: a * b)) == \
+        determinantal_divisors(M), (M, diag)
+
+
+def element_row(r, word) -> tuple:
+    """The whole permutation a word induces on a FiniteRealization's
+    cosets: row[c] is c traced along the word."""
+    return tuple(r.trace(c, word) for c in range(r.order))
+
+
+def center_by_rows(r) -> list:
+    """Full-row reference for cosets.center: z is central iff its row
+    commutes with each plain generator's row at every coset."""
+    gens = [(x,) for x in range(0, 2 * r.rank, 2)]
+    gen_rows = [element_row(r, g) for g in gens]
+    out = []
+    for c in range(r.order):
+        w = r.reps[c]
+        row_w = element_row(r, w)
+        if all(row_w[gr[k]] == gr[row_w[k]]
+               for gr in gen_rows for k in range(r.order)):
+            out.append(w)
+    out.sort(key=shortlex_key)
+    return out
+
+
+def conjugacy_by_rows(r, u, v):
+    """Full-row reference for cosets.conjugacy_decide: the first rep g
+    (in coset order) whose row satisfies row(u) row(g) = row(g) row(v)
+    at every coset."""
+    row_u = element_row(r, u)
+    row_v = element_row(r, v)
+    for c in range(r.order):
+        g = r.reps[c]
+        row_g = element_row(r, g)
+        if all(row_g[row_u[k]] == row_v[row_g[k]] for k in range(r.order)):
+            return True, g
+    return False, None

@@ -1,11 +1,16 @@
 """End-to-end CLI behavior: exit codes, formats, artifact files."""
 
+import contextlib
 import dataclasses
+import functools
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from burnside import cli
+from burnside import cli, tower
 from burnside.dihedral import build_cyclic, build_quaternion
 from burnside.subgrp import Certificate, verify_certificate
 
@@ -132,6 +137,56 @@ def test_tower_resume_rejects_checkpoint_without_periods(tmp_path, capsys):
                        capsys)
     assert code == 1
     assert "error:" in err and "periods" in err
+
+
+BUDGET_NAMES = [f.name for f in dataclasses.fields(tower.Budgets)]
+
+# a value no budget field accepts: below every floor, or not an int
+bad_budget_values = st.one_of(
+    st.integers(max_value=-1), st.booleans(), st.floats(), st.none(),
+    st.text(max_size=4), st.lists(st.integers(), max_size=2),
+)
+bad_budgets_mutations = st.one_of(
+    st.tuples(st.just("set"), st.sampled_from(BUDGET_NAMES),
+              bad_budget_values),
+    st.tuples(st.just("add"),
+              st.text(min_size=1, max_size=12)
+              .filter(lambda k: k not in BUDGET_NAMES),
+              st.integers(min_value=0)),
+    st.tuples(st.just("replace"), st.none(),
+              st.one_of(st.none(), st.integers(), st.text(max_size=4),
+                        st.lists(st.integers(), max_size=3))),
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _checkpoint_text():
+    res = tower.run_tower(2, 3, budgets=tower.Budgets(max_candidates=2))
+    return json.dumps(res.checkpoint)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mutation=bad_budgets_mutations)
+def test_resume_rejects_mutated_checkpoint_budgets(tmp_path_factory,
+                                                   mutation):
+    how, name, value = mutation
+    cp = json.loads(_checkpoint_text())
+    if how == "replace":
+        cp["budgets"] = value
+    else:
+        cp["budgets"][name] = value
+    f = tmp_path_factory.mktemp("cp") / "cp.json"
+    f.write_text(json.dumps(cp))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["tower", "-m", "2", "-n", "3", "--resume", str(f)])
+    assert code == 1, mutation
+    assert out.getvalue() == ""
+    assert err.getvalue().startswith("error: checkpoint budgets"), \
+        err.getvalue()
+    if how == "set":
+        assert name in err.getvalue()
+    assert "Traceback" not in err.getvalue()
 
 
 def test_coset_closed(pres, capsys):

@@ -1,11 +1,19 @@
 """Coset enumeration, realized finite groups, conjugacy, center."""
 
+import math
+import random
+
 import pytest
 
 from burnside import cosets
-from burnside.presentation import parse_presentation
-from support import multiplication_table
-from burnside.words import format_word, parse_word
+from burnside.presentation import Presentation, parse_presentation
+from support import (
+    center_by_rows,
+    conjugacy_by_rows,
+    element_row,
+    multiplication_table,
+)
+from burnside.words import format_word, invert, parse_word
 
 
 def P(text):
@@ -16,6 +24,13 @@ KLEIN = "gens 2\nrel aa\nrel bb\nrel abab\n"
 C5 = "gens 1\nrel aaaaa\n"
 B23 = "gens 2\nrel aaa\nrel bbb\nrel ababab\nrel aBaBaB\n"
 DINF = "gens 2\nrel aa\nrel bb\n"
+C12 = "gens 1\nrel " + "a" * 12 + "\n"
+C60 = "gens 1\nrel " + "a" * 60 + "\n"
+D6 = "gens 2\nrel aaaaaa\nrel bb\nrel abab\n"  # dihedral, order 12
+
+
+def realized(text):
+    return cosets.realize(cosets.enumerate_cosets(P(text), (), 5000))
 
 
 def test_klein_trivial_subgroup():
@@ -80,6 +95,11 @@ def test_realization_orders():
     # every nonidentity element of the exponent-3 group has order 3
     orders = {r27.element_order(r27.reps[c]) for c in range(1, 27)}
     assert orders == {3}
+    # C60 has phi(d) elements of order d for each divisor d of 60
+    c60 = realized(C60)
+    assert sorted(c60.element_orders) == \
+        sorted(60 // math.gcd(k, 60) for k in range(60))
+    assert c60.exponent() == 60
 
 
 def test_transversal_is_shortlex_minimal():
@@ -128,7 +148,7 @@ def test_conjugacy_witness_verifies():
         from burnside.words import concat, invert
 
         w = concat(concat(invert(g), u), g)
-        assert r27.element_row(w) == r27.element_row(v)
+        assert element_row(r27, w) == element_row(r27, v)
 
 
 def test_center_sizes():
@@ -140,6 +160,78 @@ def test_center_sizes():
     z = cosets.center(r27)
     assert len(z) == 3
     assert z[0] == ()  # identity listed first (shortlex order)
+
+
+@pytest.mark.parametrize("text,order", [(KLEIN, 4), (B23, 27), (C5, 5),
+                                        (C12, 12), (D6, 12)],
+                         ids=["B(2,2)", "B(2,3)", "C5", "C12", "D(6)"])
+def test_coset_zero_matches_full_rows(text, order):
+    # center and conjugacy read at coset 0 against the whole-permutation
+    # references, on every pair of elements
+    r = realized(text)
+    assert r.order == order
+    assert cosets.center(r) == center_by_rows(r)
+    for u in r.reps:
+        for v in r.reps:
+            assert cosets.conjugacy_decide(r, u, v) == \
+                conjugacy_by_rows(r, u, v), (u, v)
+
+
+def test_center_and_classes_of_d6():
+    r = realized(D6)
+    assert [format_word(w, 2) for w in cosets.center(r)] == ["1", "aaa"]
+    class_reps = []
+    for w in sorted(r.reps, key=lambda w: (len(w), w)):
+        if not any(cosets.conjugacy_decide(r, u, w)[0] for u in class_reps):
+            class_reps.append(w)
+    # 1, r^3, {r, r^5}, {r^2, r^4} and two classes of reflections
+    assert len(class_reps) == 6
+
+
+@pytest.mark.parametrize("text", [C60, KLEIN, B23, D6],
+                         ids=["C60", "B(2,2)", "B(2,3)", "D(6)"])
+def test_element_orders_match_one_trace_per_element(text):
+    r = realized(text)
+    assert r.element_orders == [r.element_order(w) for w in r.reps]
+
+
+def _buckets_by_every_rotation(p):
+    # reference: every rotation of each relator and its inverse, by first
+    # letter, duplicates dropped
+    buckets = [[] for _ in range(p.num_symbols)]
+    seen = set()
+    for r in p.relators:
+        for w in (r, invert(r)):
+            for i in range(len(w)):
+                rot = w[i:] + w[:i]
+                if rot not in seen:
+                    seen.add(rot)
+                    buckets[rot[0]].append(rot)
+    return buckets
+
+
+def test_enumerator_buckets_one_rotation_per_period():
+    p = P("gens 1\nrel " + "a" * 40000 + "\n")
+    enum = cosets._Enumerator(p, (), 10)
+    assert [len(b) for b in enum.rot_buckets] == [1, 1]
+    assert enum.rot_buckets[0][0] == (0,) * 40000
+
+
+def test_enumerator_buckets_match_every_rotation():
+    rng = random.Random(31)
+    for _ in range(300):
+        rank = rng.randint(1, 3)
+        relators = []
+        for _ in range(rng.randint(0, 4)):
+            base = tuple(rng.randrange(2 * rank)
+                         for _ in range(rng.randint(1, 5)))
+            relators.append(base * rng.randint(1, 4))
+        try:
+            p = Presentation(rank, tuple(relators))
+        except ValueError:  # a relator reduced to the empty word
+            continue
+        assert cosets._Enumerator(p, (), 10).rot_buckets == \
+            _buckets_by_every_rotation(p), relators
 
 
 def test_multiplication_table_is_group():

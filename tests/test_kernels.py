@@ -150,6 +150,12 @@ def test_power_trace_matches_repeated_reduction(kind):
         got = rewrite.finite_order_by_powers(system, w, n_max)
         assert got == repeated(w)
         results.add(got)
+        if got is not None:
+            # reducing w^e in one call agrees with the trace, so no power
+            # below the hit reduces to the empty word, even on the partial
+            # system where reduction is not canonical
+            assert system.reduce(w * got) == ()
+            assert all(system.reduce(w * e) != () for e in range(1, got))
     # order-3 elements are traced to w^3; only the partial system misses
     assert 3 in results
     assert (None in results) == (kind == "partial")

@@ -22,7 +22,7 @@ from burnside.subgrp import (
     verify_certificate,
 )
 from burnside.words import format_word, parse_word
-from support import determinant, mat_mul
+from support import check_smith_form, determinant, determinantal_divisors
 
 
 def P(text):
@@ -75,18 +75,18 @@ def test_rewrite_rejects_nonmember():
 
 
 def test_snf_hand_values():
-    S, U, V = smith_normal_form([[2, 0], [0, 3]])
+    S, V = smith_normal_form([[2, 0], [0, 3]])
     assert snf_diagonal(S) == [1, 6]
-    S, _, _ = smith_normal_form([[3, 0], [0, 3]])
+    S, _ = smith_normal_form([[3, 0], [0, 3]])
     assert snf_diagonal(S) == [3, 3]
-    S, _, _ = smith_normal_form([[2, 4], [4, 2]])
+    S, _ = smith_normal_form([[2, 4], [4, 2]])
     assert snf_diagonal(S) == [2, 6]
-    S, _, _ = smith_normal_form([[0, 0], [0, 0]])
+    S, _ = smith_normal_form([[0, 0], [0, 0]])
     assert snf_diagonal(S) == [0, 0]
 
 
 def test_snf_empty_matrix():
-    S, U, V = smith_normal_form([], ncols=3)
+    S, V = smith_normal_form([], ncols=3)
     assert S == []
     assert V == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
@@ -97,27 +97,22 @@ def test_determinant():
     assert determinant([[2, 0, 0], [0, 3, 0], [0, 0, 5]]) == 30
 
 
+def test_determinantal_divisors():
+    assert determinantal_divisors([[2, 0], [0, 3]]) == [1, 6]
+    assert determinantal_divisors([[2, 4], [4, 2]]) == [2, 12]
+    assert determinantal_divisors([[0, 0], [0, 0]]) == [0, 0]
+    assert determinantal_divisors([[2, 4, 6]]) == [2]
+    assert determinantal_divisors([[1, 2], [2, 4], [3, 6]]) == [1, 0]
+
+
 def test_snf_random_property():
     rng = random.Random(1789)
     for _ in range(300):
         nr = rng.randint(1, 6)
         nc = rng.randint(1, 6)
         M = [[rng.randint(-9, 9) for _ in range(nc)] for _ in range(nr)]
-        S, U, V = smith_normal_form(M)
-        assert mat_mul(mat_mul(U, M), V) == S
-        assert determinant(U) in (1, -1)
-        assert determinant(V) in (1, -1)
-        diag = snf_diagonal(S)
-        for d in diag:
-            assert d >= 0
-        for i in range(len(diag) - 1):
-            if diag[i + 1] != 0 or diag[i] == 0:
-                assert diag[i] == 0 or diag[i + 1] % diag[i] == 0
-        # off-diagonal entries all zero
-        for i, row in enumerate(S):
-            for j, v in enumerate(row):
-                if i != j:
-                    assert v == 0
+        S, V = smith_normal_form(M)
+        check_smith_form(M, S, V, nc)
 
 
 # --- abelian invariants ----------------------------------------------------

@@ -118,6 +118,20 @@ def test_checkpoint_and_resume():
     assert any("resumed" in note for note in resumed.notes)
 
 
+def test_resume_notes_each_budget_that_differs():
+    cp = tower.run_tower(2, 3, budgets=small_budgets(max_candidates=2)) \
+        .checkpoint
+    resumed = tower.run_tower(2, 3, budgets=small_budgets(
+        max_candidates=50, stage_max_cosets=200_000), resume=cp)
+    assert [n for n in resumed.notes if n.startswith("resumed with")] == [
+        "resumed with stage_max_cosets 200000 (checkpoint had 100000)",
+        "resumed with max_candidates 50 (checkpoint had 2)",
+    ]
+    same = tower.run_tower(2, 3, budgets=small_budgets(max_candidates=2),
+                           resume=cp)
+    assert not any(n.startswith("resumed with") for n in same.notes)
+
+
 def test_resume_rejects_mismatched_checkpoint():
     res = tower.run_tower(2, 3, budgets=small_budgets(max_candidates=2))
     cp = res.checkpoint
@@ -196,6 +210,25 @@ def test_candidate_budget_is_exact(k, periods, cursor):
     assert resumed.status is TowerStatus.TERMINATED_EQUALS_BURNSIDE
     assert resumed.period_texts() == ["a", "b", "ab", "aB"]
     assert resumed.order == 27
+
+
+def test_normal_form_fallback_realizes_the_stage():
+    # ten cosets cannot close the order-27 enumeration, so the terminal
+    # stage is realized from the confluent system's normal forms instead
+    b = tower.Budgets(stage_max_cosets=10)
+    res = tower.run_tower(2, 3, b)
+    closure = res.ranks[-1].closure
+    assert closure["cross_check"] == "enumeration exhausted at 10"
+    assert closure["order"] == res.order == 27
+    assert res.status is TowerStatus.TERMINATED_EQUALS_BURNSIDE
+    default = tower.run_tower(2, 3)
+    assert default.ranks[-1].closure["cross_check"] == "coset-closure"
+
+    def order_of_rep(r):
+        return {w: r.element_orders[c] for c, w in enumerate(r.reps)}
+
+    assert order_of_rep(res.realization) == order_of_rep(default.realization)
+    assert tower.audit_tower(res, b)["agreement"] == "100%"
 
 
 def test_run_tower_accepts_only_one_job():

@@ -202,7 +202,8 @@ def cmd_order(args) -> int:
         "execution": _execution_block(started),
     }
     if verdict.kind == "infinite":
-        ok, reason = subgrp.verify_certificate(verdict.certificate)
+        ok, reason = subgrp.verify_certificate(verdict.certificate,
+                                               budgets.max_kernel_index)
         if not ok:
             raise _CliError(f"certificate replay failed: {reason}")
         if args.certificate:

@@ -50,7 +50,7 @@ class Budgets:
     kb_max_len: int = rewrite.DEFAULT_MAX_LEN
     kb_max_steps: int = rewrite.DEFAULT_MAX_STEPS
     max_candidates: int = 10_000
-    max_kernel_index: int = 2048
+    max_kernel_index: int = subgrp.DEFAULT_MAX_KERNEL_INDEX
     max_ranks: int = 64
     max_relator_letters: int = 1_048_576
     independence_candidates: int = 64
@@ -122,7 +122,6 @@ class StageContext:
         self._realization = self._UNSET
         self._kb = None
         self._abelian = None
-        self._torsion_spec = None
         self._certifiers: Optional[List[Tuple[str, subgrp.KernelCertifier]]] = None
         self._infinite = self._UNSET
 
@@ -156,21 +155,11 @@ class StageContext:
             self._abelian = subgrp.abelian_invariants(self.presentation)
         return self._abelian
 
-    def torsion_spec(self) -> dict:
-        if self._torsion_spec is None:
-            self._torsion_spec = subgrp.abelian_torsion_quotient(self.presentation)
-        return self._torsion_spec
-
     def certifiers(self) -> List[Tuple[str, subgrp.KernelCertifier]]:
         if self._certifiers is None:
-            machines: List[Tuple[str, subgrp.KernelCertifier]] = []
-            specs = [("abelian-torsion", self.torsion_spec())]
-            for name, spec in specs:
-                size = subgrp.spec_size(spec)
-                if size > self.budgets.max_kernel_index:
-                    continue
-                machines.append((name, subgrp.KernelCertifier(self.presentation, spec)))
-            self._certifiers = machines
+            self._certifiers = subgrp.ladder(
+                self.presentation, self.abelian(),
+                self.budgets.max_kernel_index)
         return self._certifiers
 
     # -- whole-group infiniteness probes ----------------------------------

@@ -16,12 +16,13 @@ replay it with any coset-table and SNF implementation.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .cosets import transversal_words
-from .presentation import Presentation, format_presentation, parse_presentation
+from .presentation import Presentation
 from .words import (
     ORDER_ID,
     Word,
@@ -265,6 +266,8 @@ def snf_diagonal(S: list, ncols: Optional[int] = None) -> list:
 class AbelianInvariants:
     torsion: tuple  # invariant factors > 1, divisibility chain order
     free_rank: int
+    # quotient spec of the torsion part of G^ab (trivial if none)
+    quotient: dict = field(compare=False, repr=False)
 
     @property
     def finite(self) -> bool:
@@ -276,13 +279,26 @@ class AbelianInvariants:
 
 
 def abelian_invariants(p: Presentation) -> AbelianInvariants:
-    """Invariant factors of G^ab from the relator exponent matrix."""
+    """Invariant factors of G^ab from the relator exponent matrix, and
+    the quotient spec of its torsion part, both from one SNF.
+
+    The projection G -> G^ab -> torsion summand is a homomorphism; in the
+    Smith basis the i-th generator's coordinates are row i of V (e_i * V)
+    restricted to the torsion positions.
+    """
     rows = [_exponent_vector(r, p.rank) for r in p.relators]
-    S, _ = smith_normal_form(rows, ncols=p.rank)
+    S, V = smith_normal_form(rows, ncols=p.rank)
     diag = snf_diagonal(S, p.rank)
-    torsion = tuple(d for d in diag if d > 1)
+    positions = [j for j, d in enumerate(diag) if d > 1]
+    moduli = [diag[j] for j in positions]
+    quotient = {
+        "kind": "abelian",
+        "moduli": moduli,
+        "images": [[V[i][j] % diag[j] for j in positions]
+                   for i in range(p.rank)],
+    }
     nonzero = sum(1 for d in diag if d != 0)
-    return AbelianInvariants(torsion, p.rank - nonzero)
+    return AbelianInvariants(tuple(moduli), p.rank - nonzero, quotient)
 
 
 # --- quotient actions ------------------------------------------------------
@@ -314,34 +330,16 @@ class QuotientAction:
             images = [list(map(int, v)) for v in spec["images"]]
             if len(images) != rank or any(len(v) != len(moduli) for v in images):
                 raise ValueError("need one coordinate vector per generator")
-            size = math.prod(moduli) if moduli else 1
-            strides = []
-            acc = 1
-            for d in reversed(moduli):
-                strides.append(acc)
-                acc *= d
-            strides.reverse()
-
-            def encode(tup):
-                return sum(v * s for v, s in zip(tup, strides))
-
-            elements = [()]
-            if moduli:
-                elements = [[]]
-                for d in moduli:
-                    elements = [e + [v] for e in elements for v in range(d)]
-            rows = []
-            for e in elements:
-                row = []
-                for i in range(rank):
-                    img = images[i]
-                    fwd = [(a + b) % d for a, b, d in zip(e, img, moduli)] if moduli else []
-                    bwd = [(a - b) % d for a, b, d in zip(e, img, moduli)] if moduli else []
-                    row.append(encode(fwd))
-                    row.append(encode(bwd))
-                rows.append(row)
-            self.size = size
-            self.rows = rows
+            # element index = position in lexicographic order of the
+            # coordinate tuples
+            elements = list(itertools.product(*(range(d) for d in moduli)))
+            index = {e: c for c, e in enumerate(elements)}
+            self.size = len(elements)
+            self.rows = [
+                [index[tuple((a + sign * b) % d
+                             for a, b, d in zip(e, img, moduli))]
+                 for img in images for sign in (1, -1)]
+                for e in elements]
         elif kind == "permutation":
             images = [list(map(int, perm)) for perm in spec["images"]]
             if len(images) != rank:
@@ -350,21 +348,12 @@ class QuotientAction:
             for perm in images:
                 if sorted(perm) != list(range(size)):
                     raise ValueError("generator image is not a permutation")
-            inverses = []
-            for perm in images:
-                inv = [0] * size
-                for i, v in enumerate(perm):
-                    inv[v] = i
-                inverses.append(inv)
-            rows = []
-            for c in range(size):
-                row = []
-                for i in range(rank):
-                    row.append(images[i][c])
-                    row.append(inverses[i][c])
-                rows.append(row)
+            # the inverse lists the points in the order of their images
+            inverses = [sorted(range(size), key=perm.__getitem__)
+                        for perm in images]
             self.size = size
-            self.rows = rows
+            self.rows = [[g[c] for perm, inv in zip(images, inverses)
+                          for g in (perm, inv)] for c in range(size)]
         else:
             raise ValueError(f"unknown quotient kind {kind!r}")
 
@@ -385,25 +374,6 @@ class QuotientAction:
         return d
 
 
-def abelian_torsion_quotient(p: Presentation) -> dict:
-    """Quotient spec for the torsion part of G^ab (trivial if none).
-
-    The projection G -> G^ab -> torsion summand is a homomorphism; in the
-    Smith basis the i-th generator's coordinates are row i of V restricted
-    to the torsion positions.
-    """
-    rows = [_exponent_vector(r, p.rank) for r in p.relators]
-    S, V = smith_normal_form(rows, ncols=p.rank)
-    diag = snf_diagonal(S, p.rank)
-    positions = [j for j, d in enumerate(diag) if d > 1]
-    moduli = [diag[j] for j in positions]
-    images = []
-    for i in range(p.rank):
-        # e_i * V is just row i of V
-        images.append([V[i][j] % diag[j] for j in positions])
-    return {"kind": "abelian", "moduli": moduli, "images": images}
-
-
 def permutation_quotient(rows: list, rank: int) -> dict:
     """Quotient spec from a closed regular table (realization rows)."""
     images = []
@@ -415,6 +385,20 @@ def permutation_quotient(rows: list, rank: int) -> dict:
 # --- infinite-order certificates -------------------------------------------
 
 CERTIFICATE_SCHEMA = "burnside/order-certificate/1"
+
+# the largest quotient a certifier is built for, unless budgets say otherwise
+DEFAULT_MAX_KERNEL_INDEX = 2048
+
+
+def _json_field(data: dict, key: str, kind: type,
+                item: Optional[type] = None):
+    """data[key], which must be exactly a ``kind`` (a bool is no int),
+    holding only ``item``s if given."""
+    value = data.get(key)
+    if type(value) is not kind or \
+            item is not None and any(type(v) is not item for v in value):
+        raise ValueError(f"certificate field {key!r} is missing or ill-typed")
+    return value
 
 
 @dataclass
@@ -451,25 +435,33 @@ class Certificate:
         }
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "Certificate":
-        if data.get("schema") != CERTIFICATE_SCHEMA:
-            raise ValueError(f"not an order certificate: {data.get('schema')!r}")
-        rank = int(data["presentation"]["rank"])
-        p = Presentation(
-            rank,
-            tuple(parse_word(t, rank) for t in data["presentation"]["relators"]),
-        )
+    def from_json_dict(cls, data) -> "Certificate":
+        """Parse the JSON form; a missing or ill-typed field raises
+        ValueError. The quotient spec itself is checked on replay."""
+        schema = data.get("schema") if isinstance(data, dict) else None
+        if schema != CERTIFICATE_SCHEMA:
+            raise ValueError(f"not an order certificate: {schema!r}")
+        pres = _json_field(data, "presentation", dict)
+        rank = _json_field(pres, "rank", int)
+        relators = _json_field(pres, "relators", list, str)
         return cls(
-            presentation=p,
-            word=parse_word(data["word"], rank),
-            power=int(data["power"]),
-            quotient=data["quotient"],
-            kernel_index=int(data["kernel_index"]),
-            num_schreier_gens=int(data["num_schreier_generators"]),
-            free_positions=tuple(data["free_positions"]),
-            witness_position=int(data["witness_position"]),
-            witness_coordinate=int(data["witness_coordinate"]),
+            presentation=Presentation(
+                rank, tuple(parse_word(t, rank) for t in relators)),
+            word=parse_word(_json_field(data, "word", str), rank),
+            power=_json_field(data, "power", int),
+            quotient=_json_field(data, "quotient", dict),
+            kernel_index=_json_field(data, "kernel_index", int),
+            num_schreier_gens=_json_field(data, "num_schreier_generators",
+                                          int),
+            free_positions=tuple(_json_field(data, "free_positions", list,
+                                             int)),
+            witness_position=_json_field(data, "witness_position", int),
+            witness_coordinate=_json_field(data, "witness_coordinate", int),
         )
+
+
+class NotAQuotient(ValueError):
+    """The spec's action does not satisfy every relator."""
 
 
 class KernelCertifier:
@@ -484,13 +476,11 @@ class KernelCertifier:
         self.quotient_spec = quotient_spec
         self.action = QuotientAction(quotient_spec, p.rank)
         if not self.action.satisfies(p.relators):
-            raise ValueError("spec is not a quotient of the presentation")
+            raise NotAQuotient("spec is not a quotient of the presentation")
         self.sd = schreier_data(self.action.rows, p.rank)
         matrix, num_gens = subgroup_relation_matrix(p, self.sd)
-        S, V = smith_normal_form(matrix, ncols=num_gens)
+        S, self.V = smith_normal_form(matrix, ncols=num_gens)
         diag = snf_diagonal(S, num_gens)
-        self.V = V
-        self.diag = diag
         self.num_gens = num_gens
         self.free_positions = tuple(
             j for j in range(num_gens) if j >= len(diag) or diag[j] == 0
@@ -500,16 +490,22 @@ class KernelCertifier:
     def kernel_free_rank(self) -> int:
         return len(self.free_positions)
 
+    def coordinates(self, w: Word) -> Tuple[int, list]:
+        """(s, c): s is the order of w's image in the quotient, so w^s
+        lies in the kernel, and c holds the coordinates of w^s in the
+        Smith basis of the kernel's abelianization."""
+        s = self.action.order_of_image(w)
+        rewritten = rewrite_in_subgroup(self.sd, power(w, s), start=0)
+        return s, mat_vec_left(_exponent_vector(rewritten, self.num_gens),
+                               self.V)
+
     def certify(self, w: Word) -> Optional[Certificate]:
         """Certificate that w has infinite order, or None if this
         quotient's kernel cannot see it."""
         w = free_reduce(w)
         if not w or not self.free_positions:
             return None
-        s = self.action.order_of_image(w)
-        rewritten = rewrite_in_subgroup(self.sd, power(w, s), start=0)
-        vec = _exponent_vector(rewritten, self.num_gens)
-        coords = mat_vec_left(vec, self.V)
+        s, coords = self.coordinates(w)
         for j in self.free_positions:
             if coords[j]:
                 return Certificate(
@@ -526,54 +522,58 @@ class KernelCertifier:
         return None
 
 
+def ladder(p: Presentation, ab: AbelianInvariants, max_kernel_index: int,
+           extra: Sequence[Tuple[str, dict]] = ()
+           ) -> List[Tuple[str, KernelCertifier]]:
+    """The certifier ladder of p: one (name, KernelCertifier) rung for
+    the torsion quotient of G^ab (``ab`` holds its spec), then one per
+    (name, spec) of ``extra``, in order. A spec of more than
+    ``max_kernel_index`` elements is left out before it is built."""
+    rungs = [("abelian-torsion", ab.quotient), *extra]
+    return [(name, KernelCertifier(p, spec)) for name, spec in rungs
+            if spec_size(spec) <= max_kernel_index]
+
+
 def infinite_order_certificate(p: Presentation, w: Word,
                                quotient_spec: dict) -> Optional[Certificate]:
     return KernelCertifier(p, quotient_spec).certify(w)
 
 
-def verify_certificate(cert: Certificate):
+def verify_certificate(cert: Certificate,
+                       max_kernel_index: int = DEFAULT_MAX_KERNEL_INDEX):
     """Independent replay of a certificate; returns (ok, reason).
 
-    Everything is recomputed from the quotient spec and presentation:
-    quotient validity, minimality of the power, the Schreier rewrite,
-    a fresh SNF, and the witness coordinate.
+    A fresh KernelCertifier rebuilds everything from the quotient spec
+    and presentation (quotient validity, Schreier generators, a fresh
+    SNF); then the power, the free directions and the witness coordinate
+    must match the claims. The claimed index is checked against
+    ``max_kernel_index`` and the spec's element count first, so an
+    oversized quotient is never built.
     """
-    p = cert.presentation
-    # sized before it is built: the spec may name far more elements
-    # than the claimed index
+    if cert.kernel_index > max_kernel_index:
+        return False, (f"kernel index {cert.kernel_index} exceeds the "
+                       f"bound {max_kernel_index}")
     try:
         if spec_size(cert.quotient) != cert.kernel_index:
             return False, "kernel index mismatch"
-        action = QuotientAction(cert.quotient, p.rank)
+        certifier = KernelCertifier(cert.presentation, cert.quotient)
+    except NotAQuotient:
+        return False, "quotient does not satisfy the relators"
     except (KeyError, TypeError, ValueError) as e:
         return False, f"bad quotient spec: {e}"
-    if not action.satisfies(p.relators):
-        return False, "quotient does not satisfy the relators"
     w = free_reduce(cert.word)
     if not w:
         return False, "empty word cannot have infinite order"
-    s = action.order_of_image(w)
+    s, coords = certifier.coordinates(w)
     if s != cert.power:
         return False, f"power mismatch: image order is {s}, not {cert.power}"
-    sd = schreier_data(action.rows, p.rank)
-    if sd.num_gens != cert.num_schreier_gens:
+    if certifier.num_gens != cert.num_schreier_gens:
         return False, "schreier generator count mismatch"
-    matrix, num_gens = subgroup_relation_matrix(p, sd)
-    S, V = smith_normal_form(matrix, ncols=num_gens)
-    diag = snf_diagonal(S, num_gens)
-    free_positions = tuple(
-        j for j in range(num_gens) if j >= len(diag) or diag[j] == 0
-    )
-    if free_positions != tuple(cert.free_positions):
+    if certifier.free_positions != tuple(cert.free_positions):
         return False, "free position mismatch"
     j = cert.witness_position
-    if j not in free_positions:
+    if j not in certifier.free_positions:
         return False, "witness position is not a free direction"
-    try:
-        rewritten = rewrite_in_subgroup(sd, power(w, s), start=0)
-    except NotInSubgroup as e:
-        return False, f"w^s is not in the kernel: {e}"
-    coords = mat_vec_left(_exponent_vector(rewritten, num_gens), V)
     if coords[j] != cert.witness_coordinate:
         return False, "witness coordinate mismatch"
     if coords[j] == 0:

@@ -23,8 +23,8 @@ oracle calls of a rank exactly.
 
 from __future__ import annotations
 
+import itertools
 import json
-import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
@@ -357,14 +357,40 @@ def _check_checkpoint(resume, m: int, n: int) -> Optional[Budgets]:
         raise ValueError("checkpoint field 'periods' must be a list of words")
     if not isinstance(resume.get("cursor"), (str, type(None))):
         raise ValueError("checkpoint field 'cursor' must be a word or null")
-    if not isinstance(resume.get("partial_log"), (list, type(None))):
+    partial_log = resume.get("partial_log")
+    if not isinstance(partial_log, (list, type(None))):
         raise ValueError("checkpoint field 'partial_log' must be a list")
+    for i, entry in enumerate(partial_log or ()):
+        try:
+            _check_log_entry(entry, m)
+        except ValueError as e:
+            raise ValueError(
+                f"checkpoint partial_log entry {i}: {e}") from None
     if "budgets" not in resume:
         return None
     try:  # TypeError: not a mapping, or an unknown field
         return Budgets(**resume["budgets"])
     except (TypeError, ValueError) as e:
         raise ValueError(f"checkpoint budgets: {e}") from None
+
+
+def _check_log_entry(entry, m: int) -> None:
+    """Reject a scan log entry the scan could not have written: it needs
+    a word at rank m and a known filter, a Finite order or an Infinite
+    certificate."""
+    if not isinstance(entry, dict) or type(entry.get("word")) is not str:
+        raise ValueError("must be an object with a 'word'")
+    parse_word(entry["word"], m)
+    verdict = entry.get("verdict")
+    if "filtered" in entry:
+        if entry["filtered"] not in FILTERS:
+            raise ValueError(f"'filtered' must be one of {FILTERS}")
+    elif verdict == "infinite":
+        subgrp.Certificate.from_json_dict(entry.get("certificate"))
+    elif verdict != "finite":
+        raise ValueError("needs 'filtered', or a 'verdict' finite or infinite")
+    elif type(entry.get("order")) is not int or entry["order"] < 1:
+        raise ValueError("'order' must be an integer of at least 1")
 
 
 def _checkpoint(m, n, budgets, periods, cursor, partial_log) -> dict:
@@ -441,40 +467,32 @@ def verify_independence(result: TowerResult, budgets: Budgets) -> dict:
             if t.num_cosets == full_order:
                 entry["failure"] = "dropped presentation has the same order"
         else:
-            specs = [("abelian-torsion", subgrp.abelian_torsion_quotient(dropped))]
-            if full_order <= budgets.max_kernel_index:
-                specs.append((
-                    "full-realization",
-                    subgrp.permutation_quotient(result.realization.table.rows, m),
-                ))
-            certifiers = [(name, subgrp.KernelCertifier(dropped, spec))
-                          for name, spec in specs
-                          if subgrp.spec_size(spec) <= budgets.max_kernel_index]
-            candidates = [period] + [w for j, w in enumerate(result.periods)
-                                     if j != i]
-            stream = reduced_words(m)
-            for _ in range(budgets.independence_candidates):
-                candidates.append(next(stream))
-            found = None
-            for w in candidates:
-                for name, certifier in certifiers:
-                    cert = certifier.certify(w)
-                    if cert is not None:
-                        ok, reason = subgrp.verify_certificate(cert)
-                        found = {
-                            "kind": "infinite-order-certificate",
-                            "witness": format_word(w, m),
-                            "quotient": name,
-                            "verified": ok,
-                            "verifier_reason": reason,
-                            "certificate": cert.to_json_dict(),
-                        }
-                        break
-                if found:
-                    break
+            certifiers = subgrp.ladder(
+                dropped, subgrp.abelian_invariants(dropped),
+                budgets.max_kernel_index,
+                extra=[("full-realization", subgrp.permutation_quotient(
+                    result.realization.table.rows, m))])
+            candidates = itertools.chain(
+                [period], (w for j, w in enumerate(result.periods) if j != i),
+                itertools.islice(reduced_words(m),
+                                 budgets.independence_candidates))
+            found = next(((w, name, cert) for w in candidates
+                          for name, certifier in certifiers
+                          if (cert := certifier.certify(w)) is not None),
+                         None)
             if found:
-                entry["evidence"] = found
-                entry["independent"] = bool(found["verified"])
+                w, name, cert = found
+                ok, reason = subgrp.verify_certificate(
+                    cert, budgets.max_kernel_index)
+                entry["evidence"] = {
+                    "kind": "infinite-order-certificate",
+                    "witness": format_word(w, m),
+                    "quotient": name,
+                    "verified": ok,
+                    "verifier_reason": reason,
+                    "certificate": cert.to_json_dict(),
+                }
+                entry["independent"] = ok
             else:
                 entry["evidence"] = {"kind": "none"}
                 entry["independent"] = None
@@ -512,81 +530,62 @@ def center_report(result: TowerResult) -> dict:
 
 
 def audit_tower(result: TowerResult, budgets: Budgets) -> dict:
-    """Recompute every logged verdict with fresh machinery.
+    """Recompute every logged verdict in a fresh StageContext per rank.
 
-    Finite(d): replay the proof that w^d = 1 (fresh completion, or fresh
-    enumeration if the verdict came from a closed table) and pin
-    exactness against the terminal realization, where the image of w
+    Finite(d): replay the proof that w^d = 1 (the fresh completion, or
+    the fresh enumeration if the verdict came from a closed table) and
+    pin exactness against the terminal realization, where the image of w
     must have order exactly d (order in a quotient divides order in the
     stage divides d, so equality at the bottom forces equality).
-    Infinite: replay the serialized certificate. Filtered words: run the
-    unfiltered oracle and require a Finite verdict.
+    Infinite: replay the serialized certificate, which must be for the
+    logged word in this stage. Filtered words: run the unfiltered oracle
+    and require a Finite verdict.
     """
     checks = {"finite": 0, "infinite": 0, "filtered": 0}
     disagreements = []
     terminal = result.realization
-    periods: List[Word] = []
     for outcome in result.ranks:
         # a rank that halted before its scan (say, on a relator over
         # max_relator_letters) logged nothing, so it has no stage to build
-        p = tower_presentation(result.m, result.n, periods) if outcome.log else None
-        fresh_sys = None
-        fresh_ctx = None
+        if not outcome.log:
+            continue
+        p = tower_presentation(result.m, result.n,
+                               result.periods[:outcome.rank - 1])
+        ctx = oracle.StageContext(p, budgets)
+        ctx.infiniteness()  # a stage proved infinite skips its enumeration
+        problems = []
         for entry in outcome.log:
             w = parse_word(entry["word"], result.m)
             if "filtered" in entry:
                 checks["filtered"] += 1
-                if fresh_ctx is None:
-                    fresh_ctx = oracle.StageContext(p, budgets)
-                    fresh_ctx.infiniteness()
-                v = oracle.element_order(p, w, result.n, budgets, fresh_ctx)
+                v = oracle.element_order(p, w, result.n, budgets, ctx)
                 if v.kind != "finite":
-                    disagreements.append({
-                        "word": entry["word"],
-                        "stage_rank": outcome.rank,
-                        "problem": f"filtered word got {v.kind}, expected finite",
-                    })
-                continue
-            if entry["verdict"] == "finite":
+                    problems.append((entry, f"filtered word got {v.kind}, "
+                                     "expected finite"))
+            elif entry["verdict"] == "finite":
                 checks["finite"] += 1
                 d = entry["order"]
-                proved = False
-                if fresh_sys is None:
-                    fresh_sys = rewrite.complete_presentation(
-                        p, max_rules=budgets.kb_max_rules,
-                        max_len=budgets.kb_max_len,
-                        max_steps=budgets.kb_max_steps)
-                if fresh_sys.reduce(tuple(w) * d) == ():
-                    proved = True
-                else:
-                    t = cosets.enumerate_cosets(p, (), budgets.oracle_max_cosets)
-                    if t.closed and cosets.realize(t).element_order(w) == d:
-                        proved = True
-                if not proved:
-                    disagreements.append({
-                        "word": entry["word"],
-                        "stage_rank": outcome.rank,
-                        "problem": f"could not re-prove order {d}",
-                    })
+                if ctx.kb().reduce(w * d) != ():
+                    r = ctx.realization()
+                    if r is None or r.element_order(w) != d:
+                        problems.append(
+                            (entry, f"could not re-prove order {d}"))
                 if terminal is not None and terminal.element_order(w) != d:
-                    disagreements.append({
-                        "word": entry["word"],
-                        "stage_rank": outcome.rank,
-                        "problem": "terminal realization order "
-                                   f"{terminal.element_order(w)} != {d}",
-                    })
+                    problems.append((entry, "terminal realization order "
+                                     f"{terminal.element_order(w)} != {d}"))
             elif entry["verdict"] == "infinite":
                 checks["infinite"] += 1
                 cert = subgrp.Certificate.from_json_dict(entry["certificate"])
-                ok, reason = subgrp.verify_certificate(cert)
+                ok, reason = subgrp.verify_certificate(
+                    cert, budgets.max_kernel_index)
+                if ok and (cert.word, cert.presentation) != (w, p):
+                    ok, reason = False, "it is for another word or stage"
                 if not ok:
-                    disagreements.append({
-                        "word": entry["word"],
-                        "stage_rank": outcome.rank,
-                        "problem": f"certificate replay failed: {reason}",
-                    })
-        if outcome.kind == "period":
-            periods.append(outcome.period)
+                    problems.append(
+                        (entry, f"certificate replay failed: {reason}"))
+        disagreements.extend(
+            {"word": entry["word"], "stage_rank": outcome.rank,
+             "problem": problem} for entry, problem in problems)
     return {
         "checks": checks,
         "disagreements": disagreements,

@@ -5,6 +5,14 @@ import math
 
 from burnside.words import shortlex_key
 
+# the JSON type of every field an order certificate must carry
+CERT_TYPES = {"schema": str, "presentation": dict, "word": str, "power": int,
+              "quotient": dict, "kernel_index": int,
+              "num_schreier_generators": int, "free_positions": list,
+              "witness_position": int, "witness_coordinate": int}
+# one value of each JSON type
+JSON_JUNK = (None, "x", 1.5, True, ["x"], {"x": 1})
+
 
 def mat_mul(A: list, B: list) -> list:
     if not A:

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from burnside import cli, tower
 from burnside.dihedral import build_cyclic, build_quaternion
 from burnside.subgrp import Certificate, verify_certificate
+from support import CERT_TYPES, JSON_JUNK
 
 KLEIN = "gens 2\nrel aa\nrel bb\nrel abab\n"
 B23 = "gens 2\nrel aaa\nrel bbb\nrel ababab\nrel aBaBaB\n"
@@ -187,6 +188,104 @@ def test_resume_rejects_mutated_checkpoint_budgets(tmp_path_factory,
     if how == "set":
         assert name in err.getvalue()
     assert "Traceback" not in err.getvalue()
+
+
+def test_audit_of_a_resumed_run_agrees(tmp_path, capsys):
+    # the resumed run's ranks start at rank 3, after two stored periods
+    cp = tmp_path / "cp.json"
+    code, _, _ = run(["tower", "-m", "2", "-n", "3", "--max-candidates", "3",
+                      "--checkpoint", str(cp)], capsys)
+    assert code == 2
+    assert json.loads(cp.read_text())["periods"] == ["a", "b"]
+    code, out, _ = run(["tower", "-m", "2", "-n", "3", "--resume", str(cp),
+                        "--audit"], capsys)
+    assert code == 0
+    assert "audit: 100% (13 checks)" in out
+
+
+@functools.lru_cache(maxsize=None)
+def _log_checkpoint_text():
+    """A checkpoint whose partial log holds each kind of entry: finite
+    and filtered from a real halt at rank 4, plus the infinite aB."""
+    cp = tower.run_tower(2, 3, budgets=tower.Budgets(max_candidates=5)) \
+        .checkpoint
+    infinite = next(e for e in tower.run_tower(2, 3).ranks[3].log
+                    if e["word"] == "aB")
+    cp["partial_log"].append(infinite)
+    return json.dumps(cp)
+
+
+not_an_object = st.one_of(st.none(), st.booleans(), st.integers(),
+                          st.text(max_size=4),
+                          st.lists(st.integers(), max_size=2))
+# for each key of a log entry, values that no valid entry holds there
+bad_entry_values = {
+    "word": st.one_of(st.sampled_from(["", "c", "a b", "Z", "x1"]),
+                      st.integers(), st.none()),
+    "filtered": st.one_of(st.none(), st.integers(), st.text(max_size=8)
+                          .filter(lambda t: t not in tower.FILTERS)),
+    "verdict": st.one_of(st.none(), st.integers(), st.text(max_size=8)
+                         .filter(lambda t: t not in ("finite", "infinite"))),
+    "order": st.one_of(st.integers(max_value=0), st.booleans(), st.floats(),
+                       st.none(), st.text(max_size=3)),
+    "certificate": not_an_object,
+}
+
+
+@st.composite
+def bad_log_entries(draw):
+    """(i, entry): entry i of the checkpoint's log, broken one way."""
+    entries = json.loads(_log_checkpoint_text())["partial_log"]
+    i = draw(st.integers(0, len(entries) - 1))
+    entry = entries[i]
+    kind = "filtered" if "filtered" in entry else entry["verdict"]
+    keys = ["word", "filtered"] if kind == "filtered" else \
+        ["word", "verdict", "order" if kind == "finite" else "certificate"]
+    how = draw(st.sampled_from(["replace", "drop", "set"]
+                               + (["cert"] if kind == "infinite" else [])))
+    if how == "replace":
+        return i, draw(not_an_object)
+    if how == "drop":
+        del entry[draw(st.sampled_from(keys))]
+    elif how == "set":
+        key = draw(st.sampled_from(keys))
+        entry[key] = draw(bad_entry_values[key])
+    else:
+        cert = entry["certificate"]
+        key = draw(st.sampled_from(sorted(CERT_TYPES)))
+        if draw(st.booleans()):
+            del cert[key]
+        else:
+            cert[key] = draw(st.sampled_from(
+                [v for v in JSON_JUNK if type(v) is not CERT_TYPES[key]]))
+    return i, entry
+
+
+@settings(max_examples=60, deadline=None)
+@given(bad=bad_log_entries())
+def test_resume_rejects_mutated_checkpoint_log(tmp_path_factory, bad):
+    i, entry = bad
+    cp = json.loads(_log_checkpoint_text())
+    cp["partial_log"][i] = entry
+    f = tmp_path_factory.mktemp("cp") / "cp.json"
+    f.write_text(json.dumps(cp))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["tower", "-m", "2", "-n", "3", "--resume", str(f),
+                         "--audit"])
+    assert code == 1, bad
+    assert out.getvalue() == ""
+    assert err.getvalue().startswith(
+        f"error: checkpoint partial_log entry {i}: "), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+
+
+def test_checkpoint_log_with_every_entry_kind_is_valid():
+    cp = json.loads(_log_checkpoint_text())
+    assert {e.get("verdict", "filtered") for e in cp["partial_log"]} == {
+        "finite", "infinite", "filtered"}
+    assert tower._check_checkpoint(cp, 2, 3) == tower.Budgets(
+        max_candidates=5)
 
 
 def test_coset_closed(pres, capsys):

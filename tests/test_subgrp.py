@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import random
+import time
 
 import pytest
 
@@ -10,11 +11,13 @@ from burnside.cosets import enumerate_cosets
 from burnside.presentation import parse_presentation
 from burnside.subgrp import (
     Certificate,
+    DEFAULT_MAX_KERNEL_INDEX,
     KernelCertifier,
     NotInSubgroup,
     abelian_invariants,
-    abelian_torsion_quotient,
     infinite_order_certificate,
+    ladder,
+    permutation_quotient,
     rewrite_in_subgroup,
     schreier_data,
     smith_normal_form,
@@ -22,7 +25,13 @@ from burnside.subgrp import (
     verify_certificate,
 )
 from burnside.words import format_word, parse_word
-from support import check_smith_form, determinant, determinantal_divisors
+from support import (
+    CERT_TYPES,
+    JSON_JUNK,
+    check_smith_form,
+    determinant,
+    determinantal_divisors,
+)
 
 
 def P(text):
@@ -135,12 +144,28 @@ def test_abelian_invariants():
     assert ab.torsion == (2, 2) and ab.free_rank == 0
 
 
+def test_abelian_invariants_carry_the_torsion_quotient():
+    # Z2 x Z3 x Z: the quotient is Z6 and ignores the free part
+    p = P("gens 3\nrel aa\nrel bbb\nrel abAB\nrel acAC\nrel bcBC\n")
+    ab = abelian_invariants(p)
+    assert ab.torsion == (6,) and ab.free_rank == 1
+    assert ab.quotient["kind"] == "abelian" and ab.quotient["moduli"] == [6]
+    kc = KernelCertifier(p, ab.quotient)
+    assert kc.action.size == 6
+    assert [kc.action.order_of_image(parse_word(w, 3))
+            for w in ("a", "b", "ab", "c")] == [2, 3, 6, 1]
+    # the spec is not part of the invariants' value
+    assert ab == dataclasses.replace(ab, quotient={})
+    assert abelian_invariants(P(KLEIN)).quotient == {
+        "kind": "abelian", "moduli": [2, 2], "images": [[1, 0], [0, 1]]}
+
+
 # --- kernel certificates ---------------------------------------------------
 
 
 def test_dinf_kernel_sees_translation():
     p = P(DINF)
-    kc = KernelCertifier(p, abelian_torsion_quotient(p))
+    kc = KernelCertifier(p, abelian_invariants(p).quotient)
     assert kc.kernel_free_rank == 1
     assert kc.action.size == 4
     cert = kc.certify(parse_word("ab", 2))
@@ -154,7 +179,7 @@ def test_dinf_kernel_sees_translation():
 
 def test_triangle_kernel_rank_two():
     p = P(TRIANGLE)
-    kc = KernelCertifier(p, abelian_torsion_quotient(p))
+    kc = KernelCertifier(p, abelian_invariants(p).quotient)
     assert kc.kernel_free_rank == 2
     assert kc.action.size == 9
     # ab has order 3 here, so no certificate can exist for it
@@ -168,16 +193,16 @@ def test_triangle_kernel_rank_two():
 def test_finite_group_certifies_nothing():
     p = P(KLEIN)
     assert infinite_order_certificate(
-        p, parse_word("ab", 2), abelian_torsion_quotient(p)) is None
+        p, parse_word("ab", 2), abelian_invariants(p).quotient) is None
     p27 = P(B23)
     assert infinite_order_certificate(
-        p27, parse_word("ab", 2), abelian_torsion_quotient(p27)) is None
+        p27, parse_word("ab", 2), abelian_invariants(p27).quotient) is None
 
 
 def test_certificate_json_roundtrip():
     p = P(DINF)
     cert = infinite_order_certificate(p, parse_word("ab", 2),
-                                      abelian_torsion_quotient(p))
+                                      abelian_invariants(p).quotient)
     blob = json.dumps(cert.to_json_dict())
     back = Certificate.from_json_dict(json.loads(blob))
     ok, reason = verify_certificate(back)
@@ -188,7 +213,7 @@ def test_certificate_json_roundtrip():
 def test_certificate_tampering_is_caught():
     p = P(DINF)
     cert = infinite_order_certificate(p, parse_word("ab", 2),
-                                      abelian_torsion_quotient(p))
+                                      abelian_invariants(p).quotient)
     bad = dataclasses.replace(cert, witness_coordinate=cert.witness_coordinate + 1)
     ok, reason = verify_certificate(bad)
     assert not ok and reason
@@ -210,7 +235,7 @@ def test_oversized_quotient_is_rejected_before_it_is_built():
     # 10^12 elements would exhaust memory; the claimed index is checked first
     p = P(DINF)
     cert = infinite_order_certificate(p, parse_word("ab", 2),
-                                      abelian_torsion_quotient(p))
+                                      abelian_invariants(p).quotient)
     huge = {"kind": "abelian", "moduli": [10**6, 10**6],
             "images": [[1, 0], [0, 1]]}
     bad = dataclasses.replace(cert, quotient=huge)
@@ -219,6 +244,72 @@ def test_oversized_quotient_is_rejected_before_it_is_built():
 
 def test_quotient_spec_must_hold():
     p = P(DINF)
-    wrong = abelian_torsion_quotient(P(TRIANGLE))
+    wrong = abelian_invariants(P(TRIANGLE)).quotient
     with pytest.raises(ValueError):
         KernelCertifier(p, wrong)
+
+
+def test_certificate_replay_is_bounded():
+    p = P(DINF)
+    cert = infinite_order_certificate(p, parse_word("ab", 2),
+                                      abelian_invariants(p).quotient)
+    huge = {"kind": "abelian", "moduli": [10**6, 10**6],
+            "images": [[1, 0], [0, 1]]}
+    bad = dataclasses.replace(cert, quotient=huge, kernel_index=10**12)
+    t0 = time.monotonic()
+    assert verify_certificate(bad) == (
+        False, f"kernel index {10**12} exceeds the bound "
+               f"{DEFAULT_MAX_KERNEL_INDEX}")
+    assert time.monotonic() - t0 < 1
+    assert verify_certificate(cert, max_kernel_index=3) == (
+        False, "kernel index 4 exceeds the bound 3")
+    assert verify_certificate(cert, max_kernel_index=4) == (True, "ok")
+
+
+def test_coordinates_back_the_certificate():
+    p = P(TRIANGLE)
+    kc = KernelCertifier(p, abelian_invariants(p).quotient)
+    w = parse_word("aB", 2)
+    cert = kc.certify(w)
+    s, coords = kc.coordinates(w)
+    assert s == cert.power == 3
+    assert coords[cert.witness_position] == cert.witness_coordinate != 0
+    # (ab)^3 is a relator, so it is 0 in every free direction
+    s, coords = kc.coordinates(parse_word("ab", 2))
+    assert s == 3 and all(coords[j] == 0 for j in kc.free_positions)
+
+
+def test_ladder_leaves_out_rungs_over_the_bound():
+    p = P(DINF)
+    ab = abelian_invariants(p)
+    # the regular action of S3 = <a, b | a^2, b^2, (ab)^3>
+    s3 = permutation_quotient(
+        enumerate_cosets(P(DINF + "rel ababab\n"), (), 100).rows, 2)
+    assert [name for name, _ in ladder(p, ab, 3)] == []
+    rungs = ladder(p, ab, 5, extra=[("s3", s3)])
+    assert [(name, kc.action.size) for name, kc in rungs] == [
+        ("abelian-torsion", 4)]
+    rungs = ladder(p, ab, 6, extra=[("s3", s3)])
+    assert [(name, kc.action.size) for name, kc in rungs] == [
+        ("abelian-torsion", 4), ("s3", 6)]
+    # an oversized spec is never built, so its faults never surface
+    wrong = {"kind": "permutation", "images": [[0, 0, 0]] * 2}
+    assert ladder(p, ab, 2, extra=[("wrong", wrong)]) == []
+    with pytest.raises(ValueError):
+        ladder(p, ab, 4, extra=[("wrong", wrong)])
+
+
+@pytest.mark.parametrize("key", sorted(CERT_TYPES))
+def test_certificate_json_fields_are_required_and_typed(key):
+    p = P(DINF)
+    good = infinite_order_certificate(p, parse_word("ab", 2),
+                                      abelian_invariants(p).quotient
+                                      ).to_json_dict()
+    assert Certificate.from_json_dict(good).to_json_dict() == good
+    missing = {k: v for k, v in good.items() if k != key}
+    with pytest.raises(ValueError):
+        Certificate.from_json_dict(missing)
+    for junk in JSON_JUNK:
+        if type(junk) is not CERT_TYPES[key]:
+            with pytest.raises(ValueError):
+                Certificate.from_json_dict({**good, key: junk})

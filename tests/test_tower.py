@@ -1,12 +1,14 @@
 """Inductive period tower: pins for small exponents, resume, audits."""
 
+import copy
+import functools
 import json
 import time
 
 import pytest
 
-from burnside import tower
-from burnside.presentation import TowerStatus
+from burnside import oracle, tower
+from burnside.presentation import TowerStatus, tower_presentation
 from burnside.words import parse_word
 
 
@@ -145,6 +147,9 @@ def test_resume_rejects_mismatched_checkpoint():
     ("periods", None), ("m", None), ("n", None),
     ("periods", "a,b"), ("periods", [1, 2]), ("m", "2"), ("n", 3.0),
     ("cursor", 7), ("partial_log", {}),
+    ("partial_log", [{"foo": 1}]), ("partial_log", [5]),
+    ("partial_log", [{"word": "a", "verdict": "infinite", "certificate": {
+        "schema": "burnside/order-certificate/1"}}]),
 ])
 def test_resume_rejects_malformed_checkpoint(field, value):
     cp = {"schema": tower.CHECKPOINT_SCHEMA, "m": 2, "n": 3,
@@ -174,6 +179,84 @@ def test_asymptotic_regime_checkpoints_immediately():
     assert any("asymptotic regime" in note for note in res.notes)
     # nothing got materialized: the run must come back fast and small
     assert len(res.periods) <= 2
+
+
+@functools.lru_cache(maxsize=None)
+def _tower_2_3():
+    return tower.run_tower(2, 3)
+
+
+def _log_entry(result, rank, word):
+    return next(e for e in result.ranks[rank - 1].log if e["word"] == word)
+
+
+def _bump_witness(result):
+    cert = _log_entry(result, 4, "aB")["certificate"]
+    cert["witness_coordinate"] += 1
+
+
+def _borrow_certificate(result):
+    # a valid certificate, but for aB at rank 4, not for ab at rank 3
+    _log_entry(result, 3, "ab")["certificate"] = \
+        _log_entry(result, 4, "aB")["certificate"]
+
+
+def _wrong_order(result):
+    entry = _log_entry(result, 2, "a")
+    assert entry["order"] == 3
+    entry["order"] = 2
+
+
+def _filter_an_infinite_word(result):
+    # in the rank-2 stage <a, b | a^3>, b has infinite order
+    result.ranks[1].log.append({"word": "b", "filtered": "proper-power"})
+
+
+@pytest.mark.parametrize("tamper, problems", [
+    (_wrong_order, [("a", 2, "could not re-prove order 2"),
+                    ("a", 2, "terminal realization order 3 != 2")]),
+    (_bump_witness, [("aB", 4, "certificate replay failed: "
+                               "witness coordinate mismatch")]),
+    (_borrow_certificate, [("ab", 3, "certificate replay failed: "
+                                     "it is for another word or stage")]),
+    (_filter_an_infinite_word,
+     [("b", 2, "filtered word got infinite, expected finite")]),
+])
+def test_audit_catches_a_tampered_log(tamper, problems):
+    res = copy.deepcopy(_tower_2_3())
+    tamper(res)
+    audit = tower.audit_tower(res, tower.Budgets())
+    assert [(d["word"], d["stage_rank"], d["problem"])
+            for d in audit["disagreements"]] == problems
+    assert audit["agreement"] == f"{len(problems)} disagreement(s)"
+
+
+def test_audit_falls_back_to_the_stage_enumeration():
+    # the last rank logs aB as finite by coset closure, but a completion
+    # stopped at 200 steps does not reduce aB^3, so only the fresh
+    # stage's realization can re-prove the order
+    b = tower.Budgets(stage_max_cosets=10, kb_max_steps=200,
+                      max_candidates=6)
+    res = tower.run_tower(2, 3, b)
+    assert _log_entry(res, 5, "aB") == {
+        "word": "aB", "verdict": "finite", "order": 3,
+        "strategy": "coset-closure"}
+    ctx = oracle.StageContext(tower_presentation(2, 3, res.periods), b)
+    assert ctx.kb().reduce(parse_word("aB", 2) * 3) != ()
+    audit = tower.audit_tower(res, b)
+    assert audit["agreement"] == "100%"
+    assert sum(audit["checks"].values()) == sum(len(r.log) for r in res.ranks)
+
+
+def test_long_cyclic_stage_closes_by_coset_closure():
+    # a^400 is longer than kb_max_len, so completion cannot be confluent
+    # and the stage enumeration closes the rank
+    res = tower.run_tower(1, 400)
+    assert res.status is TowerStatus.TERMINATED_EQUALS_BURNSIDE
+    closure = res.ranks[-1].closure
+    assert closure["method"] == "coset-closure"
+    assert closure["order"] == res.order == 400
+    assert tower.audit_tower(res, tower.Budgets())["agreement"] == "100%"
 
 
 def test_audit_skips_a_rank_that_never_scanned():

@@ -20,7 +20,9 @@ completed rewriting system, abelian data, certificate machinery) so a
 scan over many candidate words pays for them once. A context whose
 ``known_infinite`` probe already proved the whole group infinite lets
 strategy 1 skip its enumeration: enumeration of an infinite group can
-never close, so the skip is outcome-equivalent.
+never close, so the skip is outcome-equivalent. Likewise a stage whose
+own enumeration already exhausted a budget at least as large stands in
+for strategy 1's (``adopt_exhausted``).
 """
 
 from __future__ import annotations
@@ -133,6 +135,15 @@ class StageContext:
                 self.presentation, (), self.budgets.oracle_max_cosets
             )
         return self._enumeration
+
+    def adopt_exhausted(self, t: cosets.CosetTable) -> None:
+        """Take an exhausted enumeration of the whole stage as the oracle's
+        own when its budget was at least ``oracle_max_cosets``: Felsch is
+        deterministic, so the smaller run would repeat the same first
+        definitions and exhaust too."""
+        if (not t.closed and not t.subgroup
+                and t.max_cosets >= self.budgets.oracle_max_cosets):
+            self._enumeration = t
 
     def realization(self) -> Optional[cosets.FiniteRealization]:
         if self._realization is self._UNSET:

@@ -6,6 +6,15 @@ terminates. Completion is the standard critical-pair loop with eager
 interreduction; pairs are processed shortest-first (sum of lhs lengths)
 from a heap, which keeps the search fair and the behavior deterministic.
 
+The heap holds pair groups, not pairs: a new rule pushes one entry per
+lhs length among the active rules, and a pop takes the group's next
+pair. Pairs still come out one at a time in shortest-first order, and
+the step budget charges every generated pair arithmetically when its
+rule is added, so the order, the count and any partial system are those
+of a heap that holds every pair. Interreduction tests containment on
+``str`` copies of the rules, one code point per letter, which bounds the
+rank at ``MAX_RANK``.
+
 A confluent system decides the word problem: reduce() is then a
 canonical form. Non-confluent systems remain sound (reduce(w) is always
 equal to w in the group) but not complete.
@@ -93,11 +102,19 @@ def rules_from_presentation(p: Presentation) -> RewritingSystem:
     return RewritingSystem(p.rank, rules, confluent=False)
 
 
-def _contains_factor(big: Word, small: Word) -> bool:
-    n = len(small)
-    if n > len(big):
-        return False
-    return any(big[i:i + n] == small for i in range(len(big) - n + 1))
+# One ``chr`` per letter in the string shadows of the rules, and letters
+# run up to 2 * rank - 1, so the rank stops where the code points do.
+MAX_RANK = 0x110000 // 2
+
+
+def _check_rank(rank: int) -> None:
+    if rank > MAX_RANK:
+        raise ValueError(f"Knuth-Bendix completion handles rank at most "
+                         f"{MAX_RANK} (one code point per letter), got {rank}")
+
+
+def _text(w: Word) -> str:
+    return "".join(map(chr, w))
 
 
 def knuth_bendix(system: RewritingSystem,
@@ -109,14 +126,28 @@ def knuth_bendix(system: RewritingSystem,
     confluent=True on the result means both work queues drained within
     budget; any budget breach leaves a sound partial system with
     stats["budget_hit"] naming the limit.
+
+    Critical pairs are queued lazily. A new rule r gets one heap entry per
+    lhs length L among the active rules, keyed by (len(lhs_r) + L, push
+    order); it stands for the pairs (r, o), (o, r) with every rule o of
+    lhs length L that existed at the push, by ascending o, with no (r, r)
+    twin. A pop takes the entry's next pair and puts the rest back under
+    the same key, so pairs come out in the order an eager heap of single
+    pairs would give them. Generating a pair costs 2 steps per active
+    rule, counted when the rule is added, and processing one costs a step;
+    a pair with a retired rule is skipped and costs nothing.
     """
+    _check_rank(system.rank)
     num_symbols = 2 * system.rank
-    rules: dict = {}
-    active: set = set()
+    # rid -> (lhs, rhs, lhs as str, rhs as str), in id order; the strings
+    # serve interreduction's factor tests and the overlap tests
+    active: dict = {}
+    by_len: dict = {}  # lhs length -> ids of every rule ever added, in order
+    live_by_len: dict = {}  # lhs length -> number of active rules
     generated = 0
     max_rule_len = 0
-    heap: list = []  # (cost, tiebreak, id1, id2)
-    tiebreak = 0
+    heap: list = []  # (cost, seq, rid, ids, pos, end): pairs pos..end-1
+    seq = 0
     equations: deque = deque((l, r) for l, r in system.rules)
     budget_hit = None
     steps = 0
@@ -127,24 +158,8 @@ def knuth_bendix(system: RewritingSystem,
     def current_reduce(w):
         return kernels.reduce_word(automaton, w)
 
-    def push_pairs(rid):
-        # generating a pair is a step too: otherwise the queue grows
-        # quadratically in max_rules before the step budget can act
-        nonlocal tiebreak, steps, budget_hit
-        for oid in sorted(active):
-            steps += 2
-            if steps > max_steps:
-                budget_hit = "max_steps"
-                return
-            cost = len(rules[rid][0]) + len(rules[oid][0])
-            heapq.heappush(heap, (cost, tiebreak, rid, oid))
-            tiebreak += 1
-            if oid != rid:
-                heapq.heappush(heap, (cost, tiebreak, oid, rid))
-                tiebreak += 1
-
     def add_equation_as_rule(u, v):
-        nonlocal generated, max_rule_len, budget_hit
+        nonlocal generated, max_rule_len, budget_hit, steps, seq
         u = current_reduce(u)
         v = current_reduce(v)
         pair = orient(u, v)
@@ -159,25 +174,39 @@ def knuth_bendix(system: RewritingSystem,
             return
         rid = generated
         generated += 1
-        max_rule_len = max(max_rule_len, len(lhs))
-        rules[rid] = (lhs, rhs)
-        active.add(rid)
+        size = len(lhs)
+        max_rule_len = max(max_rule_len, size)
         automaton.insert(rid, lhs, rhs)
         # interreduce: retire rules whose lhs now reduces, requeueing their
         # equation; renormalize rhs of the rest in place
-        for oid in sorted(active):
-            if oid == rid:
-                continue
-            olhs, orhs = rules[oid]
-            if _contains_factor(olhs, lhs):
-                active.discard(oid)
+        key = _text(lhs)
+        for oid, (olhs, orhs, olhs_text, orhs_text) in list(active.items()):
+            if key in olhs_text:
+                del active[oid]
+                live_by_len[len(olhs)] -= 1
                 automaton.retire(oid)
                 equations.append((olhs, orhs))
-            elif _contains_factor(orhs, lhs):
+            elif key in orhs_text:
                 orhs = current_reduce(orhs)
-                rules[oid] = (olhs, orhs)
+                active[oid] = (olhs, orhs, olhs_text, _text(orhs))
                 automaton.set_rhs(oid, orhs)
-        push_pairs(rid)
+        active[rid] = (lhs, rhs, key, _text(rhs))
+        by_len.setdefault(size, []).append(rid)
+        live_by_len[size] = live_by_len.get(size, 0) + 1
+        # generating a pair is a step too: otherwise the queue grows
+        # quadratically in max_rules before the step budget can act
+        count = 2 * len(active)
+        if steps + count > max_steps:
+            steps += (max_steps - steps) // 2 * 2 + 2
+            budget_hit = "max_steps"
+            return
+        steps += count
+        for length, live in live_by_len.items():
+            if live:
+                ids = by_len[length]
+                end = 2 * len(ids) - (length == size)
+                heapq.heappush(heap, (size + length, seq, rid, ids, 0, end))
+                seq += 1
 
     while equations or heap:
         if budget_hit:
@@ -186,22 +215,34 @@ def knuth_bendix(system: RewritingSystem,
             u, v = equations.popleft()
             add_equation_as_rule(u, v)
             continue
-        cost, _, i, j = heapq.heappop(heap)
-        if i not in active or j not in active:
+        cost, s, rid, ids, pos, end = heap[0]
+        if rid not in active:  # every pair of the group is dead
+            heapq.heappop(heap)
             continue
+        while pos < end and ids[pos >> 1] not in active:
+            pos = (pos | 1) + 1  # both pairs with a retired rule
+        if pos >= end:
+            heapq.heappop(heap)
+            continue
+        oid = ids[pos >> 1]
+        i, j = (oid, rid) if pos & 1 else (rid, oid)
+        if pos + 1 < end:
+            heapq.heapreplace(heap, (cost, s, rid, ids, pos + 1, end))
+        else:
+            heapq.heappop(heap)
         steps += 1
         if steps > max_steps:
             budget_hit = "max_steps"
             break
-        lhs1, rhs1 = rules[i]
-        lhs2, rhs2 = rules[j]
+        lhs1, rhs1, text1, _ = active[i]
+        lhs2, rhs2, text2, _ = active[j]
         # proper overlaps; containments are handled by interreduction
         limit = min(len(lhs1), len(lhs2))
         for k in range(1, limit):
-            if lhs1[-k:] == lhs2[:k]:
+            if text1[-k:] == text2[:k]:
                 equations.append((rhs1 + lhs2[k:], lhs1[:-k] + rhs2))
 
-    final = [rules[i] for i in sorted(active)]
+    final = [(lhs, rhs) for lhs, rhs, _, _ in active.values()]
     stats = dict(system.stats)
     stats.update(
         rules_generated=generated,
@@ -215,6 +256,7 @@ def knuth_bendix(system: RewritingSystem,
 
 
 def complete_presentation(p: Presentation, **budgets) -> RewritingSystem:
+    _check_rank(p.rank)  # before seeding builds 2 * rank cancellation rules
     return knuth_bendix(rules_from_presentation(p), **budgets)
 
 

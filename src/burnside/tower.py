@@ -171,6 +171,7 @@ def next_period(m: int, n: int, periods: Sequence[Word], budgets: Budgets,
                     "cosets_defined": t.defined_total,
                 },
             )
+        ctx.adopt_exhausted(t)
         # stage neither provably infinite nor realizably finite: the scan
         # below will surface Unknown verdicts and halt honestly
 
@@ -532,11 +533,12 @@ def center_report(result: TowerResult) -> dict:
 def audit_tower(result: TowerResult, budgets: Budgets) -> dict:
     """Recompute every logged verdict in a fresh StageContext per rank.
 
-    Finite(d): replay the proof that w^d = 1 (the fresh completion, or
-    the fresh enumeration if the verdict came from a closed table) and
-    pin exactness against the terminal realization, where the image of w
-    must have order exactly d (order in a quotient divides order in the
-    stage divides d, so equality at the bottom forces equality).
+    Finite(d): replay the proof that w^d = 1 (reducing w^d by the fresh
+    completion when it fits in ``max_relator_letters``; otherwise, or if
+    that fails, the fresh enumeration if it closes) and pin exactness
+    against the terminal realization, where the image of w must have
+    order exactly d (order in a quotient divides order in the stage
+    divides d, so equality at the bottom forces equality).
     Infinite: replay the serialized certificate, which must be for the
     logged word in this stage. Filtered words: run the unfiltered oracle
     and require a Finite verdict.
@@ -565,7 +567,11 @@ def audit_tower(result: TowerResult, budgets: Budgets) -> dict:
             elif entry["verdict"] == "finite":
                 checks["finite"] += 1
                 d = entry["order"]
-                if ctx.kb().reduce(w * d) != ():
+                # a checkpoint may claim any order, so w^d is built only
+                # within the relator budget; past it, only the stage's
+                # realization can re-prove d
+                if d * len(w) > budgets.max_relator_letters or \
+                        ctx.kb().reduce(w * d) != ():
                     r = ctx.realization()
                     if r is None or r.element_order(w) != d:
                         problems.append(

@@ -1,8 +1,11 @@
 """Reference helpers shared by several test modules; the engine needs none."""
 
+import heapq
 import itertools
 import math
+from collections import deque
 
+from burnside import kernels, rewrite
 from burnside.words import shortlex_key
 
 # the JSON type of every field an order certificate must carry
@@ -154,3 +157,120 @@ def conjugacy_by_rows(r, u, v):
         if all(row_g[row_u[k]] == row_v[row_g[k]] for k in range(r.order)):
             return True, g
     return False, None
+
+
+def _contains_factor(big, small) -> bool:
+    n = len(small)
+    if n > len(big):
+        return False
+    return any(big[i:i + n] == small for i in range(len(big) - n + 1))
+
+
+def knuth_bendix_eager(system, max_rules=rewrite.DEFAULT_MAX_RULES,
+                       max_len=rewrite.DEFAULT_MAX_LEN,
+                       max_steps=rewrite.DEFAULT_MAX_STEPS):
+    """Reference for rewrite.knuth_bendix: the same completion with every
+    critical pair pushed onto the heap as it is generated, and factor
+    tests by a slice loop over tuples. Results must agree exactly."""
+    num_symbols = 2 * system.rank
+    rules: dict = {}
+    active: set = set()
+    generated = 0
+    max_rule_len = 0
+    heap: list = []  # (cost, tiebreak, id1, id2)
+    tiebreak = 0
+    equations: deque = deque((l, r) for l, r in system.rules)
+    budget_hit = None
+    steps = 0
+
+    # one live automaton over the active rules for the whole completion
+    automaton = kernels.build_index((), num_symbols)
+
+    def current_reduce(w):
+        return kernels.reduce_word(automaton, w)
+
+    def push_pairs(rid):
+        # generating a pair is a step too: otherwise the queue grows
+        # quadratically in max_rules before the step budget can act
+        nonlocal tiebreak, steps, budget_hit
+        for oid in sorted(active):
+            steps += 2
+            if steps > max_steps:
+                budget_hit = "max_steps"
+                return
+            cost = len(rules[rid][0]) + len(rules[oid][0])
+            heapq.heappush(heap, (cost, tiebreak, rid, oid))
+            tiebreak += 1
+            if oid != rid:
+                heapq.heappush(heap, (cost, tiebreak, oid, rid))
+                tiebreak += 1
+
+    def add_equation_as_rule(u, v):
+        nonlocal generated, max_rule_len, budget_hit
+        u = current_reduce(u)
+        v = current_reduce(v)
+        pair = rewrite.orient(u, v)
+        if pair is None:
+            return
+        lhs, rhs = pair
+        if len(lhs) > max_len:
+            budget_hit = "max_len"
+            return
+        if generated >= max_rules:
+            budget_hit = "max_rules"
+            return
+        rid = generated
+        generated += 1
+        max_rule_len = max(max_rule_len, len(lhs))
+        rules[rid] = (lhs, rhs)
+        active.add(rid)
+        automaton.insert(rid, lhs, rhs)
+        # interreduce: retire rules whose lhs now reduces, requeueing their
+        # equation; renormalize rhs of the rest in place
+        for oid in sorted(active):
+            if oid == rid:
+                continue
+            olhs, orhs = rules[oid]
+            if _contains_factor(olhs, lhs):
+                active.discard(oid)
+                automaton.retire(oid)
+                equations.append((olhs, orhs))
+            elif _contains_factor(orhs, lhs):
+                orhs = current_reduce(orhs)
+                rules[oid] = (olhs, orhs)
+                automaton.set_rhs(oid, orhs)
+        push_pairs(rid)
+
+    while equations or heap:
+        if budget_hit:
+            break
+        if equations:
+            u, v = equations.popleft()
+            add_equation_as_rule(u, v)
+            continue
+        cost, _, i, j = heapq.heappop(heap)
+        if i not in active or j not in active:
+            continue
+        steps += 1
+        if steps > max_steps:
+            budget_hit = "max_steps"
+            break
+        lhs1, rhs1 = rules[i]
+        lhs2, rhs2 = rules[j]
+        # proper overlaps; containments are handled by interreduction
+        limit = min(len(lhs1), len(lhs2))
+        for k in range(1, limit):
+            if lhs1[-k:] == lhs2[:k]:
+                equations.append((rhs1 + lhs2[k:], lhs1[:-k] + rhs2))
+
+    final = [rules[i] for i in sorted(active)]
+    stats = dict(system.stats)
+    stats.update(
+        rules_generated=generated,
+        rules_active=len(final),
+        steps=steps,
+        max_rule_len=max_rule_len,
+        budget_hit=budget_hit,
+    )
+    return rewrite.RewritingSystem(system.rank, final,
+                                   confluent=budget_hit is None, stats=stats)

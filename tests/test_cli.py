@@ -5,6 +5,7 @@ import dataclasses
 import functools
 import io
 import json
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -203,6 +204,31 @@ def test_audit_of_a_resumed_run_agrees(tmp_path, capsys):
     assert "audit: 100% (13 checks)" in out
 
 
+def test_audit_of_a_huge_claimed_order_is_bounded(tmp_path, capsys):
+    # a^(10**12) is never built: the audit falls back to the stage's
+    # enumeration, which cannot close on the infinite rank-2 stage; the
+    # whole resumed run with its audit takes about a second
+    cp = tmp_path / "cp.json"
+    code, _, _ = run(["tower", "-m", "2", "-n", "3", "--max-candidates", "2",
+                      "--checkpoint", str(cp)], capsys)
+    assert code == 2
+    data = json.loads(cp.read_text())
+    assert data["partial_log"][0] == {"word": "a", "verdict": "finite",
+                                      "order": 3, "strategy": "kb-power"}
+    data["partial_log"][0]["order"] = 10**12
+    cp.write_text(json.dumps(data))
+    t0 = time.monotonic()
+    code, out, err = run(["--format", "json", "tower", "-m", "2", "-n", "3",
+                          "--resume", str(cp), "--audit"], capsys)
+    assert time.monotonic() - t0 < 5
+    assert code == 1 and err == ""
+    problems = [(d["word"], d["stage_rank"], d["problem"])
+                for d in json.loads(out)["audit"]["disagreements"]]
+    assert problems == [
+        ("a", 2, f"could not re-prove order {10**12}"),
+        ("a", 2, f"terminal realization order 3 != {10**12}")]
+
+
 @functools.lru_cache(maxsize=None)
 def _log_checkpoint_text():
     """A checkpoint whose partial log holds each kind of entry: finite
@@ -390,6 +416,13 @@ def test_kb_budget_exhaustion(pres, capsys):
     code, out, _ = run(["kb", f, "--kb-max-steps", "3"], capsys)
     assert code == 2
     assert "budget-exhausted" in out
+
+
+def test_kb_rank_over_the_code_points_is_error(pres, capsys):
+    code, out, err = run(["kb", pres("gens 600000\nrel x1\n")], capsys)
+    assert code == 1
+    assert out == ""
+    assert "error:" in err and "557056" in err
 
 
 def test_abelian(pres, capsys):

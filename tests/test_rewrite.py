@@ -5,8 +5,12 @@ import random
 import pytest
 
 from burnside import cosets, rewrite
-from burnside.presentation import Presentation, parse_presentation
-from support import element_row
+from burnside.presentation import (
+    Presentation,
+    parse_presentation,
+    tower_presentation,
+)
+from support import element_row, knuth_bendix_eager
 from burnside.words import (
     format_word,
     free_reduce,
@@ -210,3 +214,82 @@ def test_format_rules_roundtrip_text():
     assert "aa -> 1" in text
     assert "A -> a" in text
     assert text.count("\n") == len(system.rules)
+
+
+# periods of the m=2 towers; for n=5 the first six that a run with
+# kb_max_steps 20000 finds (any stage presentation serves here)
+TOWER_PERIODS = {2: "a b ab", 3: "a b ab aB", 4: "a b ab aB aab abb",
+                 5: "a b ab aB aab aaB"}
+
+
+def _tower_stages():
+    for n, texts in TOWER_PERIODS.items():
+        periods = [parse_word(t, 2) for t in texts.split()]
+        for k in range(len(periods) + 1):
+            yield tower_presentation(2, n, periods[:k])
+
+
+def _random_presentations(count, seed):
+    rng = random.Random(seed)
+    for _ in range(count):
+        rank = rng.randint(1, 3)
+        relators = []
+        for _ in range(rng.randint(1, 5)):
+            w = free_reduce(tuple(rng.randrange(2 * rank)
+                                  for _ in range(rng.randint(1, 14))))
+            if w:
+                relators.append(w)
+        yield Presentation(rank, tuple(relators))
+
+
+def test_lazy_pairs_match_eager_completion():
+    # a step budget of either parity lands inside pair generation (2 steps
+    # per active rule) as well as at a pair pop
+    budgets = [dict(max_steps=s) for s in (300, 301, 3000, 3001)]
+    budgets += [dict(max_rules=40), dict(max_len=6)]
+    hits = set()
+    for p in [*_tower_stages(), *_random_presentations(40, 3)]:
+        seed = rewrite.rules_from_presentation(p)
+        for b in budgets:
+            want = knuth_bendix_eager(seed, **b)
+            got = rewrite.knuth_bendix(seed, **b)
+            assert (got.rules, got.stats, got.confluent) == \
+                (want.rules, want.stats, want.confluent), (p, b)
+            hit = want.stats["budget_hit"]
+            over = want.stats["steps"] - b["max_steps"] if "max_steps" in b \
+                else None
+            hits.add((hit, over if hit == "max_steps" else None))
+    # overshooting by 2 only happens inside pair generation
+    assert hits == {(None, None), ("max_steps", 1), ("max_steps", 2),
+                    ("max_rules", None), ("max_len", None)}
+
+
+@pytest.mark.parametrize("rank, stats", [
+    (5, (1002, 986, 1000001)),
+    (6, (1090, 937, 1000002)),
+    (7, (1193, 837, 1000002)),
+])
+def test_n4_stage_completion_stats(rank, stats):
+    periods = [parse_word(t, 2) for t in TOWER_PERIODS[4].split()]
+    system = rewrite.complete_presentation(
+        tower_presentation(2, 4, periods[:rank - 1]))
+    got = system.stats
+    assert (got["rules_generated"], got["rules_active"], got["steps"]) == stats
+    assert got["budget_hit"] == "max_steps"
+
+
+def test_completion_rank_is_bounded_by_the_code_points(monkeypatch):
+    def seed(p):
+        raise AssertionError("seeded 2 * rank rules before the rank check")
+
+    monkeypatch.setattr(rewrite, "rules_from_presentation", seed)
+    big = Presentation(rewrite.MAX_RANK + 1, ((0,),))
+    with pytest.raises(ValueError, match=str(rewrite.MAX_RANK)):
+        rewrite.complete_presentation(big)
+    with pytest.raises(ValueError, match=str(rewrite.MAX_RANK)):
+        rewrite.knuth_bendix(rewrite.RewritingSystem(rewrite.MAX_RANK + 1))
+    # the last letter of the largest rank still has a code point
+    x = 2 * rewrite.MAX_RANK - 1
+    system = rewrite.knuth_bendix(
+        rewrite.RewritingSystem(rewrite.MAX_RANK, [((x, x), ())]))
+    assert system.confluent and system.rules == [((x, x), ())]

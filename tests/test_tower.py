@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from burnside import oracle, tower
+from burnside import cosets, oracle, tower
 from burnside.presentation import TowerStatus, tower_presentation
 from burnside.words import parse_word
 
@@ -246,6 +246,33 @@ def test_audit_falls_back_to_the_stage_enumeration():
     audit = tower.audit_tower(res, b)
     assert audit["agreement"] == "100%"
     assert sum(audit["checks"].values()) == sum(len(r.log) for r in res.ranks)
+
+
+@pytest.mark.parametrize("stage, calls", [
+    (10, [10, 20]),  # a smaller stage run proves nothing about 20 cosets
+    (20, [20]),
+    (25, [25]),
+])
+def test_oracle_reuses_an_exhausted_stage_enumeration(monkeypatch, stage,
+                                                      calls):
+    # B(2,3) has 27 elements, so every run here exhausts; the oracle must
+    # still cite its own budget of 20 cosets
+    budgets = []
+    enumerate_cosets = cosets.enumerate_cosets
+
+    def counted(p, subgroup=(), max_cosets=cosets.DEFAULT_MAX_COSETS):
+        budgets.append(max_cosets)
+        return enumerate_cosets(p, subgroup, max_cosets)
+
+    monkeypatch.setattr(cosets, "enumerate_cosets", counted)
+    b = tower.Budgets(stage_max_cosets=stage, oracle_max_cosets=20,
+                      kb_max_steps=200, max_candidates=6)
+    periods = [parse_word(t, 2) for t in ("a", "b", "ab", "aB")]
+    out = tower.next_period(2, 3, periods, b)
+    assert budgets == calls
+    assert out.note == "oracle returned Unknown for aB"
+    assert out.unknown_evidence["attempts"][0] == {
+        "strategy": "coset-closure", "reason": "budget 20 cosets exhausted"}
 
 
 def test_long_cyclic_stage_closes_by_coset_closure():

@@ -145,11 +145,15 @@ def build_dihedral(h: int) -> FiniteGroupTable:
     Elements are pairs (e, k) in C2 x C_h encoded as 2k + e, with the
     semidirect multiplication (e1, k1)(e2, k2) = (e1 + e2, k1 + (-1)^e1 k2).
     Even codes are the rotations, odd codes the reflections; (0, 0) = 0
-    is the identity and every reflection squares to it.
+    is the identity and every reflection squares to it. Refuses above
+    MAX_TABLE_CELLS cells before building anything.
     """
     if h < 1:
         raise ValueError("need h >= 1")
     order = 2 * h
+    if order * order > MAX_TABLE_CELLS:
+        raise TableError(f"D{h} of order {order} needs {order * order} "
+                         f"cells (cap {MAX_TABLE_CELLS})")
 
     def enc(e: int, k: int) -> int:
         return 2 * (k % h) + (e & 1)

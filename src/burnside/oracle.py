@@ -20,9 +20,12 @@ completed rewriting system, abelian data, certificate machinery) so a
 scan over many candidate words pays for them once. A context whose
 ``known_infinite`` probe already proved the whole group infinite lets
 strategy 1 skip its enumeration: enumeration of an infinite group can
-never close, so the skip is outcome-equivalent. Likewise a stage whose
-own enumeration already exhausted a budget at least as large stands in
-for strategy 1's (``adopt_exhausted``).
+never close, so the skip is outcome-equivalent.
+
+The context also owns stage closure: it is the one place that runs a
+whole-stage coset enumeration (under any budget, reusing one table for
+every budget that table already decides), decides whether the stage
+closes, and realizes it (``closure``).
 """
 
 from __future__ import annotations
@@ -120,8 +123,8 @@ class StageContext:
     def __init__(self, p: Presentation, budgets=None):
         self.presentation = p
         self.budgets = budgets if budgets is not None else Budgets()
-        self._enumeration = self._UNSET
-        self._realization = self._UNSET
+        self._enumeration: Optional[cosets.CosetTable] = None
+        self._realization: Optional[cosets.FiniteRealization] = None
         self._kb = None
         self._abelian = None
         self._certifiers: Optional[List[Tuple[str, subgrp.KernelCertifier]]] = None
@@ -129,27 +132,34 @@ class StageContext:
 
     # -- cached artifacts --------------------------------------------------
 
-    def enumeration(self) -> cosets.CosetTable:
-        if self._enumeration is self._UNSET:
-            self._enumeration = cosets.enumerate_cosets(
-                self.presentation, (), self.budgets.oracle_max_cosets
-            )
-        return self._enumeration
+    def enumeration(self, max_cosets: Optional[int] = None
+                    ) -> cosets.CosetTable:
+        """Whole-group enumeration under ``max_cosets`` (default
+        ``oracle_max_cosets``).
 
-    def adopt_exhausted(self, t: cosets.CosetTable) -> None:
-        """Take an exhausted enumeration of the whole stage as the oracle's
-        own when its budget was at least ``oracle_max_cosets``: Felsch is
-        deterministic, so the smaller run would repeat the same first
-        definitions and exhaust too."""
-        if (not t.closed and not t.subgroup
-                and t.max_cosets >= self.budgets.oracle_max_cosets):
+        Felsch is deterministic, so the cached table answers every budget
+        it already decides: a closed table any budget of at least its
+        ``defined_total``, an exhausted one any budget up to its own
+        ``max_cosets``. Any other budget runs again and replaces it.
+        """
+        if max_cosets is None:
+            max_cosets = self.budgets.oracle_max_cosets
+        t = self._enumeration
+        if t is None or (max_cosets < t.defined_total if t.closed
+                         else max_cosets > t.max_cosets):
+            t = cosets.enumerate_cosets(self.presentation, (), max_cosets)
             self._enumeration = t
+            self._realization = None
+        return t
 
-    def realization(self) -> Optional[cosets.FiniteRealization]:
-        if self._realization is self._UNSET:
-            t = self.enumeration()
-            self._realization = cosets.realize(t) if t.closed else None
-        return self._realization
+    def realization(self, max_cosets: Optional[int] = None
+                    ) -> Optional[cosets.FiniteRealization]:
+        """The group realized by ``enumeration(max_cosets)``, or None when
+        that enumeration exhausts."""
+        t = self.enumeration(max_cosets)
+        if t.closed and self._realization is None:
+            self._realization = cosets.realize(t)
+        return self._realization if t.closed else None
 
     def kb(self) -> rewrite.RewritingSystem:
         if self._kb is None:
@@ -229,12 +239,60 @@ class StageContext:
                 return count
             max_len *= 2
 
+    def closure(self) -> Optional[Tuple[cosets.FiniteRealization, dict]]:
+        """Prove the whole stage finite and realize it: (realization,
+        closure record), or None when the stage does not close.
+
+        A normal-form census fixes the order when it can, and then the
+        enumeration only needs headroom near it; a closed table must agree
+        with the census, and an exhausted one leaves the census's own
+        normal-form table to realize the stage.
+        """
+        order = self.finite_stage_order()
+        limit = self.budgets.stage_max_cosets
+        if order is not None:
+            limit = min(limit, 20 * order + 1000)
+        r = self.realization(limit)
+        if r is not None:
+            if order is None:
+                return r, {"order": r.order, "method": "coset-closure",
+                           "cosets_defined": r.table.defined_total}
+            if r.order != order:
+                raise AssertionError(
+                    f"normal-form census ({order}) disagrees with "
+                    f"closed enumeration ({r.order})"
+                )
+            return r, {"order": order, "method": "kb-census",
+                       "cross_check": "coset-closure",
+                       "cosets_defined": r.table.defined_total}
+        if order is None:
+            return None
+        return self._normal_form_realization(order), {
+            "order": order, "method": "kb-census",
+            "cross_check": f"enumeration exhausted at {limit}"}
+
+    def _normal_form_realization(self, order: int) -> cosets.FiniteRealization:
+        """Closed table over the trivial subgroup built from the normal
+        forms of the confluent system, which has ``order`` of them. A
+        shortlex normal form is a geodesic, so none is longer than
+        ``order - 1``."""
+        system = self.kb()
+        nfs = list(rewrite.normal_forms(system, order))
+        if len(nfs) != order:
+            raise AssertionError("normal-form table has wrong order")
+        index = {w: i for i, w in enumerate(nfs)}
+        rows = [[index[system.reduce(w + (x,))]
+                 for x in range(self.presentation.num_symbols)]
+                for w in nfs]
+        return cosets.realize(cosets.CosetTable(
+            rank=self.presentation.rank, status="closed", num_cosets=order,
+            defined_total=order, max_cosets=order, subgroup=(), rows=rows))
+
     def prepare_for_scan(self):
         """Build every cache that candidate evaluation reads, before the
         scan's first candidate."""
         self.infiniteness()
         if self.known_infinite is None:
-            self.enumeration()
             self.realization()
         self.kb()
         self.certifiers()

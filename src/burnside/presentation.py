@@ -84,7 +84,6 @@ def power_relator(w: Word, n: int) -> Word:
 
 
 class TowerStatus(enum.Enum):
-    RUNNING = "running"
     TERMINATED_EQUALS_BURNSIDE = "terminated-equals-burnside"
     STALLED_DIVERGENT = "stalled-divergent"
     ORACLE_INCONCLUSIVE = "oracle-inconclusive"
@@ -108,7 +107,6 @@ class PresentationSyntaxError(ValueError):
 def parse_presentation(text: str) -> Presentation:
     rank = None
     relators = []
-    warnings = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -139,7 +137,7 @@ def parse_presentation(text: str) -> Presentation:
             raise PresentationSyntaxError(f"unknown directive {fields[0]!r}", lineno)
     if rank is None:
         raise PresentationSyntaxError("missing gens directive", 1)
-    return Presentation(rank, tuple(relators), tuple(warnings))
+    return Presentation(rank, tuple(relators))
 
 
 def format_presentation(p: Presentation) -> str:

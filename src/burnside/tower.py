@@ -28,7 +28,7 @@ import json
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
-from . import cosets, oracle, rewrite, subgrp
+from . import cosets, oracle, subgrp
 from .oracle import Budgets
 from .presentation import (
     Presentation,
@@ -127,51 +127,14 @@ def next_period(m: int, n: int, periods: Sequence[Word], budgets: Budgets,
     probe = ctx.infiniteness()
 
     if probe is None:
-        # not provably infinite; try to pin the stage down as finite
-        order = ctx.finite_stage_order()
-        if order is not None:
-            limit = min(budgets.stage_max_cosets, 20 * order + 1000)
-            t = cosets.enumerate_cosets(p, (), limit)
-            closure: dict
-            if t.closed:
-                if t.num_cosets != order:
-                    raise AssertionError(
-                        f"normal-form census ({order}) disagrees with "
-                        f"closed enumeration ({t.num_cosets})"
-                    )
-                realization = cosets.realize(t)
-                closure = {
-                    "order": order,
-                    "method": "kb-census",
-                    "cross_check": "coset-closure",
-                    "cosets_defined": t.defined_total,
-                }
-            else:
-                realization = _realization_from_system(ctx.kb(), p.rank)
-                if realization.order != order:
-                    raise AssertionError("normal-form table has wrong order")
-                closure = {
-                    "order": order,
-                    "method": "kb-census",
-                    "cross_check": f"enumeration exhausted at {limit}",
-                }
+        # not provably infinite; the context tries to close the stage
+        closed = ctx.closure()
+        if closed is not None:
+            realization, closure = closed
             return RankOutcome(
                 kind="closed", rank=rank, stage_relators=stage_relators,
                 realization=realization, closure=closure,
             )
-        t = cosets.enumerate_cosets(p, (), budgets.stage_max_cosets)
-        if t.closed:
-            realization = cosets.realize(t)
-            return RankOutcome(
-                kind="closed", rank=rank, stage_relators=stage_relators,
-                realization=realization,
-                closure={
-                    "order": realization.order,
-                    "method": "coset-closure",
-                    "cosets_defined": t.defined_total,
-                },
-            )
-        ctx.adopt_exhausted(t)
         # stage neither provably infinite nor realizably finite: the scan
         # below will surface Unknown verdicts and halt honestly
 
@@ -210,31 +173,6 @@ def next_period(m: int, n: int, periods: Sequence[Word], budgets: Budgets,
                 kind="period", rank=rank, stage_relators=stage_relators,
                 stage_probe=probe, period=w, examined=examined, log=log,
             )
-
-
-def _realization_from_system(system: rewrite.RewritingSystem, rank: int):
-    """Closed table over the trivial subgroup built from the normal forms
-    of a confluent system with finitely many of them."""
-    nfs = []
-    max_len = 16
-    while True:
-        count, stabilized = rewrite.count_normal_forms(system, max_len)
-        if stabilized:
-            nfs = list(rewrite.normal_forms(system, max_len))
-            break
-        max_len *= 2
-    index = {w: i for i, w in enumerate(nfs)}
-    rows = []
-    for w in nfs:
-        row = []
-        for x in range(2 * rank):
-            row.append(index[system.reduce(w + (x,))])
-        rows.append(row)
-    table = cosets.CosetTable(
-        rank=rank, status="closed", num_cosets=len(nfs),
-        defined_total=len(nfs), max_cosets=len(nfs), subgroup=(), rows=rows,
-    )
-    return cosets.realize(table)
 
 
 def exponent_divides(r: cosets.FiniteRealization, n: int):
@@ -431,69 +369,70 @@ def verify_period_orders(result: TowerResult) -> dict:
 def verify_independence(result: TowerResult, budgets: Budgets) -> dict:
     """Dropping any single defining relator must change the group.
 
-    Evidence per relator: either the dropped presentation closes at a
-    different order, or some word (the dropped period first) picks up an
-    infinite-order certificate in the dropped presentation while the
-    full group is finite. A closed enumeration at the SAME order means
-    the relator was genuinely dependent, which is a failed verification,
-    not an unresolved one.
+    Evidence per relator: either some word (the dropped period first)
+    picks up an infinite-order certificate in the dropped presentation
+    while the full group is finite, or the dropped presentation closes at
+    a different order. A closed enumeration at the SAME order means the
+    relator was genuinely dependent, which is a failed verification, not
+    an unresolved one.
     """
     if result.realization is None:
         return {"status": "unavailable", "reason": "no realized group"}
     m, n = result.m, result.n
     full_order = result.realization.order
+    full_quotient = ("full-realization", subgrp.permutation_quotient(
+        result.realization.table.rows, m))
     entries = []
     unresolved = 0
     for i, period in enumerate(result.periods):
         kept = tuple(power_relator(w, n) for j, w in enumerate(result.periods)
                      if j != i)
-        dropped = Presentation(m, kept)
+        ctx = oracle.StageContext(Presentation(m, kept), budgets)
         entry = {
             "dropped_relator": format_word(power_relator(period, n), m),
             "dropped_period": format_word(period, m),
         }
-        # a dependent relator leaves the order unchanged, so the closure
-        # probe only needs headroom near the full order; genuinely
-        # independent drops are usually infinite and fall through to the
-        # certificate route no matter the budget
-        probe = min(budgets.stage_max_cosets, 20 * full_order + 2000)
-        t = cosets.enumerate_cosets(dropped, (), probe)
-        if t.closed:
+        # certificates first: one proves the dropped group infinite, so
+        # its enumeration could never have closed
+        certifiers = subgrp.ladder(ctx.presentation, ctx.abelian(),
+                                   budgets.max_kernel_index,
+                                   extra=[full_quotient])
+        candidates = itertools.chain(
+            [period], (w for j, w in enumerate(result.periods) if j != i),
+            itertools.islice(reduced_words(m),
+                             budgets.independence_candidates))
+        found = next(((w, name, cert) for w in candidates
+                      for name, certifier in certifiers
+                      if (cert := certifier.certify(w)) is not None),
+                     None)
+        if found:
+            w, name, cert = found
+            ok, reason = subgrp.verify_certificate(
+                cert, budgets.max_kernel_index)
             entry["evidence"] = {
-                "kind": "closed-enumeration",
-                "dropped_order": t.num_cosets,
-                "full_order": full_order,
+                "kind": "infinite-order-certificate",
+                "witness": format_word(w, m),
+                "quotient": name,
+                "verified": ok,
+                "verifier_reason": reason,
+                "certificate": cert.to_json_dict(),
             }
-            entry["independent"] = t.num_cosets != full_order
-            if t.num_cosets == full_order:
-                entry["failure"] = "dropped presentation has the same order"
+            entry["independent"] = ok
         else:
-            certifiers = subgrp.ladder(
-                dropped, subgrp.abelian_invariants(dropped),
-                budgets.max_kernel_index,
-                extra=[("full-realization", subgrp.permutation_quotient(
-                    result.realization.table.rows, m))])
-            candidates = itertools.chain(
-                [period], (w for j, w in enumerate(result.periods) if j != i),
-                itertools.islice(reduced_words(m),
-                                 budgets.independence_candidates))
-            found = next(((w, name, cert) for w in candidates
-                          for name, certifier in certifiers
-                          if (cert := certifier.certify(w)) is not None),
-                         None)
-            if found:
-                w, name, cert = found
-                ok, reason = subgrp.verify_certificate(
-                    cert, budgets.max_kernel_index)
+            # a dependent relator leaves the order unchanged, so the
+            # closure probe only needs headroom near the full order
+            t = ctx.enumeration(
+                min(budgets.stage_max_cosets, 20 * full_order + 2000))
+            if t.closed:
                 entry["evidence"] = {
-                    "kind": "infinite-order-certificate",
-                    "witness": format_word(w, m),
-                    "quotient": name,
-                    "verified": ok,
-                    "verifier_reason": reason,
-                    "certificate": cert.to_json_dict(),
+                    "kind": "closed-enumeration",
+                    "dropped_order": t.num_cosets,
+                    "full_order": full_order,
                 }
-                entry["independent"] = ok
+                entry["independent"] = t.num_cosets != full_order
+                if t.num_cosets == full_order:
+                    entry["failure"] = ("dropped presentation has the "
+                                        "same order")
             else:
                 entry["evidence"] = {"kind": "none"}
                 entry["independent"] = None

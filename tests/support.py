@@ -5,7 +5,7 @@ import itertools
 import math
 from collections import deque
 
-from burnside import kernels, rewrite
+from burnside import cosets, kernels, rewrite
 from burnside.words import shortlex_key
 
 # the JSON type of every field an order certificate must carry
@@ -15,6 +15,20 @@ CERT_TYPES = {"schema": str, "presentation": dict, "word": str, "power": int,
               "witness_position": int, "witness_coordinate": int}
 # one value of each JSON type
 JSON_JUNK = (None, "x", 1.5, True, ["x"], {"x": 1})
+
+
+def count_enumerations(monkeypatch) -> list:
+    """Route cosets.enumerate_cosets through a counter for this test;
+    the returned list collects the budget of each call."""
+    budgets = []
+    enumerate_cosets = cosets.enumerate_cosets
+
+    def counted(p, subgroup=(), max_cosets=cosets.DEFAULT_MAX_COSETS):
+        budgets.append(max_cosets)
+        return enumerate_cosets(p, subgroup, max_cosets)
+
+    monkeypatch.setattr(cosets, "enumerate_cosets", counted)
+    return budgets
 
 
 def mat_mul(A: list, B: list) -> list:

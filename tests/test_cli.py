@@ -464,6 +464,20 @@ def test_embed_rejects_bad_search_limits(tmp_path, capsys, flag, value):
     assert err.startswith("error:") and flag[2:].replace("-", "_") in err
 
 
+def test_embed_refuses_an_oversized_lead_factor(tmp_path, capsys):
+    # D(20000) would need 1.6e9 table cells; the cap refuses it first
+    c2 = tmp_path / "c2.csv"
+    c2.write_text(build_cyclic(2).to_csv())
+    t0 = time.monotonic()
+    code, out, err = run(["embed", str(c2), "-n", "20000", "--r-max", "0"],
+                         capsys)
+    assert time.monotonic() - t0 < 1.0
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "D20000" in err
+    assert "Traceback" not in err
+
+
 def test_output_file_written_in_text_mode(pres, tmp_path, capsys):
     f = pres(KLEIN)
     rep_path = tmp_path / "rep.json"

@@ -74,6 +74,13 @@ def test_direct_product_cell_budget():
         dh.direct_product([dh.build_dihedral(4)] * 3)
 
 
+def test_dihedral_table_cell_cap():
+    # order 256 fills the 2^16-cell cap exactly; order 258 is refused
+    assert dh.build_dihedral(128).order == 256
+    with pytest.raises(dh.TableError, match="D129"):
+        dh.build_dihedral(129)
+
+
 def test_product_exponent_is_lcm():
     rng = random.Random(7)
     pool = [dh.build_cyclic(k) for k in (2, 3, 4, 5, 6)]

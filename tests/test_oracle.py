@@ -6,6 +6,7 @@ from burnside import oracle
 from burnside.presentation import parse_presentation
 from burnside.subgrp import verify_certificate
 from burnside.words import parse_word
+from support import count_enumerations
 
 
 def P(text):
@@ -122,6 +123,41 @@ def test_stage_context_caches_are_reused():
     v2 = oracle.element_order(P(B23), parse_word("ab", 2), ctx=ctx)
     assert v1.order == 3 and v2.order == 3
     assert ctx.finite_stage_order() == 27
+
+
+def test_closed_enumeration_serves_larger_budgets(monkeypatch):
+    calls = count_enumerations(monkeypatch)
+    ctx = oracle.StageContext(P(B23))
+    t = ctx.enumeration(100)
+    assert t.closed and t.defined_total == 27
+    assert ctx.enumeration() is t  # oracle_max_cosets, 5000
+    assert ctx.enumeration(27) is t
+    assert ctx.enumeration(10**6) is t
+    r = ctx.realization(50)
+    assert r.order == 27 and ctx.realization() is r
+    assert calls == [100]
+
+
+def test_budget_below_a_closed_table_runs_again(monkeypatch):
+    calls = count_enumerations(monkeypatch)
+    ctx = oracle.StageContext(P(B23))
+    assert ctx.realization(100).order == 27
+    t = ctx.enumeration(26)
+    assert not t.closed and t.max_cosets == 26
+    assert ctx.realization(26) is None
+    assert calls == [100, 26]
+
+
+def test_exhausted_enumeration_serves_smaller_budgets(monkeypatch):
+    calls = count_enumerations(monkeypatch)
+    ctx = oracle.StageContext(P(B23))
+    t = ctx.enumeration(20)
+    assert not t.closed
+    assert ctx.enumeration(20) is t
+    assert ctx.enumeration(1) is t
+    assert calls == [20]
+    assert ctx.enumeration(21) is not t
+    assert calls == [20, 21]
 
 
 @pytest.mark.parametrize("field, value", [

@@ -1,6 +1,7 @@
 """Inductive period tower: pins for small exponents, resume, audits."""
 
 import copy
+import dataclasses
 import functools
 import json
 import time
@@ -10,6 +11,7 @@ import pytest
 from burnside import cosets, oracle, tower
 from burnside.presentation import TowerStatus, tower_presentation
 from burnside.words import parse_word
+from support import count_enumerations
 
 
 def small_budgets(**kw):
@@ -80,6 +82,75 @@ def test_independence_both_towers():
         assert rep["status"] == "ok", rep
         assert rep["unresolved"] == 0
         assert all(e["independent"] for e in rep["relators"])
+
+
+def _drop_evidence(rep):
+    """(kind, detail, independent, failure) per dropped relator."""
+    out = []
+    for e in rep["relators"]:
+        ev = e["evidence"]
+        detail = None
+        if ev["kind"] == "closed-enumeration":
+            detail = ev["dropped_order"]
+        elif ev["kind"] == "infinite-order-certificate":
+            detail = (ev["witness"], ev["quotient"], ev["verified"])
+        out.append((ev["kind"], detail, e["independent"], e.get("failure")))
+    return out
+
+
+def _with_periods(m, n, texts):
+    # the real run's realization, with a hand-picked list of periods
+    return dataclasses.replace(
+        tower.run_tower(m, n),
+        periods=tuple(parse_word(t, m) for t in texts))
+
+
+SAME = "dropped presentation has the same order"
+
+
+def test_independence_fails_on_a_dependent_power():
+    # in <a | a^2>, dropping a^2 leaves <a | a^4>; dropping a^4 changes
+    # nothing
+    rep = tower.verify_independence(_with_periods(1, 2, ["a", "aa"]),
+                                    tower.Budgets())
+    assert rep["status"] == "FAILED" and rep["unresolved"] == 0
+    assert _drop_evidence(rep) == [
+        ("closed-enumeration", 4, True, None),
+        ("closed-enumeration", 2, False, SAME),
+    ]
+    assert [e["evidence"]["full_order"] for e in rep["relators"]] == [2, 2]
+
+
+def test_independence_certificates_then_closed_enumerations():
+    rep = tower.verify_independence(
+        _with_periods(2, 2, ["a", "b", "ab", "aB"]), tower.Budgets())
+    assert rep["status"] == "FAILED" and rep["unresolved"] == 0
+    assert _drop_evidence(rep) == [
+        ("infinite-order-certificate", ("a", "abelian-torsion", True),
+         True, None),
+        ("infinite-order-certificate", ("b", "abelian-torsion", True),
+         True, None),
+        ("closed-enumeration", 4, False, SAME),
+        ("closed-enumeration", 4, False, SAME),
+    ]
+
+
+def test_independence_without_quotients_is_unresolved():
+    rep = tower.verify_independence(
+        _with_periods(2, 2, ["a", "b", "ab"]),
+        tower.Budgets(max_kernel_index=1, independence_candidates=0))
+    assert rep["status"] == "unresolved" and rep["unresolved"] == 3
+    assert _drop_evidence(rep) == [("none", None, None, None)] * 3
+
+
+def test_independence_tries_certificates_before_enumerating(monkeypatch):
+    # every relator of B(2,3) is independent by certificate, so none of
+    # the dropped presentations gets enumerated
+    res = _tower_2_3()
+    calls = count_enumerations(monkeypatch)
+    rep = tower.verify_independence(res, tower.Budgets())
+    assert rep["status"] == "ok"
+    assert calls == []
 
 
 def test_center_is_small_but_nontrivial():

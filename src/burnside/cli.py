@@ -3,8 +3,8 @@
 Every subcommand reads file-based inputs, embeds its full semantic
 config in the report it writes, and keeps everything machine-checkable:
 JSON reports have versioned schemas, and an `execution` block isolates
-the nondeterministic facts (timestamp, wall time, kernel backend) so
-two runs of the same config are byte-identical everywhere else.
+the nondeterministic facts (timestamp, wall time) so two runs of the
+same config are byte-identical everywhere else.
 
 Exit codes: 0 definitive result, 2 inconclusive or budget-limited,
 1 usage or data error.
@@ -18,7 +18,7 @@ import sys
 import time
 from datetime import datetime, timezone
 
-from . import cosets, dihedral, kernels, oracle, rewrite, subgrp, tower
+from . import cosets, dihedral, oracle, rewrite, subgrp, tower
 from .presentation import (
     PresentationSyntaxError,
     TowerStatus,
@@ -48,7 +48,6 @@ def _execution_block(started: float) -> dict:
     return {
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "elapsed_seconds": round(time.monotonic() - started, 3),
-        "kernel_backend": kernels.IMPLEMENTATION,
     }
 
 
@@ -187,9 +186,7 @@ def cmd_order(args) -> int:
     if not w:
         raise _CliError("word must be nonempty (it reduced to the identity)")
     budgets = _budgets_from(args)
-    ctx = oracle.StageContext(p, budgets)
-    ctx.infiniteness()
-    verdict = oracle.element_order(p, w, n_hint=1, budgets=budgets, ctx=ctx)
+    verdict = oracle.element_order(oracle.StageContext(p, budgets), w)
     report = {
         "schema": "burnside/order-report/1",
         "config": {
@@ -235,7 +232,7 @@ def cmd_kb(args) -> int:
         p, max_rules=budgets.kb_max_rules, max_len=budgets.kb_max_len,
         max_steps=budgets.kb_max_steps)
     report = {
-        "schema": "burnside/kb-report/1",
+        "schema": "burnside/kb-report/2",
         "config": {
             "presentation": str(p),
             "max_rules": budgets.kb_max_rules,
@@ -249,21 +246,18 @@ def cmd_kb(args) -> int:
     }
     summary = (f"{'confluent' if system.confluent else 'budget-exhausted'}: "
                f"{len(system.rules)} rules\n")
-    if system.confluent:
-        count, stabilized = rewrite.count_normal_forms(
-            system, args.count_max_len)
-        if stabilized:
-            report["normal_forms"] = count
-            report["group_order"] = count
-            summary += f"normal forms: {count} (group order {count})\n"
-        else:
-            infinite = rewrite.language_infinite(system)
-            report["normal_forms_up_to_len"] = {
-                "max_len": args.count_max_len, "count": count}
-            report["group_infinite"] = infinite
-            summary += (f"normal forms up to length {args.count_max_len}: "
-                        f"{count}; language "
-                        f"{'infinite' if infinite else 'finite'}\n")
+    if system.confluent and rewrite.language_infinite(system):
+        count, _ = rewrite.count_normal_forms(system, args.count_max_len)
+        report["normal_forms_up_to_len"] = {
+            "max_len": args.count_max_len, "count": count}
+        report["group_infinite"] = True
+        summary += (f"normal forms up to length {args.count_max_len}: "
+                    f"{count}; language infinite\n")
+    elif system.confluent:
+        count, _ = rewrite.count_normal_forms(system)
+        report["normal_forms"] = count
+        report["group_order"] = count
+        summary += f"normal forms: {count} (group order {count})\n"
     _emit(report, summary, args)
     return EXIT_DEFINITIVE if system.confluent else EXIT_INCONCLUSIVE
 
@@ -366,7 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
     k = subs.add_parser("kb", help="Knuth-Bendix completion")
     k.add_argument("presentation", help="presentation file")
     k.add_argument("--count-max-len", type=int, default=24,
-                   help="census cutoff for the normal-form count")
+                   help="census cutoff for the normal-form count of an "
+                        "infinite language (a finite one is counted whole)")
     _budget_args(k)
     k.set_defaults(func=cmd_kb)
 

@@ -37,8 +37,6 @@ from __future__ import annotations
 
 from bisect import insort
 
-IMPLEMENTATION = "python"
-
 
 class RuleAutomaton:
     """Aho-Corasick automaton over the lhs of the active rules.
@@ -92,6 +90,11 @@ class RuleAutomaton:
             del self._ends[state]
         del self.fire[rule_id]
         self._rows = {}
+
+    @property
+    def num_states(self):
+        """Trie states, dead ones included."""
+        return len(self._children)
 
     def set_rhs(self, rule_id, rhs):
         """Replace the rhs of an active rule; no row depends on it."""

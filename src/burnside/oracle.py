@@ -15,12 +15,13 @@ For a word w in a presented group the cascade tries, in order:
 Every verdict carries machine-checkable evidence. Unknown is contagious
 by design: callers must treat it as "stop", never as "probably finite".
 
-StageContext caches the per-presentation artifacts (enumeration, the
-completed rewriting system, abelian data, certificate machinery) so a
-scan over many candidate words pays for them once. A context whose
-``known_infinite`` probe already proved the whole group infinite lets
-strategy 1 skip its enumeration: enumeration of an infinite group can
-never close, so the skip is outcome-equivalent.
+The cascade asks a StageContext, which builds each per-presentation
+artifact (enumeration, the completed rewriting system, abelian data,
+certificate machinery) on first use and keeps it, so a scan over many
+candidate words pays for them once and no caller prepares anything.
+Before strategy 1 the cascade runs the context's memoized whole-group
+infiniteness probe: enumeration of an infinite group can never close,
+so skipping it then is outcome-equivalent.
 
 The context also owns stage closure: it is the one place that runs a
 whole-stage coset enumeration (under any budget, reusing one table for
@@ -185,10 +186,6 @@ class StageContext:
 
     # -- whole-group infiniteness probes ----------------------------------
 
-    @property
-    def known_infinite(self) -> Optional[dict]:
-        return None if self._infinite is self._UNSET else self._infinite
-
     def infiniteness(self) -> Optional[dict]:
         """Evidence that the whole group is infinite, or None.
 
@@ -232,12 +229,7 @@ class StageContext:
         sys = self.kb()
         if not sys.confluent or rewrite.language_infinite(sys):
             return None
-        max_len = 16
-        while True:
-            count, stabilized = rewrite.count_normal_forms(sys, max_len)
-            if stabilized:
-                return count
-            max_len *= 2
+        return rewrite.count_normal_forms(sys)[0]
 
     def closure(self) -> Optional[Tuple[cosets.FiniteRealization, dict]]:
         """Prove the whole stage finite and realize it: (realization,
@@ -288,33 +280,23 @@ class StageContext:
             rank=self.presentation.rank, status="closed", num_cosets=order,
             defined_total=order, max_cosets=order, subgroup=(), rows=rows))
 
-    def prepare_for_scan(self):
-        """Build every cache that candidate evaluation reads, before the
-        scan's first candidate."""
-        self.infiniteness()
-        if self.known_infinite is None:
-            self.realization()
-        self.kb()
-        self.certifiers()
 
-
-def element_order(p: Presentation, w: Word, n_hint: int = 1,
-                  budgets=None, ctx: Optional[StageContext] = None,
+def element_order(ctx: StageContext, w: Word, n_hint: int = 1
                   ) -> OrderVerdict:
-    """Run the cascade on one word. n_hint scales the power search."""
-    if ctx is None:
-        ctx = StageContext(p, budgets)
+    """Run the cascade on one word of the context's stage. n_hint scales
+    the power search."""
     w = free_reduce(tuple(w))
     skipped = []
     if not w:
         return OrderVerdict("finite", 1, evidence={"strategy": "trivial-word"})
 
-    # strategy 1: full enumeration
-    if ctx.known_infinite is not None:
+    # strategy 1: full enumeration, unless the stage is proved infinite
+    probe = ctx.infiniteness()
+    if probe is not None:
         skipped.append({
             "strategy": "coset-closure",
             "reason": "stage proved infinite; enumeration cannot close",
-            "probe": ctx.known_infinite,
+            "probe": probe,
         })
     else:
         t = ctx.enumeration()

@@ -270,16 +270,22 @@ def format_rules(system: RewritingSystem) -> str:
     )
 
 
-def count_normal_forms(system: RewritingSystem, max_len: int):
+def count_normal_forms(system: RewritingSystem,
+                       max_len: Optional[int] = None):
     """Count irreducible words of length <= max_len; (count, stabilized).
 
     stabilized=True means some length had no normal forms at all, and
     since prefixes of irreducibles are irreducible there are none longer:
-    the count is then the group order.
+    the count is then the group order. The default max_len is the rule
+    automaton's state count: when ``language_infinite`` is false no
+    normal form's path repeats a state, so that count stabilizes.
     """
     if not system.confluent:
         raise ValueError("normal form counting needs a confluent system")
-    row = system._get_index().row
+    automaton = system._get_index()
+    if max_len is None:
+        max_len = automaton.num_states
+    row = automaton.row
     total = 1  # the empty word
     level = {0: 1}  # live state -> irreducible words of this length
     for _ in range(max_len):

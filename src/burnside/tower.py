@@ -138,7 +138,6 @@ def next_period(m: int, n: int, periods: Sequence[Word], budgets: Budgets,
         # stage neither provably infinite nor realizably finite: the scan
         # below will surface Unknown verdicts and halt honestly
 
-    ctx.prepare_for_scan()
     log: list = list(prior_log or ())
     examined = 0
     last_done: Optional[Word] = cursor
@@ -156,7 +155,7 @@ def next_period(m: int, n: int, periods: Sequence[Word], budgets: Budgets,
                 stage_probe=probe, examined=examined, log=log, cursor=last_done,
                 note=f"candidate budget {budgets.max_candidates} exhausted",
             )
-        v = oracle.element_order(p, w, n, budgets, ctx)
+        v = oracle.element_order(ctx, w, n)
         if v.kind == "unknown":
             return RankOutcome(
                 kind="inconclusive", rank=rank,
@@ -493,13 +492,12 @@ def audit_tower(result: TowerResult, budgets: Budgets) -> dict:
         p = tower_presentation(result.m, result.n,
                                result.periods[:outcome.rank - 1])
         ctx = oracle.StageContext(p, budgets)
-        ctx.infiniteness()  # a stage proved infinite skips its enumeration
         problems = []
         for entry in outcome.log:
             w = parse_word(entry["word"], result.m)
             if "filtered" in entry:
                 checks["filtered"] += 1
-                v = oracle.element_order(p, w, result.n, budgets, ctx)
+                v = oracle.element_order(ctx, w, result.n)
                 if v.kind != "finite":
                     problems.append((entry, f"filtered word got {v.kind}, "
                                      "expected finite"))

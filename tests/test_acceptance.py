@@ -5,6 +5,7 @@ slow stretch check (criterion 9) carries the `slow` marker so it can be
 deselected; everything else gates.
 """
 
+import hashlib
 import itertools
 import json
 import math
@@ -27,6 +28,22 @@ B23 = "gens 2\nrel aaa\nrel bbb\nrel ababab\nrel aBaBaB\n"
 # relators and greedily pruning while the order stays 4096
 B24_WORDS = ["a", "b", "ab", "aB", "aab", "abb", "aabb", "abaB", "abAb"]
 B24 = "gens 2\n" + "".join(f"rel {w * 4}\n" for w in B24_WORDS)
+
+
+# sha256 of report_to_json(build_report(...)) at default budgets: the
+# audited (2,2), (2,3) and (1,5) reports and the (2,4) checkpoint report.
+# Any change to a report byte outside `execution` moves a digest; a
+# deliberate one updates it here, with a CHANGES.md line.
+REPORT_SHA256 = {
+    (2, 2): "4b4ed181f64bf2a3abb38f219743ad7c637511f0c86716a864f684cddc027abf",
+    (2, 3): "4f0325eb57f0956b46add61e8ad5068028b4162c2fe6f4e1bd0cfd2e125ae2d6",
+    (1, 5): "df0d1cc057a1a8cd5574227580d1f0fc28101425cff2c9c557dbe94c25135dec",
+    (2, 4): "81ad0df9d0bcc290999b5a3c589387d8f5a9aa7db350cab3f6a3fe35118daaef",
+}
+
+
+def report_sha256(report: dict) -> str:
+    return hashlib.sha256(tower.report_to_json(report).encode()).hexdigest()
 
 
 def run_cli_json(argv, capsys):
@@ -195,6 +212,14 @@ def test_criterion_07c_quaternion_refuted():
     assert r.images is None
 
 
+@pytest.mark.parametrize("m, n", [(2, 2), (2, 3), (1, 5)])
+def test_audited_report_bytes_are_pinned(m, n):
+    b = tower.Budgets()
+    res = tower.run_tower(m, n, b)
+    rep = tower.build_report(res, b, audit=tower.audit_tower(res, b))
+    assert report_sha256(rep) == REPORT_SHA256[m, n]
+
+
 def test_criterion_08_center_is_small_n_divergence():
     res = tower.run_tower(2, 3)
     rep = tower.center_report(res)
@@ -206,6 +231,9 @@ def test_criterion_08_center_is_small_n_divergence():
 def test_criterion_09_stretch_n4(tmp_path):
     # tower: terminate at 4096 or checkpoint a resumable inconclusive state
     res = tower.run_tower(2, 4)
+    # today's checkpoint report, checkpoint included, byte for byte
+    assert report_sha256(tower.build_report(res, tower.Budgets())) == \
+        REPORT_SHA256[2, 4]
     if res.status is TowerStatus.TERMINATED_EQUALS_BURNSIDE:
         assert res.order == 4096
         check = tower.verify_period_orders(res)

@@ -53,8 +53,7 @@ def test_tower_json(capsys):
     assert rep["status"] == "terminated-equals-burnside"
     assert rep["periods"] == ["a", "b", "ab", "aB"]
     assert rep["result"]["order"] == 27
-    assert set(rep["execution"]) == {"timestamp", "elapsed_seconds",
-                                     "kernel_backend"}
+    assert set(rep["execution"]) == {"timestamp", "elapsed_seconds"}
 
 
 def test_tower_audit(capsys):
@@ -409,6 +408,26 @@ def test_kb_infinite_language(pres, capsys):
     code, out, _ = run(["kb", f], capsys)
     assert code == 0
     assert "language infinite" in out
+
+
+def test_kb_counts_a_finite_language_past_the_cutoff(pres, capsys):
+    # a^60 has normal forms up to length 30, beyond --count-max-len 24;
+    # a finite language is counted whole, so the report gives the order
+    code, out, _ = run(["--format", "json", "kb", pres("gens 1\nrel "
+                                                       + "a" * 60 + "\n")],
+                       capsys)
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["schema"] == "burnside/kb-report/2"
+    assert rep["confluent"]
+    assert (rep["normal_forms"], rep["group_order"]) == (60, 60)
+    assert "normal_forms_up_to_len" not in rep
+    assert "group_infinite" not in rep
+    code, out, _ = run(["--format", "json", "kb", pres(DINF),
+                        "--count-max-len", "3"], capsys)
+    rep = json.loads(out)
+    assert rep["normal_forms_up_to_len"] == {"max_len": 3, "count": 7}
+    assert rep["group_infinite"] is True
 
 
 def test_kb_budget_exhaustion(pres, capsys):

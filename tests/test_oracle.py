@@ -19,13 +19,13 @@ B23 = "gens 2\nrel aaa\nrel bbb\nrel ababab\nrel aBaBaB\n"
 DINF = "gens 2\nrel aa\nrel bb\n"
 
 
-def order_of(text, word, **kw):
-    p = P(text)
-    return oracle.element_order(p, parse_word(word, 2), **kw)
+def order_of(text, word, budgets=None):
+    ctx = oracle.StageContext(P(text), budgets)
+    return oracle.element_order(ctx, parse_word(word, 2))
 
 
 def test_trivial_word():
-    v = oracle.element_order(P(B23), ())
+    v = oracle.element_order(oracle.StageContext(P(B23)), ())
     assert v.finite and v.order == 1
     assert v.evidence["strategy"] == "trivial-word"
 
@@ -63,8 +63,8 @@ def test_infinite_stage_skips_closure():
     probe = ctx.infiniteness()
     assert probe is not None
     assert probe["probe"] == "kernel-abelianization-free-rank"
-    assert ctx.known_infinite is not None
-    v = oracle.element_order(P(DINF), parse_word("ab", 2), ctx=ctx)
+    assert ctx.infiniteness() is probe  # memoized, so the cascade reuses it
+    v = oracle.element_order(ctx, parse_word("ab", 2))
     assert v.infinite
     # closure was skipped with a recorded reason, not attempted and failed
     # (evidence lives on unknown verdicts; here the certificate resolves it)
@@ -92,7 +92,8 @@ def test_unknown_is_contagious_not_invented():
                      for w in ("a", "b", "ab", "aB", "aab", "abb"))
     p = P("gens 2\n" + rels + "\n")
     b = oracle.Budgets(oracle_max_cosets=2000, kb_max_steps=20000)
-    v = oracle.element_order(p, parse_word("aabb", 2), n_hint=4, budgets=b)
+    v = oracle.element_order(oracle.StageContext(p, b), parse_word("aabb", 2),
+                             n_hint=4)
     assert v.kind == "unknown"
     attempts = v.evidence["attempts"]
     names = [a["strategy"] for a in attempts]
@@ -112,17 +113,28 @@ def test_kb_power_strategy_on_small_budget():
 def test_n_hint_extends_power_search():
     # without the hint the power search stops too early for order 5
     p = P("gens 1\nrel aaaaa\n")
-    v = oracle.element_order(p, parse_word("a", 1), n_hint=5)
+    v = oracle.element_order(oracle.StageContext(p), parse_word("a", 1),
+                             n_hint=5)
     assert v.finite and v.order == 5
 
 
-def test_stage_context_caches_are_reused():
+def test_stage_context_caches_are_reused(monkeypatch):
+    calls = count_enumerations(monkeypatch)
     ctx = oracle.StageContext(P(B23))
-    ctx.prepare_for_scan()
-    v1 = oracle.element_order(P(B23), parse_word("a", 2), ctx=ctx)
-    v2 = oracle.element_order(P(B23), parse_word("ab", 2), ctx=ctx)
+    v1 = oracle.element_order(ctx, parse_word("a", 2))
+    v2 = oracle.element_order(ctx, parse_word("ab", 2))
     assert v1.order == 3 and v2.order == 3
     assert ctx.finite_stage_order() == 27
+    assert calls == [5000]  # one enumeration serves both words
+
+
+def test_infinite_stage_needs_no_warm_up(monkeypatch):
+    # the cascade runs the stage's infiniteness probe itself, so an
+    # infinite stage never enumerates, even on a context's first question
+    calls = count_enumerations(monkeypatch)
+    v = oracle.element_order(oracle.StageContext(P(DINF)), parse_word("ab", 2))
+    assert v.infinite
+    assert calls == []
 
 
 def test_closed_enumeration_serves_larger_budgets(monkeypatch):

@@ -64,28 +64,24 @@ def _emit(report: dict, text_summary: str, args) -> None:
             sys.stdout.write(f"report written to {args.output}\n")
 
 
-def _budget_args(sub):
-    sub.add_argument("--max-cosets", type=int, default=None,
-                     help="coset definition budget (oracle strategies)")
-    sub.add_argument("--stage-max-cosets", type=int, default=None,
-                     help="coset definition budget for whole-stage closure")
-    sub.add_argument("--kb-max-rules", type=int, default=None)
-    sub.add_argument("--kb-max-len", type=int, default=None)
-    sub.add_argument("--kb-max-steps", type=int, default=None)
-    sub.add_argument("--max-candidates", type=int, default=None)
-    sub.add_argument("--max-kernel-index", type=int, default=None)
+# the budget flags a subcommand reads; each flag's dest is its field name
+TOWER_BUDGETS = ("stage_max_cosets", "kb_max_rules", "kb_max_len",
+                 "kb_max_steps", "max_candidates", "max_kernel_index")
+ORDER_BUDGETS = tuple(b for b in TOWER_BUDGETS if b != "max_candidates")
+KB_BUDGETS = ("kb_max_rules", "kb_max_len", "kb_max_steps")
+
+
+def _budget_args(sub, names):
+    for name in names:
+        sub.add_argument(
+            "--" + name.replace("_", "-"), type=int, default=None,
+            help="coset definition budget for whole-stage closure"
+            if name == "stage_max_cosets" else None)
 
 
 def _budgets_from(args) -> oracle.Budgets:
     return oracle.Budgets.from_env(
-        oracle_max_cosets=getattr(args, "max_cosets", None),
-        stage_max_cosets=getattr(args, "stage_max_cosets", None),
-        kb_max_rules=getattr(args, "kb_max_rules", None),
-        kb_max_len=getattr(args, "kb_max_len", None),
-        kb_max_steps=getattr(args, "kb_max_steps", None),
-        max_candidates=getattr(args, "max_candidates", None),
-        max_kernel_index=getattr(args, "max_kernel_index", None),
-    )
+        **{name: getattr(args, name, None) for name in TOWER_BUDGETS})
 
 
 # --- tower -------------------------------------------------------------------
@@ -188,7 +184,7 @@ def cmd_order(args) -> int:
     budgets = _budgets_from(args)
     verdict = oracle.element_order(oracle.StageContext(p, budgets), w)
     report = {
-        "schema": "burnside/order-report/1",
+        "schema": "burnside/order-report/2",
         "config": {
             "presentation": str(p),
             "word": format_word(w, p.rank),
@@ -339,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--resume", help="tower checkpoint JSON to resume from")
     t.add_argument("--checkpoint", help="where to write a checkpoint if "
                                         "the run is inconclusive")
-    _budget_args(t)
+    _budget_args(t, TOWER_BUDGETS)
     t.set_defaults(func=cmd_tower)
 
     c = subs.add_parser("coset", help="coset enumeration over a subgroup")
@@ -354,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     o.add_argument("word", help="the element, e.g. abA or x1x2X1")
     o.add_argument("--certificate", help="write an infinite-order "
                                          "certificate here when one exists")
-    _budget_args(o)
+    _budget_args(o, ORDER_BUDGETS)
     o.set_defaults(func=cmd_order)
 
     k = subs.add_parser("kb", help="Knuth-Bendix completion")
@@ -362,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     k.add_argument("--count-max-len", type=int, default=24,
                    help="census cutoff for the normal-form count of an "
                         "infinite language (a finite one is counted whole)")
-    _budget_args(k)
+    _budget_args(k, KB_BUDGETS)
     k.set_defaults(func=cmd_kb)
 
     a = subs.add_parser("abelian", help="abelian invariants")

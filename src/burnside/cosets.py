@@ -35,7 +35,7 @@ class BudgetExhausted(Exception):
 
 
 class _Enumerator:
-    def __init__(self, p: Presentation, subgroup: Sequence[Word], max_cosets: int):
+    def __init__(self, p: Presentation, max_cosets: int):
         self.ns = p.num_symbols
         self.max_cosets = max_cosets
         self.table: List[List[int]] = [[-1] * self.ns]
@@ -220,7 +220,7 @@ def enumerate_cosets(p: Presentation, subgroup: Sequence[Word] = (),
     if max_cosets < 1:
         raise ValueError("max_cosets must be at least 1")
     subgroup = tuple(free_reduce(tuple(w)) for w in subgroup)
-    enum = _Enumerator(p, subgroup, max_cosets)
+    enum = _Enumerator(p, max_cosets)
     try:
         for g in subgroup:
             if g:

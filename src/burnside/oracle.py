@@ -2,8 +2,8 @@
 
 For a word w in a presented group the cascade tries, in order:
 
-1. full coset enumeration of the presentation (small per-strategy
-   budget): a closed table realizes the group and answers exactly;
+1. the stage's closure (``StageContext.closure``): a stage proved finite
+   and realized answers exactly;
 2. Knuth-Bendix within budget, then a power trace w, w^2, ... looking
    for a reduction to the empty word; a hit proves w^d = 1, and d is the
    exact order when the system is confluent or when some cached quotient
@@ -16,17 +16,16 @@ Every verdict carries machine-checkable evidence. Unknown is contagious
 by design: callers must treat it as "stop", never as "probably finite".
 
 The cascade asks a StageContext, which builds each per-presentation
-artifact (enumeration, the completed rewriting system, abelian data,
+artifact (closure, the completed rewriting system, abelian data,
 certificate machinery) on first use and keeps it, so a scan over many
 candidate words pays for them once and no caller prepares anything.
-Before strategy 1 the cascade runs the context's memoized whole-group
-infiniteness probe: enumeration of an infinite group can never close,
-so skipping it then is outcome-equivalent.
 
-The context also owns stage closure: it is the one place that runs a
-whole-stage coset enumeration (under any budget, reusing one table for
-every budget that table already decides), decides whether the stage
-closes, and realizes it (``closure``).
+The context also owns stage closure. It decides once, under
+``stage_max_cosets``, whether the stage is finite: a stage its memoized
+infiniteness probe proves infinite never enumerates, and otherwise one
+whole-stage coset enumeration, checked against the normal-form census,
+realizes it or leaves it open. The tower and the oracle read the same
+answer.
 """
 
 from __future__ import annotations
@@ -50,7 +49,6 @@ class Budgets:
     may be 0. A bad value raises ValueError at construction.
     """
 
-    oracle_max_cosets: int = 5000
     stage_max_cosets: int = 100_000
     kb_max_rules: int = rewrite.DEFAULT_MAX_RULES
     kb_max_len: int = rewrite.DEFAULT_MAX_LEN
@@ -124,43 +122,13 @@ class StageContext:
     def __init__(self, p: Presentation, budgets=None):
         self.presentation = p
         self.budgets = budgets if budgets is not None else Budgets()
-        self._enumeration: Optional[cosets.CosetTable] = None
-        self._realization: Optional[cosets.FiniteRealization] = None
         self._kb = None
         self._abelian = None
         self._certifiers: Optional[List[Tuple[str, subgrp.KernelCertifier]]] = None
         self._infinite = self._UNSET
+        self._closure = self._UNSET
 
     # -- cached artifacts --------------------------------------------------
-
-    def enumeration(self, max_cosets: Optional[int] = None
-                    ) -> cosets.CosetTable:
-        """Whole-group enumeration under ``max_cosets`` (default
-        ``oracle_max_cosets``).
-
-        Felsch is deterministic, so the cached table answers every budget
-        it already decides: a closed table any budget of at least its
-        ``defined_total``, an exhausted one any budget up to its own
-        ``max_cosets``. Any other budget runs again and replaces it.
-        """
-        if max_cosets is None:
-            max_cosets = self.budgets.oracle_max_cosets
-        t = self._enumeration
-        if t is None or (max_cosets < t.defined_total if t.closed
-                         else max_cosets > t.max_cosets):
-            t = cosets.enumerate_cosets(self.presentation, (), max_cosets)
-            self._enumeration = t
-            self._realization = None
-        return t
-
-    def realization(self, max_cosets: Optional[int] = None
-                    ) -> Optional[cosets.FiniteRealization]:
-        """The group realized by ``enumeration(max_cosets)``, or None when
-        that enumeration exhausts."""
-        t = self.enumeration(max_cosets)
-        if t.closed and self._realization is None:
-            self._realization = cosets.realize(t)
-        return self._realization if t.closed else None
 
     def kb(self) -> rewrite.RewritingSystem:
         if self._kb is None:
@@ -233,22 +201,30 @@ class StageContext:
 
     def closure(self) -> Optional[Tuple[cosets.FiniteRealization, dict]]:
         """Prove the whole stage finite and realize it: (realization,
-        closure record), or None when the stage does not close.
+        closure record), or None when the stage does not close. Memoized.
 
-        A normal-form census fixes the order when it can, and then the
-        enumeration only needs headroom near it; a closed table must agree
-        with the census, and an exhausted one leaves the census's own
-        normal-form table to realize the stage.
+        A stage the infiniteness probe proves infinite never closes, so it
+        is not enumerated. Otherwise a normal-form census fixes the order
+        when it can, and then the one enumeration only needs headroom near
+        it; a closed table must agree with the census, and an exhausted one
+        leaves the census's own normal-form table to realize the stage.
         """
+        if self._closure is self._UNSET:
+            self._closure = (None if self.infiniteness() is not None
+                             else self._close())
+        return self._closure
+
+    def _close(self) -> Optional[Tuple[cosets.FiniteRealization, dict]]:
         order = self.finite_stage_order()
         limit = self.budgets.stage_max_cosets
         if order is not None:
             limit = min(limit, 20 * order + 1000)
-        r = self.realization(limit)
-        if r is not None:
+        t = cosets.enumerate_cosets(self.presentation, (), limit)
+        if t.closed:
+            r = cosets.realize(t)
             if order is None:
                 return r, {"order": r.order, "method": "coset-closure",
-                           "cosets_defined": r.table.defined_total}
+                           "cosets_defined": t.defined_total}
             if r.order != order:
                 raise AssertionError(
                     f"normal-form census ({order}) disagrees with "
@@ -256,7 +232,7 @@ class StageContext:
                 )
             return r, {"order": order, "method": "kb-census",
                        "cross_check": "coset-closure",
-                       "cosets_defined": r.table.defined_total}
+                       "cosets_defined": t.defined_total}
         if order is None:
             return None
         return self._normal_form_realization(order), {
@@ -290,7 +266,15 @@ def element_order(ctx: StageContext, w: Word, n_hint: int = 1
     if not w:
         return OrderVerdict("finite", 1, evidence={"strategy": "trivial-word"})
 
-    # strategy 1: full enumeration, unless the stage is proved infinite
+    # strategy 1: the stage's closure, decided once per context
+    closed = ctx.closure()
+    if closed is not None:
+        r, record = closed
+        return OrderVerdict("finite", r.element_order(w), evidence={
+            "strategy": "coset-closure",
+            "group_order": r.order,
+            "closure": record,
+        })
     probe = ctx.infiniteness()
     if probe is not None:
         skipped.append({
@@ -299,18 +283,12 @@ def element_order(ctx: StageContext, w: Word, n_hint: int = 1
             "probe": probe,
         })
     else:
-        t = ctx.enumeration()
-        if t.closed:
-            r = ctx.realization()
-            d = r.element_order(w)
-            return OrderVerdict("finite", d, evidence={
-                "strategy": "coset-closure",
-                "group_order": r.order,
-                "cosets_defined": t.defined_total,
-            })
+        # a census order would have realized the stage, so the one
+        # enumeration ran at the full stage budget
         skipped.append({
             "strategy": "coset-closure",
-            "reason": f"budget {ctx.budgets.oracle_max_cosets} cosets exhausted",
+            "reason": "stage enumeration exhausted at "
+                      f"{ctx.budgets.stage_max_cosets} cosets",
         })
 
     # strategy 2: rewriting power trace

@@ -50,7 +50,11 @@ from .words import (
 PAPER_REGIME_EXPONENT = 2 ** 48
 
 CHECKPOINT_SCHEMA = "burnside/tower-checkpoint/1"
-REPORT_SCHEMA = "burnside/tower-report/2"
+REPORT_SCHEMA = "burnside/tower-report/3"
+# checkpoints written before tower-report/3 also store this budget; the
+# oracle reads the stage closure, which stage_max_cosets bounds, so a
+# resumed run drops it
+RETIRED_BUDGET = "oracle_max_cosets"
 
 
 FILTERS = ("not-cyclically-reduced", "proper-power")
@@ -125,18 +129,15 @@ def next_period(m: int, n: int, periods: Sequence[Word], budgets: Budgets,
     stage_relators = [format_word(r, m) for r in p.relators]
     ctx = oracle.StageContext(p, budgets)
     probe = ctx.infiniteness()
-
-    if probe is None:
-        # not provably infinite; the context tries to close the stage
-        closed = ctx.closure()
-        if closed is not None:
-            realization, closure = closed
-            return RankOutcome(
-                kind="closed", rank=rank, stage_relators=stage_relators,
-                realization=realization, closure=closure,
-            )
-        # stage neither provably infinite nor realizably finite: the scan
-        # below will surface Unknown verdicts and halt honestly
+    closed = ctx.closure()  # None when the probe proved the stage infinite
+    if closed is not None:
+        realization, closure = closed
+        return RankOutcome(
+            kind="closed", rank=rank, stage_relators=stage_relators,
+            realization=realization, closure=closure,
+        )
+    # a stage neither proved infinite nor closed leaves the scan below to
+    # surface Unknown verdicts and halt honestly
 
     log: list = list(prior_log or ())
     examined = 0
@@ -232,6 +233,10 @@ def run_tower(m: int, n: int, budgets: Optional[Budgets] = None,
         notes.append(f"resumed at rank {len(periods) + 1}")
         # the run's own budgets win; each difference gets a note
         had = saved.to_dict() if saved else {}
+        if RETIRED_BUDGET in resume.get("budgets", ()):
+            notes.append(f"checkpoint budget {RETIRED_BUDGET} dropped: the "
+                         "oracle reads the stage closure under "
+                         "stage_max_cosets")
         for name, now in budgets.to_dict().items():
             if had.get(name, now) != now:
                 notes.append(f"resumed with {name} {now} "
@@ -280,7 +285,8 @@ def run_tower(m: int, n: int, budgets: Optional[Budgets] = None,
 
 def _check_checkpoint(resume, m: int, n: int) -> Optional[Budgets]:
     """Reject a checkpoint run_tower cannot resume (m, n) from; return
-    its validated budgets, or None when it stores none."""
+    its validated budgets, or None when it stores none. A retired budget
+    is dropped."""
     if not isinstance(resume, dict) or \
             resume.get("schema") != CHECKPOINT_SCHEMA:
         raise ValueError("not a tower checkpoint")
@@ -306,8 +312,11 @@ def _check_checkpoint(resume, m: int, n: int) -> Optional[Budgets]:
                 f"checkpoint partial_log entry {i}: {e}") from None
     if "budgets" not in resume:
         return None
+    stored = resume["budgets"]
+    if isinstance(stored, dict):
+        stored = {k: v for k, v in stored.items() if k != RETIRED_BUDGET}
     try:  # TypeError: not a mapping, or an unknown field
-        return Budgets(**resume["budgets"])
+        return Budgets(**stored)
     except (TypeError, ValueError) as e:
         raise ValueError(f"checkpoint budgets: {e}") from None
 
@@ -420,7 +429,8 @@ def verify_independence(result: TowerResult, budgets: Budgets) -> dict:
         else:
             # a dependent relator leaves the order unchanged, so the
             # closure probe only needs headroom near the full order
-            t = ctx.enumeration(
+            t = cosets.enumerate_cosets(
+                ctx.presentation, (),
                 min(budgets.stage_max_cosets, 20 * full_order + 2000))
             if t.closed:
                 entry["evidence"] = {
@@ -473,7 +483,8 @@ def audit_tower(result: TowerResult, budgets: Budgets) -> dict:
 
     Finite(d): replay the proof that w^d = 1 (reducing w^d by the fresh
     completion when it fits in ``max_relator_letters``; otherwise, or if
-    that fails, the fresh enumeration if it closes) and pin exactness
+    that fails, the fresh context's stage closure, which enumerates under
+    ``stage_max_cosets``) and pin exactness
     against the terminal realization, where the image of w must have
     order exactly d (order in a quotient divides order in the stage
     divides d, so equality at the bottom forces equality).
@@ -509,8 +520,8 @@ def audit_tower(result: TowerResult, budgets: Budgets) -> dict:
                 # realization can re-prove d
                 if d * len(w) > budgets.max_relator_letters or \
                         ctx.kb().reduce(w * d) != ():
-                    r = ctx.realization()
-                    if r is None or r.element_order(w) != d:
+                    closed = ctx.closure()
+                    if closed is None or closed[0].element_order(w) != d:
                         problems.append(
                             (entry, f"could not re-prove order {d}"))
                 if terminal is not None and terminal.element_order(w) != d:

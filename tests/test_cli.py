@@ -49,7 +49,7 @@ def test_tower_json(capsys):
                        capsys)
     assert code == 0
     rep = json.loads(out)
-    assert rep["schema"] == "burnside/tower-report/2"
+    assert rep["schema"] == "burnside/tower-report/3"
     assert rep["status"] == "terminated-equals-burnside"
     assert rep["periods"] == ["a", "b", "ab", "aB"]
     assert rep["result"]["order"] == 27
@@ -74,8 +74,6 @@ def test_tower_reports_are_deterministic_across_runs(capsys):
 
 
 @pytest.mark.parametrize("argv, env, named", [
-    (["tower", "-m", "2", "-n", "3", "--max-cosets", "-5"], {},
-     "oracle_max_cosets"),
     (["tower", "-m", "2", "-n", "3", "--kb-max-rules", "-1"], {},
      "kb_max_rules"),
     (["tower", "-m", "2", "-n", "3", "--max-candidates", "-3"], {},
@@ -87,8 +85,18 @@ def test_tower_reports_are_deterministic_across_runs(capsys):
     (["tower", "-m", "2", "-n", "3"], {"BURNSIDE_MAX_CANDIDATES": "abc"},
      "BURNSIDE_MAX_CANDIDATES"),
     (["tower", "-m", "2", "-n", "3", "--jobs", "2"], {}, "--jobs"),
-], ids=["max-cosets", "kb-max-rules", "max-candidates", "max-kernel-index",
-        "env-max-ranks", "env-not-an-int", "jobs-flag-gone"])
+    (["tower", "-m", "2", "-n", "3", "--max-cosets", "5"], {},
+     "--max-cosets"),
+    (["kb", "PRES", "--max-candidates", "1"], {}, "--max-candidates"),
+    (["kb", "PRES", "--stage-max-cosets", "1"], {}, "--stage-max-cosets"),
+    (["kb", "PRES", "--max-kernel-index", "1"], {}, "--max-kernel-index"),
+    (["order", "PRES", "ab", "--max-candidates", "1"], {},
+     "--max-candidates"),
+], ids=["kb-max-rules", "max-candidates", "max-kernel-index",
+        "env-max-ranks", "env-not-an-int", "jobs-flag-gone",
+        "max-cosets-flag-gone", "kb-max-candidates-gone",
+        "kb-stage-max-cosets-gone", "kb-max-kernel-index-gone",
+        "order-max-candidates-gone"])
 def test_bad_budgets_exit_1(argv, env, named, pres, monkeypatch, capsys):
     for var, value in env.items():
         monkeypatch.setenv(var, value)
@@ -391,6 +399,8 @@ def test_order_json_verdict(pres, capsys):
     code, out, _ = run(["--format", "json", "order", f, "ab"], capsys)
     assert code == 0
     rep = json.loads(out)
+    assert rep["schema"] == "burnside/order-report/2"
+    assert "oracle_max_cosets" not in rep["config"]["budgets"]
     assert rep["verdict"]["order"] == 3
     assert rep["verdict"]["verdict"] == "finite"
 

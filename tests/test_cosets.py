@@ -212,7 +212,7 @@ def _buckets_by_every_rotation(p):
 
 def test_enumerator_buckets_one_rotation_per_period():
     p = P("gens 1\nrel " + "a" * 40000 + "\n")
-    enum = cosets._Enumerator(p, (), 10)
+    enum = cosets._Enumerator(p, 10)
     assert [len(b) for b in enum.rot_buckets] == [1, 1]
     assert enum.rot_buckets[0][0] == (0,) * 40000
 
@@ -230,7 +230,7 @@ def test_enumerator_buckets_match_every_rotation():
             p = Presentation(rank, tuple(relators))
         except ValueError:  # a relator reduced to the empty word
             continue
-        assert cosets._Enumerator(p, (), 10).rot_buckets == \
+        assert cosets._Enumerator(p, 10).rot_buckets == \
             _buckets_by_every_rotation(p), relators
 
 

@@ -91,7 +91,7 @@ def test_unknown_is_contagious_not_invented():
     rels = "\n".join("rel " + w * 4
                      for w in ("a", "b", "ab", "aB", "aab", "abb"))
     p = P("gens 2\n" + rels + "\n")
-    b = oracle.Budgets(oracle_max_cosets=2000, kb_max_steps=20000)
+    b = oracle.Budgets(stage_max_cosets=2000, kb_max_steps=20000)
     v = oracle.element_order(oracle.StageContext(p, b), parse_word("aabb", 2),
                              n_hint=4)
     assert v.kind == "unknown"
@@ -103,11 +103,15 @@ def test_unknown_is_contagious_not_invented():
 
 
 def test_kb_power_strategy_on_small_budget():
-    # deny the closure strategy enough cosets so the cascade falls through
-    b = oracle.Budgets(oracle_max_cosets=5)
-    v = order_of(B23, "ab", budgets=b)
+    # a stage that neither closes within five cosets nor completes within
+    # 200 steps falls through to the power trace, pinned by the quotient
+    b = oracle.Budgets(stage_max_cosets=5, kb_max_steps=200)
+    ctx = oracle.StageContext(P(B23), b)
+    v = oracle.element_order(ctx, parse_word("ab", 2))
+    assert ctx.closure() is None
     assert v.finite and v.order == 3
     assert v.evidence["strategy"] == "kb-power"
+    assert v.evidence["exactness"] == "quotient-match"
 
 
 def test_n_hint_extends_power_search():
@@ -125,7 +129,9 @@ def test_stage_context_caches_are_reused(monkeypatch):
     v2 = oracle.element_order(ctx, parse_word("ab", 2))
     assert v1.order == 3 and v2.order == 3
     assert ctx.finite_stage_order() == 27
-    assert calls == [5000]  # one enumeration serves both words
+    # one enumeration serves both words, with headroom near the census
+    # order: 20 * 27 + 1000 cosets
+    assert calls == [1540]
 
 
 def test_infinite_stage_needs_no_warm_up(monkeypatch):
@@ -137,43 +143,8 @@ def test_infinite_stage_needs_no_warm_up(monkeypatch):
     assert calls == []
 
 
-def test_closed_enumeration_serves_larger_budgets(monkeypatch):
-    calls = count_enumerations(monkeypatch)
-    ctx = oracle.StageContext(P(B23))
-    t = ctx.enumeration(100)
-    assert t.closed and t.defined_total == 27
-    assert ctx.enumeration() is t  # oracle_max_cosets, 5000
-    assert ctx.enumeration(27) is t
-    assert ctx.enumeration(10**6) is t
-    r = ctx.realization(50)
-    assert r.order == 27 and ctx.realization() is r
-    assert calls == [100]
-
-
-def test_budget_below_a_closed_table_runs_again(monkeypatch):
-    calls = count_enumerations(monkeypatch)
-    ctx = oracle.StageContext(P(B23))
-    assert ctx.realization(100).order == 27
-    t = ctx.enumeration(26)
-    assert not t.closed and t.max_cosets == 26
-    assert ctx.realization(26) is None
-    assert calls == [100, 26]
-
-
-def test_exhausted_enumeration_serves_smaller_budgets(monkeypatch):
-    calls = count_enumerations(monkeypatch)
-    ctx = oracle.StageContext(P(B23))
-    t = ctx.enumeration(20)
-    assert not t.closed
-    assert ctx.enumeration(20) is t
-    assert ctx.enumeration(1) is t
-    assert calls == [20]
-    assert ctx.enumeration(21) is not t
-    assert calls == [20, 21]
-
-
 @pytest.mark.parametrize("field, value", [
-    ("oracle_max_cosets", -1),
+    ("stage_max_cosets", -1),
     ("max_candidates", 0),
     ("max_ranks", True),
     ("kb_max_len", 2.0),

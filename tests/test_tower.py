@@ -8,14 +8,14 @@ import time
 
 import pytest
 
-from burnside import cosets, oracle, tower
+from burnside import oracle, tower
 from burnside.presentation import TowerStatus, tower_presentation
 from burnside.words import parse_word
 from support import count_enumerations
 
 
 def small_budgets(**kw):
-    base = dict(oracle_max_cosets=5000, stage_max_cosets=100_000)
+    base = dict(stage_max_cosets=100_000)
     base.update(kw)
     return tower.Budgets(**base)
 
@@ -205,6 +205,43 @@ def test_resume_notes_each_budget_that_differs():
     assert not any(n.startswith("resumed with") for n in same.notes)
 
 
+# a checkpoint as runs before tower-report/3 wrote it: its budgets still
+# carry oracle_max_cosets, the oracle's own coset budget
+OLD_CHECKPOINT = {
+    "schema": "burnside/tower-checkpoint/1",
+    "order": "shortlex:index-major,plain-before-inverse",
+    "m": 2, "n": 3,
+    "budgets": {
+        "independence_candidates": 64, "kb_max_len": 64,
+        "kb_max_rules": 20000, "kb_max_steps": 1000000,
+        "max_candidates": 2, "max_kernel_index": 2048, "max_ranks": 64,
+        "max_relator_letters": 1048576, "oracle_max_cosets": 5000,
+        "stage_max_cosets": 100000,
+    },
+    "periods": ["a"],
+    "cursor": "A",
+    "partial_log": [
+        {"order": 3, "strategy": "kb-power", "verdict": "finite",
+         "word": "a"},
+        {"order": 3, "strategy": "kb-power", "verdict": "finite",
+         "word": "A"},
+    ],
+}
+
+
+def test_resume_drops_the_retired_oracle_budget():
+    res = tower.run_tower(2, 3, resume=copy.deepcopy(OLD_CHECKPOINT))
+    assert res.status is TowerStatus.TERMINATED_EQUALS_BURNSIDE
+    assert res.period_texts() == ["a", "b", "ab", "aB"]
+    assert res.order == 27
+    assert res.notes == [
+        "resumed at rank 2",
+        "checkpoint budget oracle_max_cosets dropped: the oracle reads the "
+        "stage closure under stage_max_cosets",
+        "resumed with max_candidates 10000 (checkpoint had 2)",
+    ]
+
+
 def test_resume_rejects_mismatched_checkpoint():
     res = tower.run_tower(2, 3, budgets=small_budgets(max_candidates=2))
     cp = res.checkpoint
@@ -302,48 +339,55 @@ def test_audit_catches_a_tampered_log(tamper, problems):
     assert audit["agreement"] == f"{len(problems)} disagreement(s)"
 
 
-def test_audit_falls_back_to_the_stage_enumeration():
-    # the last rank logs aB as finite by coset closure, but a completion
-    # stopped at 200 steps does not reduce aB^3, so only the fresh
-    # stage's realization can re-prove the order
-    b = tower.Budgets(stage_max_cosets=10, kb_max_steps=200,
-                      max_candidates=6)
-    res = tower.run_tower(2, 3, b)
+def test_audit_falls_back_to_the_stage_enumeration(monkeypatch):
+    # the last rank logs aB as finite by a 300-step completion; the audit's
+    # completion stops at 200 steps and does not reduce aB^3, so only the
+    # fresh stage's closure, under the audit's stage_max_cosets, can
+    # re-prove the order
+    run = tower.Budgets(stage_max_cosets=10, kb_max_steps=300,
+                        max_candidates=6)
+    res = tower.run_tower(2, 3, run)
     assert _log_entry(res, 5, "aB") == {
         "word": "aB", "verdict": "finite", "order": 3,
-        "strategy": "coset-closure"}
-    ctx = oracle.StageContext(tower_presentation(2, 3, res.periods), b)
+        "strategy": "kb-power"}
+    short = dataclasses.replace(run, kb_max_steps=200)
+    ctx = oracle.StageContext(tower_presentation(2, 3, res.periods), short)
     assert ctx.kb().reduce(parse_word("aB", 2) * 3) != ()
-    audit = tower.audit_tower(res, b)
+    # ten cosets do not close the order-27 stage
+    assert [(d["word"], d["problem"])
+            for d in tower.audit_tower(res, short)["disagreements"]] == [
+        ("aB", "could not re-prove order 3")]
+    calls = count_enumerations(monkeypatch)
+    audit = tower.audit_tower(
+        res, dataclasses.replace(short, stage_max_cosets=100))
     assert audit["agreement"] == "100%"
+    assert calls == [100]  # the infinite stages of ranks 1-4 never enumerate
     assert sum(audit["checks"].values()) == sum(len(r.log) for r in res.ranks)
 
 
 @pytest.mark.parametrize("stage, calls", [
-    (10, [10, 20]),  # a smaller stage run proves nothing about 20 cosets
+    (10, [10]),
     (20, [20]),
     (25, [25]),
 ])
 def test_oracle_reuses_an_exhausted_stage_enumeration(monkeypatch, stage,
                                                       calls):
-    # B(2,3) has 27 elements, so every run here exhausts; the oracle must
-    # still cite its own budget of 20 cosets
-    budgets = []
-    enumerate_cosets = cosets.enumerate_cosets
-
-    def counted(p, subgroup=(), max_cosets=cosets.DEFAULT_MAX_COSETS):
-        budgets.append(max_cosets)
-        return enumerate_cosets(p, subgroup, max_cosets)
-
-    monkeypatch.setattr(cosets, "enumerate_cosets", counted)
-    b = tower.Budgets(stage_max_cosets=stage, oracle_max_cosets=20,
-                      kb_max_steps=200, max_candidates=6)
-    periods = [parse_word(t, 2) for t in ("a", "b", "ab", "aB")]
-    out = tower.next_period(2, 3, periods, b)
-    assert budgets == calls
-    assert out.note == "oracle returned Unknown for aB"
-    assert out.unknown_evidence["attempts"][0] == {
-        "strategy": "coset-closure", "reason": "budget 20 cosets exhausted"}
+    # B(2,3) has 27 elements and a 300-step completion is not confluent,
+    # so the rank-5 stage stays open under every budget here. The oracle
+    # must read that one open closure: an oracle that closed the stage
+    # under a budget of its own would log Finite "coset-closure" verdicts
+    # for a stage the tower left open, and halt on the candidate budget
+    seen = count_enumerations(monkeypatch)
+    res = tower.run_tower(2, 3, tower.Budgets(stage_max_cosets=stage,
+                                              kb_max_steps=300))
+    assert seen == calls
+    last = res.ranks[-1]
+    assert (last.rank, last.kind) == (5, "inconclusive")
+    assert not any(e.get("strategy") == "coset-closure" for e in last.log)
+    assert last.note == "oracle returned Unknown for abaB"
+    assert last.unknown_evidence["attempts"][0] == {
+        "strategy": "coset-closure",
+        "reason": f"stage enumeration exhausted at {stage} cosets"}
 
 
 def test_long_cyclic_stage_closes_by_coset_closure():

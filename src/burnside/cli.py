@@ -79,9 +79,10 @@ def _budget_args(sub, names):
             if name == "stage_max_cosets" else None)
 
 
-def _budgets_from(args) -> oracle.Budgets:
+def _budgets_from(args, names=None) -> oracle.Budgets:
+    # flags over the BURNSIDE_* variables of names (tower reads them all)
     return oracle.Budgets.from_env(
-        **{name: getattr(args, name, None) for name in TOWER_BUDGETS})
+        names, **{name: getattr(args, name, None) for name in TOWER_BUDGETS})
 
 
 # --- tower -------------------------------------------------------------------
@@ -181,7 +182,7 @@ def cmd_order(args) -> int:
     w = parse_word(args.word, p.rank)
     if not w:
         raise _CliError("word must be nonempty (it reduced to the identity)")
-    budgets = _budgets_from(args)
+    budgets = _budgets_from(args, ORDER_BUDGETS)
     verdict = oracle.element_order(oracle.StageContext(p, budgets), w)
     report = {
         "schema": "burnside/order-report/2",
@@ -223,7 +224,7 @@ def cmd_kb(args) -> int:
     if args.count_max_len < 0:
         raise _CliError("--count-max-len must be at least 0")
     p = load_presentation(args.presentation)
-    budgets = _budgets_from(args)
+    budgets = _budgets_from(args, KB_BUDGETS)
     system = rewrite.complete_presentation(
         p, max_rules=budgets.kb_max_rules, max_len=budgets.kb_max_len,
         max_steps=budgets.kb_max_steps)

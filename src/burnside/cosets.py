@@ -2,11 +2,14 @@
 
 The enumerator defines cosets one table gap at a time and immediately
 propagates every new table entry through all cyclic conjugates of the
-relators (bucketed by first letter), so the table stays deduction-closed
-at all times. Coincidences collapse through a union-find whose roots are
-the lowest live coset numbers; coset 0 (the subgroup itself) can never
-die. The run either closes, yielding the exact coset table, or exhausts
-its definition budget.
+relators (bucketed by first letter), so the table is deduction-closed
+whenever a coset is defined. A new edge a -x-> b is scanned once, from
+a: the conjugates are closed under inversion, so every relator cycle
+through the edge leaves a along x in one of them, and the closure does
+not depend on the order of the scans. Coincidences collapse through a
+union-find whose roots are the lowest live coset numbers; coset 0 (the
+subgroup itself) can never die. The run either closes, yielding the
+exact coset table, or exhausts its definition budget.
 
 Everything downstream that says "order" or "trace" sits on a closed
 table: a closed table over the trivial subgroup is the regular action of
@@ -120,8 +123,8 @@ class _Enumerator:
 
     # -- scanning --------------------------------------------------------
 
-    def scan(self, a: int, word: Word, fill: bool = False):
-        """Trace the cycle a -word-> a, deducing or defining as allowed."""
+    def fill(self, a: int, word: Word):
+        """Trace the cycle a -word-> a, defining cosets until it closes."""
         f = a
         i = 0
         b = a
@@ -134,10 +137,6 @@ class _Enumerator:
                     break
                 f = d
                 i += 1
-            if i > j:
-                if f != b:
-                    self.coincidence(f, b)
-                return
             while j >= i:
                 d = table[b][word[j] ^ 1]
                 if d == -1:
@@ -145,31 +144,50 @@ class _Enumerator:
                 b = d
                 j -= 1
             if j < i:
-                self.coincidence(f, b)
+                if f != b:
+                    self.coincidence(f, b)
                 return
             if j == i:
                 self.set_entry(f, word[i], b)
                 return
-            if not fill:
-                return
             self.define(f, word[i])
 
     def process_deductions(self):
-        while self.deductions:
-            a, x = self.deductions.pop()
-            if self.alive(a) and self.table[a][x] != -1:
-                for w in self.rot_buckets[x]:
-                    if not self.alive(a):
-                        break
-                    self.scan(a, w)
-            if not self.alive(a):
+        # Scan each new edge a -x-> once, from a, along the conjugates that
+        # start with x (see the module docstring), from w[1] on. A
+        # coincidence moves a dead row's entries to its root, so row[x]
+        # stays defined while a lives.
+        table, p, deductions = self.table, self.p, self.deductions
+        buckets = self.rot_buckets
+        while deductions:
+            a, x = deductions.pop()
+            row = table[a]
+            if p[a] != a or row[x] == -1:
                 continue
-            b = self.table[a][x]
-            if b != -1 and self.alive(b):
-                for w in self.rot_buckets[x ^ 1]:
-                    if not self.alive(b):
+            for w in buckets[x]:
+                f, i, b, j = row[x], 1, a, len(w) - 1
+                assert f != -1, "a coincidence vacated a live entry"
+                while i <= j:
+                    d = table[f][w[i]]
+                    if d == -1:
                         break
-                    self.scan(b, w)
+                    f = d
+                    i += 1
+                while j >= i:
+                    d = table[b][w[j] ^ 1]
+                    if d == -1:
+                        break
+                    b = d
+                    j -= 1
+                if j == i:
+                    y = w[i]
+                    table[f][y] = b
+                    table[b][y ^ 1] = f
+                    deductions.append((f, y))
+                elif j < i and f != b:
+                    self.coincidence(f, b)
+                    if p[a] != a:
+                        break
 
     def run(self):
         a = 0
@@ -224,7 +242,7 @@ def enumerate_cosets(p: Presentation, subgroup: Sequence[Word] = (),
     try:
         for g in subgroup:
             if g:
-                enum.scan(0, g, fill=True)
+                enum.fill(0, g)
                 enum.process_deductions()
         enum.run()
     except BudgetExhausted:

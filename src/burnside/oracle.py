@@ -43,7 +43,8 @@ from .words import Word, free_reduce
 @dataclass
 class Budgets:
     """Every knob that bounds work. All overridable via CLI flags or
-    BURNSIDE_<NAME> environment variables (ints), for CI.
+    BURNSIDE_<NAME> environment variables (ints), for CI; a subcommand
+    reads only the variables of the budgets it takes.
 
     Each field must be an int of at least 1; ``independence_candidates``
     may be 0. A bad value raises ValueError at construction.
@@ -70,14 +71,16 @@ class Budgets:
                                  f"got {value}")
 
     @classmethod
-    def from_env(cls, **overrides) -> "Budgets":
+    def from_env(cls, names=None, **overrides) -> "Budgets":
+        """Read BURNSIDE_<NAME> for each budget in names (all by default),
+        then apply the overrides that are not None."""
         values = {}
-        for f in fields(cls):
-            var = f"BURNSIDE_{f.name.upper()}"
+        for name in names or [f.name for f in fields(cls)]:
+            var = f"BURNSIDE_{name.upper()}"
             text = os.environ.get(var)
             if text is not None:
                 try:
-                    values[f.name] = int(text)
+                    values[name] = int(text)
                 except ValueError:
                     raise ValueError(f"{var} must be an integer, "
                                      f"got {text!r}") from None

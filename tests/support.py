@@ -31,6 +31,58 @@ def count_enumerations(monkeypatch) -> list:
     return budgets
 
 
+class TwoSidedEnumerator(cosets._Enumerator):
+    """Reference for cosets._Enumerator.process_deductions: the same
+    Felsch run with each new edge a -x-> b scanned twice, from a along
+    every conjugate starting with x and again from b along every one
+    starting with x^-1. Results must agree exactly."""
+
+    def scan(self, a, word):
+        """Trace the cycle a -word-> a, deducing where one gap is left."""
+        f = a
+        i = 0
+        b = a
+        j = len(word) - 1
+        table = self.table
+        while i <= j:
+            d = table[f][word[i]]
+            if d == -1:
+                break
+            f = d
+            i += 1
+        if i > j:
+            if f != b:
+                self.coincidence(f, b)
+            return
+        while j >= i:
+            d = table[b][word[j] ^ 1]
+            if d == -1:
+                break
+            b = d
+            j -= 1
+        if j < i:
+            self.coincidence(f, b)
+        elif j == i:
+            self.set_entry(f, word[i], b)
+
+    def process_deductions(self):
+        while self.deductions:
+            a, x = self.deductions.pop()
+            if self.alive(a) and self.table[a][x] != -1:
+                for w in self.rot_buckets[x]:
+                    if not self.alive(a):
+                        break
+                    self.scan(a, w)
+            if not self.alive(a):
+                continue
+            b = self.table[a][x]
+            if b != -1 and self.alive(b):
+                for w in self.rot_buckets[x ^ 1]:
+                    if not self.alive(b):
+                        break
+                    self.scan(b, w)
+
+
 def mat_mul(A: list, B: list) -> list:
     if not A:
         return []

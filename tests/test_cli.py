@@ -111,6 +111,24 @@ def test_bad_budgets_exit_1(argv, env, named, pres, monkeypatch, capsys):
                for line in err.splitlines())
 
 
+@pytest.mark.parametrize("argv, var", [
+    (["kb", "PRES"], "BURNSIDE_MAX_CANDIDATES"),
+    (["kb", "PRES"], "BURNSIDE_STAGE_MAX_COSETS"),
+    (["order", "PRES", "ab"], "BURNSIDE_MAX_CANDIDATES"),
+    (["order", "PRES", "ab"], "BURNSIDE_MAX_RANKS"),
+])
+def test_unread_budget_variables_are_ignored(argv, var, pres, monkeypatch,
+                                             capsys):
+    # a subcommand reads the variables of the budgets it takes, no others
+    argv = [pres(B23) if a == "PRES" else a for a in argv]
+    monkeypatch.setenv(var, "abc")
+    code, _, err = run(argv, capsys)
+    assert code == 0 and err == ""
+    monkeypatch.setenv("BURNSIDE_KB_MAX_STEPS", "abc")
+    code, _, err = run(argv, capsys)
+    assert code == 1 and "BURNSIDE_KB_MAX_STEPS must be an integer" in err
+
+
 def test_coset_max_cosets_zero_is_rejected(pres, capsys):
     code, _, err = run(["coset", pres(B23), "--max-cosets", "0"], capsys)
     assert code == 1

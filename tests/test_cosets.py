@@ -8,12 +8,14 @@ import pytest
 from burnside import cosets
 from burnside.presentation import Presentation, parse_presentation
 from support import (
+    TwoSidedEnumerator,
     center_by_rows,
     conjugacy_by_rows,
     element_row,
     multiplication_table,
 )
-from burnside.words import format_word, invert, parse_word
+from burnside.words import (cyclic_reduce, format_word, free_reduce, invert,
+                            parse_word)
 
 
 def P(text):
@@ -254,3 +256,125 @@ def test_defined_total_counts_collapses():
     # enumeration may define more cosets than survive
     t = cosets.enumerate_cosets(P(B23), (), 5000)
     assert t.defined_total >= t.num_cosets
+
+
+# the periods of the (2,3) and (2,4) towers, in the order they are found;
+# a stage is presented by the n-th powers of a prefix
+TOWER_PERIODS = {3: ("a", "b", "ab", "aB"),
+                 4: ("a", "b", "ab", "aB", "aab", "abb")}
+B24_WORDS = TOWER_PERIODS[4] + ("aabb", "abaB", "abAb")
+
+
+def powers(words, n):
+    return P("gens 2\n" + "".join(f"rel {w * n}\n" for w in words))
+
+
+def enumerate_both(p, subgroup, max_cosets, monkeypatch):
+    """The enumeration, checked against the two-sided reference scan."""
+    got = cosets.enumerate_cosets(p, subgroup, max_cosets)
+    with monkeypatch.context() as m:
+        m.setattr(cosets, "_Enumerator", TwoSidedEnumerator)
+        want = cosets.enumerate_cosets(p, subgroup, max_cosets)
+    assert (got.status, got.num_cosets, got.defined_total, got.rows) == \
+        (want.status, want.num_cosets, want.defined_total, want.rows)
+    return got
+
+
+@pytest.mark.parametrize("n, k", [(3, k) for k in range(1, 5)]
+                         + [(4, k) for k in range(1, 7)])
+def test_one_sided_scan_matches_on_tower_stages(n, k, monkeypatch):
+    t = enumerate_both(powers(TOWER_PERIODS[n][:k], n), (), 8000,
+                       monkeypatch)
+    assert t.closed == ((n, k) == (3, 4))
+
+
+@pytest.mark.parametrize("subgroup", ["", "a", "ab", "a,b", "aB,abb"])
+@pytest.mark.parametrize("n, words, order", [(3, TOWER_PERIODS[3], 27),
+                                             (4, B24_WORDS, 4096)])
+def test_one_sided_scan_matches_on_burnside_groups(n, words, order, subgroup,
+                                                   monkeypatch):
+    gens = [parse_word(g, 2) for g in subgroup.split(",") if g]
+    t = enumerate_both(powers(words, n), gens, cosets.DEFAULT_MAX_COSETS,
+                       monkeypatch)
+    assert t.closed and order % t.num_cosets == 0
+
+
+def random_power_presentation(rng):
+    rank = rng.choice((1, 2, 2, 3))
+    relators = []
+    count = rng.randint(1, 4)
+    while len(relators) < count:
+        base = tuple(rng.randrange(2 * rank) for _ in range(rng.randint(1, 4)))
+        base = cyclic_reduce(free_reduce(base))[0]
+        if base:
+            relators.append(base * rng.randint(2, 5))
+    return Presentation(rank, tuple(relators))
+
+
+def test_one_sided_scan_matches_on_random_power_words(monkeypatch):
+    rng = random.Random(13)
+    seen = set()
+    for _ in range(60):
+        p = random_power_presentation(rng)
+        subgroup = ()
+        if rng.random() < 0.3:
+            subgroup = (tuple(rng.randrange(p.num_symbols)
+                              for _ in range(rng.randint(1, 3))),)
+        t = enumerate_both(p, subgroup, rng.choice((200, 1000, 3000, 8000)),
+                           monkeypatch)
+        seen.add(t.status)
+        if t.closed and t.defined_total > t.num_cosets:
+            seen.add("coincidence")
+    assert seen == {"closed", "exhausted", "coincidence"}
+
+
+def test_exact_felsch_counts():
+    t = cosets.enumerate_cosets(powers(B24_WORDS, 4))
+    assert (t.status, t.num_cosets, t.defined_total) == ("closed", 4096, 5022)
+    t = cosets.enumerate_cosets(powers(TOWER_PERIODS[4], 4), (), 20_000)
+    assert (t.status, t.num_cosets, t.defined_total) == \
+        ("exhausted", 19_802, 20_000)
+
+
+def test_coincidences_keep_every_live_entry(monkeypatch):
+    # the deduction scan relies on this: a new edge's source keeps its
+    # entry through every coincidence met while its conjugates are scanned
+    coincidence = cosets._Enumerator.coincidence
+    calls = []
+
+    def entries(enum):
+        return [(c, y, row[y]) for c, row in enumerate(enum.table)
+                if enum.p[c] == c for y in range(enum.ns) if row[y] != -1]
+
+    def checked(enum, a, b):
+        before = entries(enum)
+        coincidence(enum, a, b)
+        calls.append((a, b))
+        for c, y, _ in before:
+            assert enum.p[c] != c or enum.table[c][y] != -1
+        for c, y, d in entries(enum):
+            assert enum.p[d] == d and enum.table[d][y ^ 1] == c
+
+    monkeypatch.setattr(cosets._Enumerator, "coincidence", checked)
+    # coprime powers of one letter collapse whole cycles as they close
+    t = cosets.enumerate_cosets(P("gens 2\nrel bbbbb\nrel bbbbbb\n"
+                                  "rel babababa\n"), (), 300)
+    assert (t.status, t.num_cosets, t.defined_total) == ("closed", 4, 40)
+    t = cosets.enumerate_cosets(P("gens 2\nrel " + "b" * 10 + "\nrel bbb\n"),
+                                (), 300)
+    assert (t.status, t.num_cosets) == ("exhausted", 102)
+    assert len(calls) > 100
+
+
+def test_a_vacated_source_entry_stops_the_run(monkeypatch):
+    # were a coincidence to clear the entry a deduction scan starts from,
+    # the scan would read row -1; it asserts instead
+    coincidence = cosets._Enumerator.coincidence
+
+    def vacating(enum, a, b):
+        coincidence(enum, a, b)
+        enum.table[0][0] = -1
+
+    monkeypatch.setattr(cosets._Enumerator, "coincidence", vacating)
+    with pytest.raises(AssertionError, match="vacated"):
+        cosets.enumerate_cosets(P("gens 1\nrel a\nrel aa\n"), (), 10)

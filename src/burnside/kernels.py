@@ -23,9 +23,18 @@ run instead of rebuilding it after every rule change:
   adds states but changes no match.
 - Transition rows and failure links are filled on first use, walking
   failure chains iteratively from the nearest filled state.
-- Rows depend only on the active lhs, so an insert or a retire drops the
-  filled rows in O(1) by swapping in an empty row table. ``set_rhs`` (a
-  rhs renormalized by interreduction) needs no invalidation at all.
+- A rule change drops only the rows it can alter. The row of the state
+  for string S depends only on the trie nodes and the active lhs that
+  are suffixes of Sx, for each letter x. Inserting an lhs L whose first
+  k letters were already in the trie adds the nodes L[:i] for i > k and
+  a rule at L, and L[:i] is a suffix of Sx only if S ends in L[:i-1].
+  So the insert drops the rows of the states whose string ends in
+  L[:j], for j from min(k, |L| - 1) to |L| - 1, and a retire those
+  ending in L[:-1]. The filled states' reversed paths, kept sorted,
+  make each such suffix one bisect range. The kept rows are closed
+  under suffixes, so a kept row's failure chain stays filled and the
+  failure links of its children stay valid. ``set_rhs`` (a rhs
+  renormalized by interreduction) alters no row at all.
 
 A row maps letter ``x`` to the next state, or to ``~r`` when rule ``r``
 fires there: that state is dead, since no irreducible word reaches it.
@@ -35,7 +44,11 @@ automaton that the census functions in ``rewrite`` walk.
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_left, insort
+
+# one ``chr`` per letter in the reversed trie paths, so the letters stop
+# where the code points do
+MAX_SYMBOLS = 0x110000
 
 
 class RuleAutomaton:
@@ -49,9 +62,13 @@ class RuleAutomaton:
     """
 
     __slots__ = ("num_symbols", "fire", "_children", "_fail", "_ends",
-                 "_node", "_rows")
+                 "_node", "_rows", "_path", "_filled")
 
     def __init__(self, num_symbols):
+        if num_symbols > MAX_SYMBOLS:
+            raise ValueError(f"the rule automaton handles at most "
+                             f"{MAX_SYMBOLS} letters (one code point per "
+                             f"letter), got {num_symbols}")
         self.num_symbols = num_symbols
         self.fire = {}
         self._children = [{}]  # trie edges per state
@@ -59,6 +76,8 @@ class RuleAutomaton:
         self._ends = {}        # state -> sorted ids of active rules ending there
         self._node = {}        # rule id -> the state its lhs ends at
         self._rows = {}        # state -> filled row, for the current lhs set
+        self._path = [""]      # state -> its trie path reversed, one chr a letter
+        self._filled = []      # (path, state) of each filled row, sorted
 
     def insert(self, rule_id, lhs, rhs):
         """Add rule ``rule_id``: ``lhs -> rhs``."""
@@ -67,19 +86,26 @@ class RuleAutomaton:
         if rule_id in self.fire:
             raise ValueError(f"rule {rule_id} is already active")
         children = self._children
+        path = self._path
+        prefixes = []         # the state of each proper prefix of lhs
+        first = len(lhs) - 1  # the shortest of them whose rows can change
         state = 0
-        for x in lhs:
+        for i, x in enumerate(lhs):
+            prefixes.append(state)
             nxt = children[state].get(x)
             if nxt is None:
+                first = min(first, i)
                 nxt = len(children)
                 children[state][x] = nxt
                 children.append({})
                 self._fail.append(0)
+                path.append(chr(x) + path[state])
             state = nxt
         insort(self._ends.setdefault(state, []), rule_id)
         self._node[rule_id] = state
         self.fire[rule_id] = (len(lhs) - 1, tuple(reversed(rhs)))
-        self._rows = {}
+        for s in prefixes[first:]:
+            self._drop(path[s])
 
     def retire(self, rule_id):
         """Withdraw rule ``rule_id``; its trie path stays."""
@@ -89,7 +115,19 @@ class RuleAutomaton:
         if not ids:
             del self._ends[state]
         del self.fire[rule_id]
-        self._rows = {}
+        self._drop(self._path[state][1:])
+
+    def _drop(self, tail):
+        """Drop the filled rows of the states whose string ends in
+        ``tail``, given reversed like the paths: their paths start with
+        it."""
+        filled = self._filled
+        rows = self._rows
+        lo = end = bisect_left(filled, (tail,))
+        while end < len(filled) and filled[end][0].startswith(tail):
+            del rows[filled[end][1]]
+            end += 1
+        del filled[lo:end]
 
     @property
     def num_states(self):
@@ -118,6 +156,8 @@ class RuleAutomaton:
         children = self._children
         fail = self._fail
         ends = self._ends
+        path = self._path
+        filled = self._filled
         for s in reversed(chain):
             row = list(rows[fail[s]]) if s else [0] * self.num_symbols
             for x, c in children[s].items():
@@ -132,6 +172,7 @@ class RuleAutomaton:
                         r = ids[0]
                 row[x] = c if r < 0 else ~r
             rows[s] = row
+            insort(filled, (path[s], s))
         return row
 
 

@@ -11,9 +11,11 @@ lhs length among the active rules, and a pop takes the group's next
 pair. Pairs still come out one at a time in shortest-first order, and
 the step budget charges every generated pair arithmetically when its
 rule is added, so the order, the count and any partial system are those
-of a heap that holds every pair. Interreduction tests containment on
-``str`` copies of the rules, one code point per letter, which bounds the
-rank at ``MAX_RANK``.
+of a heap that holds every pair. Interreduction visits, in id order,
+only the active rules whose lhs is at least as long as the new lhs: a
+shortlex rhs is never longer than its lhs, so no other rule can contain
+it. It tests containment on ``str`` copies of the rules, one code point
+per letter, which bounds the rank at ``MAX_RANK``.
 
 A confluent system decides the word problem: reduce() is then a
 canonical form. Non-confluent systems remain sound (reduce(w) is always
@@ -102,9 +104,10 @@ def rules_from_presentation(p: Presentation) -> RewritingSystem:
     return RewritingSystem(p.rank, rules, confluent=False)
 
 
-# One ``chr`` per letter in the string shadows of the rules, and letters
-# run up to 2 * rank - 1, so the rank stops where the code points do.
-MAX_RANK = 0x110000 // 2
+# One ``chr`` per letter in the string shadows of the rules, as in the
+# automaton's reversed paths, and letters run up to 2 * rank - 1, so the
+# rank stops where the code points do.
+MAX_RANK = kernels.MAX_SYMBOLS // 2
 
 
 def _check_rank(rank: int) -> None:
@@ -143,7 +146,7 @@ def knuth_bendix(system: RewritingSystem,
     # serve interreduction's factor tests and the overlap tests
     active: dict = {}
     by_len: dict = {}  # lhs length -> ids of every rule ever added, in order
-    live_by_len: dict = {}  # lhs length -> number of active rules
+    live_by_len: dict = {}  # lhs length -> ids of the active rules
     generated = 0
     max_rule_len = 0
     heap: list = []  # (cost, seq, rid, ids, pos, end): pairs pos..end-1
@@ -178,12 +181,16 @@ def knuth_bendix(system: RewritingSystem,
         max_rule_len = max(max_rule_len, size)
         automaton.insert(rid, lhs, rhs)
         # interreduce: retire rules whose lhs now reduces, requeueing their
-        # equation; renormalize rhs of the rest in place
+        # equation; renormalize rhs of the rest in place. A rhs is never
+        # longer than its lhs, so only a rule with an lhs of at least
+        # ``size`` letters can hold the new lhs
         key = _text(lhs)
-        for oid, (olhs, orhs, olhs_text, orhs_text) in list(active.items()):
+        for oid in sorted([oid for length, ids in live_by_len.items()
+                           if length >= size for oid in ids]):
+            olhs, orhs, olhs_text, orhs_text = active[oid]
             if key in olhs_text:
                 del active[oid]
-                live_by_len[len(olhs)] -= 1
+                live_by_len[len(olhs)].remove(oid)
                 automaton.retire(oid)
                 equations.append((olhs, orhs))
             elif key in orhs_text:
@@ -192,7 +199,7 @@ def knuth_bendix(system: RewritingSystem,
                 automaton.set_rhs(oid, orhs)
         active[rid] = (lhs, rhs, key, _text(rhs))
         by_len.setdefault(size, []).append(rid)
-        live_by_len[size] = live_by_len.get(size, 0) + 1
+        live_by_len.setdefault(size, set()).add(rid)
         # generating a pair is a step too: otherwise the queue grows
         # quadratically in max_rules before the step budget can act
         count = 2 * len(active)

@@ -232,12 +232,29 @@ def _contains_factor(big, small) -> bool:
     return any(big[i:i + n] == small for i in range(len(big) - n + 1))
 
 
+class DropAllAutomaton(kernels.RuleAutomaton):
+    """Reference for kernels.RuleAutomaton: every insert and retire drops
+    every filled row, so each row is filled against the current lhs set."""
+
+    __slots__ = ()
+
+    def insert(self, rule_id, lhs, rhs):
+        super().insert(rule_id, lhs, rhs)
+        self._drop("")
+
+    def retire(self, rule_id):
+        super().retire(rule_id)
+        self._drop("")
+
+
 def knuth_bendix_eager(system, max_rules=rewrite.DEFAULT_MAX_RULES,
                        max_len=rewrite.DEFAULT_MAX_LEN,
                        max_steps=rewrite.DEFAULT_MAX_STEPS):
     """Reference for rewrite.knuth_bendix: the same completion with every
-    critical pair pushed onto the heap as it is generated, and factor
-    tests by a slice loop over tuples. Results must agree exactly."""
+    critical pair pushed onto the heap as it is generated, interreduction
+    over every active rule by a slice loop over tuples, and an automaton
+    that drops every filled row on a rule change. Results must agree
+    exactly."""
     num_symbols = 2 * system.rank
     rules: dict = {}
     active: set = set()
@@ -250,7 +267,7 @@ def knuth_bendix_eager(system, max_rules=rewrite.DEFAULT_MAX_RULES,
     steps = 0
 
     # one live automaton over the active rules for the whole completion
-    automaton = kernels.build_index((), num_symbols)
+    automaton = DropAllAutomaton(num_symbols)
 
     def current_reduce(w):
         return kernels.reduce_word(automaton, w)

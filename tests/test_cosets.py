@@ -253,9 +253,12 @@ def test_csv_export_shape():
 
 
 def test_defined_total_counts_collapses():
-    # enumeration may define more cosets than survive
-    t = cosets.enumerate_cosets(P(B23), (), 5000)
-    assert t.defined_total >= t.num_cosets
+    # b^5 = b^6 = 1 forces b = 1 only through coincidences, so the
+    # enumeration defines more cosets than survive
+    t = cosets.enumerate_cosets(P("gens 2\nrel bbbbb\nrel bbbbbb\n"
+                                  "rel babababa\n"), (), 5000)
+    assert t.closed and t.num_cosets == 4
+    assert t.defined_total > t.num_cosets
 
 
 # the periods of the (2,3) and (2,4) towers, in the order they are found;

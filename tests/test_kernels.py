@@ -4,9 +4,11 @@ The Aho-Corasick automaton is checked against the bucket-scan reducer
 below, which fires, at each appended letter, the first rule in rule order
 whose lhs is a suffix of the output. A live automaton, edited by inserts,
 retires and rhs updates, must reduce exactly as a fresh one built over
-its active rules.
+its active rules, and every row it keeps across an edit must equal the
+row of an automaton built afresh from the same edits.
 """
 
+import itertools
 import random
 
 import pytest
@@ -236,13 +238,71 @@ def _random_rhs(rng, lhs):
             return rhs
 
 
+def _paths(automaton):
+    """Each trie state's path, found by walking the trie edges."""
+    paths = {0: ()}
+    stack = [0]
+    while stack:
+        s = stack.pop()
+        for x, c in automaton._children[s].items():
+            paths[c] = paths[s] + (x,)
+            stack.append(c)
+    return paths
+
+
+def _fresh_rows(history):
+    """The row of every live state of an automaton built afresh from
+    ``history`` (the same edits, so the same trie with the same retired
+    paths, and no row filled before the last edit), keyed by path, with
+    next states given as paths."""
+    fresh = kernels.build_index((), 4)
+    for op, *args in history:
+        getattr(fresh, op)(*args)
+    paths = _paths(fresh)
+    rows = {}
+    seen = {0}
+    stack = [0]
+    while stack:
+        s = stack.pop()
+        row = fresh.row(s)
+        rows[paths[s]] = [paths[t] if t >= 0 else t for t in row]
+        for t in row:
+            if t >= 0 and t not in seen:
+                seen.add(t)
+                stack.append(t)
+    return rows
+
+
+def _check_rows(live, history):
+    """Every row ``live`` holds for a live state equals the fresh row at
+    the same path; returns how many it holds. (A dead state's row is
+    unreachable until a retire revives it, and is checked from then on.)"""
+    want = _fresh_rows(history)
+    paths = _paths(live)
+    held = 0
+    for s, row in live._rows.items():
+        path = paths[s]
+        if path in want:
+            got = [paths[t] if t >= 0 else t for t in row]
+            assert got == want[path], (history, path)
+            held += 1
+    return held
+
+
+def _fill_rows(live):
+    """Fill the row of every live state up to depth 4."""
+    for w in itertools.product(range(4), repeat=4):
+        kernels.reduce_word(live, w)
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_live_automaton_matches_fresh_build(seed):
     rng = random.Random(seed)
     live = kernels.build_index((), 4)
     active = {}  # rule id -> (lhs, rhs)
     next_id = 0
-    ops = []
+    history = []
+    kept = {"insert": 0, "retire": 0}  # rows held right after such an edit
     shapes = set()
     for step in range(40):
         op = rng.random()
@@ -255,30 +315,92 @@ def test_live_automaton_matches_fresh_build(seed):
                 rule_id += 1
             next_id = max(next_id, rule_id + 1)
             lhs, rhs = _random_rule(rng, active)
-            live.insert(rule_id, lhs, rhs)
+            history.append(("insert", rule_id, lhs, rhs))
             active[rule_id] = (lhs, rhs)
-            ops.append("insert")
         elif op < 0.8:
             rule_id = rng.choice(sorted(active))
-            live.retire(rule_id)
+            history.append(("retire", rule_id))
             del active[rule_id]
-            ops.append("retire")
         else:
             rule_id = rng.choice(sorted(active))
             lhs = active[rule_id][0]
             rhs = _random_rhs(rng, lhs)
-            live.set_rhs(rule_id, rhs)
+            history.append(("set_rhs", rule_id, rhs))
             active[rule_id] = (lhs, rhs)
-            ops.append("set_rhs")
+        op, *args = history[-1]
+        getattr(live, op)(*args)
+        held = _check_rows(live, history)
+        if op in kept:
+            kept[op] += held
         rules = [active[i] for i in sorted(active)]
         shapes |= _lhs_shapes([lhs for lhs, _ in rules])
         fresh = kernels.build_index(rules, 4)
         for w in random_raw_words(2, 500, 12, seed=1000 * seed + step):
             got = kernels.reduce_word(live, w)
-            assert got == kernels.reduce_word(fresh, w), (ops, w)
-            assert got == bucket_scan_reduce(rules, 4, w), (ops, w)
-    assert {"insert", "retire", "set_rhs"} <= set(ops)
+            assert got == kernels.reduce_word(fresh, w), (history, w)
+            assert got == bucket_scan_reduce(rules, 4, w), (history, w)
+        _check_rows(live, history)
+    assert {op for op, *_ in history} == {"insert", "retire", "set_rhs"}
     assert shapes == {"duplicate", "nested"}
+    # an edit keeps the rows it cannot alter
+    assert kept["insert"] and kept["retire"]
+
+
+def _edit_and_check(live, history, op, *args):
+    """Apply one edit, then check the kept rows and the refilled ones."""
+    history.append((op, *args))
+    getattr(live, op)(*args)
+    held = _check_rows(live, history)
+    _fill_rows(live)
+    _check_rows(live, history)
+    return held
+
+
+def test_insert_with_a_new_first_letter_drops_every_row():
+    live, history = kernels.build_index((), 4), []
+    _edit_and_check(live, history, "insert", 0, (0, 0), ())
+    # the first letter has a trie edge: the root's row stays
+    _edit_and_check(live, history, "insert", 1, (0, 2, 2), (1,))
+    assert 0 in live._rows
+    # it has none: a new node one letter deep can end any string, so
+    # every row drops
+    history.append(("insert", 2, (2, 2, 2), ()))
+    live.insert(2, (2, 2, 2), ())
+    assert not live._rows
+    _fill_rows(live)
+    _check_rows(live, history)
+
+
+def test_lhs_extending_a_path_through_a_retired_node():
+    live, history = kernels.build_index((), 4), []
+    _edit_and_check(live, history, "insert", 0, (0, 2, 0), ())
+    _edit_and_check(live, history, "retire", 0)
+    assert kernels.reduce_word(live, (0, 2, 0)) == (0, 2, 0)
+    _edit_and_check(live, history, "insert", 1, (0, 2, 0, 2), (3,))
+    assert kernels.reduce_word(live, (1, 0, 2, 0, 2)) == (1, 3)
+
+
+def test_retire_hands_the_match_to_a_higher_id():
+    # 102 and its suffix 02 both match after 10; the lower id fires
+    live, history = kernels.build_index((), 4), []
+    _edit_and_check(live, history, "insert", 0, (1, 0, 2), (3,))
+    _edit_and_check(live, history, "insert", 5, (0, 2), (2,))
+    assert kernels.reduce_word(live, (1, 0, 2)) == (3,)
+    _edit_and_check(live, history, "retire", 0)
+    assert kernels.reduce_word(live, (1, 0, 2)) == (1, 2)
+
+
+def test_retire_revives_a_dead_state():
+    # 20 fires inside 0202, so the state for 020 is dead until it retires
+    live, history = kernels.build_index((), 4), []
+    _edit_and_check(live, history, "insert", 0, (2, 0), (0,))
+    _edit_and_check(live, history, "insert", 1, (0, 2, 0, 2), ())
+    paths = _paths(live)
+    assert (0, 2, 0) not in {paths[s] for s in live._rows}
+    _edit_and_check(live, history, "retire", 0)
+    paths = _paths(live)
+    assert (0, 2, 0) in {paths[s] for s in live._rows}
+    assert kernels.reduce_word(live, (0, 2, 0, 2, 2)) == (2,)
 
 
 def _lhs_shapes(lhs):

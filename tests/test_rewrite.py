@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from burnside import cosets, rewrite
+from burnside import cosets, kernels, rewrite
 from burnside.presentation import (
     Presentation,
     parse_presentation,
@@ -264,18 +264,36 @@ def test_lazy_pairs_match_eager_completion():
                     ("max_rules", None), ("max_len", None)}
 
 
+# transition rows each completion below may fill, 18,000 in all: a rule
+# change drops only the rows it can alter (3,218, 4,903 and 5,909 rows
+# are filled), where dropping every row refilled 359,724
+MAX_ROW_FILLS = {5: 4000, 6: 6500, 7: 7500}
+
+
 @pytest.mark.parametrize("rank, stats", [
     (5, (1002, 986, 1000001)),
     (6, (1090, 937, 1000002)),
     (7, (1193, 837, 1000002)),
 ])
-def test_n4_stage_completion_stats(rank, stats):
+def test_n4_stage_completion_stats(rank, stats, monkeypatch):
+    fills = 0
+    row = kernels.RuleAutomaton.row
+
+    def counted(automaton, state):
+        nonlocal fills
+        before = len(automaton._rows)
+        out = row(automaton, state)
+        fills += len(automaton._rows) - before
+        return out
+
+    monkeypatch.setattr(kernels.RuleAutomaton, "row", counted)
     periods = [parse_word(t, 2) for t in TOWER_PERIODS[4].split()]
     system = rewrite.complete_presentation(
         tower_presentation(2, 4, periods[:rank - 1]))
     got = system.stats
     assert (got["rules_generated"], got["rules_active"], got["steps"]) == stats
     assert got["budget_hit"] == "max_steps"
+    assert 0 < fills < MAX_ROW_FILLS[rank]
 
 
 def test_completion_rank_is_bounded_by_the_code_points(monkeypatch):
@@ -286,10 +304,18 @@ def test_completion_rank_is_bounded_by_the_code_points(monkeypatch):
     big = Presentation(rewrite.MAX_RANK + 1, ((0,),))
     with pytest.raises(ValueError, match=str(rewrite.MAX_RANK)):
         rewrite.complete_presentation(big)
-    with pytest.raises(ValueError, match=str(rewrite.MAX_RANK)):
-        rewrite.knuth_bendix(rewrite.RewritingSystem(rewrite.MAX_RANK + 1))
+    # a letter past the code points fails the rank check, not chr() in
+    # the string shadows or the automaton's reversed paths
+    y = 2 * rewrite.MAX_RANK + 1
+    past = rewrite.RewritingSystem(rewrite.MAX_RANK + 1, [((y, y), ())])
+    with pytest.raises(ValueError, match=f"handles rank at most "
+                                         f"{rewrite.MAX_RANK} "):
+        rewrite.knuth_bendix(past)
+    with pytest.raises(ValueError, match="one code point per letter"):
+        past.reduce((y,))
     # the last letter of the largest rank still has a code point
     x = 2 * rewrite.MAX_RANK - 1
     system = rewrite.knuth_bendix(
         rewrite.RewritingSystem(rewrite.MAX_RANK, [((x, x), ())]))
     assert system.confluent and system.rules == [((x, x), ())]
+

@@ -16,12 +16,20 @@ table: a closed table over the trivial subgroup is the regular action of
 the group on itself, so element orders, conjugacy and the center are all
 plain permutation computations here, and where coset 0 goes already
 decides an element.
+
+A ``Prefetch`` runs one whole-presentation enumeration ahead of need in
+a forked child process, so it can use a second core while its owner
+works on something else. ``enumerate_cosets`` takes the child's table
+only when it equals what the call would compute itself; otherwise it
+discards the child and enumerates in the caller, so the answer, and any
+error, is the same either way.
 """
 
 from __future__ import annotations
 
 import io
 import math
+import os
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, List, Optional, Sequence
@@ -216,7 +224,6 @@ class CosetTable:
     status: str  # "closed" | "exhausted"
     num_cosets: int
     defined_total: int
-    max_cosets: int
     subgroup: tuple = ()
     rows: Optional[list] = field(default=None, repr=False)
 
@@ -233,11 +240,20 @@ class CosetTable:
 
 
 def enumerate_cosets(p: Presentation, subgroup: Sequence[Word] = (),
-                     max_cosets: int = DEFAULT_MAX_COSETS) -> CosetTable:
-    """Felsch enumeration of the cosets of <subgroup> in the presented group."""
+                     max_cosets: int = DEFAULT_MAX_COSETS,
+                     prefetch: Optional[Prefetch] = None) -> CosetTable:
+    """Felsch enumeration of the cosets of <subgroup> in the presented group.
+
+    Over the trivial subgroup, a ``prefetch`` whose child already ran
+    this enumeration hands its table over instead (see ``Prefetch.take``).
+    """
     if max_cosets < 1:
         raise ValueError("max_cosets must be at least 1")
     subgroup = tuple(free_reduce(tuple(w)) for w in subgroup)
+    if prefetch is not None and not subgroup:
+        table = prefetch.take(p, max_cosets)
+        if table is not None:
+            return table
     enum = _Enumerator(p, max_cosets)
     try:
         for g in subgroup:
@@ -248,8 +264,7 @@ def enumerate_cosets(p: Presentation, subgroup: Sequence[Word] = (),
     except BudgetExhausted:
         return CosetTable(
             rank=p.rank, status="exhausted", num_cosets=enum.live_count(),
-            defined_total=enum.defined_total, max_cosets=max_cosets,
-            subgroup=subgroup,
+            defined_total=enum.defined_total, subgroup=subgroup,
         )
     # compact live cosets in definition order
     live = [c for c in range(len(enum.p)) if enum.p[c] == c]
@@ -262,11 +277,95 @@ def enumerate_cosets(p: Presentation, subgroup: Sequence[Word] = (),
         rows.append([renum[enum.rep(d)] for d in row])
     table = CosetTable(
         rank=p.rank, status="closed", num_cosets=len(live),
-        defined_total=enum.defined_total, max_cosets=max_cosets,
-        subgroup=subgroup, rows=rows,
+        defined_total=enum.defined_total, subgroup=subgroup, rows=rows,
     )
     _validate_closed(p, table)
     return table
+
+
+class Prefetch:
+    """At most one whole-presentation enumeration, run ahead of need in a
+    forked child process, so a second core can work on it meanwhile.
+
+    The child runs ``enumerate_cosets(p, (), max_cosets)`` and sends its
+    table back through a pipe, pickled; it reports no error, because a
+    failed child only makes the parent enumerate itself. The owner calls
+    ``close`` in a ``finally``. POSIX only (``os.fork``), and the process
+    must run no other threads.
+    """
+
+    def __init__(self):
+        self._job = None  # (presentation, max_cosets, pid, pipe read end)
+
+    @property
+    def presentation(self) -> Optional[Presentation]:
+        """The presentation the child enumerates, or None."""
+        return self._job[0] if self._job is not None else None
+
+    def start(self, p: Presentation, max_cosets: int):
+        """Enumerate p's cosets at max_cosets in a child; a child already
+        running another job is killed first."""
+        if self._job is not None and self._job[:2] == (p, max_cosets):
+            return
+        self.close()
+        import pickle  # here, not at module load: only a forking run pays
+
+        read, write = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # the child exits 0 only once the whole table is sent
+            status = 1
+            try:
+                os.close(read)
+                data = pickle.dumps(enumerate_cosets(p, (), max_cosets),
+                                    pickle.HIGHEST_PROTOCOL)
+                with open(write, "wb") as pipe:
+                    pipe.write(data)
+                status = 0
+            finally:
+                # skips the parent's exit handlers and buffered output; an
+                # error leaves the enumeration, and its report, to the parent
+                os._exit(status)
+        os.close(write)
+        self._job = (p, max_cosets, pid, read)
+
+    def take(self, p: Presentation, max_cosets: int) -> Optional[CosetTable]:
+        """The child's table if it is what ``enumerate_cosets(p, (),
+        max_cosets)`` would return, else None; either way the child is
+        gone. For the same presentation this waits for the child. A run
+        with a larger budget closes identically within a smaller one when
+        it defined no more cosets than that: Felsch reads its budget only
+        when it reaches it."""
+        if self._job is None or self._job[0] != p:
+            self.close()
+            return None
+        _, budget, _, read = self._job
+        with open(read, "rb", closefd=False) as pipe:
+            data = pipe.read()  # until the child exits
+        if self._reap(kill=False) != 0:
+            return None
+        import pickle
+
+        table = pickle.loads(data)
+        if budget == max_cosets or (table.closed
+                                    and table.defined_total <= max_cosets):
+            return table
+        return None
+
+    def close(self):
+        """Kill and reap the child, if there is one."""
+        if self._job is not None:
+            self._reap(kill=True)
+
+    def _reap(self, kill: bool) -> int:
+        _, _, pid, read = self._job
+        if kill:
+            import signal
+
+            os.kill(pid, signal.SIGKILL)
+        _, status = os.waitpid(pid, 0)
+        self._job = None
+        os.close(read)
+        return os.waitstatus_to_exitcode(status)
 
 
 def _validate_closed(p: Presentation, t: CosetTable):

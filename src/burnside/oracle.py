@@ -122,12 +122,15 @@ class StageContext:
 
     _UNSET = object()
 
-    def __init__(self, p: Presentation, budgets=None):
+    def __init__(self, p: Presentation, budgets=None,
+                 prefetch: Optional[cosets.Prefetch] = None):
         self.presentation = p
         self.budgets = budgets if budgets is not None else Budgets()
+        self.prefetch = prefetch  # may hold the stage enumeration
         self._kb = None
         self._abelian = None
         self._certifiers: Optional[List[Tuple[str, subgrp.KernelCertifier]]] = None
+        self._quotient_probe = self._UNSET
         self._infinite = self._UNSET
         self._closure = self._UNSET
 
@@ -157,42 +160,49 @@ class StageContext:
 
     # -- whole-group infiniteness probes ----------------------------------
 
-    def infiniteness(self) -> Optional[dict]:
-        """Evidence that the whole group is infinite, or None.
+    def quotient_probe(self) -> Optional[dict]:
+        """Evidence from the quotients alone that the whole group is
+        infinite, or None. Memoized; runs no completion.
 
         Probes, cheapest first: free rank of the abelianization; free
-        rank of the abelianized kernel of the torsion quotient; for a
-        confluent rewriting system, a cycle in the normal-form automaton
-        (exact in that case). All three are sound outright.
+        rank of the abelianized kernel of a rung of the quotient ladder.
+        Both are sound outright.
         """
-        if self._infinite is not self._UNSET:
-            return self._infinite
-        evidence = None
+        if self._quotient_probe is self._UNSET:
+            self._quotient_probe = self._probe_quotients()
+        return self._quotient_probe
+
+    def _probe_quotients(self) -> Optional[dict]:
         ab = self.abelian()
         if ab.free_rank > 0:
-            evidence = {
-                "probe": "abelianization-free-rank",
-                "free_rank": ab.free_rank,
-            }
-        if evidence is None:
-            for name, certifier in self.certifiers():
-                if certifier.kernel_free_rank > 0:
-                    evidence = {
-                        "probe": "kernel-abelianization-free-rank",
+            return {"probe": "abelianization-free-rank",
+                    "free_rank": ab.free_rank}
+        for name, certifier in self.certifiers():
+            if certifier.kernel_free_rank > 0:
+                return {"probe": "kernel-abelianization-free-rank",
                         "quotient": name,
                         "kernel_index": certifier.action.size,
-                        "free_rank": certifier.kernel_free_rank,
+                        "free_rank": certifier.kernel_free_rank}
+        return None
+
+    def infiniteness(self) -> Optional[dict]:
+        """Evidence that the whole group is infinite, or None. Memoized.
+
+        The quotient probe first; then, for a confluent rewriting system,
+        a cycle in the normal-form automaton (exact in that case, and
+        sound outright).
+        """
+        if self._infinite is self._UNSET:
+            evidence = self.quotient_probe()
+            if evidence is None:
+                sys = self.kb()
+                if sys.confluent and rewrite.language_infinite(sys):
+                    evidence = {
+                        "probe": "normal-form-automaton-cycle",
+                        "rules": len(sys.rules),
                     }
-                    break
-        if evidence is None:
-            sys = self.kb()
-            if sys.confluent and rewrite.language_infinite(sys):
-                evidence = {
-                    "probe": "normal-form-automaton-cycle",
-                    "rules": len(sys.rules),
-                }
-        self._infinite = evidence
-        return evidence
+            self._infinite = evidence
+        return self._infinite
 
     def finite_stage_order(self) -> Optional[int]:
         """Exact group order when the confluent system has a finite
@@ -222,7 +232,8 @@ class StageContext:
         limit = self.budgets.stage_max_cosets
         if order is not None:
             limit = min(limit, 20 * order + 1000)
-        t = cosets.enumerate_cosets(self.presentation, (), limit)
+        t = cosets.enumerate_cosets(self.presentation, (), limit,
+                                    prefetch=self.prefetch)
         if t.closed:
             r = cosets.realize(t)
             if order is None:
@@ -257,7 +268,7 @@ class StageContext:
                 for w in nfs]
         return cosets.realize(cosets.CosetTable(
             rank=self.presentation.rank, status="closed", num_cosets=order,
-            defined_total=order, max_cosets=order, subgroup=(), rows=rows))
+            defined_total=order, subgroup=(), rows=rows))
 
 
 def element_order(ctx: StageContext, w: Word, n_hint: int = 1

@@ -19,6 +19,16 @@ the rest. A rank closes in one of three ways:
 The scan asks the oracle about one candidate at a time and stops at the
 first Infinite or Unknown verdict, so ``max_candidates`` bounds the
 oracle calls of a rank exactly.
+
+A run owns one helper process (``cosets.Prefetch``) and kills it before
+it returns or raises. A rank whose stage the quotient probe proves
+infinite looks ahead: it guesses the periods of the following ranks from
+certificates alone, without completion, and starts the helper on the
+whole-stage enumeration of the first stage the probe cannot prove
+infinite. That enumeration is usually the largest single step of a run,
+and it then overlaps the completions of the ranks before it. The stage
+reads the helper's table only when it is the one it would compute
+itself, so a wrong guess changes nothing but the helper's wasted work.
 """
 
 from __future__ import annotations
@@ -112,13 +122,20 @@ class RankOutcome:
         return d
 
 
+def _too_long(w: Word, n: int, budgets: Budgets) -> bool:
+    return len(w) * n > budgets.max_relator_letters
+
+
 def next_period(m: int, n: int, periods: Sequence[Word], budgets: Budgets,
                 cursor: Optional[Word] = None,
-                prior_log: Optional[list] = None) -> RankOutcome:
-    """Resolve one rank: find the next period or close the stage."""
+                prior_log: Optional[list] = None,
+                prefetch: Optional[cosets.Prefetch] = None) -> RankOutcome:
+    """Resolve one rank: find the next period or close the stage. With a
+    prefetch, a stage the quotient probe proves infinite first looks
+    ahead (see ``_look_ahead``)."""
     rank = len(periods) + 1
     for w in periods:
-        if len(w) * n > budgets.max_relator_letters:
+        if _too_long(w, n, budgets):
             return RankOutcome(
                 kind="inconclusive", rank=rank, stage_relators=[],
                 cursor=cursor,
@@ -127,7 +144,9 @@ def next_period(m: int, n: int, periods: Sequence[Word], budgets: Budgets,
             )
     p = tower_presentation(m, n, periods)
     stage_relators = [format_word(r, m) for r in p.relators]
-    ctx = oracle.StageContext(p, budgets)
+    ctx = oracle.StageContext(p, budgets, prefetch)
+    if prefetch is not None and ctx.quotient_probe() is not None:
+        _look_ahead(m, n, list(periods), ctx, cursor, prefetch)
     probe = ctx.infiniteness()
     closed = ctx.closure()  # None when the probe proved the stage infinite
     if closed is not None:
@@ -173,6 +192,48 @@ def next_period(m: int, n: int, periods: Sequence[Word], budgets: Budgets,
                 kind="period", rank=rank, stage_relators=stage_relators,
                 stage_probe=probe, period=w, examined=examined, log=log,
             )
+
+
+def _look_ahead(m: int, n: int, periods: List[Word],
+                ctx: oracle.StageContext, cursor: Optional[Word],
+                prefetch: cosets.Prefetch):
+    """Start the prefetch on the first stage ahead that the quotient probe
+    cannot prove infinite, guessing each period on the way.
+
+    In a stage the probe proves infinite, the guess is the first
+    unfiltered candidate within ``max_candidates`` that a rung certifies.
+    Such a word can get no verdict but Infinite, and every candidate
+    before it is not certified, so the guess is the rank's period
+    whenever the rank ends in one. A wrong guess costs only the helper's
+    work: the stage's own enumeration discards a table for another stage.
+    """
+    # the helper already runs what an earlier rank guessed through this
+    # stage, and the guesses after it are the same (one relator per period)
+    here, ahead = ctx.presentation.relators, prefetch.presentation
+    if cursor is None and ahead is not None and \
+            ahead.relators[:len(here)] == here:
+        return
+    budgets = ctx.budgets
+    while ctx.quotient_probe() is not None:
+        guess = _certified_candidate(m, ctx, cursor)
+        if guess is None or _too_long(guess, n, budgets):
+            return
+        periods.append(guess)
+        cursor = None
+        ctx = oracle.StageContext(tower_presentation(m, n, periods), budgets)
+    prefetch.start(ctx.presentation, budgets.stage_max_cosets)
+
+
+def _certified_candidate(m: int, ctx: oracle.StageContext,
+                         cursor: Optional[Word]) -> Optional[Word]:
+    """The first unfiltered candidate after cursor, among the first
+    ``max_candidates``, that a rung of the stage's ladder certifies."""
+    unfiltered = (w for w in reduced_words(m, after=cursor)
+                  if candidate_filter_reason(w) is None)
+    for w in itertools.islice(unfiltered, ctx.budgets.max_candidates):
+        if any(c.certify(w) is not None for _, c in ctx.certifiers()):
+            return w
+    return None
 
 
 def exponent_divides(r: cosets.FiniteRealization, n: int):
@@ -221,7 +282,6 @@ def run_tower(m: int, n: int, budgets: Optional[Budgets] = None,
             "expect a checkpoint, not a result"
         )
     periods: List[Word] = []
-    ranks: List[RankOutcome] = []
     cursor: Optional[Word] = None
     prior_log: Optional[list] = None
     if resume is not None:
@@ -242,9 +302,23 @@ def run_tower(m: int, n: int, budgets: Optional[Budgets] = None,
                 notes.append(f"resumed with {name} {now} "
                              f"(checkpoint had {had[name]})")
 
+    # one helper process for the whole run; it never outlives it
+    prefetch = cosets.Prefetch()
+    try:
+        return _climb(m, n, budgets, periods, cursor, prior_log, notes,
+                      prefetch)
+    finally:
+        prefetch.close()
+
+
+def _climb(m: int, n: int, budgets: Budgets, periods: List[Word],
+           cursor: Optional[Word], prior_log: Optional[list], notes: list,
+           prefetch: cosets.Prefetch) -> TowerResult:
+    """Resolve ranks from len(periods) + 1 on until the tower stops."""
+    ranks: List[RankOutcome] = []
     while True:
         outcome = next_period(m, n, periods, budgets, cursor=cursor,
-                              prior_log=prior_log)
+                              prior_log=prior_log, prefetch=prefetch)
         cursor = None
         prior_log = None
         ranks.append(outcome)

@@ -3,6 +3,7 @@
 import heapq
 import itertools
 import math
+import os
 from collections import deque
 
 from burnside import cosets, kernels, rewrite
@@ -19,16 +20,46 @@ JSON_JUNK = (None, "x", 1.5, True, ["x"], {"x": 1})
 
 def count_enumerations(monkeypatch) -> list:
     """Route cosets.enumerate_cosets through a counter for this test;
-    the returned list collects the budget of each call."""
+    the returned list collects the budget of each call. A prefetch child
+    counts in its own copy of the list, so only calls in this process
+    show."""
     budgets = []
     enumerate_cosets = cosets.enumerate_cosets
 
-    def counted(p, subgroup=(), max_cosets=cosets.DEFAULT_MAX_COSETS):
+    def counted(p, subgroup=(), max_cosets=cosets.DEFAULT_MAX_COSETS,
+                prefetch=None):
         budgets.append(max_cosets)
-        return enumerate_cosets(p, subgroup, max_cosets)
+        return enumerate_cosets(p, subgroup, max_cosets, prefetch=prefetch)
 
     monkeypatch.setattr(cosets, "enumerate_cosets", counted)
     return budgets
+
+
+def count_felsch_runs(monkeypatch) -> list:
+    """Collect the budget of each Felsch run made in this process; a
+    prefetch child counts in its own copy of the list."""
+    runs = []
+    run = cosets._Enumerator.run
+
+    def counted(self):
+        runs.append(self.max_cosets)
+        return run(self)
+
+    monkeypatch.setattr(cosets._Enumerator, "run", counted)
+    return runs
+
+
+def fail_in_children(monkeypatch):
+    """Make cosets.enumerate_cosets raise in any process but this one."""
+    parent = os.getpid()
+    enumerate_cosets = cosets.enumerate_cosets
+
+    def fails_in_child(*args, **kwargs):
+        if os.getpid() != parent:
+            raise AssertionError("enumeration fails in a child")
+        return enumerate_cosets(*args, **kwargs)
+
+    monkeypatch.setattr(cosets, "enumerate_cosets", fails_in_child)
 
 
 class TwoSidedEnumerator(cosets._Enumerator):

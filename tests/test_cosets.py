@@ -1,6 +1,7 @@
 """Coset enumeration, realized finite groups, conjugacy, center."""
 
 import math
+import os
 import random
 
 import pytest
@@ -10,8 +11,10 @@ from burnside.presentation import Presentation, parse_presentation
 from support import (
     TwoSidedEnumerator,
     center_by_rows,
+    count_felsch_runs,
     conjugacy_by_rows,
     element_row,
+    fail_in_children,
     multiplication_table,
 )
 from burnside.words import (cyclic_reduce, format_word, free_reduce, invert,
@@ -381,3 +384,83 @@ def test_a_vacated_source_entry_stops_the_run(monkeypatch):
     monkeypatch.setattr(cosets._Enumerator, "coincidence", vacating)
     with pytest.raises(AssertionError, match="vacated"):
         cosets.enumerate_cosets(P("gens 1\nrel a\nrel aa\n"), (), 10)
+
+
+# --- Prefetch: an enumeration run ahead in a forked child ----------------
+
+# closes at 4 cosets after 40 definitions
+COLLAPSING = "gens 2\nrel bbbbb\nrel bbbbbb\nrel babababa\n"
+
+
+@pytest.mark.parametrize("text, child, budget, reused", [
+    (B23, 5000, 5000, True),        # the same run
+    (B23, 5000, 27, True),          # closed within the smaller budget
+    (B23, 5000, 26, False),         # closed, but over it
+    (COLLAPSING, 100, 40, True),    # the budget counts definitions, not
+    (COLLAPSING, 100, 39, False),   # the cosets left alive
+    (DINF, 50, 50, True),           # exhausted at the same budget
+    (DINF, 50, 40, False),          # exhausted: a smaller run stops sooner
+    (DINF, 40, 50, False),          # and a larger one goes further
+])
+def test_prefetched_table_is_reused_only_when_equal(text, child, budget,
+                                                     reused, monkeypatch):
+    want = cosets.enumerate_cosets(P(text), (), budget)
+    runs = count_felsch_runs(monkeypatch)
+    prefetch = cosets.Prefetch()
+    try:
+        prefetch.start(P(text), child)
+        got = cosets.enumerate_cosets(P(text), (), budget, prefetch=prefetch)
+        assert prefetch.presentation is None  # taken, and the child reaped
+    finally:
+        prefetch.close()
+    assert got == want
+    assert runs == ([] if reused else [budget])
+
+
+def test_prefetch_for_another_stage_is_discarded(monkeypatch):
+    runs = count_felsch_runs(monkeypatch)
+    prefetch = cosets.Prefetch()
+    try:
+        prefetch.start(P(B23), 5000)
+        t = cosets.enumerate_cosets(P(D6), (), 5000, prefetch=prefetch)
+        assert prefetch.presentation is None
+        # a subgroup enumeration never takes the whole-group table
+        prefetch.start(P(B23), 5000)
+        h = cosets.enumerate_cosets(P(B23), [parse_word("a", 2)], 5000,
+                                    prefetch=prefetch)
+        assert prefetch.presentation == P(B23)
+    finally:
+        prefetch.close()
+    assert (t.num_cosets, h.num_cosets) == (12, 9)
+    assert runs == [5000, 5000]
+
+
+def test_starting_another_prefetch_kills_the_running_one():
+    prefetch = cosets.Prefetch()
+    try:
+        # seconds of work for a child the test kills within milliseconds
+        prefetch.start(P(DINF), 10**6)
+        first = prefetch._job[2]
+        prefetch.start(P(DINF), 10**6)  # the same job keeps its child
+        assert prefetch._job[2] == first
+        prefetch.start(P(B23), 5000)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(first, os.WNOHANG)  # killed and reaped
+        assert cosets.enumerate_cosets(P(B23), (), 5000,
+                                       prefetch=prefetch).num_cosets == 27
+    finally:
+        prefetch.close()
+
+
+def test_a_failed_child_leaves_the_enumeration_to_the_parent(monkeypatch):
+    want = cosets.enumerate_cosets(P(B23), (), 5000)
+    fail_in_children(monkeypatch)
+    runs = count_felsch_runs(monkeypatch)
+    prefetch = cosets.Prefetch()
+    try:
+        prefetch.start(P(B23), 5000)
+        t = cosets.enumerate_cosets(P(B23), (), 5000, prefetch=prefetch)
+    finally:
+        prefetch.close()
+    assert t == want
+    assert runs == [5000]  # the parent's own run

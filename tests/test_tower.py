@@ -4,14 +4,16 @@ import copy
 import dataclasses
 import functools
 import json
+import os
 import time
 
 import pytest
 
-from burnside import oracle, tower
+from burnside import cosets, oracle, tower
 from burnside.presentation import TowerStatus, tower_presentation
 from burnside.words import parse_word
-from support import count_enumerations
+from support import (count_enumerations, count_felsch_runs,
+                     fail_in_children)
 
 
 def small_budgets(**kw):
@@ -478,3 +480,93 @@ def test_report_shape():
     text = tower.report_to_json(rep)
     assert text.endswith("\n")
     json.loads(text)
+
+
+# --- the look-ahead and its helper process ----------------------------------
+
+
+def helper_starts(monkeypatch) -> list:
+    """Record (stage rank, budget) of each Prefetch.start."""
+    starts = []
+    start = cosets.Prefetch.start
+
+    def recorded(self, p, max_cosets):
+        starts.append((len(p.relators) + 1, max_cosets))
+        start(self, p, max_cosets)
+
+    monkeypatch.setattr(cosets.Prefetch, "start", recorded)
+    return starts
+
+
+def tower_report(m, n, budgets, resume=None) -> str:
+    res = tower.run_tower(m, n, budgets, resume=copy.deepcopy(resume))
+    return tower.report_to_json(tower.build_report(res, budgets,
+                                                  verifications=False))
+
+
+def report_without_helper(monkeypatch, m, n, budgets, resume=None) -> str:
+    with monkeypatch.context() as patch:
+        patch.setattr(cosets.Prefetch, "start", lambda *args: None)
+        return tower_report(m, n, budgets, resume)
+
+
+STRETCH_2_4 = dict(stage_max_cosets=5000)  # rank 7 exhausts it quickly
+
+
+@pytest.mark.parametrize("n, budgets, starts, runs", [
+    # the rank-5 stage, found while rank 1 looks ahead, serves the census
+    (3, {}, [(5, 100_000)], []),
+    # rank 7 reads the table of the run it started rank 1 on
+    (4, STRETCH_2_4, [(7, 5000)], []),
+    # rank 3's period is its fifth candidate, so no guess reaches a stage
+    # the probe cannot prove infinite, and no helper starts
+    (3, dict(max_candidates=3), [], []),
+    # the run stops at rank 5, before the stage the helper enumerates
+    (4, dict(STRETCH_2_4, max_ranks=5), [(7, 5000)], []),
+])
+def test_look_ahead_leaves_the_report_unchanged(n, budgets, starts, runs,
+                                                monkeypatch):
+    budgets = tower.Budgets(**budgets)
+    want = report_without_helper(monkeypatch, 2, n, budgets)
+    started = helper_starts(monkeypatch)
+    felsch = count_felsch_runs(monkeypatch)
+    assert tower_report(2, n, budgets) == want
+    assert (started, felsch) == (starts, runs)
+
+
+def test_resumed_rank_looks_ahead_from_its_cursor(monkeypatch):
+    cp = tower.run_tower(2, 4, small_budgets(max_candidates=2)).checkpoint
+    assert (cp["periods"], cp["cursor"]) == (["a"], "A")
+    budgets = tower.Budgets(**STRETCH_2_4)
+    want = report_without_helper(monkeypatch, 2, 4, budgets, cp)
+    started = helper_starts(monkeypatch)
+    felsch = count_felsch_runs(monkeypatch)
+    assert tower_report(2, 4, budgets, cp) == want
+    assert (started, felsch) == ([(7, 5000)], [])
+
+
+def test_a_raising_rank_reaps_the_helper(monkeypatch):
+    started = helper_starts(monkeypatch)
+    element_order = oracle.element_order
+
+    def fails_at_rank_5(ctx, w, n_hint=1):
+        if len(ctx.presentation.relators) == 4:
+            raise RuntimeError("rank 5")
+        return element_order(ctx, w, n_hint)
+
+    monkeypatch.setattr(oracle, "element_order", fails_at_rank_5)
+    with pytest.raises(RuntimeError, match="rank 5"):
+        tower.run_tower(2, 4, tower.Budgets(**STRETCH_2_4))
+    assert started == [(7, 5000)]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_failed_helper_leaves_the_stage_to_the_parent(monkeypatch):
+    want = report_without_helper(monkeypatch, 2, 3, tower.Budgets())
+    fail_in_children(monkeypatch)
+    started = helper_starts(monkeypatch)
+    felsch = count_felsch_runs(monkeypatch)
+    assert tower_report(2, 3, tower.Budgets()) == want
+    # the census order 27 sizes the parent's own run: 20 * 27 + 1000
+    assert (started, felsch) == ([(5, 100_000)], [1540])

@@ -297,11 +297,6 @@ class Prefetch:
     def __init__(self):
         self._job = None  # (presentation, max_cosets, pid, pipe read end)
 
-    @property
-    def presentation(self) -> Optional[Presentation]:
-        """The presentation the child enumerates, or None."""
-        return self._job[0] if self._job is not None else None
-
     def start(self, p: Presentation, max_cosets: int):
         """Enumerate p's cosets at max_cosets in a child; a child already
         running another job is killed first."""

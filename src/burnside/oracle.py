@@ -7,7 +7,9 @@ For a word w in a presented group the cascade tries, in order:
 2. Knuth-Bendix within budget, then a power trace w, w^2, ... looking
    for a reduction to the empty word; a hit proves w^d = 1, and d is the
    exact order when the system is confluent or when some cached quotient
-   already exhibits an element of order d underneath w;
+   already exhibits an element of order d underneath w. A stage the
+   quotients prove infinite traces a capped completion first, then asks
+   strategy 3, and only then completes in full (no verdict changes);
 3. infinite-order certificates through the stage's quotient ladder (the
    torsion quotient of the abelianization);
 4. Unknown, carrying the budgets that were exhausted.
@@ -38,6 +40,10 @@ from typing import List, Optional, Tuple
 from . import cosets, rewrite, subgrp
 from .presentation import Presentation
 from .words import Word, free_reduce
+
+# small orders of short words surface well within these budgets
+CAPPED_MAX_LEN = 16
+CAPPED_MAX_STEPS = 100_000
 
 
 @dataclass
@@ -128,6 +134,7 @@ class StageContext:
         self.budgets = budgets if budgets is not None else Budgets()
         self.prefetch = prefetch  # may hold the stage enumeration
         self._kb = None
+        self._capped = self._UNSET
         self._abelian = None
         self._certifiers: Optional[List[Tuple[str, subgrp.KernelCertifier]]] = None
         self._quotient_probe = self._UNSET
@@ -145,6 +152,24 @@ class StageContext:
                 max_steps=self.budgets.kb_max_steps,
             )
         return self._kb
+
+    def capped_kb(self) -> Optional[rewrite.RewritingSystem]:
+        """A completion capped at ``CAPPED_MAX_LEN`` and
+        ``CAPPED_MAX_STEPS`` for a stage the quotient probe proves
+        infinite, when the cap is below both budgets; else None. Memoized.
+        A confluent one hit no budget, so it is also ``kb()``."""
+        if self._capped is self._UNSET:
+            b = self.budgets
+            self._capped = None
+            if b.kb_max_len > CAPPED_MAX_LEN and \
+                    b.kb_max_steps > CAPPED_MAX_STEPS and \
+                    self.quotient_probe() is not None:
+                self._capped = rewrite.complete_presentation(
+                    self.presentation, max_rules=b.kb_max_rules,
+                    max_len=CAPPED_MAX_LEN, max_steps=CAPPED_MAX_STEPS)
+                if self._capped.confluent and self._kb is None:
+                    self._kb = self._capped
+        return self._capped
 
     def abelian(self) -> subgrp.AbelianInvariants:
         if self._abelian is None:
@@ -305,44 +330,75 @@ def element_order(ctx: StageContext, w: Word, n_hint: int = 1
                       f"{ctx.budgets.stage_max_cosets} cosets",
         })
 
-    # strategy 2: rewriting power trace
-    sys = ctx.kb()
     # the power search is a bounded probe, not a proof of infiniteness,
     # so a hard cap is sound; without it asymptotic-regime exponents
     # would turn this strategy into an unbounded loop
     n_max = min(max(4 * n_hint, 4), 4096)
+    capped = ctx.capped_kb()
+    if capped is not None:
+        # a certified word has no power that reduces to 1, so asking the
+        # certificates before kb() changes no verdict
+        verdict = _power_trace(ctx, capped, w, n_max, []) or _certify(ctx, w)
+        if verdict is not None:
+            return verdict
+
+    # strategy 2: rewriting power trace
+    verdict = _power_trace(ctx, ctx.kb(), w, n_max, skipped)
+    # strategy 3: certificates via the quotient ladder, unless asked above
+    if verdict is None and capped is None:
+        verdict = _certify(ctx, w)
+    if verdict is not None:
+        return verdict
+    skipped.append({
+        "strategy": "kernel-certificate",
+        "reason": "no quotient in the ladder separated the word",
+        "quotients": [name for name, _ in ctx.certifiers()],
+    })
+    return OrderVerdict("unknown", evidence={
+        "strategy": "exhausted",
+        "attempts": skipped,
+    })
+
+
+def _power_trace(ctx: StageContext, sys: rewrite.RewritingSystem, w: Word,
+                 n_max: int, skipped: list) -> Optional[OrderVerdict]:
+    """Strategy 2 on sys: a Finite verdict when w^d reduces to 1 and d is
+    pinned as the order; else None, with the attempt added to skipped."""
     d = rewrite.finite_order_by_powers(sys, w, n_max)
-    if d is not None:
-        if sys.confluent:
-            return OrderVerdict("finite", d, evidence={
-                "strategy": "kb-power",
-                "exactness": "confluent-reduction",
-                "rules": len(sys.rules),
-            })
-        # d is least: the trace reduces each w^e as sys.reduce(w * e) does
-        # the hit proves w^d = 1; pin exactness before trusting d
-        image_lcm = 1
-        for name, certifier in ctx.certifiers():
-            image_lcm = math.lcm(image_lcm, certifier.action.order_of_image(w))
-        if image_lcm == d:
-            return OrderVerdict("finite", d, evidence={
-                "strategy": "kb-power",
-                "exactness": "quotient-match",
-                "quotient_order_lcm": image_lcm,
-            })
-        skipped.append({
-            "strategy": "kb-power",
-            "reason": f"w^{d} = 1 proved but minimality unconfirmed "
-                      "(system not confluent)",
-        })
-    else:
+    if d is None:
         skipped.append({
             "strategy": "kb-power",
             "reason": f"no power up to {n_max} reduced to 1",
             "confluent": sys.confluent,
         })
+        return None
+    if sys.confluent:
+        return OrderVerdict("finite", d, evidence={
+            "strategy": "kb-power",
+            "exactness": "confluent-reduction",
+            "rules": len(sys.rules),
+        })
+    # d is least: the trace reduces each w^e as sys.reduce(w * e) does
+    # the hit proves w^d = 1; pin exactness before trusting d
+    image_lcm = 1
+    for name, certifier in ctx.certifiers():
+        image_lcm = math.lcm(image_lcm, certifier.action.order_of_image(w))
+    if image_lcm == d:
+        return OrderVerdict("finite", d, evidence={
+            "strategy": "kb-power",
+            "exactness": "quotient-match",
+            "quotient_order_lcm": image_lcm,
+        })
+    skipped.append({
+        "strategy": "kb-power",
+        "reason": f"w^{d} = 1 proved but minimality unconfirmed "
+                  "(system not confluent)",
+    })
+    return None
 
-    # strategy 3: certificates via the quotient ladder
+
+def _certify(ctx: StageContext, w: Word) -> Optional[OrderVerdict]:
+    """An Infinite verdict from the first rung that certifies w, or None."""
     for name, certifier in ctx.certifiers():
         cert = certifier.certify(w)
         if cert is not None:
@@ -352,13 +408,4 @@ def element_order(ctx: StageContext, w: Word, n_hint: int = 1
                 "kernel_index": cert.kernel_index,
                 "witness_position": cert.witness_position,
             })
-    skipped.append({
-        "strategy": "kernel-certificate",
-        "reason": "no quotient in the ladder separated the word",
-        "quotients": [name for name, _ in ctx.certifiers()],
-    })
-
-    return OrderVerdict("unknown", evidence={
-        "strategy": "exhausted",
-        "attempts": skipped,
-    })
+    return None

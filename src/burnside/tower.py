@@ -21,14 +21,12 @@ first Infinite or Unknown verdict, so ``max_candidates`` bounds the
 oracle calls of a rank exactly.
 
 A run owns one helper process (``cosets.Prefetch``) and kills it before
-it returns or raises. A rank whose stage the quotient probe proves
-infinite looks ahead: it guesses the periods of the following ranks from
-certificates alone, without completion, and starts the helper on the
-whole-stage enumeration of the first stage the probe cannot prove
-infinite. That enumeration is usually the largest single step of a run,
-and it then overlaps the completions of the ranks before it. The stage
-reads the helper's table only when it is the one it would compute
-itself, so a wrong guess changes nothing but the helper's wasted work.
+it returns or raises. A rank whose stage the quotient probe cannot prove
+infinite may close, so it starts the helper on the whole-stage
+enumeration before it completes the stage itself: that enumeration is
+usually the largest single step of a run, and it then overlaps the
+stage's completion. The stage reads the helper's table only when it is
+the one it would compute itself.
 """
 
 from __future__ import annotations
@@ -127,12 +125,10 @@ def _too_long(w: Word, n: int, budgets: Budgets) -> bool:
 
 
 def next_period(m: int, n: int, periods: Sequence[Word], budgets: Budgets,
-                cursor: Optional[Word] = None,
-                prior_log: Optional[list] = None,
-                prefetch: Optional[cosets.Prefetch] = None) -> RankOutcome:
-    """Resolve one rank: find the next period or close the stage. With a
-    prefetch, a stage the quotient probe proves infinite first looks
-    ahead (see ``_look_ahead``)."""
+                prefetch: cosets.Prefetch, cursor: Optional[Word] = None,
+                prior_log: Optional[list] = None) -> RankOutcome:
+    """Resolve one rank: find the next period or close the stage. A stage
+    that may close starts its enumeration in the prefetch's helper."""
     rank = len(periods) + 1
     for w in periods:
         if _too_long(w, n, budgets):
@@ -145,8 +141,8 @@ def next_period(m: int, n: int, periods: Sequence[Word], budgets: Budgets,
     p = tower_presentation(m, n, periods)
     stage_relators = [format_word(r, m) for r in p.relators]
     ctx = oracle.StageContext(p, budgets, prefetch)
-    if prefetch is not None and ctx.quotient_probe() is not None:
-        _look_ahead(m, n, list(periods), ctx, cursor, prefetch)
+    if ctx.quotient_probe() is None:
+        prefetch.start(p, budgets.stage_max_cosets)
     probe = ctx.infiniteness()
     closed = ctx.closure()  # None when the probe proved the stage infinite
     if closed is not None:
@@ -192,48 +188,6 @@ def next_period(m: int, n: int, periods: Sequence[Word], budgets: Budgets,
                 kind="period", rank=rank, stage_relators=stage_relators,
                 stage_probe=probe, period=w, examined=examined, log=log,
             )
-
-
-def _look_ahead(m: int, n: int, periods: List[Word],
-                ctx: oracle.StageContext, cursor: Optional[Word],
-                prefetch: cosets.Prefetch):
-    """Start the prefetch on the first stage ahead that the quotient probe
-    cannot prove infinite, guessing each period on the way.
-
-    In a stage the probe proves infinite, the guess is the first
-    unfiltered candidate within ``max_candidates`` that a rung certifies.
-    Such a word can get no verdict but Infinite, and every candidate
-    before it is not certified, so the guess is the rank's period
-    whenever the rank ends in one. A wrong guess costs only the helper's
-    work: the stage's own enumeration discards a table for another stage.
-    """
-    # the helper already runs what an earlier rank guessed through this
-    # stage, and the guesses after it are the same (one relator per period)
-    here, ahead = ctx.presentation.relators, prefetch.presentation
-    if cursor is None and ahead is not None and \
-            ahead.relators[:len(here)] == here:
-        return
-    budgets = ctx.budgets
-    while ctx.quotient_probe() is not None:
-        guess = _certified_candidate(m, ctx, cursor)
-        if guess is None or _too_long(guess, n, budgets):
-            return
-        periods.append(guess)
-        cursor = None
-        ctx = oracle.StageContext(tower_presentation(m, n, periods), budgets)
-    prefetch.start(ctx.presentation, budgets.stage_max_cosets)
-
-
-def _certified_candidate(m: int, ctx: oracle.StageContext,
-                         cursor: Optional[Word]) -> Optional[Word]:
-    """The first unfiltered candidate after cursor, among the first
-    ``max_candidates``, that a rung of the stage's ladder certifies."""
-    unfiltered = (w for w in reduced_words(m, after=cursor)
-                  if candidate_filter_reason(w) is None)
-    for w in itertools.islice(unfiltered, ctx.budgets.max_candidates):
-        if any(c.certify(w) is not None for _, c in ctx.certifiers()):
-            return w
-    return None
 
 
 def exponent_divides(r: cosets.FiniteRealization, n: int):
@@ -317,8 +271,8 @@ def _climb(m: int, n: int, budgets: Budgets, periods: List[Word],
     """Resolve ranks from len(periods) + 1 on until the tower stops."""
     ranks: List[RankOutcome] = []
     while True:
-        outcome = next_period(m, n, periods, budgets, cursor=cursor,
-                              prior_log=prior_log, prefetch=prefetch)
+        outcome = next_period(m, n, periods, budgets, prefetch,
+                              cursor=cursor, prior_log=prior_log)
         cursor = None
         prior_log = None
         ranks.append(outcome)
@@ -556,12 +510,12 @@ def audit_tower(result: TowerResult, budgets: Budgets) -> dict:
     """Recompute every logged verdict in a fresh StageContext per rank.
 
     Finite(d): replay the proof that w^d = 1 (reducing w^d by the fresh
-    completion when it fits in ``max_relator_letters``; otherwise, or if
-    that fails, the fresh context's stage closure, which enumerates under
-    ``stage_max_cosets``) and pin exactness
-    against the terminal realization, where the image of w must have
-    order exactly d (order in a quotient divides order in the stage
-    divides d, so equality at the bottom forces equality).
+    capped completion, then the full one, when it fits in
+    ``max_relator_letters``; otherwise, or if that fails, the fresh
+    context's stage closure, which enumerates under ``stage_max_cosets``)
+    and pin exactness against the terminal realization, where the image
+    of w must have order exactly d (order in a quotient divides order in
+    the stage divides d, so equality at the bottom forces equality).
     Infinite: replay the serialized certificate, which must be for the
     logged word in this stage. Filtered words: run the unfiltered oracle
     and require a Finite verdict.
@@ -590,10 +544,13 @@ def audit_tower(result: TowerResult, budgets: Budgets) -> dict:
                 checks["finite"] += 1
                 d = entry["order"]
                 # a checkpoint may claim any order, so w^d is built only
-                # within the relator budget; past it, only the stage's
-                # realization can re-prove d
-                if d * len(w) > budgets.max_relator_letters or \
-                        ctx.kb().reduce(w * d) != ():
+                # within the relator budget, and reduced by the capped
+                # completion first; past it, only the stage's realization
+                # can re-prove d
+                capped = ctx.capped_kb()
+                if d * len(w) > budgets.max_relator_letters or (
+                        (capped is None or capped.reduce(w * d) != ())
+                        and ctx.kb().reduce(w * d) != ()):
                     closed = ctx.closure()
                     if closed is None or closed[0].element_order(w) != d:
                         problems.append(

@@ -35,6 +35,23 @@ def count_enumerations(monkeypatch) -> list:
     return budgets
 
 
+def count_completions(monkeypatch) -> list:
+    """Route rewrite.complete_presentation through a counter for this
+    test; the returned list collects (stage rank, max_len, max_steps) of
+    each call, the stage rank being one more than the relator count."""
+    calls = []
+    complete = rewrite.complete_presentation
+
+    def counted(p, **budgets):
+        calls.append((len(p.relators) + 1,
+                      budgets.get("max_len", rewrite.DEFAULT_MAX_LEN),
+                      budgets.get("max_steps", rewrite.DEFAULT_MAX_STEPS)))
+        return complete(p, **budgets)
+
+    monkeypatch.setattr(rewrite, "complete_presentation", counted)
+    return calls
+
+
 def count_felsch_runs(monkeypatch) -> list:
     """Collect the budget of each Felsch run made in this process; a
     prefetch child counts in its own copy of the list."""

@@ -31,14 +31,41 @@ B24 = "gens 2\n" + "".join(f"rel {w * 4}\n" for w in B24_WORDS)
 
 
 # sha256 of report_to_json(build_report(...)) at default budgets: the
-# audited (2,2), (2,3) and (1,5) reports and the (2,4) checkpoint report.
-# Any change to a report byte outside `execution` moves a digest; a
-# deliberate one updates it here, with a CHANGES.md line.
+# audited (2,2), (2,3), (1,5), (1,2^48) and (2,2^48) reports, the (2,4)
+# checkpoint report, the same report audited, and the (2,4) report resumed
+# from the max_candidates=2 checkpoint. Any change to a report byte
+# outside `execution` moves a digest; a deliberate one updates it here,
+# with a CHANGES.md line.
 REPORT_SHA256 = {
     (2, 2): "a0484b6d6d30d8a7b538ae4c88ebf0a27a4f9c012d99d07cbef89e11cba36679",
     (2, 3): "3778d0a47a41bfc0b947b842874969d886edaa01d87801d4e8c22d4f34132822",
     (1, 5): "99129e2045b4b85573d5b7c957e143b2be433336889e127ec208ee492724971d",
+    (1, 2**48):
+        "fbe26d1983280595241dbf31479bbaabc0f55c275de832f321e11467f9b9a800",
+    (2, 2**48):
+        "74145539a770a8830361442c300f521c5fbad9302237e6b14c8b8ae047a37859",
     (2, 4): "1a28b6bbd1dec64ac0b37ff8468bebd371670224c04a1307b0d8a26cd45aca1f",
+    "(2,4) audited":
+        "d7a106391e955060877d866863f96d5e11bd4530b363e3b851d4cee391ad3930",
+    "(2,4) resumed":
+        "4839a0d30bacd866f59dbc524ac1ed86bf80cdf7075a861743f028f32b184348",
+}
+
+# sha256 of `burnside --format json order` outside `execution`
+# (json.dumps with sorted keys), with its exit code, for words of two
+# stages the quotients prove infinite: the n=3 rank-4 stage, and the n=4
+# rank-5 stage, where aabb is an Unknown that lists its attempts
+TRIANGLE = "gens 2\nrel aaa\nrel bbb\nrel ababab\n"
+FOURTH_POWERS = "gens 2\nrel aaaa\nrel bbbb\nrel abababab\nrel aBaBaBaB\n"
+ORDER_SHA256 = {
+    (TRIANGLE, "ab"): (0, "7d081cd0d22c34aa62314ba685d38548"
+                          "e3d8efc834f0a6337fad87f682cd3c62"),
+    (TRIANGLE, "aB"): (0, "7476bf33c0a5a8a48df6661882e3d9ab"
+                          "2312411cbe9eeab113b529ec9d659ef1"),
+    (TRIANGLE, "aabb"): (0, "6a33dde4f247f1ea249aba6ccf1caa4d"
+                            "6e7caf51f873851199fb35c955d8dce8"),
+    (FOURTH_POWERS, "aabb"): (2, "58257ec45e91eeffe7090ed4c2aa7bba"
+                                 "7cf70feb326915af82523ee2784b5756"),
 }
 
 
@@ -212,12 +239,33 @@ def test_criterion_07c_quaternion_refuted():
     assert r.images is None
 
 
-@pytest.mark.parametrize("m, n", [(2, 2), (2, 3), (1, 5)])
+@pytest.mark.parametrize("m, n", [(2, 2), (2, 3), (1, 5), (1, 2**48),
+                                  (2, 2**48)])
 def test_audited_report_bytes_are_pinned(m, n):
     b = tower.Budgets()
     res = tower.run_tower(m, n, b)
     rep = tower.build_report(res, b, audit=tower.audit_tower(res, b))
     assert report_sha256(rep) == REPORT_SHA256[m, n]
+
+
+def test_resumed_report_bytes_are_pinned():
+    cp = tower.run_tower(2, 4, tower.Budgets(max_candidates=2)).checkpoint
+    assert (cp["periods"], cp["cursor"]) == (["a"], "A")
+    b = tower.Budgets()
+    res = tower.run_tower(2, 4, b, resume=cp)
+    assert report_sha256(tower.build_report(res, b)) == \
+        REPORT_SHA256["(2,4) resumed"]
+
+
+@pytest.mark.parametrize("text, word", list(ORDER_SHA256))
+def test_order_report_bytes_are_pinned(text, word, tmp_path, capsys):
+    f = tmp_path / "g.txt"
+    f.write_text(text)
+    code, rep = run_cli_json(["order", str(f), word], capsys)
+    del rep["execution"]
+    digest = hashlib.sha256(
+        json.dumps(rep, sort_keys=True).encode()).hexdigest()
+    assert (code, digest) == ORDER_SHA256[text, word]
 
 
 def test_criterion_08_center_is_small_n_divergence():
@@ -231,9 +279,13 @@ def test_criterion_08_center_is_small_n_divergence():
 def test_criterion_09_stretch_n4(tmp_path):
     # tower: terminate at 4096 or checkpoint a resumable inconclusive state
     res = tower.run_tower(2, 4)
-    # today's checkpoint report, checkpoint included, byte for byte
-    assert report_sha256(tower.build_report(res, tower.Budgets())) == \
-        REPORT_SHA256[2, 4]
+    # today's checkpoint report, checkpoint included, byte for byte, and
+    # the same report audited
+    b = tower.Budgets()
+    assert report_sha256(tower.build_report(res, b)) == REPORT_SHA256[2, 4]
+    assert report_sha256(tower.build_report(
+        res, b, audit=tower.audit_tower(res, b))) == \
+        REPORT_SHA256["(2,4) audited"]
     if res.status is TowerStatus.TERMINATED_EQUALS_BURNSIDE:
         assert res.order == 4096
         check = tower.verify_period_orders(res)

@@ -410,7 +410,7 @@ def test_prefetched_table_is_reused_only_when_equal(text, child, budget,
     try:
         prefetch.start(P(text), child)
         got = cosets.enumerate_cosets(P(text), (), budget, prefetch=prefetch)
-        assert prefetch.presentation is None  # taken, and the child reaped
+        assert prefetch._job is None  # taken, and the child reaped
     finally:
         prefetch.close()
     assert got == want
@@ -423,12 +423,12 @@ def test_prefetch_for_another_stage_is_discarded(monkeypatch):
     try:
         prefetch.start(P(B23), 5000)
         t = cosets.enumerate_cosets(P(D6), (), 5000, prefetch=prefetch)
-        assert prefetch.presentation is None
+        assert prefetch._job is None
         # a subgroup enumeration never takes the whole-group table
         prefetch.start(P(B23), 5000)
         h = cosets.enumerate_cosets(P(B23), [parse_word("a", 2)], 5000,
                                     prefetch=prefetch)
-        assert prefetch.presentation == P(B23)
+        assert prefetch._job[0] == P(B23)
     finally:
         prefetch.close()
     assert (t.num_cosets, h.num_cosets) == (12, 9)

@@ -2,11 +2,11 @@
 
 import pytest
 
-from burnside import oracle
+from burnside import oracle, rewrite
 from burnside.presentation import parse_presentation
 from burnside.subgrp import verify_certificate
 from burnside.words import parse_word
-from support import count_enumerations
+from support import count_completions, count_enumerations
 
 
 def P(text):
@@ -141,6 +141,84 @@ def test_infinite_stage_needs_no_warm_up(monkeypatch):
     v = oracle.element_order(oracle.StageContext(P(DINF)), parse_word("ab", 2))
     assert v.infinite
     assert calls == []
+
+
+# --- the capped completion of a stage the quotients prove infinite ---------
+
+CAPPED = (16, 100_000)  # max_len, max_steps
+FULL = (oracle.Budgets().kb_max_len, oracle.Budgets().kb_max_steps)
+QUOTIENT_MATCH_3 = {"strategy": "kb-power", "exactness": "quotient-match",
+                    "quotient_order_lcm": 3}
+
+
+def test_a_pinned_capped_hit_needs_no_full_completion(monkeypatch):
+    # the triangle group is proved infinite by its quotients, and no
+    # completion of it turns confluent within the default budgets
+    calls = count_completions(monkeypatch)
+    ctx = oracle.StageContext(P(TRIANGLE))
+    assert oracle.element_order(ctx, parse_word("ab", 2)).evidence == \
+        QUOTIENT_MATCH_3
+    v = oracle.element_order(ctx, parse_word("aB", 2))
+    assert v.infinite and v.evidence["strategy"] == "kernel-certificate"
+    assert calls == [(4, *CAPPED)]  # one capped run serves both words
+
+
+def test_an_unpinned_capped_hit_falls_through_to_the_full_completion(
+        monkeypatch):
+    calls = count_completions(monkeypatch)
+    ctx = oracle.StageContext(P(TRIANGLE))
+    capped = ctx.capped_kb()
+    assert not capped.confluent
+    trace = rewrite.finite_order_by_powers
+
+    def doubled(system, w, n_max):  # a hit the quotients cannot pin
+        d = trace(system, w, n_max)
+        return 2 * d if system is capped and d is not None else d
+
+    monkeypatch.setattr(rewrite, "finite_order_by_powers", doubled)
+    v = oracle.element_order(ctx, parse_word("ab", 2))
+    # the certificates find nothing, and the full completion decides as
+    # it did without the capped run
+    assert (v.kind, v.order, v.evidence) == ("finite", 3, QUOTIENT_MATCH_3)
+    assert calls == [(4, *CAPPED), (4, *FULL)]
+
+
+def test_a_confluent_capped_completion_is_the_full_one(monkeypatch):
+    # <a, b | a^2> (Z2 * Z) completes within the cap, so the capped run is
+    # the very system kb() returns, and its evidence names its rules
+    full = rewrite.complete_presentation(P(ZSQ))
+    calls = count_completions(monkeypatch)
+    ctx = oracle.StageContext(P(ZSQ))
+    v = oracle.element_order(ctx, parse_word("a", 2))
+    assert ctx.capped_kb() is ctx.kb() and ctx.kb().confluent
+    assert calls == [(2, *CAPPED)]
+    assert v.evidence == {"strategy": "kb-power",
+                          "exactness": "confluent-reduction",
+                          "rules": len(full.rules)}
+    assert ctx.kb().rules == full.rules
+
+
+@pytest.mark.parametrize("budgets, completion", [
+    (dict(kb_max_len=16), (16, FULL[1])),
+    (dict(kb_max_steps=100_000), (FULL[0], 100_000)),
+    (dict(kb_max_len=15, kb_max_steps=99_999), (15, 99_999)),
+])
+def test_no_capped_completion_at_or_under_the_cap(budgets, completion,
+                                                   monkeypatch):
+    calls = count_completions(monkeypatch)
+    ctx = oracle.StageContext(P(TRIANGLE), oracle.Budgets(**budgets))
+    v = oracle.element_order(ctx, parse_word("ab", 2))
+    assert ctx.capped_kb() is None
+    assert v.order == 3
+    assert calls == [(4, *completion)]  # the budgets' own completion only
+
+
+def test_no_capped_completion_unless_the_quotients_prove_infinite():
+    # B(2,3) is finite: its quotients prove nothing, so the cascade is the
+    # one for every stage, and the census closes it
+    ctx = oracle.StageContext(P(B23))
+    assert oracle.element_order(ctx, parse_word("ab", 2)).order == 3
+    assert ctx.capped_kb() is None
 
 
 @pytest.mark.parametrize("field, value", [

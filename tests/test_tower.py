@@ -12,8 +12,8 @@ import pytest
 from burnside import cosets, oracle, tower
 from burnside.presentation import TowerStatus, tower_presentation
 from burnside.words import parse_word
-from support import (count_enumerations, count_felsch_runs,
-                     fail_in_children)
+from support import (count_completions, count_enumerations,
+                     count_felsch_runs, fail_in_children)
 
 
 def small_budgets(**kw):
@@ -482,7 +482,23 @@ def test_report_shape():
     json.loads(text)
 
 
-# --- the look-ahead and its helper process ----------------------------------
+def test_stages_proved_infinite_run_no_full_completion(monkeypatch):
+    # the rank-4 stage <a, b | a^3, b^3, (ab)^3> is proved infinite by its
+    # quotients, and a completion of it to max_len 64 cannot finish; its
+    # words of order 3 are decided by the capped completion, in the scan
+    # and in the audit, and only the finite rank-5 stage completes in full
+    calls = count_completions(monkeypatch)
+    res = tower.run_tower(2, 3)
+    capped = (16, 100_000)  # max_len, max_steps
+    assert calls == [(1, *capped), (2, *capped), (3, *capped),
+                     (4, *capped), (5, 64, 1_000_000)]
+    calls.clear()
+    assert tower.audit_tower(res, tower.Budgets())["agreement"] == "100%"
+    # rank 1 logs only a certificate and rank 5 closed without a scan
+    assert calls == [(2, *capped), (3, *capped), (4, *capped)]
+
+
+# --- the helper process -----------------------------------------------------
 
 
 def helper_starts(monkeypatch) -> list:
@@ -514,18 +530,18 @@ STRETCH_2_4 = dict(stage_max_cosets=5000)  # rank 7 exhausts it quickly
 
 
 @pytest.mark.parametrize("n, budgets, starts, runs", [
-    # the rank-5 stage, found while rank 1 looks ahead, serves the census
+    # the rank-5 stage, the first the probe cannot prove infinite, serves
+    # the census from the helper's table
     (3, {}, [(5, 100_000)], []),
-    # rank 7 reads the table of the run it started rank 1 on
+    # rank 7 reads the table of the run it started
     (4, STRETCH_2_4, [(7, 5000)], []),
-    # rank 3's period is its fifth candidate, so no guess reaches a stage
-    # the probe cannot prove infinite, and no helper starts
+    # the run halts at rank 3, on its candidate budget
     (3, dict(max_candidates=3), [], []),
-    # the run stops at rank 5, before the stage the helper enumerates
-    (4, dict(STRETCH_2_4, max_ranks=5), [(7, 5000)], []),
+    # the run stops at rank 5, before the stage the helper would enumerate
+    (4, dict(STRETCH_2_4, max_ranks=5), [], []),
 ])
-def test_look_ahead_leaves_the_report_unchanged(n, budgets, starts, runs,
-                                                monkeypatch):
+def test_helper_leaves_the_report_unchanged(n, budgets, starts, runs,
+                                            monkeypatch):
     budgets = tower.Budgets(**budgets)
     want = report_without_helper(monkeypatch, 2, n, budgets)
     started = helper_starts(monkeypatch)
@@ -534,7 +550,7 @@ def test_look_ahead_leaves_the_report_unchanged(n, budgets, starts, runs,
     assert (started, felsch) == (starts, runs)
 
 
-def test_resumed_rank_looks_ahead_from_its_cursor(monkeypatch):
+def test_resumed_run_starts_the_helper_at_its_open_stage(monkeypatch):
     cp = tower.run_tower(2, 4, small_budgets(max_candidates=2)).checkpoint
     assert (cp["periods"], cp["cursor"]) == (["a"], "A")
     budgets = tower.Budgets(**STRETCH_2_4)
@@ -547,15 +563,16 @@ def test_resumed_rank_looks_ahead_from_its_cursor(monkeypatch):
 
 def test_a_raising_rank_reaps_the_helper(monkeypatch):
     started = helper_starts(monkeypatch)
-    element_order = oracle.element_order
+    kb = oracle.StageContext.kb
 
-    def fails_at_rank_5(ctx, w, n_hint=1):
-        if len(ctx.presentation.relators) == 4:
-            raise RuntimeError("rank 5")
-        return element_order(ctx, w, n_hint)
+    def fails_at_rank_7(ctx):
+        if len(ctx.presentation.relators) == 6:
+            raise RuntimeError("rank 7")
+        return kb(ctx)
 
-    monkeypatch.setattr(oracle, "element_order", fails_at_rank_5)
-    with pytest.raises(RuntimeError, match="rank 5"):
+    # the rank-7 completion runs after the helper starts on its stage
+    monkeypatch.setattr(oracle.StageContext, "kb", fails_at_rank_7)
+    with pytest.raises(RuntimeError, match="rank 7"):
         tower.run_tower(2, 4, tower.Budgets(**STRETCH_2_4))
     assert started == [(7, 5000)]
     with pytest.raises(ChildProcessError):

@@ -11,6 +11,14 @@ union-find whose roots are the lowest live coset numbers; coset 0 (the
 subgroup itself) can never die. The run either closes, yielding the
 exact coset table, or exhausts its definition budget.
 
+The table is stored by letter, one column per letter indexed by coset,
+and each conjugate carries, built once, the columns its scan reads: one
+per letter after the first going forward, and the inverse column of
+each letter going backward. A scan of conjugate w that deduces the entry
+at w's position i closes the cycle of the conjugate starting there, so
+that conjugate is skipped when the new entry is scanned; the closure,
+every definition and every table stay the same.
+
 Everything downstream that says "order" or "trace" sits on a closed
 table: a closed table over the trivial subgroup is the regular action of
 the group on itself, so element orders, conjugacy and the center are all
@@ -49,24 +57,42 @@ class _Enumerator:
     def __init__(self, p: Presentation, max_cosets: int):
         self.ns = p.num_symbols
         self.max_cosets = max_cosets
-        self.table: List[List[int]] = [[-1] * self.ns]
+        # cols[x][c] is where coset c goes along letter x, -1 for a gap;
+        # the columns only grow in place, as the conjugates hold them
+        self.cols: List[List[int]] = [[-1] for _ in range(self.ns)]
         self.p = [0]
-        self.deductions: List = []
+        self.deductions: List = []  # (coset, letter, conjugate it closed)
         self.defined_total = 1
-        # cyclic conjugates of each relator and its inverse, by first letter;
-        # rotations repeat with the primitive root's period, so only the
-        # offsets below it can be new
-        buckets = [[] for _ in range(self.ns)]
-        seen = set()
-        for r in p.relators:
-            period = len(primitive_root(r)[0])
+        self.buckets = self._conjugates(p.relators)
+
+    def _conjugates(self, relators: Sequence[Word]) -> List[list]:
+        # Cyclic conjugates of each relator and its inverse, by first
+        # letter. Rotations repeat with the primitive root's period q, so
+        # only the offsets below it can be new. A conjugate is a tuple
+        # (fwd, bwd, last, word, family, k): fwd holds the columns of
+        # word[1:] and bwd the inverse column of each letter, by position;
+        # last is word's last position; word is rotation k of family's q
+        # distinct rotations, so the conjugate that starts at its position
+        # i is family[(k + i) % q].
+        cols = self.cols
+        buckets: List[list] = [[] for _ in range(self.ns)]
+        seen: dict = {}
+        for r in relators:
             for w in (r, invert(r)):
-                for i in range(period):
-                    rot = w[i:] + w[:i]
-                    if rot not in seen:
-                        seen.add(rot)
-                        buckets[rot[0]].append(rot)
-        self.rot_buckets = buckets
+                n = len(w)
+                ahead = tuple(cols[y] for y in w) * 2
+                back = tuple(cols[y ^ 1] for y in w) * 2
+                family: list = []
+                for k in range(len(primitive_root(w)[0])):
+                    rot = w[k:] + w[:k]
+                    conj = seen.get(rot)
+                    if conj is None:
+                        conj = seen[rot] = (ahead[k + 1:k + n],
+                                            back[k:k + n], n - 1, rot,
+                                            family, k)
+                        buckets[rot[0]].append(conj)
+                    family.append(conj)
+        return buckets
 
     # -- union-find ------------------------------------------------------
 
@@ -79,21 +105,22 @@ class _Enumerator:
             p[c], c = root, p[c]
         return root
 
-    def alive(self, c: int) -> bool:
-        return self.p[c] == c
+    def row(self, c: int) -> List[int]:
+        return [col[c] for col in self.cols]
 
     # -- table writes ----------------------------------------------------
 
     def set_entry(self, a: int, x: int, b: int):
-        self.table[a][x] = b
-        self.table[b][x ^ 1] = a
-        self.deductions.append((a, x))
+        self.cols[x][a] = b
+        self.cols[x ^ 1][b] = a
+        self.deductions.append((a, x, None))
 
     def define(self, a: int, x: int):
         if self.defined_total >= self.max_cosets:
             raise BudgetExhausted
-        b = len(self.table)
-        self.table.append([-1] * self.ns)
+        b = len(self.p)
+        for col in self.cols:
+            col.append(-1)
         self.p.append(b)
         self.defined_total += 1
         self.set_entry(a, x, b)
@@ -108,24 +135,25 @@ class _Enumerator:
             queue.append(hi)
 
     def coincidence(self, a: int, b: int):
+        cols = self.cols
         queue: List[int] = []
         self._merge(a, b, queue)
         i = 0
         while i < len(queue):
             dead = queue[i]
             i += 1
-            row = self.table[dead]
             for x in range(self.ns):
-                d = row[x]
+                col, inv = cols[x], cols[x ^ 1]
+                d = col[dead]
                 if d == -1:
                     continue
-                self.table[d][x ^ 1] = -1
+                inv[d] = -1
                 mu = self.rep(dead)
                 nu = self.rep(d)
-                if self.table[mu][x] != -1:
-                    self._merge(nu, self.table[mu][x], queue)
-                elif self.table[nu][x ^ 1] != -1:
-                    self._merge(mu, self.table[nu][x ^ 1], queue)
+                if col[mu] != -1:
+                    self._merge(nu, col[mu], queue)
+                elif inv[nu] != -1:
+                    self._merge(mu, inv[nu], queue)
                 else:
                     self.set_entry(mu, x, nu)
 
@@ -137,16 +165,16 @@ class _Enumerator:
         i = 0
         b = a
         j = len(word) - 1
-        table = self.table
+        cols = self.cols
         while True:
             while i <= j:
-                d = table[f][word[i]]
+                d = cols[word[i]][f]
                 if d == -1:
                     break
                 f = d
                 i += 1
             while j >= i:
-                d = table[b][word[j] ^ 1]
+                d = cols[word[j] ^ 1][b]
                 if d == -1:
                     break
                 b = d
@@ -162,53 +190,60 @@ class _Enumerator:
 
     def process_deductions(self):
         # Scan each new edge a -x-> once, from a, along the conjugates that
-        # start with x (see the module docstring), from w[1] on. A
-        # coincidence moves a dead row's entries to its root, so row[x]
-        # stays defined while a lives.
-        table, p, deductions = self.table, self.p, self.deductions
-        buckets = self.rot_buckets
+        # start with x (see the module docstring), from w[1] on. An entry
+        # that a scan deduces closes the cycle of the conjugate starting
+        # at it, so that conjugate's scan is skipped. A coincidence moves a
+        # dead row's entries to its root, so cols[x][a] stays defined while
+        # a lives.
+        cols, p, deductions = self.cols, self.p, self.deductions
+        buckets = self.buckets
         while deductions:
-            a, x = deductions.pop()
-            row = table[a]
-            if p[a] != a or row[x] == -1:
+            a, x, closed = deductions.pop()
+            col = cols[x]
+            e = col[a]
+            if p[a] != a or e == -1:
                 continue
-            for w in buckets[x]:
-                f, i, b, j = row[x], 1, a, len(w) - 1
-                assert f != -1, "a coincidence vacated a live entry"
-                while i <= j:
-                    d = table[f][w[i]]
+            for conj in buckets[x]:
+                if conj is closed:
+                    continue
+                fwd, bwd, j, w, family, k = conj
+                f = e
+                i = 1
+                for c in fwd:
+                    d = c[f]
                     if d == -1:
                         break
                     f = d
                     i += 1
+                b = a
                 while j >= i:
-                    d = table[b][w[j] ^ 1]
+                    d = bwd[j][b]
                     if d == -1:
                         break
                     b = d
                     j -= 1
                 if j == i:
-                    y = w[i]
-                    table[f][y] = b
-                    table[b][y ^ 1] = f
-                    deductions.append((f, y))
+                    fwd[i - 1][f] = b
+                    bwd[i][b] = f
+                    deductions.append((f, w[i],
+                                       family[(k + i) % len(family)]))
                 elif j < i and f != b:
                     self.coincidence(f, b)
                     if p[a] != a:
                         break
+                    e = col[a]
+                    assert e != -1, "a coincidence vacated a live entry"
 
     def run(self):
+        cols, p = self.cols, self.p
         a = 0
-        while a < len(self.table):
-            if self.alive(a):
-                x = 0
-                while x < self.ns:
-                    if not self.alive(a):
-                        break
-                    if self.table[a][x] == -1:
-                        self.define(a, x)
-                        self.process_deductions()
-                    x += 1
+        while a < len(p):
+            for x, col in enumerate(cols):
+                if p[a] != a:
+                    break
+                if col[a] == -1:
+                    self.define(a, x)
+                    self.process_deductions()
             a += 1
 
     def live_count(self) -> int:
@@ -271,8 +306,8 @@ def enumerate_cosets(p: Presentation, subgroup: Sequence[Word] = (),
     renum = {c: i for i, c in enumerate(live)}
     rows = []
     for c in live:
-        row = enum.table[c]
-        if any(d == -1 for d in row):
+        row = enum.row(c)
+        if -1 in row:
             raise AssertionError("closed table has a gap")
         rows.append([renum[enum.rep(d)] for d in row])
     table = CosetTable(
@@ -364,11 +399,17 @@ class Prefetch:
 
 
 def _validate_closed(p: Presentation, t: CosetTable):
-    # soundness self-check: relators act trivially, subgroup fixes coset 0
-    for c in range(t.num_cosets):
-        for r in p.relators:
-            if t.trace(c, r) != c:
-                raise AssertionError("relator does not stabilize a coset")
+    # soundness self-check: relators act trivially, subgroup fixes coset 0;
+    # a relator is traced from every coset at once, a letter at a time
+    cols = list(zip(*t.rows))
+    start = list(range(t.num_cosets))
+    for r in p.relators:
+        cur = start
+        for x in r:
+            col = cols[x]
+            cur = [col[c] for c in cur]
+        if cur != start:
+            raise AssertionError("relator does not stabilize a coset")
     for g in t.subgroup:
         if t.trace(0, g) != 0:
             raise AssertionError("subgroup generator moves coset 0")

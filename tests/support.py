@@ -7,7 +7,7 @@ import os
 from collections import deque
 
 from burnside import cosets, kernels, rewrite
-from burnside.words import shortlex_key
+from burnside.words import invert, shortlex_key
 
 # the JSON type of every field an order certificate must carry
 CERT_TYPES = {"schema": str, "presentation": dict, "word": str, "power": int,
@@ -79,39 +79,107 @@ def fail_in_children(monkeypatch):
     monkeypatch.setattr(cosets, "enumerate_cosets", fails_in_child)
 
 
-class TwoSidedEnumerator(cosets._Enumerator):
-    """Reference for cosets._Enumerator.process_deductions: the same
-    Felsch run with each new edge a -x-> b scanned twice, from a along
-    every conjugate starting with x and again from b along every one
-    starting with x^-1. Results must agree exactly."""
+class TwoSidedEnumerator:
+    """Reference for cosets._Enumerator: the same Felsch run on a table
+    stored by coset (table[c][x]), with each new edge a -x-> b scanned
+    twice, from a along every conjugate starting with x and again from b
+    along every one starting with x^-1, and no conjugate skipped. It
+    shares no code with the engine's enumerator; results must agree
+    exactly."""
 
-    def scan(self, a, word):
-        """Trace the cycle a -word-> a, deducing where one gap is left."""
-        f = a
-        i = 0
-        b = a
-        j = len(word) - 1
-        table = self.table
-        while i <= j:
-            d = table[f][word[i]]
-            if d == -1:
-                break
-            f = d
-            i += 1
-        if i > j:
-            if f != b:
-                self.coincidence(f, b)
-            return
-        while j >= i:
-            d = table[b][word[j] ^ 1]
-            if d == -1:
-                break
-            b = d
-            j -= 1
-        if j < i:
-            self.coincidence(f, b)
-        elif j == i:
-            self.set_entry(f, word[i], b)
+    def __init__(self, p, max_cosets):
+        self.ns = p.num_symbols
+        self.max_cosets = max_cosets
+        self.table = [[-1] * self.ns]
+        self.p = [0]
+        self.deductions = []
+        self.defined_total = 1
+        self.rot_buckets = [[] for _ in range(self.ns)]
+        seen = set()
+        for r in p.relators:
+            for w in (r, invert(r)):
+                for i in range(len(w)):
+                    rot = w[i:] + w[:i]
+                    if rot not in seen:
+                        seen.add(rot)
+                        self.rot_buckets[rot[0]].append(rot)
+
+    def rep(self, c):
+        while self.p[c] != c:
+            c = self.p[c]
+        return c
+
+    def alive(self, c):
+        return self.p[c] == c
+
+    def row(self, c):
+        return self.table[c]
+
+    def live_count(self):
+        return sum(1 for c in range(len(self.p)) if self.alive(c))
+
+    def set_entry(self, a, x, b):
+        self.table[a][x] = b
+        self.table[b][x ^ 1] = a
+        self.deductions.append((a, x))
+
+    def define(self, a, x):
+        if self.defined_total >= self.max_cosets:
+            raise cosets.BudgetExhausted
+        b = len(self.table)
+        self.table.append([-1] * self.ns)
+        self.p.append(b)
+        self.defined_total += 1
+        self.set_entry(a, x, b)
+
+    def merge(self, a, b, queue):
+        a, b = self.rep(a), self.rep(b)
+        if a != b:
+            self.p[max(a, b)] = min(a, b)
+            queue.append(max(a, b))
+
+    def coincidence(self, a, b):
+        queue = []
+        self.merge(a, b, queue)
+        for dead in queue:  # grows while it is read
+            for x in range(self.ns):
+                d = self.table[dead][x]
+                if d == -1:
+                    continue
+                self.table[d][x ^ 1] = -1
+                mu, nu = self.rep(dead), self.rep(d)
+                if self.table[mu][x] != -1:
+                    self.merge(nu, self.table[mu][x], queue)
+                elif self.table[nu][x ^ 1] != -1:
+                    self.merge(mu, self.table[nu][x ^ 1], queue)
+                else:
+                    self.set_entry(mu, x, nu)
+
+    def trace(self, a, word, define):
+        """Trace the cycle a -word-> a from both ends. Where one gap is
+        left, deduce it; where more are, define across the first if
+        define is set, else stop. Where none is, identify the ends."""
+        f, i, b, j = a, 0, a, len(word) - 1
+        while True:
+            while i <= j and self.table[f][word[i]] != -1:
+                f = self.table[f][word[i]]
+                i += 1
+            while j >= i and self.table[b][word[j] ^ 1] != -1:
+                b = self.table[b][word[j] ^ 1]
+                j -= 1
+            if j < i:
+                if f != b:
+                    self.coincidence(f, b)
+                return
+            if j == i:
+                self.set_entry(f, word[i], b)
+                return
+            if not define:
+                return
+            self.define(f, word[i])
+
+    def fill(self, a, word):
+        self.trace(a, word, define=True)
 
     def process_deductions(self):
         while self.deductions:
@@ -120,7 +188,7 @@ class TwoSidedEnumerator(cosets._Enumerator):
                 for w in self.rot_buckets[x]:
                     if not self.alive(a):
                         break
-                    self.scan(a, w)
+                    self.trace(a, w, define=False)
             if not self.alive(a):
                 continue
             b = self.table[a][x]
@@ -128,7 +196,18 @@ class TwoSidedEnumerator(cosets._Enumerator):
                 for w in self.rot_buckets[x ^ 1]:
                     if not self.alive(b):
                         break
-                    self.scan(b, w)
+                    self.trace(b, w, define=False)
+
+    def run(self):
+        a = 0
+        while a < len(self.table):
+            for x in range(self.ns):
+                if not self.alive(a):
+                    break
+                if self.table[a][x] == -1:
+                    self.define(a, x)
+                    self.process_deductions()
+            a += 1
 
 
 def mat_mul(A: list, B: list) -> list:

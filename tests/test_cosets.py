@@ -3,10 +3,11 @@
 import math
 import os
 import random
+import time
 
 import pytest
 
-from burnside import cosets
+from burnside import cosets, oracle
 from burnside.presentation import Presentation, parse_presentation
 from support import (
     TwoSidedEnumerator,
@@ -18,7 +19,7 @@ from support import (
     multiplication_table,
 )
 from burnside.words import (cyclic_reduce, format_word, free_reduce, invert,
-                            parse_word)
+                            parse_word, primitive_root)
 
 
 def P(text):
@@ -87,6 +88,23 @@ def test_closed_table_is_sane():
             d = t.rows[c][x]
             assert 0 <= d < n
             assert t.rows[d][x ^ 1] == c  # inverse edges match
+
+
+def test_validation_rejects_a_table_a_relator_moves():
+    p = P(B23)
+    t = cosets.enumerate_cosets(p, (), 5000)
+    rows = [row[:] for row in t.rows]
+    # swap where cosets 1 and 2 go along a, keeping the table a permutation
+    u, v = rows[1][0], rows[2][0]
+    rows[1][0], rows[2][0], rows[u][1], rows[v][1] = v, u, 2, 1
+    bad = cosets.CosetTable(rank=2, status="closed", num_cosets=27,
+                            defined_total=27, rows=rows)
+    moved = {c for c in range(27) if any(bad.trace(c, r) != c
+                                         for r in p.relators)}
+    assert 0 < len(moved) < 27
+    cosets._validate_closed(p, t)
+    with pytest.raises(AssertionError, match="stabilize"):
+        cosets._validate_closed(p, bad)
 
 
 def test_realization_orders():
@@ -215,11 +233,14 @@ def _buckets_by_every_rotation(p):
     return buckets
 
 
+def bucketed_words(enum):
+    return [[conj[3] for conj in bucket] for bucket in enum.buckets]
+
+
 def test_enumerator_buckets_one_rotation_per_period():
     p = P("gens 1\nrel " + "a" * 40000 + "\n")
-    enum = cosets._Enumerator(p, 10)
-    assert [len(b) for b in enum.rot_buckets] == [1, 1]
-    assert enum.rot_buckets[0][0] == (0,) * 40000
+    assert bucketed_words(cosets._Enumerator(p, 10)) == \
+        [[(0,) * 40000], [(1,) * 40000]]
 
 
 def test_enumerator_buckets_match_every_rotation():
@@ -235,7 +256,7 @@ def test_enumerator_buckets_match_every_rotation():
             p = Presentation(rank, tuple(relators))
         except ValueError:  # a relator reduced to the empty word
             continue
-        assert cosets._Enumerator(p, 10).rot_buckets == \
+        assert bucketed_words(cosets._Enumerator(p, 10)) == \
             _buckets_by_every_rotation(p), relators
 
 
@@ -276,7 +297,8 @@ def powers(words, n):
 
 
 def enumerate_both(p, subgroup, max_cosets, monkeypatch):
-    """The enumeration, checked against the two-sided reference scan."""
+    """The enumeration, checked against the row-layout, two-sided
+    reference enumerator."""
     got = cosets.enumerate_cosets(p, subgroup, max_cosets)
     with monkeypatch.context() as m:
         m.setattr(cosets, "_Enumerator", TwoSidedEnumerator)
@@ -342,6 +364,74 @@ def test_exact_felsch_counts():
         ("exhausted", 19_802, 20_000)
 
 
+def test_the_stretch_runs_rank_7_enumeration_is_pinned():
+    # the one exhausting run on the (2,4) tower's critical path: the rank-7
+    # stage at the default stage budget
+    budget = oracle.Budgets().stage_max_cosets
+    t = cosets.enumerate_cosets(powers(TOWER_PERIODS[4], 4), (), budget)
+    assert (t.status, t.num_cosets, t.defined_total) == \
+        ("exhausted", 98_539, 100_000)
+
+
+@pytest.mark.parametrize("relator", ["a" * 40000, "ab" * 300 + "aab" * 200],
+                         ids=["a^40000", "(ab)^300(aab)^200"])
+def test_long_relator_setup_is_linear_per_conjugate(relator):
+    # each conjugate's columns and its place among its rotations are built
+    # without slicing the word once per position, which took about a
+    # minute on each of these
+    p = P("gens 2\nrel " + relator + "\n")
+    start = time.process_time()
+    enum = cosets._Enumerator(p, 10)
+    assert time.process_time() - start < 1.0
+    q = len(primitive_root(p.relators[0])[0])
+    assert sum(map(len, bucketed_words(enum))) == 2 * q
+
+
+class ClosedCycleCheck(list):
+    """A deduction stack that traces, on each pop, the conjugate the entry
+    closed in full from its source and asserts that the cycle is closed:
+    the premise on which the deduction scan skips that conjugate."""
+
+    def __init__(self, enum):
+        super().__init__()
+        self.enum = enum
+        self.checked = 0
+
+    def pop(self):
+        f, y, closed = super().pop()
+        enum = self.enum
+        if closed is not None and enum.p[f] == f:
+            fwd, _, _, word, _, _ = closed
+            assert word[0] == y
+            c = enum.cols[y][f]
+            for col in fwd:
+                assert c != -1, (f, word)
+                c = col[c]
+            assert c == f, (f, word)
+            self.checked += 1
+        return f, y, closed
+
+
+@pytest.mark.parametrize("n, k, budget", [(3, 4, 5000), (4, 4, 20_000)],
+                         ids=["B(2,3)", "(2,4) rank 5"])
+def test_a_deduced_entry_closes_the_conjugate_it_skips(n, k, budget,
+                                                       monkeypatch):
+    stacks = []
+
+    class Checked(cosets._Enumerator):
+        def __init__(self, p, max_cosets):
+            super().__init__(p, max_cosets)
+            self.deductions = ClosedCycleCheck(self)
+            stacks.append(self.deductions)
+
+    p = powers(TOWER_PERIODS[n][:k], n)
+    want = cosets.enumerate_cosets(p, (), budget)
+    monkeypatch.setattr(cosets, "_Enumerator", Checked)
+    got = cosets.enumerate_cosets(p, (), budget)
+    assert got == want
+    assert len(stacks) == 1 and stacks[0].checked > 0
+
+
 def test_coincidences_keep_every_live_entry(monkeypatch):
     # the deduction scan relies on this: a new edge's source keeps its
     # entry through every coincidence met while its conjugates are scanned
@@ -349,17 +439,17 @@ def test_coincidences_keep_every_live_entry(monkeypatch):
     calls = []
 
     def entries(enum):
-        return [(c, y, row[y]) for c, row in enumerate(enum.table)
-                if enum.p[c] == c for y in range(enum.ns) if row[y] != -1]
+        return [(c, y, col[c]) for y, col in enumerate(enum.cols)
+                for c in range(len(enum.p)) if enum.p[c] == c and col[c] != -1]
 
     def checked(enum, a, b):
         before = entries(enum)
         coincidence(enum, a, b)
         calls.append((a, b))
         for c, y, _ in before:
-            assert enum.p[c] != c or enum.table[c][y] != -1
+            assert enum.p[c] != c or enum.cols[y][c] != -1
         for c, y, d in entries(enum):
-            assert enum.p[d] == d and enum.table[d][y ^ 1] == c
+            assert enum.p[d] == d and enum.cols[y ^ 1][d] == c
 
     monkeypatch.setattr(cosets._Enumerator, "coincidence", checked)
     # coprime powers of one letter collapse whole cycles as they close
@@ -379,7 +469,7 @@ def test_a_vacated_source_entry_stops_the_run(monkeypatch):
 
     def vacating(enum, a, b):
         coincidence(enum, a, b)
-        enum.table[0][0] = -1
+        enum.cols[0][0] = -1
 
     monkeypatch.setattr(cosets._Enumerator, "coincidence", vacating)
     with pytest.raises(AssertionError, match="vacated"):

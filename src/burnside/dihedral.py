@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 import random
 from dataclasses import dataclass
 from math import lcm
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, FrozenSet, Iterable, List, NamedTuple,
+                    Optional, Sequence, Tuple)
 
 MAX_TABLE_CELLS = 1 << 16  # materialized tables stop at order 256
 
@@ -132,6 +132,11 @@ class FiniteGroupTable:
         if len(header) < 2 or header[0] != "order":
             raise TableError("missing table header")
         order = int(header[1])
+        if order < 1:
+            raise TableError(f"table order must be >= 1, got {order}")
+        if order * order > MAX_TABLE_CELLS:
+            raise TableError(f"table of order {order} needs {order * order} "
+                             f"cells (cap {MAX_TABLE_CELLS})")
         name = header[3] if len(header) > 3 else ""
         rows = [[int(c) for c in row] for row in reader if row]
         if len(rows) != order:
@@ -268,14 +273,55 @@ class LazyProduct:
 # --- minimal generating tuples ----------------------------------------------
 
 
+def _join(rows: List[List[int]], span: FrozenSet[int],
+          prefix: Sequence[int], a: int) -> FrozenSet[int]:
+    """<span, a> for span = <prefix>: the old span is already closed under
+    prefix, so only a is applied to it; new elements take every generator."""
+    seen = set(span)
+    frontier: Iterable[int] = span
+    step: Sequence[int] = (a,)
+    while frontier:
+        nxt = []
+        for g in frontier:
+            row = rows[g]
+            for s in step:
+                h = row[s]
+                if h not in seen:
+                    seen.add(h)
+                    nxt.append(h)
+        frontier = nxt
+        step = (*prefix, a)
+    return frozenset(seen)
+
+
 def minimal_generating_tuple(table: FiniteGroupTable) -> List[int]:
-    """Lexicographically first generating tuple of minimal size."""
-    if table.order == 1:
+    """Lexicographically first generating tuple of minimal size.
+
+    Increasing tuples grow one size at a time, and each size keeps only
+    the lexicographically first tuple reaching each span. That loses no
+    answer: if a tuple P + B generates and an earlier tuple P' of P's
+    length spans what P spans, then sorted(P' + B) generates too, has the
+    same size (no element of B lies in that span) and comes first. An
+    element already in the prefix's span is skipped, since a tuple holding
+    one generates with one element less and the smaller sizes failed.
+    """
+    order = table.order
+    if order == 1:
         return []
-    for size in range(1, table.order.bit_length() + 1):
-        for combo in itertools.combinations(range(1, table.order), size):
-            if len(table.closure(combo)) == table.order:
-                return list(combo)
+    rows = table.rows
+    # span -> first tuple reaching it; insertion order is lexicographic
+    level: Dict[FrozenSet[int], List[int]] = {frozenset((0,)): []}
+    while level:
+        grown_level: Dict[FrozenSet[int], List[int]] = {}
+        for span, prefix in level.items():
+            for a in range(prefix[-1] + 1 if prefix else 1, order):
+                if a in span:
+                    continue
+                grown = _join(rows, span, prefix, a)
+                if len(grown) == order:
+                    return prefix + [a]
+                grown_level.setdefault(grown, prefix + [a])
+        level = grown_level
     raise AssertionError("a finite group always has a generating set")
 
 
@@ -302,10 +348,15 @@ class DihedralProductSpec:
         self.k = k
         self.n0 = n0
 
+    def factor_tables(self) -> Tuple[FiniteGroupTable, FiniteGroupTable]:
+        """Fresh tables of the lead factor D(n) and the copy D(2^k), one
+        table for both when n is a power of 2."""
+        lead = build_dihedral(self.n)
+        return lead, (lead if self.n0 == 1 else build_dihedral(2 ** self.k))
+
     def ambient(self, copies: int) -> LazyProduct:
-        factors = [build_dihedral(self.n)]
-        factors.extend(build_dihedral(2 ** self.k) for _ in range(copies))
-        return LazyProduct(factors)
+        lead, copy = self.factor_tables()
+        return LazyProduct([lead] + [copy] * copies)
 
 
 @dataclass
@@ -357,43 +408,69 @@ def _structural_obstruction(sub: FiniteGroupTable,
     return None
 
 
-def _close(sub: FiniteGroupTable, gens: Sequence[int], images: Sequence[int],
-           target: FiniteGroupTable) -> Optional[List[Optional[int]]]:
-    """The map gens -> images closed over the Cayley graph of <gens>, as
-    a list over sub (None outside the span), or None at the first clash."""
-    phi: List[Optional[int]] = [None] * sub.order
-    phi[0] = 0
+class _ClosurePlan(NamedTuple):
+    """The Cayley graph of <gens> in sub, walked breadth-first from 0:
+    `tree` holds the edges (g, j, h), h = g * gens[j], that first reach
+    an element, `checks` every other edge out of the span."""
+    order: int
+    tree: List[Tuple[int, int, int]]
+    checks: List[Tuple[int, int, int]]
+
+
+def _closure_plan(sub: FiniteGroupTable, gens: Sequence[int]) -> _ClosurePlan:
+    seen = [False] * sub.order
+    seen[0] = True
+    tree: List[Tuple[int, int, int]] = []
+    checks: List[Tuple[int, int, int]] = []
     frontier = [0]
     while frontier:
         nxt = []
         for g in frontier:
-            for s, x in zip(gens, images):
-                h = sub.rows[g][s]
-                cand = target.rows[phi[g]][x]
-                if phi[h] is None:
-                    phi[h] = cand
+            row = sub.rows[g]
+            for j, s in enumerate(gens):
+                h = row[s]
+                if seen[h]:
+                    checks.append((g, j, h))
+                else:
+                    seen[h] = True
+                    tree.append((g, j, h))
                     nxt.append(h)
-                elif phi[h] != cand:
-                    return None
         frontier = nxt
+    return _ClosurePlan(sub.order, tree, checks)
+
+
+def _close(plan: _ClosurePlan, images: Sequence[int],
+           target: FiniteGroupTable) -> Optional[List[Optional[int]]]:
+    """The map gens -> images closed over the plan's span, as a list over
+    sub (None outside the span), or None if an edge clashes: phi is
+    assigned along the tree edges, then every other edge is checked."""
+    rows = target.rows
+    phi: List[Optional[int]] = [None] * plan.order
+    phi[0] = 0
+    for g, j, h in plan.tree:
+        phi[h] = rows[phi[g]][images[j]]
+    for g, j, h in plan.checks:
+        if rows[phi[g]][images[j]] != phi[h]:
+            return None
     return phi
 
 
 def _homomorphisms(sub: FiniteGroupTable, gens: Sequence[int],
-                   target: FiniteGroupTable,
+                   plans: Sequence[_ClosurePlan], target: FiniteGroupTable,
                    tick: Callable[[], None]) -> Dict[int, List[int]]:
     """One homomorphism sub -> target (as its image list) per distinct
     kernel, keyed by the kernel as a bitset over sub's elements. The
     image of each generator g of sub has order dividing ord(g); the span
-    of the generators assigned so far is closed after each assignment.
-    tick() runs once per image tried."""
+    of the generators assigned so far is closed after each assignment,
+    by plans[k] for the first k generators. tick() runs once per image
+    tried."""
     pools = [[x for x in range(target.order)
               if sub.element_order(g) % target.element_order(x) == 0]
              for g in gens]
     by_kernel: Dict[int, List[int]] = {}
 
     def extend(images: Tuple[int, ...]) -> None:
-        phi = _close(sub, gens[:len(images)], images, target)
+        phi = _close(plans[len(images)], images, target)
         if phi is None:
             return
         if len(images) == len(gens):
@@ -429,16 +506,21 @@ def _trivial_meet(lead: Dict[int, List[int]], factor: Dict[int, List[int]],
     return reached.get(1)
 
 
-def _verify_embedding(sub: FiniteGroupTable, phi: Dict[int, Tuple[int, ...]],
+def _verify_embedding(sub: FiniteGroupTable, maps: Sequence[Sequence[int]],
                       ambient: LazyProduct) -> bool:
-    """Full replay: multiplicative on every pair and injective."""
-    if len(set(phi.values())) != sub.order:
+    """Full replay of the map h -> (maps[0][h], maps[1][h], ...): each
+    coordinate is multiplicative on every pair in its factor's table, and
+    the coordinates together are injective."""
+    if len(maps) != len(ambient.factors):
         return False
-    for g in range(sub.order):
-        for h in range(sub.order):
-            if ambient.mul(phi[g], phi[h]) != phi[sub.rows[g][h]]:
+    codes = [0] * sub.order
+    for m, f in zip(maps, ambient.factors):
+        for g, row in enumerate(sub.rows):
+            image_row = f.rows[m[g]]
+            if [image_row[x] for x in m] != [m[gh] for gh in row]:
                 return False
-    return True
+        codes = [c * f.order + x for c, x in zip(codes, m)]
+    return len(set(codes)) == sub.order
 
 
 def embed_search(sub: FiniteGroupTable, spec: DihedralProductSpec,
@@ -449,7 +531,8 @@ def embed_search(sub: FiniteGroupTable, spec: DihedralProductSpec,
     and r homomorphisms sub -> B whose kernels intersect trivially.
     Hom(sub, A) and Hom(sub, B) are enumerated once, by images of a
     minimal generating tuple, keeping one homomorphism per distinct
-    kernel. `nodes` counts the homomorphism candidates tried (generator
+    kernel. The tuple is computed only once some r passes the structural
+    check. `nodes` counts the homomorphism candidates tried (generator
     images, then kernel intersections) and `budget` caps it. Any found
     map is replayed over the full table before being reported.
     """
@@ -457,7 +540,9 @@ def embed_search(sub: FiniteGroupTable, spec: DihedralProductSpec,
         raise ValueError(f"r_max must be >= 0, got {r_max}")
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
-    gens = minimal_generating_tuple(sub)
+    lead_table, copy_table = spec.factor_tables()
+    gens: Optional[List[int]] = None
+    plans: List[_ClosurePlan] = []
     nodes = 0
 
     def tick() -> None:
@@ -470,17 +555,21 @@ def embed_search(sub: FiniteGroupTable, spec: DihedralProductSpec,
     homs: Dict[int, Dict[int, List[int]]] = {}
     structural: List[str] = []
     for copies in range(0, r_max + 1):
-        ambient = spec.ambient(copies)
+        ambient = LazyProduct([lead_table] + [copy_table] * copies)
         obstruction = _structural_obstruction(sub, ambient)
         if obstruction is not None:
             structural.append(obstruction)
             continue
+        if gens is None:
+            gens = minimal_generating_tuple(sub)
+            plans = [_closure_plan(sub, gens[:k])
+                     for k in range(len(gens) + 1)]
         try:
             for f in ambient.factors[:2]:
                 if f.order not in homs:
-                    homs[f.order] = _homomorphisms(sub, gens, f, tick)
-            lead = homs[ambient.factors[0].order]
-            factor = homs[ambient.factors[-1].order] if copies else {}
+                    homs[f.order] = _homomorphisms(sub, gens, plans, f, tick)
+            lead = homs[lead_table.order]
+            factor = homs[copy_table.order] if copies else {}
             path = _trivial_meet(lead, factor, copies, tick)
         except _BudgetStop:
             return EmbedResult(status="budget_exceeded", subgroup=sub.name,
@@ -490,14 +579,14 @@ def embed_search(sub: FiniteGroupTable, spec: DihedralProductSpec,
         if path is not None:
             maps = [lead[path[0]]] + [factor[k] for k in path[1:]]
             maps += [[0] * sub.order] * (copies + 1 - len(maps))  # trivial
-            phi = {h: tuple(m[h] for m in maps) for h in range(sub.order)}
-            if not _verify_embedding(sub, phi, ambient):
+            if not _verify_embedding(sub, maps, ambient):
                 raise AssertionError("search produced a non-embedding")
             return EmbedResult(
                 status="embedding", subgroup=sub.name, ambient=ambient.name,
                 copies_tried=copies,
-                images=[phi[g] for g in gens], generators=gens, nodes=nodes)
-    family = f"{spec.ambient(0).name} (+ up to {r_max} copies)"
+                images=[tuple(m[g] for m in maps) for g in gens],
+                generators=gens, nodes=nodes)
+    family = f"{lead_table.name} (+ up to {r_max} copies)"
     if len(structural) == r_max + 1:
         return EmbedResult(status="refuted_structural", subgroup=sub.name,
                            ambient=family, copies_tried=r_max,

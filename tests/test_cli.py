@@ -525,6 +525,20 @@ def test_embed_refuses_an_oversized_lead_factor(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_embed_refuses_a_table_above_the_cell_cap(tmp_path, capsys):
+    # order 300 needs 90,000 cells; the header is refused before any row
+    # is read or any axiom replayed
+    c300 = tmp_path / "c300.csv"
+    c300.write_text(build_cyclic(300).to_csv())
+    t0 = time.monotonic()
+    code, out, err = run(["embed", str(c300), "-n", "4"], capsys)
+    assert time.monotonic() - t0 < 1.0
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "90000 cells" in err
+    assert "Traceback" not in err
+
+
 def test_output_file_written_in_text_mode(pres, tmp_path, capsys):
     f = pres(KLEIN)
     rep_path = tmp_path / "rep.json"

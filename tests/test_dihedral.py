@@ -1,8 +1,11 @@
 """Dihedral product targets and the embedding search."""
 
+import hashlib
 import itertools
+import json
 import math
 import random
+import time
 from collections import Counter
 
 import pytest
@@ -234,6 +237,12 @@ def _close_partial(sub, gens, images, ambient):
     return phi
 
 
+def _coordinate_maps(phi, ambient):
+    """phi (element -> coordinate tuple) as one image list per factor."""
+    return [[phi[h][i] for h in range(len(phi))]
+            for i in range(len(ambient.factors))]
+
+
 def backtracking_embed_search(sub, spec, r_max=4):
     """(status, copies_tried) of the old backtracking search."""
     gens = dh.minimal_generating_tuple(sub)
@@ -277,7 +286,8 @@ def backtracking_embed_search(sub, spec, r_max=4):
 
         phi = search(0)
         if phi is not None:
-            assert dh._verify_embedding(sub, phi, ambient)
+            assert dh._verify_embedding(sub, _coordinate_maps(phi, ambient),
+                                        ambient)
             return "embedding", copies
     if structural == r_max + 1:
         return "refuted_structural", r_max
@@ -291,7 +301,7 @@ def _replay_witness(sub, spec, result):
     phi = _close_partial(sub, result.generators,
                          [tuple(img) for img in result.images], ambient)
     assert phi is not None and len(phi) == sub.order
-    assert dh._verify_embedding(sub, phi, ambient)
+    assert dh._verify_embedding(sub, _coordinate_maps(phi, ambient), ambient)
 
 
 def _named_groups():
@@ -381,3 +391,181 @@ def test_embed_arguments_are_validated():
         dh.embed_search(c4, spec, r_max=-1)
     with pytest.raises(ValueError, match="budget"):
         dh.embed_search(c4, spec, budget=0)
+
+
+# --- outputs pinned across the search's rewrites -----------------------------
+#
+# sha256 of the sorted-key JSON list of EmbedResult.to_json_dict(), one per
+# case, taken from the frontier-BFS search with the combinations-based
+# generating tuple. A faster search must reproduce every byte: status,
+# copies_tried, nodes, generators, images and reason.
+
+PINNED_DIGESTS = {
+    "q8": "8b541aae48b5deb488d9c266c256b642bd6c3e5c517e8b0841964718a7ba0147",
+    "d4xd4 seed 0":
+        "0d82d5fa588c641bf46c7c523acea2b274e9f5a952b5f67c40dae541c794cecc",
+    "d4xd4 seed 1":
+        "085917b40d9d31ca60349fc8274185fe3d53eb3f5a1e63561bdf15f15cd95773",
+    "d4xd4 seed 2":
+        "eda07a038b634af1b8d164b97521302980ba89457a72c8fdc388cacc6b25a489",
+    "d4xd4 seed 3":
+        "6efb231b3f789f60c7f9b51805944ac1b5f5e0a9787f27e8fafc505687caab63",
+    "c2^4 n=2":
+        "d61fee300bf0ac5442ff8f89bca53e205968c4d3eb709d43a84204c7a2827a0d",
+    "c2^4 n=6":
+        "d2ed758977e245432f9599074f9d6b5aade5fe740d4c45777cdbab10c4ed7620",
+}
+
+
+def _c2_power(k):
+    return dh.direct_product([dh.build_cyclic(2)] * k)
+
+
+def _pinned_cases():
+    """case -> (subgroups, n, r_max)"""
+    cases = {"q8": ([dh.build_quaternion()], 4, 3)}
+    for seed in range(4):
+        cases[f"d4xd4 seed {seed}"] = (_d4xd4_draws(seed), 4, 3)
+    for n in (2, 6):
+        cases[f"c2^4 n={n}"] = ([_c2_power(4)], n, 4)
+    return cases
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_DIGESTS))
+def test_embed_results_match_pinned_digests(case):
+    subs, n, r_max = _pinned_cases()[case]
+    spec = dh.DihedralProductSpec(n)
+    results = [dh.embed_search(sub, spec, r_max=r_max).to_json_dict()
+               for sub in subs]
+    text = json.dumps(results, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_DIGESTS[case]
+
+
+def brute_force_generating_tuple(table):
+    """Every increasing tuple, size by size, closed from scratch."""
+    if table.order == 1:
+        return []
+    for size in range(1, table.order.bit_length() + 1):
+        for combo in itertools.combinations(range(1, table.order), size):
+            if len(table.closure(combo)) == table.order:
+                return list(combo)
+    raise AssertionError("unreachable")
+
+
+def _generating_tuple_groups():
+    d4 = dh.build_dihedral(4)
+    groups = [_c2_power(k) for k in (3, 4, 5)]
+    groups += [dh.build_quaternion(), dh.build_dihedral(6),
+               dh.build_dihedral(12), dh.build_cyclic(12),
+               dh.direct_product([d4, d4]), dh.build_cyclic(1)]
+    for seed in range(4):
+        groups += _d4xd4_draws(seed)
+    return groups
+
+
+def test_generating_tuple_matches_brute_force():
+    for table in _generating_tuple_groups():
+        assert dh.minimal_generating_tuple(table) == \
+            brute_force_generating_tuple(table), table.name
+
+
+def test_generating_tuple_matches_brute_force_on_sampled_subgroups():
+    d4 = dh.build_dihedral(4)
+    ambient = dh.direct_product([d4, d4])
+    subs = dh.sample_subgroups(ambient, 48, seed=5)
+    assert len(subs) == 48
+    for elems in subs:
+        table = dh.subgroup_table(ambient, elems)
+        assert dh.minimal_generating_tuple(table) == \
+            brute_force_generating_tuple(table), elems
+
+
+def test_generating_tuple_of_c2_6_is_fast():
+    table = _c2_power(6)
+    t0 = time.monotonic()
+    assert dh.minimal_generating_tuple(table) == [1, 2, 4, 8, 16, 32]
+    assert time.monotonic() - t0 < 10.0
+
+
+def _bfs_close(sub, gens, images, target):
+    """The frontier BFS the compiled plans replace."""
+    phi = [None] * sub.order
+    phi[0] = 0
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for g in frontier:
+            for s, x in zip(gens, images):
+                h = sub.rows[g][s]
+                cand = target.rows[phi[g]][x]
+                if phi[h] is None:
+                    phi[h] = cand
+                    nxt.append(h)
+                elif phi[h] != cand:
+                    return None
+        frontier = nxt
+    return phi
+
+
+def test_compiled_close_matches_the_frontier_bfs():
+    rng = random.Random(3)
+    subs = _d4xd4_draws(0) + [_c2_power(4), dh.build_quaternion(),
+                              dh.build_dihedral(6)]
+    targets = [dh.build_dihedral(h) for h in (2, 3, 4, 6)]
+    clashes = closed = 0
+    for sub in subs:
+        gens = dh.minimal_generating_tuple(sub)
+        for k in range(len(gens) + 1):
+            plan = dh._closure_plan(sub, gens[:k])
+            for target in targets:
+                for _ in range(12):
+                    images = tuple(rng.randrange(target.order)
+                                   for _ in range(k))
+                    want = _bfs_close(sub, gens[:k], images, target)
+                    assert dh._close(plan, images, target) == want
+                    clashes += want is None
+                    closed += want is not None
+    assert clashes > 50 and closed > 50
+
+
+def test_verify_embedding_rejects_broken_maps():
+    spec = dh.DihedralProductSpec(4)
+    sub = _c2_power(2)
+    r = dh.embed_search(sub, spec, r_max=1)
+    ambient = spec.ambient(r.copies_tried)
+    phi = _close_partial(sub, r.generators, [tuple(img) for img in r.images],
+                         ambient)
+    maps = _coordinate_maps(phi, ambient)
+    assert dh._verify_embedding(sub, maps, ambient)
+    # still injective, but one image moved outside the embedded copy, so
+    # the products through it fail
+    lead = ambient.factors[0]
+    assert lead.order > sub.order
+    broken = [list(m) for m in maps]
+    broken[0][1] = next(x for x in range(lead.order) if x not in maps[0])
+    assert len({tuple(m[h] for m in broken) for h in range(sub.order)}) \
+        == sub.order
+    assert not dh._verify_embedding(sub, broken, ambient)
+    # multiplicative but not injective: the trivial map
+    trivial = [[0] * sub.order for _ in ambient.factors]
+    assert not dh._verify_embedding(sub, trivial, ambient)
+    # one coordinate too many
+    assert not dh._verify_embedding(sub, maps + [[0] * sub.order], ambient)
+
+
+def test_structural_check_precedes_the_generating_tuple():
+    c3 = dh.build_cyclic(3)
+    sub = dh.direct_product([c3] * 5)  # order 243
+    t0 = time.monotonic()
+    r = dh.embed_search(sub, dh.DihedralProductSpec(4), r_max=4)
+    assert time.monotonic() - t0 < 1.0
+    assert r.status == "refuted_structural"
+    assert r.generators is None and r.nodes == 0
+
+
+def test_csv_table_above_the_cell_cap_is_refused_before_its_rows():
+    text = "order,300,name,C300\n"  # no rows: the header alone is refused
+    with pytest.raises(dh.TableError, match="90000 cells"):
+        dh.FiniteGroupTable.from_csv(text)
+    with pytest.raises(dh.TableError, match=">= 1"):
+        dh.FiniteGroupTable.from_csv("order,0\n")

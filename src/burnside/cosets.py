@@ -40,6 +40,7 @@ import math
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, List, Optional, Sequence
 
 from .presentation import Presentation
@@ -104,9 +105,6 @@ class _Enumerator:
         while p[c] != root:
             p[c], c = root, p[c]
         return root
-
-    def row(self, c: int) -> List[int]:
-        return [col[c] for col in self.cols]
 
     # -- table writes ----------------------------------------------------
 
@@ -301,20 +299,29 @@ def enumerate_cosets(p: Presentation, subgroup: Sequence[Word] = (),
             rank=p.rank, status="exhausted", num_cosets=enum.live_count(),
             defined_total=enum.defined_total, subgroup=subgroup,
         )
-    # compact live cosets in definition order
-    live = [c for c in range(len(enum.p)) if enum.p[c] == c]
-    renum = {c: i for i, c in enumerate(live)}
-    rows = []
-    for c in live:
-        row = enum.row(c)
-        if -1 in row:
+    # compact live cosets in definition order, a column at a time; an
+    # entry naming a dead coset is renumbered through its root, and a
+    # root is always lower than the cosets merged into it
+    renum = [0] * len(enum.p)
+    live = []
+    for c, root in enumerate(enum.p):
+        if root == c:
+            renum[c] = len(live)
+            live.append(c)
+        else:
+            renum[c] = renum[root]
+    cols = []
+    for col in enum.cols:
+        col = _gather(col, live)
+        if -1 in col:
             raise AssertionError("closed table has a gap")
-        rows.append([renum[enum.rep(d)] for d in row])
+        cols.append(_gather(renum, col))
     table = CosetTable(
         rank=p.rank, status="closed", num_cosets=len(live),
-        defined_total=enum.defined_total, subgroup=subgroup, rows=rows,
+        defined_total=enum.defined_total, subgroup=subgroup,
+        rows=[list(row) for row in zip(*cols)],
     )
-    _validate_closed(p, table)
+    _validate_closed(p, table, cols)
     return table
 
 
@@ -398,16 +405,36 @@ class Prefetch:
         return os.waitstatus_to_exitcode(status)
 
 
-def _validate_closed(p: Presentation, t: CosetTable):
-    # soundness self-check: relators act trivially, subgroup fixes coset 0;
-    # a relator is traced from every coset at once, a letter at a time
-    cols = list(zip(*t.rows))
-    start = list(range(t.num_cosets))
+def _gather(seq: Sequence[int], idx: Sequence[int]) -> tuple:
+    """(seq[i] for i in idx) as a tuple, gathered in C; idx is not empty."""
+    return itemgetter(*idx)(seq) if len(idx) > 1 else (seq[idx[0]],)
+
+
+def _validate_closed(p: Presentation, t: CosetTable,
+                     cols: Optional[Sequence[Sequence[int]]] = None):
+    """Soundness self-check of a closed table: relators act trivially and
+    the subgroup fixes coset 0. ``cols`` may give the table's columns.
+
+    A relator u^k (u its primitive root) is checked as a map on all
+    cosets at once: the map of u, composed a letter at a time, raised to
+    the k-th power by repeated squaring. Composition is associative, so
+    this is the map that tracing u^k letter by letter gives."""
+    if cols is None:
+        cols = list(zip(*t.rows))
+    start = tuple(range(t.num_cosets))
     for r in p.relators:
+        u, k = primitive_root(r)
+        step = start
+        for x in u:
+            step = _gather(cols[x], step)
         cur = start
-        for x in r:
-            col = cols[x]
-            cur = [col[c] for c in cur]
+        while True:  # cur is the map of u^(k's bits read so far)
+            if k & 1:
+                cur = _gather(step, cur)
+            k >>= 1
+            if not k:
+                break
+            step = _gather(step, step)
         if cur != start:
             raise AssertionError("relator does not stabilize a coset")
     for g in t.subgroup:
@@ -475,14 +502,17 @@ class FiniteRealization:
         powers, and g^k has order d / gcd(k, d), so an element met on an
         earlier trace is never traced itself.
         """
+        rows = self.table.rows
         orders = [1] + [0] * (self.order - 1)
         for c in range(1, self.order):
             if orders[c]:
                 continue
-            powers, cur = [0], c  # powers[k] is the coset of reps[c]^k
+            word = self.reps[c]
+            powers, cur = [0], c  # powers[k] is the coset of word^k
             while cur:
                 powers.append(cur)
-                cur = self.trace(cur, self.reps[c])
+                for x in word:
+                    cur = rows[cur][x]
             d = len(powers)
             for k, p in enumerate(powers):
                 orders[p] = d // math.gcd(k, d)

@@ -56,17 +56,43 @@ class FiniteGroupTable:
                 raise TableError(f"row {g} is not a permutation")
             if self.rows[0][g] != g or row[0] != g:
                 raise TableError("0 is not an identity")
-        cols = [[self.rows[g][h] for g in range(n)] for h in range(n)]
-        for h, col in enumerate(cols):
+        for h, col in enumerate(zip(*self.rows)):
             if sorted(col) != list(range(n)):
                 raise TableError(f"column {h} is not a permutation")
-        for g in range(n):
-            for h in range(n):
-                gh = self.rows[g][h]
-                for k in range(n):
-                    if self.rows[gh][k] != self.rows[g][self.rows[h][k]]:
-                        raise TableError(
-                            f"associativity fails at ({g}, {h}, {k})")
+        # Light's test: the s with (g s) k = g (s k) for all g, k are
+        # closed under the product, so it suffices to check the s of a
+        # set whose left-normed products from 0 reach every element
+        rows = self.rows
+        for s in self._spanning_set():
+            row_s = rows[s]
+            for g, row_g in enumerate(rows):
+                want = list(map(row_g.__getitem__, row_s))  # g (s k) by k
+                got = rows[row_g[s]]
+                if got != want:
+                    k = next(k for k in range(n) if got[k] != want[k])
+                    raise TableError(
+                        f"associativity fails at ({g}, {s}, {k})")
+
+    def _spanning_set(self) -> List[int]:
+        """Elements, taken greedily in order, whose left-normed products
+        from 0 reach every element: each is the least one not yet
+        reached."""
+        rows = self.rows
+        reached = [True] + [False] * (self.order - 1)
+        span = [0]  # the elements reached, in the order they were
+        gens: List[int] = []
+        for s in range(1, self.order):
+            if reached[s]:
+                continue
+            gens.append(s)
+            for g in span:  # grows while it is read
+                row = rows[g]
+                for t in gens:
+                    h = row[t]
+                    if not reached[h]:
+                        reached[h] = True
+                        span.append(h)
+        return gens
 
     def mul(self, g: int, h: int) -> int:
         return self.rows[g][h]

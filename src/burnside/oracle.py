@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import asdict, dataclass, field, fields
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from . import cosets, rewrite, subgrp
 from .presentation import Presentation
@@ -136,7 +136,7 @@ class StageContext:
         self._kb = None
         self._capped = self._UNSET
         self._abelian = None
-        self._certifiers: Optional[List[Tuple[str, subgrp.KernelCertifier]]] = None
+        self._certifiers: Optional[subgrp.Ladder] = None
         self._quotient_probe = self._UNSET
         self._infinite = self._UNSET
         self._closure = self._UNSET
@@ -176,7 +176,7 @@ class StageContext:
             self._abelian = subgrp.abelian_invariants(self.presentation)
         return self._abelian
 
-    def certifiers(self) -> List[Tuple[str, subgrp.KernelCertifier]]:
+    def certifiers(self) -> subgrp.Ladder:
         if self._certifiers is None:
             self._certifiers = subgrp.ladder(
                 self.presentation, self.abelian(),
@@ -352,7 +352,7 @@ def element_order(ctx: StageContext, w: Word, n_hint: int = 1
     skipped.append({
         "strategy": "kernel-certificate",
         "reason": "no quotient in the ladder separated the word",
-        "quotients": [name for name, _ in ctx.certifiers()],
+        "quotients": list(ctx.certifiers().names),
     })
     return OrderVerdict("unknown", evidence={
         "strategy": "exhausted",

@@ -317,7 +317,8 @@ class QuotientAction:
     coordinate vector per generator; kind "permutation" carries the rows
     of a regular permutation action (a closed coset table over the
     trivial subgroup). Element 0 is the identity either way, and the
-    rows ARE the coset table of the kernel."""
+    rows ARE the coset table of the kernel. A spec whose images do not
+    reach every point from 0 is no such table, and raises ValueError."""
 
     def __init__(self, spec: dict, rank: int):
         self.spec = spec
@@ -345,6 +346,8 @@ class QuotientAction:
             if len(images) != rank:
                 raise ValueError("need one permutation per generator")
             size = len(images[0]) if images else 1
+            if size < 1:
+                raise ValueError("a permutation action needs a point")
             for perm in images:
                 if sorted(perm) != list(range(size)):
                     raise ValueError("generator image is not a permutation")
@@ -356,6 +359,20 @@ class QuotientAction:
                           for g in (perm, inv)] for c in range(size)]
         else:
             raise ValueError(f"unknown quotient kind {kind!r}")
+        # the rows are a coset table only if the images generate a
+        # transitive action: every point reached from 0
+        reached = [False] * self.size
+        reached[0] = True
+        queue = [0]
+        for c in queue:  # grows while it is read
+            for d in self.rows[c]:
+                if not reached[d]:
+                    reached[d] = True
+                    queue.append(d)
+        if len(queue) != self.size:
+            raise ValueError("the action is not transitive: "
+                             f"{len(queue)} of {self.size} points "
+                             "reached from 0")
 
     def trace(self, c: int, w: Word) -> int:
         for x in w:
@@ -522,16 +539,37 @@ class KernelCertifier:
         return None
 
 
+class Ladder:
+    """The certifier ladder of one presentation: named quotient specs,
+    each rung's KernelCertifier built on first use and kept.
+
+    Iterating yields (name, certifier) pairs in rung order and builds a
+    rung only when the iteration reaches it, so a search that stops at
+    rung k never builds the rungs above k."""
+
+    def __init__(self, p: Presentation, rungs: Sequence[Tuple[str, dict]]):
+        self.presentation = p
+        self.names = [name for name, _ in rungs]
+        self._specs = [spec for _, spec in rungs]
+        self._built: Dict[int, KernelCertifier] = {}
+
+    def __iter__(self):
+        for k, name in enumerate(self.names):
+            if k not in self._built:
+                self._built[k] = KernelCertifier(self.presentation,
+                                                 self._specs[k])
+            yield name, self._built[k]
+
+
 def ladder(p: Presentation, ab: AbelianInvariants, max_kernel_index: int,
-           extra: Sequence[Tuple[str, dict]] = ()
-           ) -> List[Tuple[str, KernelCertifier]]:
-    """The certifier ladder of p: one (name, KernelCertifier) rung for
-    the torsion quotient of G^ab (``ab`` holds its spec), then one per
-    (name, spec) of ``extra``, in order. A spec of more than
-    ``max_kernel_index`` elements is left out before it is built."""
+           extra: Sequence[Tuple[str, dict]] = ()) -> Ladder:
+    """The certifier ladder of p: one rung for the torsion quotient of
+    G^ab (``ab`` holds its spec), then one per (name, spec) of ``extra``,
+    in order. A spec of more than ``max_kernel_index`` elements is left
+    out before it is built; the others are built on first use."""
     rungs = [("abelian-torsion", ab.quotient), *extra]
-    return [(name, KernelCertifier(p, spec)) for name, spec in rungs
-            if spec_size(spec) <= max_kernel_index]
+    return Ladder(p, [(name, spec) for name, spec in rungs
+                      if spec_size(spec) <= max_kernel_index])
 
 
 def infinite_order_certificate(p: Presentation, w: Word,

@@ -429,7 +429,8 @@ def verify_independence(result: TowerResult, budgets: Budgets) -> dict:
             "dropped_period": format_word(period, m),
         }
         # certificates first: one proves the dropped group infinite, so
-        # its enumeration could never have closed
+        # its enumeration could never have closed; a rung is built only
+        # once a candidate has failed every rung below it
         certifiers = subgrp.ladder(ctx.presentation, ctx.abelian(),
                                    budgets.max_kernel_index,
                                    extra=[full_quotient])

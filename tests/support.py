@@ -112,8 +112,10 @@ class TwoSidedEnumerator:
     def alive(self, c):
         return self.p[c] == c
 
-    def row(self, c):
-        return self.table[c]
+    @property
+    def cols(self):
+        """The table by letter, as enumerate_cosets compacts it."""
+        return [list(col) for col in zip(*self.table)]
 
     def live_count(self):
         return sum(1 for c in range(len(self.p)) if self.alive(c))

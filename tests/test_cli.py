@@ -339,6 +339,32 @@ def test_checkpoint_log_with_every_entry_kind_is_valid():
         max_candidates=5)
 
 
+@pytest.mark.parametrize("spec", [
+    {"kind": "permutation", "images": [[0, 1]]},
+    {"kind": "abelian", "moduli": [2], "images": [[0]]}])
+def test_audit_reports_a_non_transitive_certificate(tmp_path, spec):
+    # a certificate over <a | a^2> whose quotient fixes both points: its
+    # replay fails as a bad spec, which the audit reports
+    cp = json.loads(_log_checkpoint_text())
+    entry = cp["partial_log"][-1]
+    entry["certificate"].update(
+        presentation={"rank": 1, "relators": ["aa"]}, word="a",
+        quotient=spec, kernel_index=2)
+    f = tmp_path / "cp.json"
+    f.write_text(json.dumps(cp))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["--format", "json", "tower", "-m", "2", "-n", "3",
+                         "--resume", str(f), "--audit"])
+    assert code == 1
+    assert "Traceback" not in err.getvalue()
+    problems = [(d["word"], d["problem"])
+                for d in json.loads(out.getvalue())["audit"]["disagreements"]]
+    assert problems == [(entry["word"], "certificate replay failed: bad "
+                         "quotient spec: the action is not transitive: 1 of "
+                         "2 points reached from 0")]
+
+
 def test_coset_closed(pres, capsys):
     f = pres(KLEIN)
     code, out, _ = run(["coset", f], capsys)

@@ -1,5 +1,6 @@
 """Coset enumeration, realized finite groups, conjugacy, center."""
 
+import dataclasses
 import math
 import os
 import random
@@ -354,6 +355,95 @@ def test_one_sided_scan_matches_on_random_power_words(monkeypatch):
         if t.closed and t.defined_total > t.num_cosets:
             seen.add("coincidence")
     assert seen == {"closed", "exhausted", "coincidence"}
+
+
+def naive_validation(p, t):
+    """The closed-table check traced one coset and one letter at a time:
+    the message of the first failed assertion, or None."""
+    for r in p.relators:
+        for c in range(t.num_cosets):
+            d = c
+            for x in r:
+                d = t.rows[d][x]
+            if d != c:
+                return "relator does not stabilize a coset"
+    for g in t.subgroup:
+        d = 0
+        for x in g:
+            d = t.rows[d][x]
+        if d != 0:
+            return "subgroup generator moves coset 0"
+    return None
+
+
+def column_validation(p, t):
+    try:
+        cosets._validate_closed(p, t)
+    except AssertionError as e:
+        return str(e)
+    return None
+
+
+def corrupted(t, rng):
+    """A copy of closed table t where two cosets swap their targets along
+    one plain letter, so it stays a permutation table."""
+    rows = [row[:] for row in t.rows]
+    x = 2 * rng.randrange(t.rank)
+    u, v = rng.sample(range(t.num_cosets), 2)
+    rows[u][x], rows[v][x] = rows[v][x], rows[u][x]
+    rows[rows[u][x]][x ^ 1], rows[rows[v][x]][x ^ 1] = u, v
+    return dataclasses.replace(t, rows=rows)
+
+
+def test_power_map_check_agrees_with_letter_by_letter_tracing():
+    rng = random.Random(29)
+    verdicts = []
+    tables = 0
+    while tables < 40:
+        p = random_power_presentation(rng)
+        subgroup = ()
+        if rng.random() < 0.3:
+            subgroup = (tuple(rng.randrange(p.num_symbols)
+                              for _ in range(rng.randint(1, 3))),)
+        t = cosets.enumerate_cosets(p, subgroup, 3000)
+        if not t.closed:
+            continue
+        tables += 1
+        assert column_validation(p, t) is naive_validation(p, t) is None
+        if t.num_cosets > 1:
+            bad = corrupted(t, rng)
+            verdicts.append(naive_validation(p, bad))
+            assert column_validation(p, bad) == verdicts[-1]
+    # the corruptions are caught, apart from the odd harmless swap
+    assert verdicts.count("relator does not stabilize a coset") > \
+        len(verdicts) // 2
+
+
+@pytest.mark.parametrize("n", [1, 1600])
+def test_power_map_check_on_one_cycle(n):
+    # <a | a^n>: the map of a raised to the n-th power by squaring; with
+    # one coset the gathers read single entries
+    p = P("gens 1\nrel " + "a" * n + "\n")
+    t = cosets.enumerate_cosets(p, (), 2 * n)
+    assert t.closed and t.num_cosets == n
+    assert column_validation(p, t) is naive_validation(p, t) is None
+    if n > 1:
+        bad = corrupted(t, random.Random(n))
+        assert column_validation(p, bad) == naive_validation(p, bad) == \
+            "relator does not stabilize a coset"
+
+
+def test_closed_table_with_a_gap_is_refused(monkeypatch):
+    # a run that stops with a gap left must not pass as closed
+    run = cosets._Enumerator.run
+
+    def leaves_a_gap(self):
+        run(self)
+        self.cols[1][0] = -1
+
+    monkeypatch.setattr(cosets._Enumerator, "run", leaves_a_gap)
+    with pytest.raises(AssertionError, match="closed table has a gap"):
+        cosets.enumerate_cosets(P(KLEIN), (), 100)
 
 
 def test_exact_felsch_counts():

@@ -43,14 +43,71 @@ def test_cyclic_and_quaternion():
 def test_table_verification_catches_garbage():
     with pytest.raises(dh.TableError):
         dh.FiniteGroupTable([[0, 1], [1, 1]], verify=True)  # not a bijection
-    with pytest.raises(dh.TableError):
-        # row/column permutation ok but not associative
+    with pytest.raises(dh.TableError, match="associativity"):
+        # row/column permutation ok but not associative: a loop of order 5
         dh.FiniteGroupTable(
             [[0, 1, 2, 3, 4],
              [1, 0, 3, 4, 2],
              [2, 4, 0, 1, 3],
              [3, 2, 4, 0, 1],
              [4, 3, 1, 2, 0]], verify=True)
+
+
+def reduced_latin_squares(n):
+    """Every n x n Latin square over 0..n-1 whose row 0 and column 0 are
+    0..n-1 in order: the multiplication tables of loops with identity 0."""
+    rows = [list(range(n))] + [[g] + [-1] * (n - 1) for g in range(1, n)]
+
+    def fill(cell):
+        if cell == n * n:
+            yield [row[:] for row in rows]
+            return
+        g, h = divmod(cell, n)
+        if g == 0 or h == 0:
+            yield from fill(cell + 1)
+            return
+        for v in range(n):
+            if v not in rows[g][:h] and all(rows[i][h] != v for i in range(g)):
+                rows[g][h] = v
+                yield from fill(cell + 1)
+        rows[g][h] = -1
+
+    return fill(0)
+
+
+def brute_force_associative(rows):
+    n = len(rows)
+    return all(rows[rows[g][h]][k] == rows[g][rows[h][k]]
+               for g in range(n) for h in range(n) for k in range(n))
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_lights_test_agrees_with_every_triple(n):
+    # over all loops of order n (every loop of order 4 or less is a
+    # group), checking the generating set accepts and refuses exactly the
+    # tables the n^3 triples do
+    verdicts = Counter()
+    for rows in reduced_latin_squares(n):
+        want = brute_force_associative(rows)
+        try:
+            dh.FiniteGroupTable(rows, verify=True)
+            got = True
+        except dh.TableError as e:
+            assert "associativity" in str(e)
+            got = False
+        assert got == want, rows
+        verdicts[want] += 1
+    assert verdicts[True] and verdicts[False]
+
+
+def test_order_256_table_loads_quickly():
+    # D128 is exactly at the cell cap; Light's test checks (g s) k = g (s k)
+    # for its two greedy generators only, not all 256^3 triples
+    text = dh.build_dihedral(128).to_csv()
+    t0 = time.monotonic()
+    back = dh.FiniteGroupTable.from_csv(text)
+    assert time.monotonic() - t0 < 0.5
+    assert back.order == 256 and back._spanning_set() == [1, 2]
 
 
 def test_csv_roundtrip(tmp_path):

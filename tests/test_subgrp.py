@@ -14,6 +14,7 @@ from burnside.subgrp import (
     DEFAULT_MAX_KERNEL_INDEX,
     KernelCertifier,
     NotInSubgroup,
+    QuotientAction,
     abelian_invariants,
     infinite_order_certificate,
     ladder,
@@ -249,6 +250,40 @@ def test_quotient_spec_must_hold():
         KernelCertifier(p, wrong)
 
 
+# <a | a^2> acts on two points with a fixing both: not transitive
+NON_TRANSITIVE = [{"kind": "permutation", "images": [[0, 1]]},
+                  {"kind": "abelian", "moduli": [2], "images": [[0]]}]
+
+
+@pytest.mark.parametrize("spec", NON_TRANSITIVE)
+def test_non_transitive_quotient_is_a_bad_spec(spec):
+    p = P("gens 1\nrel aa\n")
+    with pytest.raises(ValueError, match="not transitive"):
+        QuotientAction(spec, 1)
+    cert = Certificate(presentation=p, word=parse_word("a", 1), power=1,
+                       quotient=spec, kernel_index=2, num_schreier_gens=1,
+                       free_positions=(0,), witness_position=0,
+                       witness_coordinate=1)
+    ok, reason = verify_certificate(cert)
+    assert not ok
+    assert reason.startswith("bad quotient spec: the action is not "
+                             "transitive")
+
+
+def test_permutation_quotient_needs_a_point():
+    # a claimed kernel index of 0 matches an empty permutation's size
+    spec = {"kind": "permutation", "images": [[]]}
+    with pytest.raises(ValueError, match="needs a point"):
+        QuotientAction(spec, 1)
+    cert = Certificate(presentation=P("gens 1\nrel aa\n"),
+                       word=parse_word("a", 1), power=1, quotient=spec,
+                       kernel_index=0, num_schreier_gens=1,
+                       free_positions=(0,), witness_position=0,
+                       witness_coordinate=1)
+    assert verify_certificate(cert) == (
+        False, "bad quotient spec: a permutation action needs a point")
+
+
 def test_certificate_replay_is_bounded():
     p = P(DINF)
     cert = infinite_order_certificate(p, parse_word("ab", 2),
@@ -292,11 +327,14 @@ def test_ladder_leaves_out_rungs_over_the_bound():
     rungs = ladder(p, ab, 6, extra=[("s3", s3)])
     assert [(name, kc.action.size) for name, kc in rungs] == [
         ("abelian-torsion", 4), ("s3", 6)]
-    # an oversized spec is never built, so its faults never surface
+    # an oversized spec is never built, so its faults never surface; an
+    # in-bound one's surface when its rung is first used
     wrong = {"kind": "permutation", "images": [[0, 0, 0]] * 2}
-    assert ladder(p, ab, 2, extra=[("wrong", wrong)]) == []
+    assert list(ladder(p, ab, 2, extra=[("wrong", wrong)])) == []
+    rungs = ladder(p, ab, 4, extra=[("wrong", wrong)])
+    assert rungs.names == ["abelian-torsion", "wrong"]
     with pytest.raises(ValueError):
-        ladder(p, ab, 4, extra=[("wrong", wrong)])
+        list(rungs)
 
 
 @pytest.mark.parametrize("key", sorted(CERT_TYPES))

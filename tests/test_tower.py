@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from burnside import cosets, oracle, tower
+from burnside import cosets, oracle, subgrp, tower
 from burnside.presentation import TowerStatus, tower_presentation
 from burnside.words import parse_word
 from support import (count_completions, count_enumerations,
@@ -153,6 +153,66 @@ def test_independence_tries_certificates_before_enumerating(monkeypatch):
     rep = tower.verify_independence(res, tower.Budgets())
     assert rep["status"] == "ok"
     assert calls == []
+
+
+def count_ladder_builds(monkeypatch) -> list:
+    """Collect the quotient kind of each KernelCertifier built outside a
+    certificate's replay, which builds its own."""
+    built, replaying = [], []
+    init = subgrp.KernelCertifier.__init__
+    verify = subgrp.verify_certificate
+
+    def counted_init(self, p, spec):
+        if not replaying:
+            built.append(spec["kind"])
+        init(self, p, spec)
+
+    def counted_verify(*args, **kwargs):
+        replaying.append(True)
+        try:
+            return verify(*args, **kwargs)
+        finally:
+            replaying.pop()
+
+    monkeypatch.setattr(subgrp.KernelCertifier, "__init__", counted_init)
+    monkeypatch.setattr(subgrp, "verify_certificate", counted_verify)
+    return built
+
+
+def test_independence_builds_a_rung_only_when_asked(monkeypatch):
+    # the torsion rung certifies every dropped period of B(2,3), so the
+    # full-realization rung above it is never built
+    res = _tower_2_3()
+    built = count_ladder_builds(monkeypatch)
+    rep = tower.verify_independence(res, tower.Budgets())
+    assert rep["status"] == "ok"
+    assert [e["evidence"]["quotient"] for e in rep["relators"]] == \
+        ["abelian-torsion"] * 4
+    assert built == ["abelian"] * 4
+
+
+def test_dependent_relators_still_reach_the_full_realization(monkeypatch):
+    # a and b are certified by the torsion rung; ab and aB are dependent,
+    # so every candidate falls through to the full-realization rung
+    res = _with_periods(2, 2, ["a", "b", "ab", "aB"])
+    built = count_ladder_builds(monkeypatch)
+    asked = []
+    certify = subgrp.KernelCertifier.certify
+
+    def counted_certify(self, w):
+        asked.append(self.quotient_spec["kind"])
+        return certify(self, w)
+
+    monkeypatch.setattr(subgrp.KernelCertifier, "certify", counted_certify)
+    rep = tower.verify_independence(res, tower.Budgets())
+    assert [kind for kind, *_ in _drop_evidence(rep)] == \
+        ["infinite-order-certificate"] * 2 + ["closed-enumeration"] * 2
+    assert built == ["abelian", "abelian", "abelian", "permutation",
+                     "abelian", "permutation"]
+    # word-major: each candidate of a dependent relator asks both rungs
+    per_drop = 1 + 3 + tower.Budgets().independence_candidates
+    assert asked == ["abelian", "abelian"] + \
+        ["abelian", "permutation"] * (2 * per_drop)
 
 
 def test_center_is_small_but_nontrivial():

@@ -7,12 +7,20 @@ For a word w in a presented group the cascade tries, in order:
 2. Knuth-Bendix within budget, then a power trace w, w^2, ... looking
    for a reduction to the empty word; a hit proves w^d = 1, and d is the
    exact order when the system is confluent or when some cached quotient
-   already exhibits an element of order d underneath w. A stage the
-   quotients prove infinite traces a capped completion first, then asks
-   strategy 3, and only then completes in full (no verdict changes);
+   already exhibits an element of order d underneath w;
 3. infinite-order certificates through the stage's quotient ladder (the
    torsion quotient of the abelianization);
 4. Unknown, carrying the budgets that were exhausted.
+
+A stage the quotients prove infinite asks strategy 3 first, then traces
+its capped tiers in a fixed order: the seed rules whose lhs fits
+``CAPPED_MAX_LEN``, then one capped completion read at each of
+``CAPPED_MARKS`` steps and at its end. The completion advances only when
+no tier reached so far pinned a hit, and only then does the stage
+complete in full. A certified word has no power that reduces to 1 and a
+pinned hit is the exact order, so this sequence changes no verdict, and
+a word's verdict is the first pinned hit along the tiers, whatever was
+asked before it.
 
 Every verdict carries machine-checkable evidence. Unknown is contagious
 by design: callers must treat it as "stop", never as "probably finite".
@@ -41,9 +49,11 @@ from . import cosets, rewrite, subgrp
 from .presentation import Presentation
 from .words import Word, free_reduce
 
-# small orders of short words surface well within these budgets
+# small orders of short words surface well within these budgets, and
+# most of them at the first step mark
 CAPPED_MAX_LEN = 16
 CAPPED_MAX_STEPS = 100_000
+CAPPED_MARKS = (1_000, 10_000)
 
 
 @dataclass
@@ -134,7 +144,8 @@ class StageContext:
         self.budgets = budgets if budgets is not None else Budgets()
         self.prefetch = prefetch  # may hold the stage enumeration
         self._kb = None
-        self._capped = self._UNSET
+        self._tiers: Optional[list] = None
+        self._completion = None  # the capped completion, until it ends
         self._abelian = None
         self._certifiers: Optional[subgrp.Ladder] = None
         self._quotient_probe = self._UNSET
@@ -153,23 +164,44 @@ class StageContext:
             )
         return self._kb
 
-    def capped_kb(self) -> Optional[rewrite.RewritingSystem]:
-        """A completion capped at ``CAPPED_MAX_LEN`` and
-        ``CAPPED_MAX_STEPS`` for a stage the quotient probe proves
-        infinite, when the cap is below both budgets; else None. Memoized.
-        A confluent one hit no budget, so it is also ``kb()``."""
-        if self._capped is self._UNSET:
-            b = self.budgets
-            self._capped = None
-            if b.kb_max_len > CAPPED_MAX_LEN and \
-                    b.kb_max_steps > CAPPED_MAX_STEPS and \
-                    self.quotient_probe() is not None:
-                self._capped = rewrite.complete_presentation(
-                    self.presentation, max_rules=b.kb_max_rules,
+    def tiered(self) -> bool:
+        """Whether the stage has capped tiers: the quotient probe proves
+        it infinite, and the cap is below both KB budgets."""
+        b = self.budgets
+        return b.kb_max_len > CAPPED_MAX_LEN and \
+            b.kb_max_steps > CAPPED_MAX_STEPS and \
+            self.quotient_probe() is not None
+
+    def capped_tiers(self):
+        """Yield the capped tiers of a tiered stage (none otherwise) in
+        their fixed order: tier 0, the seed rules whose lhs fits
+        ``CAPPED_MAX_LEN``; then the one completion capped at
+        ``CAPPED_MAX_LEN`` and ``CAPPED_MAX_STEPS``, read at each of
+        ``CAPPED_MARKS`` and at its end. Each reached tier is kept, and
+        the completion advances only when the caller reads past them. A
+        confluent end hit no budget, so it is also ``kb()``."""
+        if self._tiers is None:
+            self._tiers = []
+            if self.tiered():
+                seed = rewrite.rules_from_presentation(self.presentation)
+                self._tiers.append(rewrite.RewritingSystem(seed.rank, [
+                    rule for rule in seed.rules
+                    if len(rule[0]) <= CAPPED_MAX_LEN]))
+                self._completion = rewrite.completion(
+                    seed, CAPPED_MARKS, max_rules=self.budgets.kb_max_rules,
                     max_len=CAPPED_MAX_LEN, max_steps=CAPPED_MAX_STEPS)
-                if self._capped.confluent and self._kb is None:
-                    self._kb = self._capped
-        return self._capped
+        tiers = self._tiers
+        i = 0
+        while i < len(tiers) or self._completion is not None:
+            if i == len(tiers):
+                tier = next(self._completion)
+                tiers.append(tier)
+                if tier.confluent or tier.stats["budget_hit"]:  # the end
+                    self._completion = None
+                    if tier.confluent and self._kb is None:
+                        self._kb = tier
+            yield tiers[i]
+            i += 1
 
     def abelian(self) -> subgrp.AbelianInvariants:
         if self._abelian is None:
@@ -334,18 +366,24 @@ def element_order(ctx: StageContext, w: Word, n_hint: int = 1
     # so a hard cap is sound; without it asymptotic-regime exponents
     # would turn this strategy into an unbounded loop
     n_max = min(max(4 * n_hint, 4), 4096)
-    capped = ctx.capped_kb()
-    if capped is not None:
-        # a certified word has no power that reduces to 1, so asking the
-        # certificates before kb() changes no verdict
-        verdict = _power_trace(ctx, capped, w, n_max, []) or _certify(ctx, w)
+    tiered = ctx.tiered()
+    if tiered:
+        # a certified word has no power that reduces to 1, and a pinned
+        # hit is never certifiable, so this sequence changes no verdict;
+        # a word's verdict is the first pinned hit along the fixed tiers
+        verdict = _certify(ctx, w)
+        if verdict is None:
+            for system in ctx.capped_tiers():
+                verdict = _power_trace(ctx, system, w, n_max, [])
+                if verdict is not None:
+                    break
         if verdict is not None:
             return verdict
 
     # strategy 2: rewriting power trace
     verdict = _power_trace(ctx, ctx.kb(), w, n_max, skipped)
     # strategy 3: certificates via the quotient ladder, unless asked above
-    if verdict is None and capped is None:
+    if verdict is None and not tiered:
         verdict = _certify(ctx, w)
     if verdict is not None:
         return verdict

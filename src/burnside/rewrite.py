@@ -85,25 +85,6 @@ def cancellation_rules(rank: int):
     return [((x, x ^ 1), ()) for x in range(2 * rank)]
 
 
-def rules_from_presentation(p: Presentation) -> RewritingSystem:
-    """Seed rules: free cancellation plus every shortlex-oriented split
-    of each relator.
-
-    Splitting r at position j gives the equation r[:j] = (r[j:])^-1; the
-    j = len(r) split is the plain r -> 1 orientation and the other splits
-    are its balanced variants, which saves completion a few rounds.
-    """
-    rules = list(cancellation_rules(p.rank))
-    seen = set(rules)
-    for r in p.relators:
-        for j in range(len(r) + 1):
-            pair = orient(r[:j], invert(r[j:]))
-            if pair is not None and pair not in seen:
-                seen.add(pair)
-                rules.append(pair)
-    return RewritingSystem(p.rank, rules, confluent=False)
-
-
 # One ``chr`` per letter in the string shadows of the rules, as in the
 # automaton's reversed paths, and letters run up to 2 * rank - 1, so the
 # rank stops where the code points do.
@@ -114,6 +95,27 @@ def _check_rank(rank: int) -> None:
     if rank > MAX_RANK:
         raise ValueError(f"Knuth-Bendix completion handles rank at most "
                          f"{MAX_RANK} (one code point per letter), got {rank}")
+
+
+def rules_from_presentation(p: Presentation) -> RewritingSystem:
+    """Seed rules: free cancellation plus every shortlex-oriented split
+    of each relator.
+
+    Splitting r at position j gives the equation r[:j] = (r[j:])^-1; the
+    j = len(r) split is the plain r -> 1 orientation and the other splits
+    are its balanced variants, which saves completion a few rounds.
+    Raises ValueError above ``MAX_RANK``, before any rule is built.
+    """
+    _check_rank(p.rank)
+    rules = list(cancellation_rules(p.rank))
+    seen = set(rules)
+    for r in p.relators:
+        for j in range(len(r) + 1):
+            pair = orient(r[:j], invert(r[j:]))
+            if pair is not None and pair not in seen:
+                seen.add(pair)
+                rules.append(pair)
+    return RewritingSystem(p.rank, rules, confluent=False)
 
 
 def _text(w: Word) -> str:
@@ -128,7 +130,27 @@ def knuth_bendix(system: RewritingSystem,
 
     confluent=True on the result means both work queues drained within
     budget; any budget breach leaves a sound partial system with
-    stats["budget_hit"] naming the limit.
+    stats["budget_hit"] naming the limit. It is the one system
+    ``completion`` yields without marks.
+    """
+    for final in completion(system, (), max_rules, max_len, max_steps):
+        pass
+    return final
+
+
+def completion(system: RewritingSystem, marks: Iterable[int] = (),
+               max_rules: int = DEFAULT_MAX_RULES,
+               max_len: int = DEFAULT_MAX_LEN,
+               max_steps: int = DEFAULT_MAX_STEPS):
+    """Completion as a generator, read before it ends.
+
+    Once ``steps`` reaches each mark, at the next loop boundary with no
+    equation waiting, it yields the active rules in id order as a
+    partial system (not confluent, no budget hit): every rule is an
+    equation of the group, so it reduces soundly. Marks passed together
+    yield once. The last yield is the end system, confluent or with a
+    budget hit, and it is exactly what ``knuth_bendix`` returns: the
+    marks change nothing else.
 
     Critical pairs are queued lazily. A new rule r gets one heap entry per
     lhs length L among the active rules, keyed by (len(lhs_r) + L, push
@@ -154,12 +176,28 @@ def knuth_bendix(system: RewritingSystem,
     equations: deque = deque((l, r) for l, r in system.rules)
     budget_hit = None
     steps = 0
+    marks = iter(sorted(marks))
+    mark = next(marks, None)
 
     # one live automaton over the active rules for the whole completion
     automaton = kernels.build_index((), num_symbols)
 
     def current_reduce(w):
         return kernels.reduce_word(automaton, w)
+
+    def current(final):
+        rules = [(lhs, rhs) for lhs, rhs, _, _ in active.values()]
+        stats = dict(system.stats)
+        stats.update(
+            rules_generated=generated,
+            rules_active=len(rules),
+            steps=steps,
+            max_rule_len=max_rule_len,
+            budget_hit=budget_hit,
+        )
+        return RewritingSystem(system.rank, rules,
+                               confluent=final and budget_hit is None,
+                               stats=stats)
 
     def add_equation_as_rule(u, v):
         nonlocal generated, max_rule_len, budget_hit, steps, seq
@@ -222,6 +260,10 @@ def knuth_bendix(system: RewritingSystem,
             u, v = equations.popleft()
             add_equation_as_rule(u, v)
             continue
+        if mark is not None and steps >= mark:
+            yield current(False)
+            while mark is not None and mark <= steps:
+                mark = next(marks, None)
         cost, s, rid, ids, pos, end = heap[0]
         if rid not in active:  # every pair of the group is dead
             heapq.heappop(heap)
@@ -249,21 +291,10 @@ def knuth_bendix(system: RewritingSystem,
             if text1[-k:] == text2[:k]:
                 equations.append((rhs1 + lhs2[k:], lhs1[:-k] + rhs2))
 
-    final = [(lhs, rhs) for lhs, rhs, _, _ in active.values()]
-    stats = dict(system.stats)
-    stats.update(
-        rules_generated=generated,
-        rules_active=len(final),
-        steps=steps,
-        max_rule_len=max_rule_len,
-        budget_hit=budget_hit,
-    )
-    return RewritingSystem(system.rank, final,
-                           confluent=budget_hit is None, stats=stats)
+    yield current(True)
 
 
 def complete_presentation(p: Presentation, **budgets) -> RewritingSystem:
-    _check_rank(p.rank)  # before seeding builds 2 * rank cancellation rules
     return knuth_bendix(rules_from_presentation(p), **budgets)
 
 

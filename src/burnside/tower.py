@@ -510,10 +510,11 @@ def center_report(result: TowerResult) -> dict:
 def audit_tower(result: TowerResult, budgets: Budgets) -> dict:
     """Recompute every logged verdict in a fresh StageContext per rank.
 
-    Finite(d): replay the proof that w^d = 1 (reducing w^d by the fresh
-    capped completion, then the full one, when it fits in
-    ``max_relator_letters``; otherwise, or if that fails, the fresh
-    context's stage closure, which enumerates under ``stage_max_cosets``)
+    Finite(d): replay the proof that w^d = 1 (reducing w^d along the
+    fresh context's capped tiers, then by the full completion, when it
+    fits in ``max_relator_letters``; otherwise, or if that fails, the
+    fresh context's stage closure, which enumerates under
+    ``stage_max_cosets``)
     and pin exactness against the terminal realization, where the image
     of w must have order exactly d (order in a quotient divides order in
     the stage divides d, so equality at the bottom forces equality).
@@ -545,13 +546,12 @@ def audit_tower(result: TowerResult, budgets: Budgets) -> dict:
                 checks["finite"] += 1
                 d = entry["order"]
                 # a checkpoint may claim any order, so w^d is built only
-                # within the relator budget, and reduced by the capped
-                # completion first; past it, only the stage's realization
-                # can re-prove d
-                capped = ctx.capped_kb()
-                if d * len(w) > budgets.max_relator_letters or (
-                        (capped is None or capped.reduce(w * d) != ())
-                        and ctx.kb().reduce(w * d) != ()):
+                # within the relator budget, and reduced along the capped
+                # tiers first, as the oracle reads them; past it, only the
+                # stage's realization can re-prove d
+                if d * len(w) > budgets.max_relator_letters or not (
+                        any(s.reduce(w * d) == () for s in ctx.capped_tiers())
+                        or ctx.kb().reduce(w * d) == ()):
                     closed = ctx.closure()
                     if closed is None or closed[0].element_order(w) != d:
                         problems.append(

@@ -36,19 +36,34 @@ def count_enumerations(monkeypatch) -> list:
 
 
 def count_completions(monkeypatch) -> list:
-    """Route rewrite.complete_presentation through a counter for this
-    test; the returned list collects (stage rank, max_len, max_steps) of
-    each call, the stage rank being one more than the relator count."""
+    """Route every Knuth-Bendix completion through a counter for this
+    test; the returned list collects (stage rank, max_len, max_steps,
+    steps) of each completion read at least once, the stage rank being one
+    more than the relator count of the presentation seeded by
+    rewrite.rules_from_presentation (None for a system built otherwise),
+    and steps those of the last system read from it so far."""
     calls = []
-    complete = rewrite.complete_presentation
+    ranks = {}  # id of a seed -> (the seed, its stage rank)
+    seed_rules = rewrite.rules_from_presentation
+    completion = rewrite.completion
 
-    def counted(p, **budgets):
-        calls.append((len(p.relators) + 1,
-                      budgets.get("max_len", rewrite.DEFAULT_MAX_LEN),
-                      budgets.get("max_steps", rewrite.DEFAULT_MAX_STEPS)))
-        return complete(p, **budgets)
+    def seeded(p):
+        system = seed_rules(p)
+        ranks[id(system)] = (system, len(p.relators) + 1)
+        return system
 
-    monkeypatch.setattr(rewrite, "complete_presentation", counted)
+    def counted(system, marks=(), max_rules=rewrite.DEFAULT_MAX_RULES,
+                max_len=rewrite.DEFAULT_MAX_LEN,
+                max_steps=rewrite.DEFAULT_MAX_STEPS):
+        rank = ranks.get(id(system), (None, None))[1]
+        i = len(calls)
+        calls.append((rank, max_len, max_steps, 0))
+        for tier in completion(system, marks, max_rules, max_len, max_steps):
+            calls[i] = (rank, max_len, max_steps, tier.stats["steps"])
+            yield tier
+
+    monkeypatch.setattr(rewrite, "rules_from_presentation", seeded)
+    monkeypatch.setattr(rewrite, "completion", counted)
     return calls
 
 

@@ -143,7 +143,7 @@ def test_infinite_stage_needs_no_warm_up(monkeypatch):
     assert calls == []
 
 
-# --- the capped completion of a stage the quotients prove infinite ---------
+# --- the capped tiers of a stage the quotients prove infinite ---------------
 
 CAPPED = (16, 100_000)  # max_len, max_steps
 FULL = (oracle.Budgets().kb_max_len, oracle.Budgets().kb_max_steps)
@@ -156,59 +156,79 @@ def test_a_pinned_capped_hit_needs_no_full_completion(monkeypatch):
     # completion of it turns confluent within the default budgets
     calls = count_completions(monkeypatch)
     ctx = oracle.StageContext(P(TRIANGLE))
+    # (ab)^3 reduces by a seed rule of its relator, and aB is certified
     assert oracle.element_order(ctx, parse_word("ab", 2)).evidence == \
         QUOTIENT_MATCH_3
     v = oracle.element_order(ctx, parse_word("aB", 2))
     assert v.infinite and v.evidence["strategy"] == "kernel-certificate"
-    assert calls == [(4, *CAPPED)]  # one capped run serves both words
+    assert calls == []
+    # (abaB)^3 needs derived rules: the completion runs to its first mark
+    # and no further
+    v = oracle.element_order(ctx, parse_word("abaB", 2))
+    assert (v.order, v.evidence) == (3, QUOTIENT_MATCH_3)
+    assert calls == [(4, *CAPPED, 1000)]
+    assert oracle.element_order(ctx, parse_word("ab", 2)).order == 3
+    assert calls == [(4, *CAPPED, 1000)]
 
 
 def test_an_unpinned_capped_hit_falls_through_to_the_full_completion(
         monkeypatch):
     calls = count_completions(monkeypatch)
     ctx = oracle.StageContext(P(TRIANGLE))
-    capped = ctx.capped_kb()
-    assert not capped.confluent
+    tiers = list(ctx.capped_tiers())
+    # tier 0, the completion at its first mark, and its end
+    assert [t.stats.get("steps") for t in tiers] == [None, 1000, 2921]
+    assert not tiers[-1].confluent
+    assert calls == [(4, *CAPPED, 2921)]
     trace = rewrite.finite_order_by_powers
+    traced = []
 
     def doubled(system, w, n_max):  # a hit the quotients cannot pin
+        traced.append(system)
         d = trace(system, w, n_max)
-        return 2 * d if system is capped and d is not None else d
+        tier = any(system is t for t in tiers)
+        return 2 * d if tier and d is not None else d
 
     monkeypatch.setattr(rewrite, "finite_order_by_powers", doubled)
     v = oracle.element_order(ctx, parse_word("ab", 2))
-    # the certificates find nothing, and the full completion decides as
-    # it did without the capped run
+    # every tier is traced in order, the certificates find nothing, and
+    # the full completion decides as it did without the tiers
     assert (v.kind, v.order, v.evidence) == ("finite", 3, QUOTIENT_MATCH_3)
-    assert calls == [(4, *CAPPED), (4, *FULL)]
+    assert traced == [*tiers, ctx.kb()]
+    assert calls == [(4, *CAPPED, 2921), (4, *FULL, 29417)]
 
 
 def test_a_confluent_capped_completion_is_the_full_one(monkeypatch):
-    # <a, b | a^2> (Z2 * Z) completes within the cap, so the capped run is
-    # the very system kb() returns, and its evidence names its rules
-    full = rewrite.complete_presentation(P(ZSQ))
+    # <a, b | aB> (Z, with a = b) completes within the cap, before the
+    # first mark; Ba is trivial, but its seed rules leave Ba^d reducible
+    # only to Ba, so only the end of the capped completion reduces it, and
+    # that end is the very system kb() returns
+    text = "gens 2\nrel aB\n"
+    full = rewrite.complete_presentation(P(text))
     calls = count_completions(monkeypatch)
-    ctx = oracle.StageContext(P(ZSQ))
-    v = oracle.element_order(ctx, parse_word("a", 2))
-    assert ctx.capped_kb() is ctx.kb() and ctx.kb().confluent
-    assert calls == [(2, *CAPPED)]
-    assert v.evidence == {"strategy": "kb-power",
-                          "exactness": "confluent-reduction",
-                          "rules": len(full.rules)}
-    assert ctx.kb().rules == full.rules
+    ctx = oracle.StageContext(P(text))
+    v = oracle.element_order(ctx, parse_word("Ba", 2))
+    tiers = list(ctx.capped_tiers())
+    assert [t.stats.get("steps") for t in tiers] == [None, 86]
+    assert tiers[-1] is ctx.kb() and ctx.kb().confluent
+    assert calls == [(2, *CAPPED, 86)]
+    assert (v.kind, v.order, v.evidence) == ("finite", 1, {
+        "strategy": "kb-power", "exactness": "confluent-reduction",
+        "rules": len(full.rules)})
+    assert (ctx.kb().rules, ctx.kb().stats) == (full.rules, full.stats)
 
 
 @pytest.mark.parametrize("budgets, completion", [
-    (dict(kb_max_len=16), (16, FULL[1])),
-    (dict(kb_max_steps=100_000), (FULL[0], 100_000)),
-    (dict(kb_max_len=15, kb_max_steps=99_999), (15, 99_999)),
+    (dict(kb_max_len=16), (16, FULL[1], 2921)),
+    (dict(kb_max_steps=100_000), (FULL[0], 100_000, 29417)),
+    (dict(kb_max_len=15, kb_max_steps=99_999), (15, 99_999, 2645)),
 ])
 def test_no_capped_completion_at_or_under_the_cap(budgets, completion,
                                                    monkeypatch):
     calls = count_completions(monkeypatch)
     ctx = oracle.StageContext(P(TRIANGLE), oracle.Budgets(**budgets))
     v = oracle.element_order(ctx, parse_word("ab", 2))
-    assert ctx.capped_kb() is None
+    assert list(ctx.capped_tiers()) == [] and not ctx.tiered()
     assert v.order == 3
     assert calls == [(4, *completion)]  # the budgets' own completion only
 
@@ -218,7 +238,37 @@ def test_no_capped_completion_unless_the_quotients_prove_infinite():
     # one for every stage, and the census closes it
     ctx = oracle.StageContext(P(B23))
     assert oracle.element_order(ctx, parse_word("ab", 2)).order == 3
-    assert ctx.capped_kb() is None
+    assert list(ctx.capped_tiers()) == [] and not ctx.tiered()
+
+
+def test_tier_0_keeps_only_seed_rules_within_the_cap():
+    # every split of a^2000 has an lhs of at least 1000 letters, so tier
+    # 0 of <a, b | a^2000> is free cancellation alone, and the capped
+    # completion stops at its first rule over the cap
+    p = P("gens 2\nrel " + "a" * 2000 + "\n")
+    ctx = oracle.StageContext(p)
+    assert ctx.tiered()
+    tier0, end = ctx.capped_tiers()
+    assert tier0.rules == rewrite.cancellation_rules(2)
+    assert max(len(lhs) for lhs, _ in end.rules) <= oracle.CAPPED_MAX_LEN
+    assert end.stats["budget_hit"] == "max_len"
+    # a word of the stage still gets its certificate first
+    assert oracle.element_order(ctx, parse_word("b", 2)).infinite
+
+
+def test_capped_tiers_are_kept_and_shared(monkeypatch):
+    # a second reader of the tiers sees the same systems, and reading
+    # again advances nothing
+    calls = count_completions(monkeypatch)
+    ctx = oracle.StageContext(P(TRIANGLE))
+    first = ctx.capped_tiers()
+    tier0 = next(first)
+    assert calls == []
+    again = list(ctx.capped_tiers())
+    assert again[0] is tier0 and [next(first), next(first)] == again[1:]
+    assert next(first, None) is None
+    assert list(ctx.capped_tiers()) == again
+    assert calls == [(4, *CAPPED, 2921)]
 
 
 @pytest.mark.parametrize("field, value", [

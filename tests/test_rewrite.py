@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from burnside import cosets, kernels, rewrite
+from burnside import cosets, kernels, oracle, rewrite
 from burnside.presentation import (
     Presentation,
     parse_presentation,
@@ -264,6 +264,64 @@ def test_lazy_pairs_match_eager_completion():
                     ("max_rules", None), ("max_len", None)}
 
 
+def _read_at_marks(seed, marks, **budgets):
+    """What a completion yields at marks, and the one system a
+    knuth_bendix call at the same budgets returns: the last yield must be
+    that system exactly, and every yield before it a partial system that
+    passed its mark."""
+    tiers = list(rewrite.completion(seed, marks, **budgets))
+    want = rewrite.knuth_bendix(seed, **budgets)
+    got = tiers[-1]
+    assert (got.rules, got.stats, got.confluent) == \
+        (want.rules, want.stats, want.confluent)
+    steps = [tier.stats["steps"] for tier in tiers]
+    assert steps == sorted(steps)
+    pending = sorted(marks)
+    for tier in tiers[:-1]:
+        assert not tier.confluent and tier.stats["budget_hit"] is None
+        assert pending and tier.stats["steps"] >= pending[0]
+        pending = [mark for mark in pending if mark > tier.stats["steps"]]
+    return tiers
+
+
+def test_completion_read_at_the_oracle_marks_ends_as_one_call():
+    # every stage of the n=3 and n=4 towers, at the oracle's cap; each
+    # system read reduces every relator to 1
+    for n in (3, 4):
+        periods = [parse_word(t, 2) for t in TOWER_PERIODS[n].split()]
+        for k in range(len(periods) + 1):
+            p = tower_presentation(2, n, periods[:k])
+            tiers = _read_at_marks(
+                rewrite.rules_from_presentation(p), oracle.CAPPED_MARKS,
+                max_len=oracle.CAPPED_MAX_LEN,
+                max_steps=oracle.CAPPED_MAX_STEPS)
+            assert len(tiers) == 1 + sum(
+                mark <= tiers[-1].stats["steps"] for mark in oracle.CAPPED_MARKS)
+            for tier in tiers:
+                assert all(tier.reduce(r) == () for r in p.relators), (n, k)
+
+
+def test_completion_read_at_dense_marks_ends_as_one_call():
+    # a partial system need not reduce a relator to 1 (it is not
+    # confluent, and the relator's own rule may be retired), but every rule
+    # in it holds in the group: checked in each group that closes
+    rng = random.Random(7)
+    closed = 0
+    for p in _random_presentations(200, 11):
+        marks = rng.sample(range(1, 2000), 12)
+        tiers = _read_at_marks(rewrite.rules_from_presentation(p), marks,
+                               max_steps=2000)
+        t = cosets.enumerate_cosets(p, (), 500)
+        if not t.closed:
+            continue
+        closed += 1
+        r = cosets.realize(t)
+        for tier in tiers:
+            for lhs, rhs in tier.rules:
+                assert element_row(r, lhs) == element_row(r, rhs), p
+    assert closed > 100
+
+
 # transition rows each completion below may fill, 18,000 in all: a rule
 # change drops only the rows it can alter (3,218, 4,903 and 5,909 rows
 # are filled), where dropping every row refilled 359,724
@@ -297,13 +355,18 @@ def test_n4_stage_completion_stats(rank, stats, monkeypatch):
 
 
 def test_completion_rank_is_bounded_by_the_code_points(monkeypatch):
-    def seed(p):
+    def cancellation(rank):
         raise AssertionError("seeded 2 * rank rules before the rank check")
 
-    monkeypatch.setattr(rewrite, "rules_from_presentation", seed)
+    monkeypatch.setattr(rewrite, "cancellation_rules", cancellation)
     big = Presentation(rewrite.MAX_RANK + 1, ((0,),))
-    with pytest.raises(ValueError, match=str(rewrite.MAX_RANK)):
-        rewrite.complete_presentation(big)
+    # every seeding path checks the rank first, with the same message:
+    # the oracle's tiers seed through rules_from_presentation directly
+    for seed in (rewrite.complete_presentation,
+                 rewrite.rules_from_presentation):
+        with pytest.raises(ValueError, match=f"handles rank at most "
+                                             f"{rewrite.MAX_RANK} "):
+            seed(big)
     # a letter past the code points fails the rank check, not chr() in
     # the string shadows or the automaton's reversed paths
     y = 2 * rewrite.MAX_RANK + 1

@@ -5,6 +5,7 @@ import dataclasses
 import functools
 import json
 import os
+import random
 import time
 
 import pytest
@@ -543,19 +544,49 @@ def test_report_shape():
 
 
 def test_stages_proved_infinite_run_no_full_completion(monkeypatch):
-    # the rank-4 stage <a, b | a^3, b^3, (ab)^3> is proved infinite by its
-    # quotients, and a completion of it to max_len 64 cannot finish; its
-    # words of order 3 are decided by the capped completion, in the scan
-    # and in the audit, and only the finite rank-5 stage completes in full
+    # ranks 1-4 of the n=3 tower are proved infinite by their quotients
+    # (rank 4 is the triangle group, which no completion to max_len 64
+    # finishes); their words are certified or reduced by the seed rules of
+    # their own relators, in the scan and in the audit, so only the finite
+    # rank-5 stage completes, in full
     calls = count_completions(monkeypatch)
     res = tower.run_tower(2, 3)
-    capped = (16, 100_000)  # max_len, max_steps
-    assert calls == [(1, *capped), (2, *capped), (3, *capped),
-                     (4, *capped), (5, 64, 1_000_000)]
+    assert calls == [(5, 64, 1_000_000, 1674)]
     calls.clear()
     assert tower.audit_tower(res, tower.Budgets())["agreement"] == "100%"
-    # rank 1 logs only a certificate and rank 5 closed without a scan
-    assert calls == [(2, *capped), (3, *capped), (4, *capped)]
+    assert calls == []
+
+
+def test_n4_stages_stop_their_completion_at_the_first_mark(monkeypatch):
+    # of the n=4 tower's stages, all proved infinite up to rank 6, only
+    # rank 6 has a word (aaB) its seed rules do not pin, and the capped
+    # completion pins it at its first mark, in the scan and in the audit
+    calls = count_completions(monkeypatch)
+    res = tower.run_tower(2, 4, tower.Budgets(max_ranks=6))
+    assert [o.rank for o in res.ranks] == [1, 2, 3, 4, 5, 6]
+    assert calls == [(6, 16, 100_000, 1024)]
+    calls.clear()
+    assert tower.audit_tower(res, tower.Budgets())["agreement"] == "100%"
+    assert calls == [(6, 16, 100_000, 1024)]
+
+
+def test_verdicts_do_not_depend_on_the_order_of_questions():
+    # a word's verdict is the first pinned hit along a stage's fixed tiers,
+    # so asking a stage's logged words in another order, in a fresh
+    # context, gives the verdicts the scan logged
+    res = tower.run_tower(2, 4, tower.Budgets(max_ranks=6))
+    rng = random.Random(20)
+    for outcome in res.ranks:
+        p = tower_presentation(2, 4, res.periods[:outcome.rank - 1])
+        assert oracle.StageContext(p).tiered()
+        logged = [e for e in outcome.log if "filtered" not in e]
+        shuffled = logged[:]
+        rng.shuffle(shuffled)
+        for order in (logged[::-1], shuffled):
+            ctx = oracle.StageContext(p)
+            for entry in order:
+                v = oracle.element_order(ctx, parse_word(entry["word"], 2), 4)
+                assert v.log_entry(entry["word"]) == entry
 
 
 # --- the helper process -----------------------------------------------------

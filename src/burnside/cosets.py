@@ -12,12 +12,18 @@ subgroup itself) can never die. The run either closes, yielding the
 exact coset table, or exhausts its definition budget.
 
 The table is stored by letter, one column per letter indexed by coset,
-and each conjugate carries, built once, the columns its scan reads: one
-per letter after the first going forward, and the inverse column of
-each letter going backward. A scan of conjugate w that deduces the entry
-at w's position i closes the cycle of the conjugate starting there, so
-that conjugate is skipped when the new entry is scanned; the closure,
-every definition and every table stay the same.
+and each conjugate carries, built once, the columns its scan reads. A
+scan of the edge a -w[0]-> e along conjugate w first reads the two
+steps beside the edge, from e along w[1] and back from a along w[-1].
+Where both are gaps, the cycle has two and the scan stops; most scans
+end there or one walk later. Where one is a gap, the other side walks
+to it: it cannot pass a gap it knows, so it walks its columns without a
+bound and either deduces the gap, or meets a second one, or closes the
+cycle. Only where neither is a gap are the middle columns walked from
+both ends. A scan of conjugate w that deduces the entry at w's position
+i closes the cycle of the conjugate starting there, so that conjugate
+is skipped when the new entry is scanned; the closure, every definition
+and every table stay the same.
 
 Everything downstream that says "order" or "trace" sits on a closed
 table: a closed table over the trivial subgroup is the regular action of
@@ -38,6 +44,7 @@ from __future__ import annotations
 import io
 import math
 import os
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
@@ -48,6 +55,9 @@ from .words import (Word, format_word, free_reduce, invert, primitive_root,
                     shortlex_key)
 
 DEFAULT_MAX_COSETS = 2 * 10**6
+
+# the column of the empty word: every coset stays where it is
+_IDENTITY = range(sys.maxsize)
 
 
 class BudgetExhausted(Exception):
@@ -69,12 +79,16 @@ class _Enumerator:
     def _conjugates(self, relators: Sequence[Word]) -> List[list]:
         # Cyclic conjugates of each relator and its inverse, by first
         # letter. Rotations repeat with the primitive root's period q, so
-        # only the offsets below it can be new. A conjugate is a tuple
-        # (fwd, bwd, last, word, family, k): fwd holds the columns of
-        # word[1:] and bwd the inverse column of each letter, by position;
-        # last is word's last position; word is rotation k of family's q
-        # distinct rotations, so the conjugate that starts at its position
-        # i is family[(k + i) % q].
+        # only the offsets below it can be new. A conjugate w of length n
+        # is a tuple (f1, fmid, flast, b1, bmid, blast, w, family, k) of
+        # the columns its scan reads: f1 = cols[w[1]], fmid those of
+        # w[2:n-1] and flast = cols[w[n-1]] going forward, b1 =
+        # cols[w[n-1] ^ 1], bmid the inverse columns of w[2:n-1] from the
+        # end and blast = cols[w[1] ^ 1] going backward. A word shorter
+        # than 3 reads as if the empty word (_IDENTITY) stood after its
+        # first letter until it had 3. w is rotation k of family's q
+        # distinct rotations, so the conjugate that starts at its
+        # position i is family[(k + i) % q].
         cols = self.cols
         buckets: List[list] = [[] for _ in range(self.ns)]
         seen: dict = {}
@@ -88,9 +102,17 @@ class _Enumerator:
                     rot = w[k:] + w[:k]
                     conj = seen.get(rot)
                     if conj is None:
-                        conj = seen[rot] = (ahead[k + 1:k + n],
-                                            back[k:k + n], n - 1, rot,
-                                            family, k)
+                        if n >= 3:
+                            steps = (ahead[k + 1], ahead[k + 2:k + n - 1],
+                                     ahead[k + n - 1], back[k + n - 1],
+                                     back[k + n - 2:k + 1:-1], back[k + 1])
+                        elif n == 2:
+                            steps = (_IDENTITY, (), ahead[k + 1],
+                                     back[k + 1], (), _IDENTITY)
+                        else:
+                            steps = (_IDENTITY, (), _IDENTITY,
+                                     _IDENTITY, (), _IDENTITY)
+                        conj = seen[rot] = steps + (rot, family, k)
                         buckets[rot[0]].append(conj)
                     family.append(conj)
         return buckets
@@ -117,11 +139,14 @@ class _Enumerator:
         if self.defined_total >= self.max_cosets:
             raise BudgetExhausted
         b = len(self.p)
-        for col in self.cols:
+        cols = self.cols
+        for col in cols:
             col.append(-1)
         self.p.append(b)
         self.defined_total += 1
-        self.set_entry(a, x, b)
+        cols[x][a] = b
+        cols[x ^ 1][b] = a
+        self.deductions.append((a, x, None))
 
     # -- coincidences ----------------------------------------------------
 
@@ -187,12 +212,19 @@ class _Enumerator:
             self.define(f, word[i])
 
     def process_deductions(self):
-        # Scan each new edge a -x-> once, from a, along the conjugates that
-        # start with x (see the module docstring), from w[1] on. An entry
-        # that a scan deduces closes the cycle of the conjugate starting
-        # at it, so that conjugate's scan is skipped. A coincidence moves a
-        # dead row's entries to its root, so cols[x][a] stays defined while
-        # a lives.
+        # Scan each new edge a -x-> e once, from a, along the conjugates
+        # w that start with x (see the module docstring). The two steps
+        # beside the edge come first, from e along w[1] (f1) and back
+        # from a along w[-1] (b1): where both are gaps the cycle has two
+        # and the scan stops. Where one is, the other side walks all its
+        # columns up to that gap, so the walk needs no bound; only where
+        # neither is are the middle columns walked from both ends. A
+        # conjugate's fields are read by position, in the order that
+        # _conjugates gives, as unpacking all nine would cost more than
+        # most scans. An entry that a scan deduces closes the cycle of the
+        # conjugate starting at it, so that conjugate's scan is skipped.
+        # A coincidence moves a dead row's entries to its root, so
+        # cols[x][a] stays defined while a lives.
         cols, p, deductions = self.cols, self.p, self.deductions
         buckets = self.buckets
         while deductions:
@@ -204,33 +236,80 @@ class _Enumerator:
             for conj in buckets[x]:
                 if conj is closed:
                     continue
-                fwd, bwd, j, w, family, k = conj
-                f = e
-                i = 1
-                for c in fwd:
-                    d = c[f]
-                    if d == -1:
-                        break
-                    f = d
-                    i += 1
-                b = a
-                while j >= i:
-                    d = bwd[j][b]
-                    if d == -1:
-                        break
-                    b = d
-                    j -= 1
-                if j == i:
-                    fwd[i - 1][f] = b
-                    bwd[i][b] = f
-                    deductions.append((f, w[i],
-                                       family[(k + i) % len(family)]))
-                elif j < i and f != b:
-                    self.coincidence(f, b)
-                    if p[a] != a:
-                        break
-                    e = col[a]
-                    assert e != -1, "a coincidence vacated a live entry"
+                f = conj[0][e]
+                b = conj[3][a]
+                if f == -1:
+                    if b == -1:
+                        continue
+                    for c in conj[4]:
+                        d = c[b]
+                        if d == -1:
+                            break
+                        b = d
+                    else:
+                        f = conj[5][b]
+                        if f == -1:  # the one gap is w[1], from e
+                            conj[0][e] = b
+                            conj[5][b] = e
+                            w, family, k = conj[6:]
+                            deductions.append((e, w[1],
+                                               family[(k + 1) % len(family)]))
+                            continue
+                        b = e  # the cycle closes: f and e are one coset
+                    if f == -1:  # the walk stopped at a second gap
+                        continue
+                elif b == -1:
+                    for c in conj[1]:
+                        d = c[f]
+                        if d == -1:
+                            break
+                        f = d
+                    else:
+                        b = conj[2][f]
+                        if b == -1:  # the one gap is w[-1], into a
+                            conj[2][f] = a
+                            conj[3][a] = f
+                            w, family, k = conj[6:]
+                            i = len(w) - 1
+                            deductions.append((f, w[i],
+                                               family[(k + i) % len(family)]))
+                            continue
+                        f = a  # the cycle closes: b and a are one coset
+                    if b == -1:
+                        continue
+                else:
+                    fmid = conj[1]
+                    i = 0  # the middle edges f has crossed
+                    for c in fmid:
+                        d = c[f]
+                        if d == -1:
+                            break
+                        f = d
+                        i += 1
+                    left = len(fmid) - i  # the middle edges from f to b
+                    bmid = conj[4]
+                    t = 0
+                    while t < left:
+                        d = bmid[t][b]
+                        if d == -1:
+                            break
+                        b = d
+                        t += 1
+                    left -= t
+                    if left == 1:
+                        fmid[i][f] = b
+                        bmid[t][b] = f
+                        w, family, k = conj[6:]
+                        deductions.append((f, w[i + 2],
+                                           family[(k + i + 2) % len(family)]))
+                        continue
+                    if left or f == b:
+                        continue
+                self.coincidence(f, b)
+                if p[a] != a:
+                    break
+                e = col[a]
+                assert e != -1, "a coincidence vacated a live entry"
 
     def run(self):
         cols, p = self.cols, self.p

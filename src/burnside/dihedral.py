@@ -139,18 +139,6 @@ class FiniteGroupTable:
             frontier = nxt
         return sorted(seen)
 
-    def is_abelian(self) -> bool:
-        return all(self.rows[g][h] == self.rows[h][g]
-                   for g in range(self.order) for h in range(g))
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["order", self.order, "name", self.name])
-        for row in self.rows:
-            writer.writerow(row)
-        return buf.getvalue()
-
     @classmethod
     def from_csv(cls, text: str) -> "FiniteGroupTable":
         reader = csv.reader(io.StringIO(text))

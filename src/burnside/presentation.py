@@ -140,12 +140,6 @@ def parse_presentation(text: str) -> Presentation:
     return Presentation(rank, tuple(relators))
 
 
-def format_presentation(p: Presentation) -> str:
-    lines = [f"gens {p.rank}"]
-    lines.extend(f"rel {format_word(r, p.rank)}" for r in p.relators)
-    return "\n".join(lines) + "\n"
-
-
 def load_presentation(path) -> Presentation:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_presentation(fh.read())

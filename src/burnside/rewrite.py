@@ -298,16 +298,6 @@ def complete_presentation(p: Presentation, **budgets) -> RewritingSystem:
     return knuth_bendix(rules_from_presentation(p), **budgets)
 
 
-def format_rules(system: RewritingSystem) -> str:
-    """One `lhs -> rhs` per line in word syntax, for golden files."""
-    from .words import format_word
-
-    return "".join(
-        f"{format_word(lhs, system.rank)} -> {format_word(rhs, system.rank)}\n"
-        for lhs, rhs in system.rules
-    )
-
-
 def count_normal_forms(system: RewritingSystem,
                        max_len: Optional[int] = None):
     """Count irreducible words of length <= max_len; (count, stabilized).

@@ -273,10 +273,6 @@ class AbelianInvariants:
     def finite(self) -> bool:
         return self.free_rank == 0
 
-    @property
-    def torsion_order(self) -> int:
-        return math.prod(self.torsion) if self.torsion else 1
-
 
 def abelian_invariants(p: Presentation) -> AbelianInvariants:
     """Invariant factors of G^ab from the relator exponent matrix, and

@@ -29,10 +29,6 @@ def letter(index: int, inverse: bool = False) -> int:
     return 2 * (index - 1) + (1 if inverse else 0)
 
 
-def inv_letter(x: int) -> int:
-    return x ^ 1
-
-
 def max_generator(w: Iterable[int]) -> int:
     """Largest 1-based generator index appearing in ``w`` (0 if empty)."""
     m = 0
@@ -59,16 +55,6 @@ def free_reduce(seq: Iterable[int]) -> Word:
 
 def invert(w: Word) -> Word:
     return tuple(x ^ 1 for x in reversed(w))
-
-
-def concat(u: Word, v: Word) -> Word:
-    """Product of two reduced words, cancelling only at the seam."""
-    i = len(u)
-    j = 0
-    while i > 0 and j < len(v) and u[i - 1] == v[j] ^ 1:
-        i -= 1
-        j += 1
-    return u[:i] + v[j:]
 
 
 def power(w: Word, n: int) -> Word:

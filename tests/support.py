@@ -1,6 +1,8 @@
 """Reference helpers shared by several test modules; the engine needs none."""
 
+import csv
 import heapq
+import io
 import itertools
 import math
 import os
@@ -225,6 +227,22 @@ class TwoSidedEnumerator:
                     self.define(a, x)
                     self.process_deductions()
             a += 1
+
+
+def table_csv(t) -> str:
+    """A FiniteGroupTable in the CSV form FiniteGroupTable.from_csv reads:
+    a header row, then one row of products per element."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["order", t.order, "name", t.name])
+    writer.writerows(t.rows)
+    return buf.getvalue()
+
+
+def is_abelian(t) -> bool:
+    """Whether every two elements of a FiniteGroupTable commute."""
+    return all(t.rows[g][h] == t.rows[h][g]
+               for g in range(t.order) for h in range(g))
 
 
 def mat_mul(A: list, B: list) -> list:

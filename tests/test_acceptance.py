@@ -18,7 +18,7 @@ from burnside import cli, cosets, dihedral, rewrite, tower
 from burnside.presentation import TowerStatus, parse_presentation
 from burnside.subgrp import smith_normal_form
 from burnside.words import parse_word, reduced_words
-from support import check_smith_form, multiplication_table
+from support import check_smith_form, is_abelian, multiplication_table
 
 KLEIN = "gens 2\nrel aa\nrel bb\nrel abab\n"
 B23 = "gens 2\nrel aaa\nrel bbb\nrel ababab\nrel aBaBaB\n"
@@ -189,7 +189,7 @@ def _subgroup_census(table):
         if any(st.element_order(g) == st.order for g in range(st.order)):
             cyclic.append(st.order)
         else:
-            noncyclic.append((st.order, st.exponent(), st.is_abelian()))
+            noncyclic.append((st.order, st.exponent(), is_abelian(st)))
     return sorted(cyclic), sorted(noncyclic)
 
 

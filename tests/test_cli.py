@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from burnside import cli, tower
 from burnside.dihedral import build_cyclic, build_quaternion
 from burnside.subgrp import Certificate, verify_certificate
-from support import CERT_TYPES, JSON_JUNK
+from support import CERT_TYPES, JSON_JUNK, table_csv
 
 KLEIN = "gens 2\nrel aa\nrel bb\nrel abab\n"
 B23 = "gens 2\nrel aaa\nrel bbb\nrel ababab\nrel aBaBaB\n"
@@ -509,12 +509,12 @@ def test_abelian(pres, capsys):
 
 def test_embed_found_and_refuted(tmp_path, capsys):
     c4 = tmp_path / "c4.csv"
-    c4.write_text(build_cyclic(4).to_csv())
+    c4.write_text(table_csv(build_cyclic(4)))
     code, out, _ = run(["embed", str(c4), "-n", "4"], capsys)
     assert code == 0
     assert "embedding found" in out
     q8 = tmp_path / "q8.csv"
-    q8.write_text(build_quaternion().to_csv())
+    q8.write_text(table_csv(build_quaternion()))
     code, out, _ = run(["embed", str(q8), "-n", "4", "--r-max", "1"], capsys)
     assert code == 0  # exhaustive refusal is definitive, not inconclusive
     assert "not_found_exhausted" in out
@@ -530,7 +530,7 @@ def test_embed_found_and_refuted(tmp_path, capsys):
                                          ("--budget", "-3")])
 def test_embed_rejects_bad_search_limits(tmp_path, capsys, flag, value):
     c4 = tmp_path / "c4.csv"
-    c4.write_text(build_cyclic(4).to_csv())
+    c4.write_text(table_csv(build_cyclic(4)))
     code, out, err = run(["embed", str(c4), "-n", "4", flag, value], capsys)
     assert code == 1
     assert out == ""
@@ -540,7 +540,7 @@ def test_embed_rejects_bad_search_limits(tmp_path, capsys, flag, value):
 def test_embed_refuses_an_oversized_lead_factor(tmp_path, capsys):
     # D(20000) would need 1.6e9 table cells; the cap refuses it first
     c2 = tmp_path / "c2.csv"
-    c2.write_text(build_cyclic(2).to_csv())
+    c2.write_text(table_csv(build_cyclic(2)))
     t0 = time.monotonic()
     code, out, err = run(["embed", str(c2), "-n", "20000", "--r-max", "0"],
                          capsys)
@@ -555,7 +555,7 @@ def test_embed_refuses_a_table_above_the_cell_cap(tmp_path, capsys):
     # order 300 needs 90,000 cells; the header is refused before any row
     # is read or any axiom replayed
     c300 = tmp_path / "c300.csv"
-    c300.write_text(build_cyclic(300).to_csv())
+    c300.write_text(table_csv(build_cyclic(300)))
     t0 = time.monotonic()
     code, out, err = run(["embed", str(c300), "-n", "4"], capsys)
     assert time.monotonic() - t0 < 1.0

@@ -169,9 +169,7 @@ def test_conjugacy_witness_verifies():
     u, v = parse_word("ab", 2), parse_word("aab", 2)
     yes, g = cosets.conjugacy_decide(r27, u, v)
     if yes:
-        from burnside.words import concat, invert
-
-        w = concat(concat(invert(g), u), g)
+        w = free_reduce(invert(g) + u + g)
         assert element_row(r27, w) == element_row(r27, v)
 
 
@@ -235,7 +233,7 @@ def _buckets_by_every_rotation(p):
 
 
 def bucketed_words(enum):
-    return [[conj[3] for conj in bucket] for bucket in enum.buckets]
+    return [[conj[6] for conj in bucket] for bucket in enum.buckets]
 
 
 def test_enumerator_buckets_one_rotation_per_period():
@@ -328,7 +326,7 @@ def test_one_sided_scan_matches_on_burnside_groups(n, words, order, subgroup,
     assert t.closed and order % t.num_cosets == 0
 
 
-def random_power_presentation(rng):
+def random_power_presentation(rng, exponents=(2, 3, 4, 5)):
     rank = rng.choice((1, 2, 2, 3))
     relators = []
     count = rng.randint(1, 4)
@@ -336,25 +334,52 @@ def random_power_presentation(rng):
         base = tuple(rng.randrange(2 * rank) for _ in range(rng.randint(1, 4)))
         base = cyclic_reduce(free_reduce(base))[0]
         if base:
-            relators.append(base * rng.randint(2, 5))
+            relators.append(base * rng.choice(exponents))
     return Presentation(rank, tuple(relators))
 
 
-def test_one_sided_scan_matches_on_random_power_words(monkeypatch):
-    rng = random.Random(13)
+def matches_on_random_presentations(rng, runs, exponents, budgets,
+                                    monkeypatch):
     seen = set()
-    for _ in range(60):
-        p = random_power_presentation(rng)
+    for _ in range(runs):
+        p = random_power_presentation(rng, exponents)
         subgroup = ()
         if rng.random() < 0.3:
             subgroup = (tuple(rng.randrange(p.num_symbols)
                               for _ in range(rng.randint(1, 3))),)
-        t = enumerate_both(p, subgroup, rng.choice((200, 1000, 3000, 8000)),
-                           monkeypatch)
+        t = enumerate_both(p, subgroup, rng.choice(budgets), monkeypatch)
         seen.add(t.status)
         if t.closed and t.defined_total > t.num_cosets:
             seen.add("coincidence")
     assert seen == {"closed", "exhausted", "coincidence"}
+
+
+def test_one_sided_scan_matches_on_random_power_words(monkeypatch):
+    matches_on_random_presentations(random.Random(13), 60, (2, 3, 4, 5),
+                                    (200, 1000, 3000, 8000), monkeypatch)
+
+
+def test_one_sided_scan_matches_on_random_short_words(monkeypatch):
+    # most relators here are words of length 1 to 4 that are not powers
+    matches_on_random_presentations(random.Random(17), 100, (1, 1, 1, 2, 3),
+                                    (100, 400), monkeypatch)
+
+
+# relators of length 1 to 3, all but aa not proper powers: a word shorter
+# than 3 is scanned through identity steps, and a word of length 3 has no
+# middle columns
+SHORT_RELATORS = ["gens 1\nrel a\n", "gens 2\nrel ab\n",
+                  "gens 2\nrel abb\n", "gens 2\nrel aab\nrel abbb\n",
+                  "gens 3\nrel abc\n", "gens 2\nrel aa\nrel bab\n"]
+
+
+@pytest.mark.parametrize("subgroup", ["", "a", "aa", "aaA", "Aa,a"])
+@pytest.mark.parametrize("text", SHORT_RELATORS)
+def test_one_sided_scan_matches_on_short_relators(text, subgroup,
+                                                  monkeypatch):
+    p = P(text)
+    gens = [parse_word(g, p.rank) for g in subgroup.split(",") if g]
+    enumerate_both(p, gens, 300, monkeypatch)
 
 
 def naive_validation(p, t):
@@ -475,6 +500,18 @@ def test_long_relator_setup_is_linear_per_conjugate(relator):
     assert time.process_time() - start < 1.0
     q = len(primitive_root(p.relators[0])[0])
     assert sum(map(len, bucketed_words(enum))) == 2 * q
+    # and each holds at most two column references per letter, directly
+    # or in a tuple of columns, so the memory stays 2 * q * len(relator)
+    columns = {id(col) for col in enum.cols}
+    is_column = columns.__contains__
+    for conj in (conj for bucket in enum.buckets for conj in bucket):
+        refs = 0
+        for item in conj:
+            if is_column(id(item)):
+                refs += 1
+            elif isinstance(item, tuple) and item and is_column(id(item[0])):
+                refs += sum(map(is_column, map(id, item)))
+        assert refs <= 2 * len(relator)
 
 
 class ClosedCycleCheck(list):
@@ -491,10 +528,10 @@ class ClosedCycleCheck(list):
         f, y, closed = super().pop()
         enum = self.enum
         if closed is not None and enum.p[f] == f:
-            fwd, _, _, word, _, _ = closed
+            f1, fmid, flast, _, _, _, word, _, _ = closed
             assert word[0] == y
             c = enum.cols[y][f]
-            for col in fwd:
+            for col in (f1, *fmid, flast):
                 assert c != -1, (f, word)
                 c = col[c]
             assert c == f, (f, word)

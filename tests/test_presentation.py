@@ -5,7 +5,6 @@ import pytest
 from burnside.presentation import (
     Presentation,
     PresentationSyntaxError,
-    format_presentation,
     parse_presentation,
     power_relator,
     tower_presentation,
@@ -55,11 +54,6 @@ def test_non_cyclically_reduced_relator_warns():
     # stored cyclically reduced, with the adjustment recorded
     assert p.relators == ((2,),)
     assert p.warnings
-
-
-def test_roundtrip():
-    p = parse_presentation("gens 2\nrel aa\nrel bb\nrel abab\n")
-    assert parse_presentation(format_presentation(p)) == p
 
 
 def test_power_relator():

@@ -208,14 +208,6 @@ def test_budget_exhaustion_is_status():
         assert element_row(r, lhs) == element_row(r, rhs)
 
 
-def test_format_rules_roundtrip_text():
-    system = rewrite.complete_presentation(P("gens 1\nrel aa\n"))
-    text = rewrite.format_rules(system)
-    assert "aa -> 1" in text
-    assert "A -> a" in text
-    assert text.count("\n") == len(system.rules)
-
-
 # periods of the m=2 towers; for n=5 the first six that a run with
 # kb_max_steps 20000 finds (any stage presentation serves here)
 TOWER_PERIODS = {2: "a b ab", 3: "a b ab aB", 4: "a b ab aB aab abb",

@@ -26,7 +26,6 @@ from .cosets import CosetTable, FiniteRealization, enumerate_cosets, realize
 from .subgrp import (
     Certificate,
     abelian_invariants,
-    infinite_order_certificate,
     smith_normal_form,
     verify_certificate,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "realize",
     "Certificate",
     "abelian_invariants",
-    "infinite_order_certificate",
     "smith_normal_form",
     "verify_certificate",
     "Budgets",

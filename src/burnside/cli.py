@@ -185,7 +185,7 @@ def cmd_order(args) -> int:
     budgets = _budgets_from(args, ORDER_BUDGETS)
     verdict = oracle.element_order(oracle.StageContext(p, budgets), w)
     report = {
-        "schema": "burnside/order-report/2",
+        "schema": "burnside/order-report/3",
         "config": {
             "presentation": str(p),
             "word": format_word(w, p.rank),

@@ -4,16 +4,17 @@ For a word w in a presented group the cascade tries, in order:
 
 1. the stage's closure (``StageContext.closure``): a stage proved finite
    and realized answers exactly;
-2. Knuth-Bendix within budget, then a power trace w, w^2, ... looking
-   for a reduction to the empty word; a hit proves w^d = 1, and d is the
-   exact order when the system is confluent or when some cached quotient
-   already exhibits an element of order d underneath w;
-3. infinite-order certificates through the stage's quotient ladder (the
-   torsion quotient of the abelianization);
+2. infinite-order certificates through the stage's quotient ladder (the
+   torsion quotient of the abelianization), which answer at once when
+   no rung's kernel has a free part;
+3. a power trace w, w^2, ... looking for a reduction to the empty word,
+   first along the capped tiers of a stage the quotients prove
+   infinite, then by Knuth-Bendix within budget; a hit proves w^d = 1,
+   and d is the exact order when the system is confluent or when some
+   cached quotient already exhibits an element of order d underneath w;
 4. Unknown, carrying the budgets that were exhausted.
 
-A stage the quotients prove infinite asks strategy 3 first, then traces
-its capped tiers in a fixed order: the seed rules whose lhs fits
+The capped tiers come in a fixed order: the seed rules whose lhs fits
 ``CAPPED_MAX_LEN``, then one capped completion read at each of
 ``CAPPED_MARKS`` steps and at its end. The completion advances only when
 no tier reached so far pinned a hit, and only then does the stage
@@ -261,14 +262,6 @@ class StageContext:
             self._infinite = evidence
         return self._infinite
 
-    def finite_stage_order(self) -> Optional[int]:
-        """Exact group order when the confluent system has a finite
-        normal-form language; None when that route cannot tell."""
-        sys = self.kb()
-        if not sys.confluent or rewrite.language_infinite(sys):
-            return None
-        return rewrite.count_normal_forms(sys)[0]
-
     def closure(self) -> Optional[Tuple[cosets.FiniteRealization, dict]]:
         """Prove the whole stage finite and realize it: (realization,
         closure record), or None when the stage does not close. Memoized.
@@ -285,7 +278,10 @@ class StageContext:
         return self._closure
 
     def _close(self) -> Optional[Tuple[cosets.FiniteRealization, dict]]:
-        order = self.finite_stage_order()
+        # the infiniteness probe found a confluent system's normal-form
+        # language finite, so the census counts it
+        sys = self.kb()
+        order = rewrite.count_normal_forms(sys)[0] if sys.confluent else None
         limit = self.budgets.stage_max_cosets
         if order is not None:
             limit = min(limit, 20 * order + 1000)
@@ -341,8 +337,12 @@ def element_order(ctx: StageContext, w: Word, n_hint: int = 1
     closed = ctx.closure()
     if closed is not None:
         r, record = closed
+        # a census whose enumeration exhausted realized the stage from
+        # its normal-form table; every other closure closed a table
+        closed_table = "coset-closure" in (record["method"],
+                                           record.get("cross_check"))
         return OrderVerdict("finite", r.element_order(w), evidence={
-            "strategy": "coset-closure",
+            "strategy": "coset-closure" if closed_table else "kb-census",
             "group_order": r.order,
             "closure": record,
         })
@@ -362,29 +362,24 @@ def element_order(ctx: StageContext, w: Word, n_hint: int = 1
                       f"{ctx.budgets.stage_max_cosets} cosets",
         })
 
+    # strategy 2: certificates via the quotient ladder, which returns at
+    # once when no rung's kernel is free; a certified word has no power
+    # that reduces to 1, and a pinned hit is never certifiable, so the
+    # order of strategies 2 and 3 changes no verdict
+    verdict = _certify(ctx, w)
     # the power search is a bounded probe, not a proof of infiniteness,
     # so a hard cap is sound; without it asymptotic-regime exponents
     # would turn this strategy into an unbounded loop
     n_max = min(max(4 * n_hint, 4), 4096)
-    tiered = ctx.tiered()
-    if tiered:
-        # a certified word has no power that reduces to 1, and a pinned
-        # hit is never certifiable, so this sequence changes no verdict;
-        # a word's verdict is the first pinned hit along the fixed tiers
-        verdict = _certify(ctx, w)
-        if verdict is None:
-            for system in ctx.capped_tiers():
-                verdict = _power_trace(ctx, system, w, n_max, [])
-                if verdict is not None:
-                    break
-        if verdict is not None:
-            return verdict
-
-    # strategy 2: rewriting power trace
-    verdict = _power_trace(ctx, ctx.kb(), w, n_max, skipped)
-    # strategy 3: certificates via the quotient ladder, unless asked above
-    if verdict is None and not tiered:
-        verdict = _certify(ctx, w)
+    # strategy 3: the power trace along the capped tiers (a word's
+    # verdict is the first pinned hit along them), then the full system
+    if verdict is None:
+        for system in ctx.capped_tiers():
+            verdict = _power_trace(ctx, system, w, n_max, [])
+            if verdict is not None:
+                break
+    if verdict is None:
+        verdict = _power_trace(ctx, ctx.kb(), w, n_max, skipped)
     if verdict is not None:
         return verdict
     skipped.append({
@@ -444,6 +439,5 @@ def _certify(ctx: StageContext, w: Word) -> Optional[OrderVerdict]:
                 "strategy": "kernel-certificate",
                 "quotient": name,
                 "kernel_index": cert.kernel_index,
-                "witness_position": cert.witness_position,
             })
     return None

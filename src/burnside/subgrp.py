@@ -5,13 +5,14 @@ infinite-order certificates built from all of that.
 The certificate construction: given a finite quotient Q of the presented
 group G (either the torsion part of the abelianization, or a concrete
 permutation realization), the kernel H has index |Q| and its coset table
-is just Q's own Cayley action. Rewriting w^s (s = order of the image of
-w in Q, so w^s lands in H) into Schreier generators and reading its
-coordinates in the Smith basis of H's abelianized relation matrix gives
-a sound infiniteness test: a nonzero coordinate in a free direction
-means w^s has infinite order in H^ab, hence w has infinite order in G.
-Everything in the certificate is plain integers, so a third party can
-replay it with any coset-table and SNF implementation.
+is just Q's own action. Rewriting each relator from each coset into
+Schreier generators gives the rows of H's abelianized relation matrix M;
+rewriting w^s (s = order of the image of w in Q, so w^s lands in H)
+gives a vector v. An integer vector f with M.f = 0 is a homomorphism
+from H onto a subgroup of Z, and f.v != 0 means w^s has infinite order
+in H, hence w has infinite order in G. The certificate carries f and
+f.v, so a third party replays it with a coset trace and integer dot
+products alone; only finding f takes a Smith normal form.
 """
 
 from __future__ import annotations
@@ -109,39 +110,11 @@ def _exponent_vector(w: Word, num_gens: int) -> list:
     return v
 
 
-def subgroup_relation_matrix(p: Presentation, sd: SchreierData):
-    """Abelianized Reidemeister relations: one row per (coset, relator).
-
-    Returns (rows, num_gens). Free reduction is irrelevant after
-    abelianization, so the raw letter counts are used.
-    """
-    rows = []
-    for c in range(len(sd.rows)):
-        for r in p.relators:
-            word = rewrite_in_subgroup(sd, r, start=c)
-            rows.append(_exponent_vector(word, sd.num_gens))
-    return rows, sd.num_gens
-
-
 # --- integer matrices / Smith normal form ---------------------------------
 
 
 def mat_identity(n: int) -> list:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def mat_vec_left(v: Sequence[int], M: list) -> list:
-    """Row vector times matrix."""
-    if not M:
-        return []
-    cols = len(M[0])
-    out = [0] * cols
-    for k, a in enumerate(v):
-        if a:
-            Mk = M[k]
-            for j in range(cols):
-                out[j] += a * Mk[j]
-    return out
 
 
 def smith_normal_form(M: list, ncols: Optional[int] = None):
@@ -375,9 +348,6 @@ class QuotientAction:
             c = self.rows[c][x]
         return c
 
-    def satisfies(self, relators) -> bool:
-        return all(self.trace(0, r) == 0 for r in relators)
-
     def order_of_image(self, w: Word) -> int:
         c = self.trace(0, w)
         d = 1
@@ -397,10 +367,52 @@ def permutation_quotient(rows: list, rank: int) -> dict:
 
 # --- infinite-order certificates -------------------------------------------
 
-CERTIFICATE_SCHEMA = "burnside/order-certificate/1"
+CERTIFICATE_SCHEMA = "burnside/order-certificate/2"
 
 # the largest quotient a certifier is built for, unless budgets say otherwise
 DEFAULT_MAX_KERNEL_INDEX = 2048
+
+
+class NotAQuotient(ValueError):
+    """The spec's action does not satisfy every relator."""
+
+
+class Kernel:
+    """The kernel H of a quotient action of the presented group, with its
+    Schreier data and one abelianized Reidemeister relation row per
+    (coset, relator), in raw letter counts (free reduction is irrelevant
+    after abelianization). The action is one of the group only if every
+    relator closes at every point, which the rows trace anyway: one that
+    does not raises NotAQuotient. A spec that is no transitive action
+    raises ValueError."""
+
+    def __init__(self, p: Presentation, quotient_spec: dict):
+        self.presentation = p
+        self.quotient_spec = quotient_spec
+        self.action = QuotientAction(quotient_spec, p.rank)
+        self.sd = schreier_data(self.action.rows, p.rank)
+        self.num_gens = self.sd.num_gens
+        self.relations = []
+        for c in range(self.action.size):
+            for r in p.relators:
+                try:
+                    word = rewrite_in_subgroup(self.sd, r, start=c)
+                except NotInSubgroup:
+                    raise NotAQuotient(
+                        f"relator {format_word(r, p.rank)} does not close "
+                        f"at point {c}") from None
+                self.relations.append(_exponent_vector(word, self.num_gens))
+
+    def power_vector(self, w: Word) -> Tuple[int, list]:
+        """(s, v): s is the order of w's image in the quotient, so w^s
+        lies in H, and v counts the Schreier generators in w^s."""
+        s = self.action.order_of_image(w)
+        return s, _exponent_vector(
+            rewrite_in_subgroup(self.sd, power(w, s)), self.num_gens)
+
+
+def _dot(f: Sequence[int], v: Sequence[int]) -> int:
+    return sum(a * b for a, b in zip(f, v))
 
 
 def _json_field(data: dict, key: str, kind: type,
@@ -416,15 +428,17 @@ def _json_field(data: dict, key: str, kind: type,
 
 @dataclass
 class Certificate:
+    """w has infinite order: ``homomorphism`` (f) vanishes on every
+    relation row of the quotient's kernel, and ``value`` = f.v is not 0,
+    where v counts the Schreier generators in w^power."""
+
     presentation: Presentation
     word: Word
     power: int
     quotient: dict
     kernel_index: int
-    num_schreier_gens: int
-    free_positions: tuple
-    witness_position: int
-    witness_coordinate: int
+    homomorphism: tuple
+    value: int
 
     def to_json_dict(self) -> dict:
         return {
@@ -441,19 +455,19 @@ class Certificate:
             "power": self.power,
             "quotient": self.quotient,
             "kernel_index": self.kernel_index,
-            "num_schreier_generators": self.num_schreier_gens,
-            "free_positions": list(self.free_positions),
-            "witness_position": self.witness_position,
-            "witness_coordinate": self.witness_coordinate,
+            "homomorphism": list(self.homomorphism),
+            "value": self.value,
         }
 
     @classmethod
     def from_json_dict(cls, data) -> "Certificate":
-        """Parse the JSON form; a missing or ill-typed field raises
-        ValueError. The quotient spec itself is checked on replay."""
+        """Parse the JSON form; another schema, or a missing or ill-typed
+        field, raises ValueError. The quotient spec itself is checked on
+        replay."""
         schema = data.get("schema") if isinstance(data, dict) else None
         if schema != CERTIFICATE_SCHEMA:
-            raise ValueError(f"not an order certificate: {schema!r}")
+            raise ValueError(f"not an order certificate of schema "
+                             f"{CERTIFICATE_SCHEMA}: {schema!r}")
         pres = _json_field(data, "presentation", dict)
         rank = _json_field(pres, "rank", int)
         relators = _json_field(pres, "relators", list, str)
@@ -464,73 +478,51 @@ class Certificate:
             power=_json_field(data, "power", int),
             quotient=_json_field(data, "quotient", dict),
             kernel_index=_json_field(data, "kernel_index", int),
-            num_schreier_gens=_json_field(data, "num_schreier_generators",
-                                          int),
-            free_positions=tuple(_json_field(data, "free_positions", list,
-                                             int)),
-            witness_position=_json_field(data, "witness_position", int),
-            witness_coordinate=_json_field(data, "witness_coordinate", int),
+            homomorphism=tuple(_json_field(data, "homomorphism", list, int)),
+            value=_json_field(data, "value", int),
         )
 
 
-class NotAQuotient(ValueError):
-    """The spec's action does not satisfy every relator."""
+class KernelCertifier(Kernel):
+    """A kernel that finds its homomorphisms to Z, reusable across words.
 
-
-class KernelCertifier:
-    """Per-(presentation, quotient) machinery, reusable across words.
-
-    Building the Schreier data, relation matrix and its SNF once per
-    stage quotient is what makes per-candidate certificate checks cheap.
+    One SNF of the relation matrix M, S = U.M.V, is built once per stage
+    quotient: each column j of V whose column of S is zero has
+    M.V[:, j] = 0, and these columns span every homomorphism from the
+    kernel to Z, so a per-candidate check is a few dot products.
     """
 
     def __init__(self, p: Presentation, quotient_spec: dict):
-        self.presentation = p
-        self.quotient_spec = quotient_spec
-        self.action = QuotientAction(quotient_spec, p.rank)
-        if not self.action.satisfies(p.relators):
-            raise NotAQuotient("spec is not a quotient of the presentation")
-        self.sd = schreier_data(self.action.rows, p.rank)
-        matrix, num_gens = subgroup_relation_matrix(p, self.sd)
-        S, self.V = smith_normal_form(matrix, ncols=num_gens)
-        diag = snf_diagonal(S, num_gens)
-        self.num_gens = num_gens
-        self.free_positions = tuple(
-            j for j in range(num_gens) if j >= len(diag) or diag[j] == 0
-        )
+        super().__init__(p, quotient_spec)
+        S, V = smith_normal_form(self.relations, ncols=self.num_gens)
+        diag = snf_diagonal(S, self.num_gens)
+        self.homomorphisms = [
+            tuple(row[j] for row in V) for j in range(self.num_gens)
+            if j >= len(diag) or diag[j] == 0]
 
     @property
     def kernel_free_rank(self) -> int:
-        return len(self.free_positions)
-
-    def coordinates(self, w: Word) -> Tuple[int, list]:
-        """(s, c): s is the order of w's image in the quotient, so w^s
-        lies in the kernel, and c holds the coordinates of w^s in the
-        Smith basis of the kernel's abelianization."""
-        s = self.action.order_of_image(w)
-        rewritten = rewrite_in_subgroup(self.sd, power(w, s), start=0)
-        return s, mat_vec_left(_exponent_vector(rewritten, self.num_gens),
-                               self.V)
+        return len(self.homomorphisms)
 
     def certify(self, w: Word) -> Optional[Certificate]:
         """Certificate that w has infinite order, or None if this
-        quotient's kernel cannot see it."""
+        quotient's kernel cannot see it: w^s then lies in the rational
+        span of the relation rows."""
         w = free_reduce(w)
-        if not w or not self.free_positions:
+        if not w or not self.homomorphisms:
             return None
-        s, coords = self.coordinates(w)
-        for j in self.free_positions:
-            if coords[j]:
+        s, v = self.power_vector(w)
+        for f in self.homomorphisms:
+            value = _dot(f, v)
+            if value:
                 return Certificate(
                     presentation=self.presentation,
                     word=w,
                     power=s,
                     quotient=self.quotient_spec,
                     kernel_index=self.action.size,
-                    num_schreier_gens=self.num_gens,
-                    free_positions=self.free_positions,
-                    witness_position=j,
-                    witness_coordinate=coords[j],
+                    homomorphism=f,
+                    value=value,
                 )
         return None
 
@@ -568,21 +560,17 @@ def ladder(p: Presentation, ab: AbelianInvariants, max_kernel_index: int,
                       if spec_size(spec) <= max_kernel_index])
 
 
-def infinite_order_certificate(p: Presentation, w: Word,
-                               quotient_spec: dict) -> Optional[Certificate]:
-    return KernelCertifier(p, quotient_spec).certify(w)
-
-
 def verify_certificate(cert: Certificate,
                        max_kernel_index: int = DEFAULT_MAX_KERNEL_INDEX):
     """Independent replay of a certificate; returns (ok, reason).
 
-    A fresh KernelCertifier rebuilds everything from the quotient spec
-    and presentation (quotient validity, Schreier generators, a fresh
-    SNF); then the power, the free directions and the witness coordinate
-    must match the claims. The claimed index is checked against
-    ``max_kernel_index`` and the spec's element count first, so an
-    oversized quotient is never built.
+    The kernel is rebuilt from the quotient spec and presentation (the
+    action, the Schreier generators and the relation rows); then f must
+    have one entry per Schreier generator and vanish on every row, the
+    power must be the image order of the word, and f.v must equal the
+    claimed value, which is not 0. No SNF runs. The claimed index is
+    checked against ``max_kernel_index`` and the spec's element count
+    first, so an oversized quotient is never built.
     """
     if cert.kernel_index > max_kernel_index:
         return False, (f"kernel index {cert.kernel_index} exceeds the "
@@ -590,26 +578,27 @@ def verify_certificate(cert: Certificate,
     try:
         if spec_size(cert.quotient) != cert.kernel_index:
             return False, "kernel index mismatch"
-        certifier = KernelCertifier(cert.presentation, cert.quotient)
-    except NotAQuotient:
-        return False, "quotient does not satisfy the relators"
+        k = Kernel(cert.presentation, cert.quotient)
+    except NotAQuotient as e:
+        return False, f"quotient does not satisfy the relators: {e}"
     except (KeyError, TypeError, ValueError) as e:
         return False, f"bad quotient spec: {e}"
     w = free_reduce(cert.word)
     if not w:
         return False, "empty word cannot have infinite order"
-    s, coords = certifier.coordinates(w)
+    f = cert.homomorphism
+    if len(f) != k.num_gens:
+        return False, (f"homomorphism has {len(f)} entries, not one per "
+                       f"Schreier generator ({k.num_gens})")
+    for i, row in enumerate(k.relations):
+        if _dot(f, row):
+            return False, f"homomorphism is not 0 on relation row {i}"
+    s, v = k.power_vector(w)
     if s != cert.power:
         return False, f"power mismatch: image order is {s}, not {cert.power}"
-    if certifier.num_gens != cert.num_schreier_gens:
-        return False, "schreier generator count mismatch"
-    if certifier.free_positions != tuple(cert.free_positions):
-        return False, "free position mismatch"
-    j = cert.witness_position
-    if j not in certifier.free_positions:
-        return False, "witness position is not a free direction"
-    if coords[j] != cert.witness_coordinate:
-        return False, "witness coordinate mismatch"
-    if coords[j] == 0:
-        return False, "witness coordinate is zero"
+    value = _dot(f, v)
+    if value != cert.value:
+        return False, f"value mismatch: f.v is {value}, not {cert.value}"
+    if value == 0:
+        return False, "value is zero"
     return True, "ok"

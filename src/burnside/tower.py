@@ -58,7 +58,7 @@ from .words import (
 PAPER_REGIME_EXPONENT = 2 ** 48
 
 CHECKPOINT_SCHEMA = "burnside/tower-checkpoint/1"
-REPORT_SCHEMA = "burnside/tower-report/3"
+REPORT_SCHEMA = "burnside/tower-report/4"
 # checkpoints written before tower-report/3 also store this budget; the
 # oracle reads the stage closure, which stage_max_cosets bounds, so a
 # resumed run drops it

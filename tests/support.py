@@ -7,15 +7,15 @@ import itertools
 import math
 import os
 from collections import deque
+from fractions import Fraction
 
 from burnside import cosets, kernels, rewrite
 from burnside.words import invert, shortlex_key
 
 # the JSON type of every field an order certificate must carry
 CERT_TYPES = {"schema": str, "presentation": dict, "word": str, "power": int,
-              "quotient": dict, "kernel_index": int,
-              "num_schreier_generators": int, "free_positions": list,
-              "witness_position": int, "witness_coordinate": int}
+              "quotient": dict, "kernel_index": int, "homomorphism": list,
+              "value": int}
 # one value of each JSON type
 JSON_JUNK = (None, "x", 1.5, True, ["x"], {"x": 1})
 
@@ -349,6 +349,27 @@ def check_smith_form(M: list, S: list, V: list, ncols: int) -> None:
             assert (v % d == 0) if d else v == 0, (row, diag)
     assert list(itertools.accumulate(diag, lambda a, b: a * b)) == \
         determinantal_divisors(M), (M, diag)
+
+
+def in_rational_row_space(M: list, v: list) -> bool:
+    """Whether v is a rational combination of the rows of M, by Gaussian
+    elimination over Fraction: a reference for the certifier, which
+    finds w infinite exactly when its kernel vector is not."""
+    basis = []  # (pivot, row with a 1 there and 0 at every earlier pivot)
+
+    def reduce(row):
+        r = [Fraction(a) for a in row]
+        for j, b in basis:
+            if r[j]:
+                r = [x - r[j] * y for x, y in zip(r, b)]
+        return r
+
+    for row in M:
+        r = reduce(row)
+        pivot = next((j for j, x in enumerate(r) if x), None)
+        if pivot is not None:
+            basis.append((pivot, [x / r[pivot] for x in r]))
+    return not any(reduce(v))
 
 
 def element_row(r, word) -> tuple:

@@ -37,18 +37,18 @@ B24 = "gens 2\n" + "".join(f"rel {w * 4}\n" for w in B24_WORDS)
 # outside `execution` moves a digest; a deliberate one updates it here,
 # with a CHANGES.md line.
 REPORT_SHA256 = {
-    (2, 2): "a0484b6d6d30d8a7b538ae4c88ebf0a27a4f9c012d99d07cbef89e11cba36679",
-    (2, 3): "3778d0a47a41bfc0b947b842874969d886edaa01d87801d4e8c22d4f34132822",
-    (1, 5): "99129e2045b4b85573d5b7c957e143b2be433336889e127ec208ee492724971d",
+    (2, 2): "4b1081ed0627ffdf7ed710875efc7be316b1780f0adb96d4458df3131ef3e041",
+    (2, 3): "0e8b03e1732e9636fd7d0b28d89ee606be9f984ed1b7a81010f3acc1e46caa99",
+    (1, 5): "fe21a4f48acbb1f9d4145ba95be70777513b23958401a247245877de3bdcffba",
     (1, 2**48):
-        "fbe26d1983280595241dbf31479bbaabc0f55c275de832f321e11467f9b9a800",
+        "cf6673e54f7cdf96eff057c8271e600dfc1e8ace2f497844f6b7ff8927515f67",
     (2, 2**48):
-        "74145539a770a8830361442c300f521c5fbad9302237e6b14c8b8ae047a37859",
-    (2, 4): "1a28b6bbd1dec64ac0b37ff8468bebd371670224c04a1307b0d8a26cd45aca1f",
+        "64957637b3c3393071cee2f2e123ec746ed69745c4d9d6703275c3b4434a1f50",
+    (2, 4): "360949cfada37fe4817db47cfb5bf2e21d16c8dc71567ea004b307c334ead9ef",
     "(2,4) audited":
-        "d7a106391e955060877d866863f96d5e11bd4530b363e3b851d4cee391ad3930",
+        "3cc05db1c61f5a7297d77697e713666caae551910a43fccc2466156013a4676b",
     "(2,4) resumed":
-        "4839a0d30bacd866f59dbc524ac1ed86bf80cdf7075a861743f028f32b184348",
+        "463bb855b0cd74c449ea11dd413a2c7ad316f297c23119e2f8691887eaa0bf9d",
 }
 
 # sha256 of `burnside --format json order` outside `execution`
@@ -58,14 +58,14 @@ REPORT_SHA256 = {
 TRIANGLE = "gens 2\nrel aaa\nrel bbb\nrel ababab\n"
 FOURTH_POWERS = "gens 2\nrel aaaa\nrel bbbb\nrel abababab\nrel aBaBaBaB\n"
 ORDER_SHA256 = {
-    (TRIANGLE, "ab"): (0, "7d081cd0d22c34aa62314ba685d38548"
-                          "e3d8efc834f0a6337fad87f682cd3c62"),
-    (TRIANGLE, "aB"): (0, "7476bf33c0a5a8a48df6661882e3d9ab"
-                          "2312411cbe9eeab113b529ec9d659ef1"),
-    (TRIANGLE, "aabb"): (0, "6a33dde4f247f1ea249aba6ccf1caa4d"
-                            "6e7caf51f873851199fb35c955d8dce8"),
-    (FOURTH_POWERS, "aabb"): (2, "58257ec45e91eeffe7090ed4c2aa7bba"
-                                 "7cf70feb326915af82523ee2784b5756"),
+    (TRIANGLE, "ab"): (0, "f303f61e09c95f393de7826ce07ec8f4"
+                          "45bfee8593442c306f8f3fa2abd07211"),
+    (TRIANGLE, "aB"): (0, "c6c2a5d4180c536c0b024bd7e79bcd5d"
+                          "7b76679089f05e285a8278093e6d5ae3"),
+    (TRIANGLE, "aabb"): (0, "d849e1a1eed3c15864d5b9c036d50811"
+                            "856eefa6122477b8ff76687148bf3ae5"),
+    (FOURTH_POWERS, "aabb"): (2, "418a99b5040908df90c3015f7736ea66"
+                                 "1c44fab62ffb4bc341cfe4e906d73fc3"),
 }
 
 

@@ -49,7 +49,7 @@ def test_tower_json(capsys):
                        capsys)
     assert code == 0
     rep = json.loads(out)
-    assert rep["schema"] == "burnside/tower-report/3"
+    assert rep["schema"] == "burnside/tower-report/4"
     assert rep["status"] == "terminated-equals-burnside"
     assert rep["periods"] == ["a", "b", "ab", "aB"]
     assert rep["result"]["order"] == 27
@@ -339,6 +339,27 @@ def test_checkpoint_log_with_every_entry_kind_is_valid():
         max_candidates=5)
 
 
+def test_resume_rejects_a_retired_certificate_schema(tmp_path, capsys):
+    # a certificate of the first schema carried witness coordinates in a
+    # Smith basis; it names its schema and exits 1, with no replay
+    cp = json.loads(_log_checkpoint_text())
+    cert = cp["partial_log"][-1]["certificate"]
+    value = cert.pop("value")
+    del cert["homomorphism"]
+    cert.update(schema="burnside/order-certificate/1",
+                num_schreier_generators=10, free_positions=[8, 9],
+                witness_position=8, witness_coordinate=value)
+    f = tmp_path / "cp.json"
+    f.write_text(json.dumps(cp))
+    code, out, err = run(["tower", "-m", "2", "-n", "3", "--resume", str(f),
+                          "--audit"], capsys)
+    assert (code, out) == (1, "")
+    i = len(cp["partial_log"]) - 1
+    assert err == (f"error: checkpoint partial_log entry {i}: not an order "
+                   "certificate of schema burnside/order-certificate/2: "
+                   "'burnside/order-certificate/1'\n")
+
+
 @pytest.mark.parametrize("spec", [
     {"kind": "permutation", "images": [[0, 1]]},
     {"kind": "abelian", "moduli": [2], "images": [[0]]}])
@@ -417,8 +438,7 @@ def test_order_refuses_a_certificate_that_does_not_replay(pres, tmp_path,
     def tampered(*args, **kwargs):
         verdict = real(*args, **kwargs)
         cert = verdict.certificate
-        verdict.certificate = dataclasses.replace(
-            cert, witness_coordinate=cert.witness_coordinate + 1)
+        verdict.certificate = dataclasses.replace(cert, value=cert.value + 1)
         return verdict
 
     monkeypatch.setattr(cli.oracle, "element_order", tampered)
@@ -426,9 +446,22 @@ def test_order_refuses_a_certificate_that_does_not_replay(pres, tmp_path,
     code, out, err = run(["order", pres(DINF), "ab",
                           "--certificate", str(cert_path)], capsys)
     assert code == 1
-    assert "witness coordinate mismatch" in err
+    assert "value mismatch" in err
     assert "verified" not in out
     assert not cert_path.exists()
+
+
+@pytest.mark.parametrize("cosets, strategy", [
+    # five cosets never close B(2,3), so its confluent completion's
+    # normal-form table realizes the stage
+    ("5", "kb-census"), ("100000", "coset-closure")])
+def test_order_names_the_closure_that_realized_the_stage(pres, capsys,
+                                                         cosets, strategy):
+    code, out, _ = run(["--format", "json", "order", pres(B23), "ab",
+                        "--stage-max-cosets", cosets], capsys)
+    assert code == 0
+    assert json.loads(out)["verdict"] == {
+        "word": "ab", "verdict": "finite", "order": 3, "strategy": strategy}
 
 
 def test_order_identity_word_is_usage_error(pres, capsys):
@@ -443,7 +476,7 @@ def test_order_json_verdict(pres, capsys):
     code, out, _ = run(["--format", "json", "order", f, "ab"], capsys)
     assert code == 0
     rep = json.loads(out)
-    assert rep["schema"] == "burnside/order-report/2"
+    assert rep["schema"] == "burnside/order-report/3"
     assert "oracle_max_cosets" not in rep["config"]["budgets"]
     assert rep["verdict"]["order"] == 3
     assert rep["verdict"]["verdict"] == "finite"

@@ -128,7 +128,7 @@ def test_stage_context_caches_are_reused(monkeypatch):
     v1 = oracle.element_order(ctx, parse_word("a", 2))
     v2 = oracle.element_order(ctx, parse_word("ab", 2))
     assert v1.order == 3 and v2.order == 3
-    assert ctx.finite_stage_order() == 27
+    assert ctx.closure()[1]["order"] == 27
     # one enumeration serves both words, with headroom near the census
     # order: 20 * 27 + 1000 cosets
     assert calls == [1540]

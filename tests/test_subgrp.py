@@ -7,16 +7,17 @@ import time
 
 import pytest
 
+from burnside import subgrp
 from burnside.cosets import enumerate_cosets
 from burnside.presentation import parse_presentation
 from burnside.subgrp import (
     Certificate,
     DEFAULT_MAX_KERNEL_INDEX,
     KernelCertifier,
+    NotAQuotient,
     NotInSubgroup,
     QuotientAction,
     abelian_invariants,
-    infinite_order_certificate,
     ladder,
     permutation_quotient,
     rewrite_in_subgroup,
@@ -32,6 +33,7 @@ from support import (
     check_smith_form,
     determinant,
     determinantal_divisors,
+    in_rational_row_space,
 )
 
 
@@ -164,6 +166,13 @@ def test_abelian_invariants_carry_the_torsion_quotient():
 # --- kernel certificates ---------------------------------------------------
 
 
+def certify(text, word):
+    """The torsion rung's certificate for word in the presented group."""
+    p = P(text)
+    kc = KernelCertifier(p, abelian_invariants(p).quotient)
+    return kc.certify(parse_word(word, p.rank))
+
+
 def test_dinf_kernel_sees_translation():
     p = P(DINF)
     kc = KernelCertifier(p, abelian_invariants(p).quotient)
@@ -192,32 +201,22 @@ def test_triangle_kernel_rank_two():
 
 
 def test_finite_group_certifies_nothing():
-    p = P(KLEIN)
-    assert infinite_order_certificate(
-        p, parse_word("ab", 2), abelian_invariants(p).quotient) is None
-    p27 = P(B23)
-    assert infinite_order_certificate(
-        p27, parse_word("ab", 2), abelian_invariants(p27).quotient) is None
+    assert certify(KLEIN, "ab") is None
+    assert certify(B23, "ab") is None
 
 
 def test_certificate_json_roundtrip():
-    p = P(DINF)
-    cert = infinite_order_certificate(p, parse_word("ab", 2),
-                                      abelian_invariants(p).quotient)
+    cert = certify(DINF, "ab")
     blob = json.dumps(cert.to_json_dict())
     back = Certificate.from_json_dict(json.loads(blob))
     ok, reason = verify_certificate(back)
     assert ok, reason
-    assert back.word == cert.word and back.power == cert.power
+    assert back == cert
 
 
 def test_certificate_tampering_is_caught():
-    p = P(DINF)
-    cert = infinite_order_certificate(p, parse_word("ab", 2),
-                                      abelian_invariants(p).quotient)
-    bad = dataclasses.replace(cert, witness_coordinate=cert.witness_coordinate + 1)
-    ok, reason = verify_certificate(bad)
-    assert not ok and reason
+    # the homomorphism and its value: test_homomorphism_tampering_is_rejected
+    cert = certify(DINF, "ab")
     bad = dataclasses.replace(cert, power=cert.power * 2)
     ok, _ = verify_certificate(bad)
     assert not ok
@@ -227,20 +226,74 @@ def test_certificate_tampering_is_caught():
     bad = dataclasses.replace(cert, word=parse_word("a", 2))
     ok, _ = verify_certificate(bad)
     assert not ok
-    bad = dataclasses.replace(cert, witness_position=cert.num_schreier_gens + 5)
-    ok, _ = verify_certificate(bad)
-    assert not ok
+
+
+def _break_a_row(cert):
+    # move f's first nonzero entry by one; on both certificates below
+    # some relation row holds that Schreier generator
+    f = list(cert.homomorphism)
+    j = next(j for j, a in enumerate(f) if a)
+    f[j] += 1
+    return dataclasses.replace(cert, homomorphism=tuple(f))
+
+
+@pytest.mark.parametrize("tamper, reason", [
+    (_break_a_row, "homomorphism is not 0 on relation row "),
+    (lambda c: dataclasses.replace(c, value=c.value + 1),
+     "value mismatch: f.v is "),
+    (lambda c: dataclasses.replace(c, value=c.value - 1),
+     "value mismatch: f.v is "),
+    (lambda c: dataclasses.replace(c, homomorphism=c.homomorphism[1:]),
+     "homomorphism has "),
+    (lambda c: dataclasses.replace(c, homomorphism=c.homomorphism * 2),
+     "homomorphism has "),
+    (lambda c: dataclasses.replace(
+        c, homomorphism=(0,) * len(c.homomorphism), value=0),
+     "value is zero"),
+])
+@pytest.mark.parametrize("text, word", [(DINF, "ab"), (TRIANGLE, "aB")])
+def test_homomorphism_tampering_is_rejected(text, word, tamper, reason):
+    cert = certify(text, word)
+    assert verify_certificate(cert) == (True, "ok")
+    ok, why = verify_certificate(tamper(cert))
+    assert not ok and why.startswith(reason), why
+
+
+def test_replay_runs_no_smith_normal_form(monkeypatch):
+    # the replay checks M.f = 0 and f.v != 0 by dot products alone
+    certs = [certify(DINF, "ab"), certify(TRIANGLE, "aB"),
+             certify(TRIANGLE, "abAB")]
+    assert None not in certs
+
+    def no_snf(*args, **kwargs):
+        raise AssertionError("the replay reached a Smith normal form")
+
+    monkeypatch.setattr(subgrp, "smith_normal_form", no_snf)
+    for cert in certs:
+        assert verify_certificate(cert) == (True, "ok")
+        assert verify_certificate(Certificate.from_json_dict(
+            cert.to_json_dict())) == (True, "ok")
+
+
+def test_retired_certificate_schema_is_rejected_by_name():
+    old = {**certify(DINF, "ab").to_json_dict(),
+           "schema": "burnside/order-certificate/1"}
+    with pytest.raises(ValueError, match="burnside/order-certificate/1"):
+        Certificate.from_json_dict(old)
 
 
 def test_oversized_quotient_is_rejected_before_it_is_built():
     # 10^12 elements would exhaust memory; the claimed index is checked first
-    p = P(DINF)
-    cert = infinite_order_certificate(p, parse_word("ab", 2),
-                                      abelian_invariants(p).quotient)
+    cert = certify(DINF, "ab")
     huge = {"kind": "abelian", "moduli": [10**6, 10**6],
             "images": [[1, 0], [0, 1]]}
     bad = dataclasses.replace(cert, quotient=huge)
     assert verify_certificate(bad) == (False, "kernel index mismatch")
+
+
+# S3 acting on 3 points, over <a, b | a>: a fixes point 0 but moves the
+# other two, so the relator a closes at 0 and nowhere else
+S3_POINTS = {"kind": "permutation", "images": [[0, 2, 1], [1, 0, 2]]}
 
 
 def test_quotient_spec_must_hold():
@@ -248,6 +301,17 @@ def test_quotient_spec_must_hold():
     wrong = abelian_invariants(P(TRIANGLE)).quotient
     with pytest.raises(ValueError):
         KernelCertifier(p, wrong)
+    # every relator must close at every point, not only at point 0
+    p = P("gens 2\nrel a\n")
+    with pytest.raises(NotAQuotient, match="relator a does not close at "
+                                           "point 1"):
+        KernelCertifier(p, S3_POINTS)
+    cert = Certificate(presentation=p, word=parse_word("b", 2), power=2,
+                       quotient=S3_POINTS, kernel_index=3,
+                       homomorphism=(1,), value=1)
+    assert verify_certificate(cert) == (
+        False, "quotient does not satisfy the relators: relator a does "
+               "not close at point 1")
 
 
 # <a | a^2> acts on two points with a fixing both: not transitive
@@ -261,9 +325,8 @@ def test_non_transitive_quotient_is_a_bad_spec(spec):
     with pytest.raises(ValueError, match="not transitive"):
         QuotientAction(spec, 1)
     cert = Certificate(presentation=p, word=parse_word("a", 1), power=1,
-                       quotient=spec, kernel_index=2, num_schreier_gens=1,
-                       free_positions=(0,), witness_position=0,
-                       witness_coordinate=1)
+                       quotient=spec, kernel_index=2, homomorphism=(1,),
+                       value=1)
     ok, reason = verify_certificate(cert)
     assert not ok
     assert reason.startswith("bad quotient spec: the action is not "
@@ -277,17 +340,13 @@ def test_permutation_quotient_needs_a_point():
         QuotientAction(spec, 1)
     cert = Certificate(presentation=P("gens 1\nrel aa\n"),
                        word=parse_word("a", 1), power=1, quotient=spec,
-                       kernel_index=0, num_schreier_gens=1,
-                       free_positions=(0,), witness_position=0,
-                       witness_coordinate=1)
+                       kernel_index=0, homomorphism=(1,), value=1)
     assert verify_certificate(cert) == (
         False, "bad quotient spec: a permutation action needs a point")
 
 
 def test_certificate_replay_is_bounded():
-    p = P(DINF)
-    cert = infinite_order_certificate(p, parse_word("ab", 2),
-                                      abelian_invariants(p).quotient)
+    cert = certify(DINF, "ab")
     huge = {"kind": "abelian", "moduli": [10**6, 10**6],
             "images": [[1, 0], [0, 1]]}
     bad = dataclasses.replace(cert, quotient=huge, kernel_index=10**12)
@@ -302,16 +361,67 @@ def test_certificate_replay_is_bounded():
 
 
 def test_coordinates_back_the_certificate():
+    # v holds the coordinates of w^s over the Schreier generators, and
+    # the certificate's value is f.v
     p = P(TRIANGLE)
     kc = KernelCertifier(p, abelian_invariants(p).quotient)
     w = parse_word("aB", 2)
     cert = kc.certify(w)
-    s, coords = kc.coordinates(w)
+    s, v = kc.power_vector(w)
     assert s == cert.power == 3
-    assert coords[cert.witness_position] == cert.witness_coordinate != 0
-    # (ab)^3 is a relator, so it is 0 in every free direction
-    s, coords = kc.coordinates(parse_word("ab", 2))
-    assert s == 3 and all(coords[j] == 0 for j in kc.free_positions)
+    assert len(v) == len(cert.homomorphism) == kc.num_gens
+    assert sum(a * b for a, b in zip(cert.homomorphism, v)) == cert.value != 0
+    # every free homomorphism vanishes on every relation row
+    assert all(sum(a * b for a, b in zip(f, row)) == 0
+               for f in kc.homomorphisms for row in kc.relations)
+    # (ab)^3 is a relator, so no homomorphism sees it
+    s, v = kc.power_vector(parse_word("ab", 2))
+    assert s == 3 and all(sum(a * b for a, b in zip(f, v)) == 0
+                          for f in kc.homomorphisms)
+
+
+def _small_stages(rng, count):
+    """(presentation, quotient spec) pairs: random two-generator stages,
+    each relator a square or cube of a short word, with a torsion rung or
+    a closed regular action of at most 64 elements."""
+    out = []
+    while len(out) < count:
+        rels = ["".join(rng.choice("abAB") for _ in range(rng.randint(1, 3)))
+                * rng.randint(2, 3) for _ in range(rng.randint(1, 2))]
+        rels = [r for r in rels if parse_word(r, 2)]
+        text = "gens 2\n" + "".join(f"rel {r}\n" for r in rels)
+        p = P(text)
+        spec = abelian_invariants(p).quotient
+        if rng.random() < 0.5:
+            # a finite quotient: add a power relator per generator
+            t = enumerate_cosets(P(text + f"rel {'a' * rng.randint(2, 4)}\n"
+                                   f"rel {'b' * rng.randint(2, 3)}\n"),
+                                 (), 200)
+            if t.closed and t.num_cosets <= 64:
+                spec = permutation_quotient(t.rows, 2)
+        if subgrp.spec_size(spec) <= 64:
+            out.append((p, spec))
+    return out
+
+
+def test_certify_matches_the_rational_row_space():
+    # reference: w is certified exactly when the kernel vector of w^s
+    # lies outside the rational row space of the relation rows
+    rng = random.Random(2024)
+    seen = {True: 0, False: 0}
+    for p, spec in _small_stages(rng, 40):
+        kc = KernelCertifier(p, spec)
+        for _ in range(6):
+            w = parse_word("".join(rng.choice("abAB")
+                                   for _ in range(rng.randint(1, 5))), 2)
+            _, v = kc.power_vector(w)
+            outside = not in_rational_row_space(kc.relations, v)
+            cert = kc.certify(w)
+            assert (cert is not None) == outside, (str(p), spec, w)
+            seen[outside] += 1
+            if cert is not None:
+                assert verify_certificate(cert) == (True, "ok")
+    assert min(seen.values()) > 10, seen
 
 
 def test_ladder_leaves_out_rungs_over_the_bound():
@@ -339,10 +449,7 @@ def test_ladder_leaves_out_rungs_over_the_bound():
 
 @pytest.mark.parametrize("key", sorted(CERT_TYPES))
 def test_certificate_json_fields_are_required_and_typed(key):
-    p = P(DINF)
-    good = infinite_order_certificate(p, parse_word("ab", 2),
-                                      abelian_invariants(p).quotient
-                                      ).to_json_dict()
+    good = certify(DINF, "ab").to_json_dict()
     assert Certificate.from_json_dict(good).to_json_dict() == good
     missing = {k: v for k, v in good.items() if k != key}
     with pytest.raises(ValueError):
@@ -351,3 +458,6 @@ def test_certificate_json_fields_are_required_and_typed(key):
         if type(junk) is not CERT_TYPES[key]:
             with pytest.raises(ValueError):
                 Certificate.from_json_dict({**good, key: junk})
+    if CERT_TYPES[key] is list:  # a list of anything but ints
+        with pytest.raises(ValueError):
+            Certificate.from_json_dict({**good, key: [1, True]})

@@ -157,26 +157,16 @@ def test_independence_tries_certificates_before_enumerating(monkeypatch):
 
 
 def count_ladder_builds(monkeypatch) -> list:
-    """Collect the quotient kind of each KernelCertifier built outside a
-    certificate's replay, which builds its own."""
-    built, replaying = [], []
+    """Collect the quotient kind of each KernelCertifier built; a
+    certificate's replay builds none."""
+    built = []
     init = subgrp.KernelCertifier.__init__
-    verify = subgrp.verify_certificate
 
     def counted_init(self, p, spec):
-        if not replaying:
-            built.append(spec["kind"])
+        built.append(spec["kind"])
         init(self, p, spec)
 
-    def counted_verify(*args, **kwargs):
-        replaying.append(True)
-        try:
-            return verify(*args, **kwargs)
-        finally:
-            replaying.pop()
-
     monkeypatch.setattr(subgrp.KernelCertifier, "__init__", counted_init)
-    monkeypatch.setattr(subgrp, "verify_certificate", counted_verify)
     return built
 
 
@@ -357,13 +347,32 @@ def _tower_2_3():
     return tower.run_tower(2, 3)
 
 
+def test_tower_certificates_replay_with_no_smith_normal_form(monkeypatch):
+    # every certificate of the B(2,3) run, in its scan logs and in its
+    # independence check, replays by dot products alone
+    res = _tower_2_3()
+    certs = [e["certificate"] for o in res.ranks for e in o.log
+             if "certificate" in e]
+    certs += [e["evidence"]["certificate"] for e in
+              tower.verify_independence(res, tower.Budgets())["relators"]]
+    assert len(certs) == 8
+
+    def no_snf(*args, **kwargs):
+        raise AssertionError("the replay reached a Smith normal form")
+
+    monkeypatch.setattr(subgrp, "smith_normal_form", no_snf)
+    for cert in certs:
+        assert subgrp.verify_certificate(
+            subgrp.Certificate.from_json_dict(cert)) == (True, "ok")
+
+
 def _log_entry(result, rank, word):
     return next(e for e in result.ranks[rank - 1].log if e["word"] == word)
 
 
 def _bump_witness(result):
     cert = _log_entry(result, 4, "aB")["certificate"]
-    cert["witness_coordinate"] += 1
+    cert["value"] += 1
 
 
 def _borrow_certificate(result):
@@ -387,7 +396,7 @@ def _filter_an_infinite_word(result):
     (_wrong_order, [("a", 2, "could not re-prove order 2"),
                     ("a", 2, "terminal realization order 3 != 2")]),
     (_bump_witness, [("aB", 4, "certificate replay failed: "
-                               "witness coordinate mismatch")]),
+                               "value mismatch: f.v is 2, not 3")]),
     (_borrow_certificate, [("ab", 3, "certificate replay failed: "
                                      "it is for another word or stage")]),
     (_filter_an_infinite_word,

@@ -291,7 +291,7 @@ def cmd_embed(args) -> int:
     result = dihedral.embed_search(sub, spec, r_max=args.r_max,
                                    budget=args.budget)
     report = {
-        "schema": "burnside/embed-report/2",
+        "schema": "burnside/embed-report/3",
         "config": {
             "table": args.table,
             "subgroup_order": sub.order,

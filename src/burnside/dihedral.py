@@ -3,10 +3,10 @@
 The centerpiece is embed_search: decide whether a small group H embeds
 in D(n) x D(2^k)^r, n = 2^k * n0 with n0 odd, for some r <= r_max. H
 embeds in a direct product exactly when homomorphisms into the factors
-have trivially intersecting kernels, so the search enumerates Hom(H, D)
-once per factor and meets kernels as bitsets over H. The ambient stays a
-lazy product of coordinate tuples, so its order may exceed any table
-cap; a found embedding is replayed in it coordinatewise.
+have trivially intersecting kernels, so the search streams Hom(H, D)
+once per factor and meets kernels, bitsets over H, as they arrive. The
+ambient stays a lazy product of coordinate tuples, so its order may
+exceed any table cap; a found embedding is replayed in it coordinatewise.
 """
 
 from __future__ import annotations
@@ -15,9 +15,9 @@ import csv
 import io
 import random
 from dataclasses import dataclass
-from math import lcm
-from typing import (Callable, Dict, FrozenSet, Iterable, List, NamedTuple,
-                    Optional, Sequence, Tuple)
+from math import lcm, log
+from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple)
 
 MAX_TABLE_CELLS = 1 << 16  # materialized tables stop at order 256
 
@@ -46,6 +46,7 @@ class FiniteGroupTable:
                     self._inverse[g] = h
                     break
         self._order_cache: Dict[int, int] = {}
+        self._spectrum: Optional[Dict[int, int]] = None
 
     def _verify(self) -> None:
         n = self.order
@@ -118,11 +119,12 @@ class FiniteGroupTable:
         return e
 
     def order_spectrum(self) -> Dict[int, int]:
-        spectrum: Dict[int, int] = {}
-        for g in range(self.order):
-            d = self.element_order(g)
-            spectrum[d] = spectrum.get(d, 0) + 1
-        return spectrum
+        if self._spectrum is None:
+            self._spectrum = {}
+            for g in range(self.order):
+                d = self.element_order(g)
+                self._spectrum[d] = self._spectrum.get(d, 0) + 1
+        return dict(self._spectrum)
 
     def closure(self, gens: Sequence[int]) -> List[int]:
         """Subgroup generated by gens, as a sorted element list."""
@@ -283,60 +285,124 @@ class LazyProduct:
     def exponent(self) -> int:
         return lcm(*(f.exponent() for f in self.factors))
 
+    def order_spectrum(self) -> Dict[int, int]:
+        spectrum = {1: 1}
+        for f in self.factors:
+            grown: Dict[int, int] = {}
+            for b, k in f.order_spectrum().items():
+                for a, m in spectrum.items():
+                    d = lcm(a, b)
+                    grown[d] = grown.get(d, 0) + m * k
+            spectrum = grown
+        return spectrum
+
 
 # --- minimal generating tuples ----------------------------------------------
 
 
-def _join(rows: List[List[int]], span: FrozenSet[int],
-          prefix: Sequence[int], a: int) -> FrozenSet[int]:
-    """<span, a> for span = <prefix>: the old span is already closed under
-    prefix, so only a is applied to it; new elements take every generator."""
-    seen = set(span)
-    frontier: Iterable[int] = span
-    step: Sequence[int] = (a,)
-    while frontier:
-        nxt = []
-        for g in frontier:
-            row = rows[g]
-            for s in step:
-                h = row[s]
-                if h not in seen:
-                    seen.add(h)
-                    nxt.append(h)
-        frontier = nxt
-        step = (*prefix, a)
-    return frozenset(seen)
+def _join(rows: List[List[int]], span: List[int], inside: bytearray,
+          gens: Sequence[int], a: int) -> Tuple[List[int], bytearray]:
+    """<span, a> for span = <gens> and a outside it, as its elements and
+    a fresh membership array. By Dimino's method the new group is a union
+    of cosets span * y: y starts at a, and every product of a found y
+    with a generator outside the union starts a new coset."""
+    grown, inside = list(span), bytearray(inside)
+    step = (*gens, a)
+    reps = [a]
+    for y in reps:  # grows while it is read
+        if inside[y]:  # in a coset entered since it was found
+            continue
+        coset = [rows[s][y] for s in span]
+        for h in coset:
+            inside[h] = 1
+        grown += coset
+        row = rows[y]
+        reps += [row[t] for t in step]
+    return grown, inside
+
+
+def _elementary_quotients(
+        table: FiniteGroupTable) -> List[Tuple[int, int, int]]:
+    """(p, d, mask) for each prime p dividing the order: N = H^p [H, H]
+    as a bitmask over H (one byte per element) and d = dim H/N, the rank
+    of H's largest elementary abelian p-quotient. N is the normal closure
+    of the commutators and the p-th powers of any generating set."""
+    rows, inv, order = table.rows, table._inverse, table.order
+    gens = table._spanning_set()
+    quotients = []
+    for p in range(2, order + 1):
+        if order % p or any(p % q == 0 for q in range(2, p)):
+            continue
+        todo = [rows[rows[inv[s]][inv[t]]][rows[s][t]]
+                for s in gens for t in gens]
+        for s in gens:
+            x = 0
+            for _ in range(p):
+                x = rows[x][s]
+            todo.append(x)
+        span, inside, found = [0], bytearray(order), []
+        inside[0] = 1
+        for x in todo:  # grows while it is read: conjugates of each new one
+            if not inside[x]:
+                span, inside = _join(rows, span, inside, found, x)
+                found.append(x)
+                todo += [rows[rows[inv[s]][x]][s] for s in gens]
+        quotients.append((p, round(log(order // len(span), p)),
+                          int.from_bytes(inside, "little")))
+    return quotients
 
 
 def minimal_generating_tuple(table: FiniteGroupTable) -> List[int]:
     """Lexicographically first generating tuple of minimal size.
 
-    Increasing tuples grow one size at a time, and each size keeps only
-    the lexicographically first tuple reaching each span. That loses no
-    answer: if a tuple P + B generates and an earlier tuple P' of P's
-    length spans what P spans, then sorted(P' + B) generates too, has the
-    same size (no element of B lies in that span) and comes first. An
-    element already in the prefix's span is skipped, since a tuple holding
-    one generates with one element less and the smaller sizes failed.
+    The size starts at the bound D, the largest rank of an elementary
+    abelian quotient H/H^p[H, H]; that is the answer for nilpotent (so
+    for abelian and prime-power) groups. At each size a depth-first walk
+    over increasing tuples keeps, at each depth, only the first prefix to
+    reach each span, and the size grows by one only when it fails. That
+    loses no answer: if a tuple P + B generates and an earlier tuple P'
+    of P's length spans what P spans, then sorted(P' + B) generates too,
+    has the same size (no element of B lies in that span) and comes
+    first. A prefix is also dropped when its image in some H/H^p[H, H]
+    is too small for the elements left to span it. An element already in
+    the prefix's span is skipped, since a tuple holding one generates
+    with one element less and the smaller sizes failed.
     """
     order = table.order
     if order == 1:
         return []
     rows = table.rows
-    # span -> first tuple reaching it; insertion order is lexicographic
-    level: Dict[FrozenSet[int], List[int]] = {frozenset((0,)): []}
-    while level:
-        grown_level: Dict[FrozenSet[int], List[int]] = {}
-        for span, prefix in level.items():
-            for a in range(prefix[-1] + 1 if prefix else 1, order):
-                if a in span:
-                    continue
-                grown = _join(rows, span, prefix, a)
-                if len(grown) == order:
-                    return prefix + [a]
-                grown_level.setdefault(grown, prefix + [a])
-        level = grown_level
-    raise AssertionError("a finite group always has a generating set")
+    quotients = _elementary_quotients(table)
+    size = max(1, *(d for _, d, _ in quotients))
+
+    def walk(prefix: List[int], span: List[int], inside: bytearray,
+             seen: List[set]) -> Optional[List[int]]:
+        rest = size - len(prefix) - 1  # elements still to take after a
+        for a in range(prefix[-1] + 1 if prefix else 1, order - rest):
+            if inside[a]:
+                continue
+            grown, grown_inside = _join(rows, span, inside, prefix, a)
+            if len(grown) == order:
+                return prefix + [a]
+            key = int.from_bytes(grown_inside, "little")
+            if not rest or key in seen[rest]:
+                continue
+            seen[rest].add(key)
+            if any(len(grown) < p ** (d - rest) * (key & mask).bit_count()
+                   for p, d, mask in quotients if d > rest):
+                continue
+            found = walk(prefix + [a], grown, grown_inside, seen)
+            if found is not None:
+                return found
+        return None
+
+    while True:
+        first = bytearray(order)
+        first[0] = 1
+        found = walk([], [0], first, [set() for _ in range(size)])
+        if found is not None:
+            return found
+        size += 1
 
 
 # --- embedding search --------------------------------------------------------
@@ -406,10 +472,10 @@ def _structural_obstruction(sub: FiniteGroupTable,
     spectrum availability (an order-d subgroup element needs an order-d
     ambient element). The lcm closure over coordinate orders ignores the
     copy count, so it can only under-refute, never over-refute."""
-    amb_exp = ambient.exponent()
     ambient_orders = set()
     for f in ambient.factors:
-        ambient_orders.update(f.element_order(x) for x in range(f.order))
+        ambient_orders.update(f.order_spectrum())
+    amb_exp = lcm(*ambient_orders)
     feasible = {1}
     for e in sorted(ambient_orders):
         feasible |= {lcm(e, f) for f in feasible}
@@ -422,102 +488,156 @@ def _structural_obstruction(sub: FiniteGroupTable,
     return None
 
 
-class _ClosurePlan(NamedTuple):
-    """The Cayley graph of <gens> in sub, walked breadth-first from 0:
-    `tree` holds the edges (g, j, h), h = g * gens[j], that first reach
-    an element, `checks` every other edge out of the span."""
-    order: int
-    tree: List[Tuple[int, int, int]]
-    checks: List[Tuple[int, int, int]]
-
-
-def _closure_plan(sub: FiniteGroupTable, gens: Sequence[int]) -> _ClosurePlan:
-    seen = [False] * sub.order
-    seen[0] = True
-    tree: List[Tuple[int, int, int]] = []
-    checks: List[Tuple[int, int, int]] = []
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for g in frontier:
-            row = sub.rows[g]
-            for j, s in enumerate(gens):
-                h = row[s]
-                if seen[h]:
-                    checks.append((g, j, h))
+def _extension_plans(sub: FiniteGroupTable,
+                     gens: Sequence[int]) -> List[List[Tuple[int, int, int]]]:
+    """One plan per generator: plans[k] walks out from <gens[:k]> to
+    <gens[:k + 1]>, first along the edges g -> g * gens[k] out of the old
+    span, then along every edge g -> g * gens[j], j <= k, of each new
+    element. An edge (g, j, h) assigns h its image when it meets h first;
+    a later edge into h is stored as (g, j, ~h) and checks it."""
+    rows = sub.rows
+    span = [0]
+    inside = [True] + [False] * (sub.order - 1)
+    plans = []
+    for k in range(len(gens)):
+        plan = []
+        old = len(span)
+        for i, g in enumerate(span):  # grows while it is read
+            row = rows[g]
+            for j in ((k,) if i < old else range(k + 1)):
+                h = row[gens[j]]
+                if inside[h]:
+                    plan.append((g, j, ~h))
                 else:
-                    seen[h] = True
-                    tree.append((g, j, h))
-                    nxt.append(h)
-        frontier = nxt
-    return _ClosurePlan(sub.order, tree, checks)
+                    inside[h] = True
+                    span.append(h)
+                    plan.append((g, j, h))
+        plans.append(plan)
+    return plans
 
 
-def _close(plan: _ClosurePlan, images: Sequence[int],
-           target: FiniteGroupTable) -> Optional[List[Optional[int]]]:
-    """The map gens -> images closed over the plan's span, as a list over
-    sub (None outside the span), or None if an edge clashes: phi is
-    assigned along the tree edges, then every other edge is checked."""
+def _extend(plan: List[Tuple[int, int, int]], images: Sequence[int],
+            phi: List[int], rows: List[List[int]]) -> bool:
+    """Run one extension plan: phi, a homomorphism on the plan's old
+    span, is extended by the generator images, edge by edge, or False at
+    the first edge that clashes."""
+    for g, j, h in plan:
+        x = rows[phi[g]][images[j]]
+        if h >= 0:
+            phi[h] = x
+        elif phi[~h] != x:
+            return False
+    return True
+
+
+_ZERO_BITS = b"1" + b"0" * 255  # bytes.translate: image 0 -> "1", else "0"
+
+
+def _kernels(sub: FiniteGroupTable, gens: Sequence[int],
+             plans: List[List[Tuple[int, int, int]]],
+             target: FiniteGroupTable, tick: Callable[[], None],
+             maps: Dict[int, List[int]]) -> Iterator[int]:
+    """Hom(sub, target) as a stream of its distinct kernels, each a
+    bitset over sub's elements yielded when first met, with maps[kernel]
+    the homomorphism (an image list) that met it. Generator images are
+    tried depth-first, those of largest order first, since an injective
+    map needs them; the image of g has order dividing ord(g), and each
+    one tried runs g's plan. tick() runs once per image tried."""
     rows = target.rows
-    phi: List[Optional[int]] = [None] * plan.order
-    phi[0] = 0
-    for g, j, h in plan.tree:
-        phi[h] = rows[phi[g]][images[j]]
-    for g, j, h in plan.checks:
-        if rows[phi[g]][images[j]] != phi[h]:
-            return None
-    return phi
-
-
-def _homomorphisms(sub: FiniteGroupTable, gens: Sequence[int],
-                   plans: Sequence[_ClosurePlan], target: FiniteGroupTable,
-                   tick: Callable[[], None]) -> Dict[int, List[int]]:
-    """One homomorphism sub -> target (as its image list) per distinct
-    kernel, keyed by the kernel as a bitset over sub's elements. The
-    image of each generator g of sub has order dividing ord(g); the span
-    of the generators assigned so far is closed after each assignment,
-    by plans[k] for the first k generators. tick() runs once per image
-    tried."""
-    pools = [[x for x in range(target.order)
-              if sub.element_order(g) % target.element_order(x) == 0]
+    orders = [target.element_order(x) for x in range(target.order)]
+    by_order = sorted(range(target.order), key=lambda x: -orders[x])
+    pools = [[x for x in by_order if sub.element_order(g) % orders[x] == 0]
              for g in gens]
-    by_kernel: Dict[int, List[int]] = {}
-
-    def extend(images: Tuple[int, ...]) -> None:
-        phi = _close(plans[len(images)], images, target)
-        if phi is None:
-            return
-        if len(images) == len(gens):
-            kernel = sum(1 << h for h, x in enumerate(phi) if x == 0)
-            by_kernel.setdefault(kernel, phi)
-            return
-        for x in pools[len(images)]:
+    phi = [0] * sub.order
+    images = [0] * len(gens)
+    if not gens:  # the trivial group
+        maps[1] = phi
+        yield 1
+        return
+    walks = [iter(pools[0])]
+    while walks:
+        k = len(walks) - 1
+        for x in walks[k]:
             tick()
-            extend(images + (x,))
+            images[k] = x
+            if not _extend(plans[k], images, phi, rows):
+                continue
+            if k + 1 < len(gens):
+                walks.append(iter(pools[k + 1]))
+                break
+            kernel = int(bytes(phi).translate(_ZERO_BITS)[::-1], 2)
+            if kernel not in maps:
+                maps[kernel] = phi[:]
+                yield kernel
+        else:
+            walks.pop()
 
-    extend(())
-    return by_kernel
 
+class _MeetSearch:
+    """Kernels of Hom(sub, lead) and Hom(sub, copy) met as they stream
+    in. `reached` keys each meet of a lead kernel with copy kernels to
+    its shortest path (the lead kernel, then the copy kernels); the meet
+    1, the identity alone, is an embedding. A meet of fewer than r copy
+    kernels is met with every copy kernel, when it is reached and when
+    a copy kernel arrives. Streams and meets persist from one r to the
+    next."""
 
-def _trivial_meet(lead: Dict[int, List[int]], factor: Dict[int, List[int]],
-                  copies: int,
-                  tick: Callable[[], None]) -> Optional[Tuple[int, ...]]:
-    """A lead kernel then at most `copies` factor kernels intersecting
-    in the trivial subgroup (bitset 1 << 0), or None. Breadth-first over
-    distinct intersections; tick() runs once per intersection taken."""
-    reached = {k: (k,) for k in lead}
-    frontier = list(reached)
-    for _ in range(copies):
-        nxt = []
-        for meet in frontier:
-            for k in factor:
-                tick()
-                m = meet & k
-                if m not in reached:
-                    reached[m] = reached[meet] + (k,)
-                    nxt.append(m)
-        frontier = nxt
-    return reached.get(1)
+    def __init__(self, sub: FiniteGroupTable, gens: List[int],
+                 lead: FiniteGroupTable, copy: FiniteGroupTable,
+                 tick: Callable[[], None]):
+        plans = _extension_plans(sub, gens)
+        self.tick, self.r = tick, 0
+        self.lead, self.copy = lead.order, copy.order  # orders fix tables
+        self.maps: Dict[int, Dict[int, List[int]]] = {
+            t.order: {} for t in (lead, copy)}
+        self.streams = {t.order: _kernels(sub, gens, plans, t, tick,
+                                          self.maps[t.order])
+                        for t in (lead, copy)}  # one when the tables agree
+        self.reached: Dict[int, Tuple[int, ...]] = {}
+
+    def _offer(self, meet: int, path: Tuple[int, ...]) -> bool:
+        """Keep path to meet if it is the first or a shorter one, and
+        meet a kept path of fewer than r copy kernels with every copy
+        kernel. True once the meet 1 is reached."""
+        known = self.reached.get(meet)
+        if known is not None and len(known) <= len(path):
+            return False
+        self.reached[meet] = path
+        return meet == 1 or len(path) <= self.r and \
+            self._meet(meet, path, self.maps[self.copy])
+
+    def _meet(self, meet: int, path: Tuple[int, ...],
+              kernels: Iterable[int]) -> bool:
+        for k in kernels:
+            self.tick()
+            if self._offer(meet & k, path + (k,)):
+                return True
+        return False
+
+    def search(self, r: int) -> Optional[Tuple[int, ...]]:
+        """A path to the trivial meet through at most r copy kernels, or
+        None once the streams it reads are at their end: the lead stream,
+        and at r >= 1 the copy stream, one kernel from each in turn."""
+        below, self.r = self.r, r
+        copies = self.maps[self.copy]
+        for meet, path in list(self.reached.items()):  # left by a lower r
+            if below < len(path) <= r and self._meet(meet, path, copies):
+                return self.reached[1]
+        orders = list(dict.fromkeys((self.lead, self.copy)[:r + 1]))
+        while orders:
+            for order in orders[:]:
+                kernel = next(self.streams[order], None)
+                if kernel is None:
+                    orders.remove(order)
+                    continue
+                if order == self.copy:
+                    met = [(m, p) for m, p in self.reached.items()
+                           if len(p) <= r]
+                    if any(self._meet(m, p, (kernel,)) for m, p in met):
+                        return self.reached[1]
+                if order == self.lead and self._offer(kernel, (kernel,)):
+                    return self.reached[1]
+        return None
 
 
 def _verify_embedding(sub: FiniteGroupTable, maps: Sequence[Sequence[int]],
@@ -543,20 +663,23 @@ def embed_search(sub: FiniteGroupTable, spec: DihedralProductSpec,
 
     sub embeds in A x B^r exactly when there are homomorphisms sub -> A
     and r homomorphisms sub -> B whose kernels intersect trivially.
-    Hom(sub, A) and Hom(sub, B) are enumerated once, by images of a
-    minimal generating tuple, keeping one homomorphism per distinct
-    kernel. The tuple is computed only once some r passes the structural
-    check. `nodes` counts the homomorphism candidates tried (generator
-    images, then kernel intersections) and `budget` caps it. Any found
-    map is replayed over the full table before being reported.
+    Hom(sub, A) and Hom(sub, B) stream by images of a minimal generating
+    tuple, each distinct kernel once, and their meets grow as kernels
+    arrive; the search stops at the first trivial meet, and a stream is
+    read to its end only to refute an r. An r whose ambient has fewer
+    elements of some order than sub (so any smaller ambient) is skipped,
+    not refuted. The tuple is computed only once some r passes the
+    structural check and is not skipped. `nodes`
+    counts the homomorphism candidates tried (generator images, then
+    kernel intersections) and `budget` caps it. Any found map is replayed
+    over the full table before being reported.
     """
     if r_max < 0:
         raise ValueError(f"r_max must be >= 0, got {r_max}")
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
     lead_table, copy_table = spec.factor_tables()
-    gens: Optional[List[int]] = None
-    plans: List[_ClosurePlan] = []
+    search: Optional[_MeetSearch] = None
     nodes = 0
 
     def tick() -> None:
@@ -565,33 +688,30 @@ def embed_search(sub: FiniteGroupTable, spec: DihedralProductSpec,
         if nodes > budget:
             raise _BudgetStop
 
-    # kernels by target order, which fixes a dihedral group
-    homs: Dict[int, Dict[int, List[int]]] = {}
     structural: List[str] = []
+    need = sub.order_spectrum()
     for copies in range(0, r_max + 1):
         ambient = LazyProduct([lead_table] + [copy_table] * copies)
         obstruction = _structural_obstruction(sub, ambient)
         if obstruction is not None:
             structural.append(obstruction)
             continue
-        if gens is None:
+        room = ambient.order_spectrum()
+        if any(room.get(d, 0) < k for d, k in need.items()):
+            continue  # too few elements of some order; no refutation either
+        if search is None:
             gens = minimal_generating_tuple(sub)
-            plans = [_closure_plan(sub, gens[:k])
-                     for k in range(len(gens) + 1)]
+            search = _MeetSearch(sub, gens, lead_table, copy_table, tick)
         try:
-            for f in ambient.factors[:2]:
-                if f.order not in homs:
-                    homs[f.order] = _homomorphisms(sub, gens, plans, f, tick)
-            lead = homs[lead_table.order]
-            factor = homs[copy_table.order] if copies else {}
-            path = _trivial_meet(lead, factor, copies, tick)
+            path = search.search(copies)
         except _BudgetStop:
             return EmbedResult(status="budget_exceeded", subgroup=sub.name,
                                ambient=ambient.name, copies_tried=copies,
                                reason=f"node budget {budget} exhausted",
                                nodes=nodes)
         if path is not None:
-            maps = [lead[path[0]]] + [factor[k] for k in path[1:]]
+            maps = [search.maps[lead_table.order][path[0]]]
+            maps += [search.maps[copy_table.order][k] for k in path[1:]]
             maps += [[0] * sub.order] * (copies + 1 - len(maps))  # trivial
             if not _verify_embedding(sub, maps, ambient):
                 raise AssertionError("search produced a non-embedding")

@@ -527,25 +527,42 @@ class KernelCertifier(Kernel):
         return None
 
 
+class TrivialKernel:
+    """The rung of a quotient that is the whole group, so its kernel is
+    trivial: free rank 0, no certificate, and no relation row built. The
+    action stays, since an image order is still read from it."""
+
+    kernel_free_rank = 0
+
+    def __init__(self, p: Presentation, quotient_spec: dict):
+        self.quotient_spec = quotient_spec
+        self.action = QuotientAction(quotient_spec, p.rank)
+
+    def certify(self, w: Word) -> Optional[Certificate]:
+        return None
+
+
 class Ladder:
     """The certifier ladder of one presentation: named quotient specs,
-    each rung's KernelCertifier built on first use and kept.
+    each rung's certifier (of the class given with its spec) built on
+    first use and kept.
 
     Iterating yields (name, certifier) pairs in rung order and builds a
     rung only when the iteration reaches it, so a search that stops at
     rung k never builds the rungs above k."""
 
-    def __init__(self, p: Presentation, rungs: Sequence[Tuple[str, dict]]):
+    def __init__(self, p: Presentation,
+                 rungs: Sequence[Tuple[str, dict, type]]):
         self.presentation = p
-        self.names = [name for name, _ in rungs]
-        self._specs = [spec for _, spec in rungs]
-        self._built: Dict[int, KernelCertifier] = {}
+        self.names = [name for name, _, _ in rungs]
+        self._rungs = [(spec, kind) for _, spec, kind in rungs]
+        self._built: dict = {}
 
     def __iter__(self):
         for k, name in enumerate(self.names):
             if k not in self._built:
-                self._built[k] = KernelCertifier(self.presentation,
-                                                 self._specs[k])
+                spec, kind = self._rungs[k]
+                self._built[k] = kind(self.presentation, spec)
             yield name, self._built[k]
 
 
@@ -554,10 +571,15 @@ def ladder(p: Presentation, ab: AbelianInvariants, max_kernel_index: int,
     """The certifier ladder of p: one rung for the torsion quotient of
     G^ab (``ab`` holds its spec), then one per (name, spec) of ``extra``,
     in order. A spec of more than ``max_kernel_index`` elements is left
-    out before it is built; the others are built on first use."""
-    rungs = [("abelian-torsion", ab.quotient), *extra]
-    return Ladder(p, [(name, spec) for name, spec in rungs
-                      if spec_size(spec) <= max_kernel_index])
+    out before it is built; the others are built on first use. A finite
+    cyclic group (rank 1, free rank 0) is its own abelianization, so its
+    torsion rung is a TrivialKernel."""
+    cyclic = p.rank == 1 and ab.free_rank == 0
+    rungs = [("abelian-torsion", ab.quotient,
+              TrivialKernel if cyclic else KernelCertifier),
+             *((name, spec, KernelCertifier) for name, spec in extra)]
+    return Ladder(p, [rung for rung in rungs
+                      if spec_size(rung[1]) <= max_kernel_index])
 
 
 def verify_certificate(cert: Certificate,

@@ -245,6 +245,51 @@ def is_abelian(t) -> bool:
                for g in range(t.order) for h in range(g))
 
 
+def _level_join(rows, span, prefix, a):
+    """<span, a> for span = <prefix>: the old span is already closed under
+    prefix, so only a is applied to it; new elements take every generator."""
+    seen = set(span)
+    frontier = span
+    step = (a,)
+    while frontier:
+        nxt = []
+        for g in frontier:
+            row = rows[g]
+            for s in step:
+                h = row[s]
+                if h not in seen:
+                    seen.add(h)
+                    nxt.append(h)
+        frontier = nxt
+        step = (*prefix, a)
+    return frozenset(seen)
+
+
+def level_generating_tuple(table) -> list:
+    """The lexicographically first generating tuple of minimal size, by
+    the level-by-level search dihedral.minimal_generating_tuple used to
+    run: increasing tuples grow one size at a time from size 1, and each
+    size keeps only the first tuple reaching each span."""
+    order = table.order
+    if order == 1:
+        return []
+    rows = table.rows
+    # span -> first tuple reaching it; insertion order is lexicographic
+    level = {frozenset((0,)): []}
+    while level:
+        grown_level = {}
+        for span, prefix in level.items():
+            for a in range(prefix[-1] + 1 if prefix else 1, order):
+                if a in span:
+                    continue
+                grown = _level_join(rows, span, prefix, a)
+                if len(grown) == order:
+                    return prefix + [a]
+                grown_level.setdefault(grown, prefix + [a])
+        level = grown_level
+    raise AssertionError("a finite group always has a generating set")
+
+
 def mat_mul(A: list, B: list) -> list:
     if not A:
         return []

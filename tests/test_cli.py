@@ -554,7 +554,7 @@ def test_embed_found_and_refuted(tmp_path, capsys):
     code, out, _ = run(["--format", "json", "embed", str(q8), "-n", "4"],
                        capsys)
     rep = json.loads(out)
-    assert rep["schema"] == "burnside/embed-report/2"
+    assert rep["schema"] == "burnside/embed-report/3"
     assert rep["result"]["status"] == "not_found_exhausted"
     assert rep["result"]["nodes"] > 0
 

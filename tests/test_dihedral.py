@@ -12,7 +12,8 @@ import pytest
 
 from burnside import dihedral as dh
 from burnside import tower
-from support import is_abelian, multiplication_table, table_csv
+from support import (is_abelian, level_generating_tuple, multiplication_table,
+                     table_csv)
 
 
 def test_dihedral_small():
@@ -164,6 +165,7 @@ def test_lazy_product_agrees_with_table():
     # identical order spectra, counted over coordinate tuples
     coords = itertools.product(*(range(f.order) for f in lazy.factors))
     assert Counter(map(lazy.element_order, coords)) == table.order_spectrum()
+    assert lazy.order_spectrum() == table.order_spectrum()
     assert lazy.element_order(lazy.identity) == 1
     # mul/inverse consistency on a few coordinates
     g = (2, 1)
@@ -418,12 +420,73 @@ def test_kernel_search_matches_backtracking_on_b22_draws():
         assert r.status == "embedding"
 
 
-@pytest.mark.parametrize("seed", [101, 102, 7])
+@pytest.mark.parametrize("seed", [101, 102, 7, 0, 1, 2, 3])
 def test_kernel_search_matches_backtracking_on_d4xd4_draws(seed):
     for sub in _d4xd4_draws(seed):
         r = _assert_matches_reference(sub, dh.DihedralProductSpec(4),
                                       r_max=3)
         assert r.status == "embedding"
+
+
+# at n=3 and n=6 the lead factor and the copy differ, so do their kernel
+# streams; an ambient smaller than the draw is skipped at low r
+@pytest.mark.parametrize("n", [3, 6])
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_kernel_search_matches_backtracking_with_two_streams(seed, n):
+    statuses = Counter()
+    for sub in _d4xd4_draws(seed):
+        r = _assert_matches_reference(sub, dh.DihedralProductSpec(n),
+                                      r_max=4)
+        statuses[r.status, r.copies_tried] += 1
+    assert statuses["embedding", 0]
+    assert statuses["refuted_structural", 4] or statuses["embedding", 1]
+
+
+def test_an_ambient_with_too_few_elements_of_an_order_is_skipped():
+    # C2^3 has order 8; D3 (order 6) cannot hold it, D3 x C2 can but does
+    # not, D3 x C2 x C2 does
+    spec = dh.DihedralProductSpec(3)
+    r = dh.embed_search(_c2_power(3), spec, r_max=0)
+    assert (r.status, r.nodes, r.generators) == \
+        ("not_found_exhausted", 0, None)
+    r = _assert_matches_reference(_c2_power(3), spec, r_max=4)
+    assert (r.status, r.copies_tried) == ("embedding", 2)
+    # Q8 has six elements of order 4 and D4 two, though both have order 8
+    spec = dh.DihedralProductSpec(4)
+    r = dh.embed_search(dh.build_quaternion(), spec, r_max=0)
+    assert (r.status, r.nodes) == ("not_found_exhausted", 0)
+
+
+@pytest.mark.parametrize("n", [2, 6])
+def test_kernel_search_matches_backtracking_on_c2_4(n):
+    # the pinned C2^4 cases
+    r = _assert_matches_reference(_c2_power(4), dh.DihedralProductSpec(n),
+                                  r_max=4)
+    assert (r.status, r.copies_tried) == ("embedding", 1)
+
+
+def _hom_candidates(sub, target):
+    """The images tried while Hom(sub, target) streams to its end."""
+    calls = []
+    gens = dh.minimal_generating_tuple(sub)
+    plans = dh._extension_plans(sub, gens)
+    for _ in dh._kernels(sub, gens, plans, target, lambda: calls.append(1),
+                         {}):
+        pass
+    return len(calls)
+
+
+def test_the_search_stops_at_its_first_embedding():
+    # C2^4 into D(6) x D(2): neither stream is read to its end; the lead
+    # stream alone would take more images than the whole search takes
+    spec = dh.DihedralProductSpec(6)
+    r = _assert_matches_reference(_c2_power(4), spec, r_max=1)
+    assert (r.status, r.copies_tried) == ("embedding", 1)
+    assert r.nodes < _hom_candidates(_c2_power(4), spec.factor_tables()[0])
+    # C4 into D(4) at r = 0: the first injective map ends the search
+    r = dh.embed_search(dh.build_cyclic(4), dh.DihedralProductSpec(4),
+                        r_max=0)
+    assert r.status == "embedding" and r.nodes == 1
 
 
 def test_quaternion_refuted_at_every_r():
@@ -453,24 +516,26 @@ def test_embed_arguments_are_validated():
 # --- outputs pinned across the search's rewrites -----------------------------
 #
 # sha256 of the sorted-key JSON list of EmbedResult.to_json_dict(), one per
-# case, taken from the frontier-BFS search with the combinations-based
-# generating tuple. A faster search must reproduce every byte: status,
-# copies_tried, nodes, generators, images and reason.
+# case, taken from the streamed search (embed-report/3): kernels met as
+# they arrive, stopping at the first trivial meet. Only nodes and which
+# embedding is reported may move when the search changes, and then under
+# a new report schema: status and copies_tried must still equal
+# backtracking_embed_search, and every embedding must replay.
 
 PINNED_DIGESTS = {
-    "q8": "8b541aae48b5deb488d9c266c256b642bd6c3e5c517e8b0841964718a7ba0147",
+    "q8": "e1abdebb26f9cdaa6878c3a51d3b955ca553e35913fc5c35ddb0ca4ccbcdc1ad",
     "d4xd4 seed 0":
-        "0d82d5fa588c641bf46c7c523acea2b274e9f5a952b5f67c40dae541c794cecc",
+        "577290199db8f85972f5b76e26ba9d75414ea81763dde97ce18be926f7c52ed2",
     "d4xd4 seed 1":
-        "085917b40d9d31ca60349fc8274185fe3d53eb3f5a1e63561bdf15f15cd95773",
+        "4d70973a2707c14ea1e572899d3e34c225306925747aa4d56868a19712a4cdbe",
     "d4xd4 seed 2":
-        "eda07a038b634af1b8d164b97521302980ba89457a72c8fdc388cacc6b25a489",
+        "7f85af79e18a3ac5482e6943ee93526ff05241be5a69584f7035783bded7b1e1",
     "d4xd4 seed 3":
-        "6efb231b3f789f60c7f9b51805944ac1b5f5e0a9787f27e8fafc505687caab63",
+        "c014813ef738125cb335ccd6ad015600db5bbc04d5f8db946c49405adc0a3c09",
     "c2^4 n=2":
-        "d61fee300bf0ac5442ff8f89bca53e205968c4d3eb709d43a84204c7a2827a0d",
+        "b8b8ce8c87835b8f5194e215ea363683dbaf9a9865cf2266dff42e936598b97f",
     "c2^4 n=6":
-        "d2ed758977e245432f9599074f9d6b5aade5fe740d4c45777cdbab10c4ed7620",
+        "5f70fd51d908d22a03cfeb0a5c1a2f29bd79bde6d208dd8a83f419d362caa5ed",
 }
 
 
@@ -537,15 +602,71 @@ def test_generating_tuple_matches_brute_force_on_sampled_subgroups():
             brute_force_generating_tuple(table), elems
 
 
-def test_generating_tuple_of_c2_6_is_fast():
-    table = _c2_power(6)
+def _permutation_group(name, *gens):
+    """The group the permutations gens generate, as a table with the
+    identity first and the rest in the order they are reached."""
+    identity = tuple(range(len(gens[0])))
+    elements, index = [identity], {identity: 0}
+    for g in elements:  # grows while it is read
+        for s in gens:
+            h = tuple(g[i] for i in s)
+            if h not in index:
+                index[h] = len(elements)
+                elements.append(h)
+    return dh.FiniteGroupTable(
+        [[index[tuple(g[i] for i in h)] for h in elements] for g in elements],
+        name=name)
+
+
+# non-nilpotent or mixed tables; on A4, S4 and A5 the elementary abelian
+# bound is below the answer, so the search grows past its first size
+def _mixed_groups():
+    c2, c3, c6 = dh.build_cyclic(2), dh.build_cyclic(3), dh.build_cyclic(6)
+    d3 = dh.build_dihedral(3)
+    return {"D3^3": dh.direct_product([d3] * 3),
+            "C6^3": dh.direct_product([c6] * 3),
+            "D3xD3xC3": dh.direct_product([d3, d3, c3]),
+            "D3xC2^3": dh.direct_product([d3, c2, c2, c2]),
+            "A4": _permutation_group("A4", (1, 2, 0, 3), (0, 2, 3, 1)),
+            "S4": _permutation_group("S4", (1, 0, 2, 3), (1, 2, 3, 0)),
+            "A5": _permutation_group("A5", (1, 2, 0, 3, 4),
+                                     (1, 2, 3, 4, 0))}
+
+
+@pytest.mark.parametrize("name", sorted(_named_groups()) +
+                         sorted(_mixed_groups()))
+def test_generating_tuple_matches_the_level_search(name):
+    table = {**_named_groups(), **_mixed_groups()}[name]
+    assert dh.minimal_generating_tuple(table) == level_generating_tuple(table)
+
+
+def test_generating_tuple_matches_the_level_search_on_d4xd4_draws():
+    for seed in range(40):
+        for table in _d4xd4_draws(seed):
+            assert dh.minimal_generating_tuple(table) == \
+                level_generating_tuple(table), seed
+
+
+def test_the_size_bound_is_below_the_answer_on_mixed_groups():
+    below = [name for name, table in _mixed_groups().items()
+             if max(d for _, d, _ in dh._elementary_quotients(table))
+             < len(dh.minimal_generating_tuple(table))]
+    assert sorted(below) == ["A4", "A5", "S4"]
+
+
+# the level search took about 0.4 s on C2^6, 12 s on C2^7 and 6 s on
+# C3^5; C2^8 sits at the 256-element table cap
+@pytest.mark.parametrize("base, k", [(2, 6), (2, 7), (2, 8), (3, 5)])
+def test_generating_tuple_of_an_elementary_abelian_group_is_fast(base, k):
+    table = dh.direct_product([dh.build_cyclic(base)] * k)
     t0 = time.monotonic()
-    assert dh.minimal_generating_tuple(table) == [1, 2, 4, 8, 16, 32]
-    assert time.monotonic() - t0 < 10.0
+    assert dh.minimal_generating_tuple(table) == [base ** i for i in range(k)]
+    assert time.monotonic() - t0 < 1.0
 
 
 def _bfs_close(sub, gens, images, target):
-    """The frontier BFS the compiled plans replace."""
+    """The frontier BFS the extension plans replace: the map gens ->
+    images closed over <gens> (None outside it), or None on a clash."""
     phi = [None] * sub.order
     phi[0] = 0
     frontier = [0]
@@ -564,7 +685,7 @@ def _bfs_close(sub, gens, images, target):
     return phi
 
 
-def test_compiled_close_matches_the_frontier_bfs():
+def test_extension_plans_match_the_frontier_bfs():
     rng = random.Random(3)
     subs = _d4xd4_draws(0) + [_c2_power(4), dh.build_quaternion(),
                               dh.build_dihedral(6)]
@@ -572,14 +693,18 @@ def test_compiled_close_matches_the_frontier_bfs():
     clashes = closed = 0
     for sub in subs:
         gens = dh.minimal_generating_tuple(sub)
+        plans = dh._extension_plans(sub, gens)
         for k in range(len(gens) + 1):
-            plan = dh._closure_plan(sub, gens[:k])
             for target in targets:
                 for _ in range(12):
                     images = tuple(rng.randrange(target.order)
                                    for _ in range(k))
                     want = _bfs_close(sub, gens[:k], images, target)
-                    assert dh._close(plan, images, target) == want
+                    phi = [None] * sub.order
+                    phi[0] = 0
+                    ok = all(dh._extend(plans[j], images, phi, target.rows)
+                             for j in range(k))
+                    assert (phi if ok else None) == want
                     clashes += want is None
                     closed += want is not None
     assert clashes > 50 and closed > 50

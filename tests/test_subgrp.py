@@ -447,6 +447,38 @@ def test_ladder_leaves_out_rungs_over_the_bound():
         list(rungs)
 
 
+def test_a_finite_cyclic_torsion_rung_builds_no_relation_rows(monkeypatch):
+    # <a | a^12, a^18> is cyclic of order 6: the torsion quotient is the
+    # whole group, so its kernel is trivial and answers without any rows
+    p = P("gens 1\nrel " + "a" * 12 + "\nrel " + "a" * 18 + "\n")
+    ab = abelian_invariants(p)
+    full = KernelCertifier(p, ab.quotient)
+    built = []
+    init = subgrp.Kernel.__init__
+
+    def counted_init(self, p, spec):
+        built.append(spec["kind"])
+        init(self, p, spec)
+
+    monkeypatch.setattr(subgrp.Kernel, "__init__", counted_init)
+    rungs = list(ladder(p, ab, DEFAULT_MAX_KERNEL_INDEX))
+    assert [name for name, _ in rungs] == ["abelian-torsion"]
+    (_, rung), = rungs
+    assert isinstance(rung, subgrp.TrivialKernel) and built == []
+    assert rung.kernel_free_rank == full.kernel_free_rank == 0
+    for text in ("a", "aa", "aaa", "A", "aaaaaa"):
+        w = parse_word(text, 1)
+        assert rung.certify(w) is full.certify(w) is None
+        assert rung.action.order_of_image(w) == \
+            full.action.order_of_image(w)
+    assert rung.action.order_of_image(parse_word("aa", 1)) == 3
+    # a cyclic group with free rank, or a second generator, keeps its rows
+    for text in ("gens 1\n", "gens 2\nrel aa\nrel bbb\n"):
+        q = P(text)
+        list(ladder(q, abelian_invariants(q), DEFAULT_MAX_KERNEL_INDEX))
+    assert built == ["abelian", "abelian"]
+
+
 @pytest.mark.parametrize("key", sorted(CERT_TYPES))
 def test_certificate_json_fields_are_required_and_typed(key):
     good = certify(DINF, "ab").to_json_dict()

@@ -170,6 +170,25 @@ def count_ladder_builds(monkeypatch) -> list:
     return built
 
 
+def test_a_cyclic_stage_builds_no_relation_rows(monkeypatch):
+    # B(1,5) is its own abelianization, so the tower, its verification
+    # and its audit never build the stage's torsion kernel: its rows
+    # would trace the relator a^5 from each of the 5 points
+    built = []
+    init = subgrp.Kernel.__init__
+
+    def counted_init(self, p, spec):
+        built.append(len(p.relators))
+        init(self, p, spec)
+
+    monkeypatch.setattr(subgrp.Kernel, "__init__", counted_init)
+    b = tower.Budgets()
+    res = tower.run_tower(1, 5, b)
+    rep = tower.build_report(res, b, audit=tower.audit_tower(res, b))
+    assert rep["result"]["order"] == 5
+    assert 1 not in built  # only the dropped, relator-free presentation
+
+
 def test_independence_builds_a_rung_only_when_asked(monkeypatch):
     # the torsion rung certifies every dropped period of B(2,3), so the
     # full-realization rung above it is never built

@@ -31,12 +31,14 @@ the group on itself, so element orders, conjugacy and the center are all
 plain permutation computations here, and where coset 0 goes already
 decides an element.
 
-A ``Prefetch`` runs one whole-presentation enumeration ahead of need in
-a forked child process, so it can use a second core while its owner
-works on something else. ``enumerate_cosets`` takes the child's table
-only when it equals what the call would compute itself; otherwise it
-discards the child and enumerates in the caller, so the answer, and any
-error, is the same either way.
+A ``Prefetch`` runs one whole-presentation enumeration ahead of need.
+It makes the first ``IN_PROCESS_DEFINITIONS`` definitions itself, which
+is where a small stage closes, and only a run that outgrows them goes on
+in a forked child process, which continues the same run on a second core
+while its owner works on something else. ``enumerate_cosets`` takes the
+prefetched table only when it equals what the call would compute itself;
+otherwise it discards it and enumerates in the caller, so the answer,
+and any error, is the same either way.
 """
 
 from __future__ import annotations
@@ -55,6 +57,14 @@ from .words import (Word, format_word, free_reduce, invert, primitive_root,
                     shortlex_key)
 
 DEFAULT_MAX_COSETS = 2 * 10**6
+
+# Felsch definitions a Prefetch makes in its caller before it forks. A
+# fork costs the parent 4-6 ms: the fork itself, then about 900
+# copy-on-write page faults as it goes on writing its heap. The rank-7
+# stage of the (2,4) tower makes its first 1,024 definitions in about
+# 3.6 ms (2-core x86-64 host, Python 3.11), so a stage that closes within
+# this many definitions is done in process in less time than a fork costs.
+IN_PROCESS_DEFINITIONS = 1024
 
 # the column of the empty word: every coset stays where it is
 _IDENTITY = range(sys.maxsize)
@@ -356,8 +366,8 @@ def enumerate_cosets(p: Presentation, subgroup: Sequence[Word] = (),
                      prefetch: Optional[Prefetch] = None) -> CosetTable:
     """Felsch enumeration of the cosets of <subgroup> in the presented group.
 
-    Over the trivial subgroup, a ``prefetch`` whose child already ran
-    this enumeration hands its table over instead (see ``Prefetch.take``).
+    Over the trivial subgroup, a ``prefetch`` that already ran this
+    enumeration hands its table over instead (see ``Prefetch.take``).
     """
     if max_cosets < 1:
         raise ValueError("max_cosets must be at least 1")
@@ -366,7 +376,21 @@ def enumerate_cosets(p: Presentation, subgroup: Sequence[Word] = (),
         table = prefetch.take(p, max_cosets)
         if table is not None:
             return table
-    enum = _Enumerator(p, max_cosets)
+    return _finish(p, _Enumerator(p, max_cosets), subgroup)
+
+
+def _finish(p: Presentation, enum: _Enumerator,
+            subgroup: tuple = ()) -> CosetTable:
+    """Run ``enum`` to its end, after tracing the subgroup generators from
+    coset 0, and read its table off.
+
+    Over the trivial subgroup, a run that exhausted can be finished again
+    with a larger ``enum.max_cosets``: ``define`` raises before it changes
+    anything, when ``process_deductions`` has emptied the deduction stack,
+    and ``run`` starts again at the same first gap. No definition repeats,
+    so the table, ``defined_total`` included, is the one a run at the
+    larger budget from the start gives.
+    """
     try:
         for g in subgroup:
             if g:
@@ -405,25 +429,37 @@ def enumerate_cosets(p: Presentation, subgroup: Sequence[Word] = (),
 
 
 class Prefetch:
-    """At most one whole-presentation enumeration, run ahead of need in a
-    forked child process, so a second core can work on it meanwhile.
+    """At most one whole-presentation enumeration, run ahead of need.
 
-    The child runs ``enumerate_cosets(p, (), max_cosets)`` and sends its
-    table back through a pipe, pickled; it reports no error, because a
-    failed child only makes the parent enumerate itself. The owner calls
-    ``close`` in a ``finally``. POSIX only (``os.fork``), and the process
-    must run no other threads.
+    ``start`` runs the enumeration's first ``IN_PROCESS_DEFINITIONS``
+    definitions in the caller. A run that closes within them, or whose
+    budget is no larger, keeps its table here. A run that outgrows them
+    goes on in a forked child process, so a second core works on it
+    meanwhile: the child continues the same Felsch run up to the whole
+    budget (see ``_finish``) and sends its table back through a pipe,
+    pickled. It reports no error, because a failed child only makes the
+    parent enumerate itself. The owner calls ``close`` in a ``finally``.
+    A run that forks needs POSIX (``os.fork``) and a process that runs no
+    other threads.
     """
 
     def __init__(self):
-        self._job = None  # (presentation, max_cosets, pid, pipe read end)
+        # (presentation, max_cosets, pid, pipe read end, table): a child's
+        # job has no table yet, and a table made in process has no child
+        self._job = None
 
     def start(self, p: Presentation, max_cosets: int):
-        """Enumerate p's cosets at max_cosets in a child; a child already
-        running another job is killed first."""
+        """Enumerate p's cosets at max_cosets, in a child once the run
+        outgrows ``IN_PROCESS_DEFINITIONS``; a job held for another
+        presentation or budget is dropped first, its child killed."""
         if self._job is not None and self._job[:2] == (p, max_cosets):
             return
         self.close()
+        enum = _Enumerator(p, min(max_cosets, IN_PROCESS_DEFINITIONS))
+        table = _finish(p, enum)
+        if table.closed or max_cosets <= IN_PROCESS_DEFINITIONS:
+            self._job = (p, max_cosets, None, None, table)
+            return
         import pickle  # here, not at module load: only a forking run pays
 
         read, write = os.pipe()
@@ -432,8 +468,8 @@ class Prefetch:
             status = 1
             try:
                 os.close(read)
-                data = pickle.dumps(enumerate_cosets(p, (), max_cosets),
-                                    pickle.HIGHEST_PROTOCOL)
+                enum.max_cosets = max_cosets
+                data = pickle.dumps(_finish(p, enum), pickle.HIGHEST_PROTOCOL)
                 with open(write, "wb") as pipe:
                     pipe.write(data)
                 status = 0
@@ -442,38 +478,42 @@ class Prefetch:
                 # error leaves the enumeration, and its report, to the parent
                 os._exit(status)
         os.close(write)
-        self._job = (p, max_cosets, pid, read)
+        self._job = (p, max_cosets, pid, read, None)
 
     def take(self, p: Presentation, max_cosets: int) -> Optional[CosetTable]:
-        """The child's table if it is what ``enumerate_cosets(p, (),
-        max_cosets)`` would return, else None; either way the child is
-        gone. For the same presentation this waits for the child. A run
-        with a larger budget closes identically within a smaller one when
-        it defined no more cosets than that: Felsch reads its budget only
+        """The prefetched table if it is what ``enumerate_cosets(p, (),
+        max_cosets)`` would return, else None; either way the job is
+        gone. For the same presentation this waits for a child. A run with
+        a larger budget closes identically within a smaller one when it
+        defined no more cosets than that: Felsch reads its budget only
         when it reaches it."""
         if self._job is None or self._job[0] != p:
             self.close()
             return None
-        _, budget, _, read = self._job
-        with open(read, "rb", closefd=False) as pipe:
-            data = pipe.read()  # until the child exits
-        if self._reap(kill=False) != 0:
-            return None
-        import pickle
+        _, budget, pid, read, table = self._job
+        if pid is None:
+            self._job = None
+        else:
+            with open(read, "rb", closefd=False) as pipe:
+                data = pipe.read()  # until the child exits
+            if self._reap(kill=False) != 0:
+                return None
+            import pickle
 
-        table = pickle.loads(data)
+            table = pickle.loads(data)
         if budget == max_cosets or (table.closed
                                     and table.defined_total <= max_cosets):
             return table
         return None
 
     def close(self):
-        """Kill and reap the child, if there is one."""
-        if self._job is not None:
+        """Kill and reap the child, if there is one, and drop the job."""
+        if self._job is not None and self._job[2] is not None:
             self._reap(kill=True)
+        self._job = None
 
     def _reap(self, kill: bool) -> int:
-        _, _, pid, read = self._job
+        _, _, pid, read, _ = self._job
         if kill:
             import signal
 

@@ -20,13 +20,15 @@ The scan asks the oracle about one candidate at a time and stops at the
 first Infinite or Unknown verdict, so ``max_candidates`` bounds the
 oracle calls of a rank exactly.
 
-A run owns one helper process (``cosets.Prefetch``) and kills it before
-it returns or raises. A rank whose stage the quotient probe cannot prove
-infinite may close, so it starts the helper on the whole-stage
-enumeration before it completes the stage itself: that enumeration is
-usually the largest single step of a run, and it then overlaps the
-stage's completion. The stage reads the helper's table only when it is
-the one it would compute itself.
+A run owns one ``cosets.Prefetch`` and closes it, killing any helper
+process, before it returns or raises. A rank whose stage the quotient
+probe cannot prove infinite may close, so it starts the whole-stage
+enumeration before it completes the stage itself. The prefetch makes the
+first definitions in process, where the desk-scale stages close; a
+stage that outgrows them, whose enumeration is then usually the largest
+single step of a run, goes on in a forked helper process and overlaps
+the stage's completion. The stage reads the prefetched table only when
+it is the one it would compute itself.
 """
 
 from __future__ import annotations
@@ -128,7 +130,7 @@ def next_period(m: int, n: int, periods: Sequence[Word], budgets: Budgets,
                 prefetch: cosets.Prefetch, cursor: Optional[Word] = None,
                 prior_log: Optional[list] = None) -> RankOutcome:
     """Resolve one rank: find the next period or close the stage. A stage
-    that may close starts its enumeration in the prefetch's helper."""
+    that may close starts its enumeration in the prefetch."""
     rank = len(periods) + 1
     for w in periods:
         if _too_long(w, n, budgets):
@@ -256,7 +258,7 @@ def run_tower(m: int, n: int, budgets: Optional[Budgets] = None,
                 notes.append(f"resumed with {name} {now} "
                              f"(checkpoint had {had[name]})")
 
-    # one helper process for the whole run; it never outlives it
+    # one prefetch for the whole run; no helper it forks outlives it
     prefetch = cosets.Prefetch()
     try:
         return _climb(m, n, budgets, periods, cursor, prior_log, notes,

@@ -22,9 +22,9 @@ JSON_JUNK = (None, "x", 1.5, True, ["x"], {"x": 1})
 
 def count_enumerations(monkeypatch) -> list:
     """Route cosets.enumerate_cosets through a counter for this test;
-    the returned list collects the budget of each call. A prefetch child
-    counts in its own copy of the list, so only calls in this process
-    show."""
+    the returned list collects the budget of each call. A Prefetch runs
+    its enumeration without this call, in process or in its child, so a
+    table it hands over counts once, as the call that takes it."""
     budgets = []
     enumerate_cosets = cosets.enumerate_cosets
 
@@ -70,8 +70,10 @@ def count_completions(monkeypatch) -> list:
 
 
 def count_felsch_runs(monkeypatch) -> list:
-    """Collect the budget of each Felsch run made in this process; a
-    prefetch child counts in its own copy of the list."""
+    """Collect the budget of each Felsch run started in this process. A
+    Prefetch starts its run here at min(max_cosets,
+    cosets.IN_PROCESS_DEFINITIONS); a child that continues it counts in
+    its own copy of the list."""
     runs = []
     run = cosets._Enumerator.run
 
@@ -83,17 +85,41 @@ def count_felsch_runs(monkeypatch) -> list:
     return runs
 
 
-def fail_in_children(monkeypatch):
-    """Make cosets.enumerate_cosets raise in any process but this one."""
-    parent = os.getpid()
-    enumerate_cosets = cosets.enumerate_cosets
+def count_forks(monkeypatch) -> list:
+    """Collect, for each os.fork in this process, the presentation whose
+    Prefetch.start forked (None for a fork outside one)."""
+    forks = []
+    starting = []
+    fork = os.fork
+    start = cosets.Prefetch.start
 
-    def fails_in_child(*args, **kwargs):
+    def counted_fork():
+        forks.append(starting[-1] if starting else None)
+        return fork()
+
+    def recorded_start(self, p, max_cosets):
+        starting.append(p)
+        try:
+            start(self, p, max_cosets)
+        finally:
+            starting.pop()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    monkeypatch.setattr(cosets.Prefetch, "start", recorded_start)
+    return forks
+
+
+def fail_in_children(monkeypatch):
+    """Make every Felsch run raise in any process but this one."""
+    parent = os.getpid()
+    run = cosets._Enumerator.run
+
+    def fails_in_child(self):
         if os.getpid() != parent:
             raise AssertionError("enumeration fails in a child")
-        return enumerate_cosets(*args, **kwargs)
+        return run(self)
 
-    monkeypatch.setattr(cosets, "enumerate_cosets", fails_in_child)
+    monkeypatch.setattr(cosets._Enumerator, "run", fails_in_child)
 
 
 class TwoSidedEnumerator:

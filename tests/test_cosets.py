@@ -14,6 +14,7 @@ from support import (
     TwoSidedEnumerator,
     center_by_rows,
     count_felsch_runs,
+    count_forks,
     conjugacy_by_rows,
     element_row,
     fail_in_children,
@@ -603,53 +604,101 @@ def test_a_vacated_source_entry_stops_the_run(monkeypatch):
         cosets.enumerate_cosets(P("gens 1\nrel a\nrel aa\n"), (), 10)
 
 
-# --- Prefetch: an enumeration run ahead in a forked child ----------------
+# --- Prefetch: an enumeration run ahead, in process or in a forked child -
 
 # closes at 4 cosets after 40 definitions
 COLLAPSING = "gens 2\nrel bbbbb\nrel bbbbbb\nrel babababa\n"
+# B(2,4) from nine of its relators closes at 4096 cosets after 5,022
+# definitions, and the (2,4) tower's rank-7 stage exhausts any budget a
+# test can afford, so a prefetch forks for both
+B24 = "gens 2\n" + "".join(f"rel {w * 4}\n" for w in B24_WORDS)
+RANK7 = "gens 2\n" + "".join(f"rel {w * 4}\n" for w in TOWER_PERIODS[4])
+IN_PROCESS = cosets.IN_PROCESS_DEFINITIONS
 
 
-@pytest.mark.parametrize("text, child, budget, reused", [
-    (B23, 5000, 5000, True),        # the same run
-    (B23, 5000, 27, True),          # closed within the smaller budget
-    (B23, 5000, 26, False),         # closed, but over it
-    (COLLAPSING, 100, 40, True),    # the budget counts definitions, not
-    (COLLAPSING, 100, 39, False),   # the cosets left alive
-    (DINF, 50, 50, True),           # exhausted at the same budget
-    (DINF, 50, 40, False),          # exhausted: a smaller run stops sooner
-    (DINF, 40, 50, False),          # and a larger one goes further
+@pytest.mark.parametrize("text, first, then", [
+    (B23, 10, 27),                    # both within the limit
+    (COLLAPSING, 20, 5000),
+    (D6, 5, 12),
+    (DINF, 40, 50),                   # exhausted again
+    (DINF, 500, 2 * IN_PROCESS),      # across the limit
+    (DINF, IN_PROCESS, 3000),         # where a prefetch forks
+    (B24, 100, 5000),                 # exhausted just short of closing
+    (B24, IN_PROCESS, 5022),          # closed at the last definition
+    (B24, 3000, cosets.DEFAULT_MAX_COSETS),
+    (RANK7, IN_PROCESS, 5000),
+    (RANK7, 2000, 20_000),
+])
+def test_a_continued_run_ends_as_a_fresh_one(text, first, then):
+    p = P(text)
+    enum = cosets._Enumerator(p, first)
+    with pytest.raises(cosets.BudgetExhausted):
+        enum.run()
+    assert not enum.deductions and enum.defined_total == first
+    enum.max_cosets = then
+    got = cosets._finish(p, enum)
+    want = cosets.enumerate_cosets(p, (), then)
+    assert (got.status, got.num_cosets, got.defined_total, got.rows) == \
+        (want.status, want.num_cosets, want.defined_total, want.rows)
+
+
+@pytest.mark.parametrize("text, child, budget, reused, forked", [
+    (B23, 5000, 5000, True, False),        # the same run, made in process
+    (B23, 5000, 27, True, False),          # closed within the smaller budget
+    (B23, 5000, 26, False, False),         # closed, but over it
+    (COLLAPSING, 100, 40, True, False),    # the budget counts definitions,
+    (COLLAPSING, 100, 39, False, False),   # not the cosets left alive
+    (DINF, 50, 50, True, False),           # exhausted at the same budget
+    (DINF, 50, 40, False, False),          # a smaller run stops sooner
+    (DINF, 40, 50, False, False),          # and a larger one goes further
+    (DINF, 2000, 2000, True, True),        # a child exhausts at the budget
+    (DINF, 2000, 1500, False, True),       # a child's run went further
+    (B24, 6000, 5022, True, True),         # a child closed within it
+    (B24, 6000, 5021, False, True),        # a child closed over it
 ])
 def test_prefetched_table_is_reused_only_when_equal(text, child, budget,
-                                                     reused, monkeypatch):
+                                                     reused, forked,
+                                                     monkeypatch):
     want = cosets.enumerate_cosets(P(text), (), budget)
     runs = count_felsch_runs(monkeypatch)
+    forks = count_forks(monkeypatch)
     prefetch = cosets.Prefetch()
     try:
         prefetch.start(P(text), child)
         got = cosets.enumerate_cosets(P(text), (), budget, prefetch=prefetch)
-        assert prefetch._job is None  # taken, and the child reaped
+        assert prefetch._job is None  # taken, and any child reaped
     finally:
         prefetch.close()
     assert got == want
-    assert runs == ([] if reused else [budget])
+    assert forks == ([P(text)] if forked else [])
+    # the prefetch's own run starts here, and the caller's when it is not
+    # reused
+    assert runs == [min(child, IN_PROCESS)] + ([] if reused else [budget])
 
 
-def test_prefetch_for_another_stage_is_discarded(monkeypatch):
+@pytest.mark.parametrize("text, forked", [(B23, False), (DINF, True)])
+def test_prefetch_for_another_stage_is_discarded(text, forked, monkeypatch):
+    a = [parse_word("a", 2)]
+    want = (cosets.enumerate_cosets(P(D6), (), 5000),
+            cosets.enumerate_cosets(P(text), a, 5000))
     runs = count_felsch_runs(monkeypatch)
+    forks = count_forks(monkeypatch)
     prefetch = cosets.Prefetch()
     try:
-        prefetch.start(P(B23), 5000)
+        prefetch.start(P(text), 5000)
         t = cosets.enumerate_cosets(P(D6), (), 5000, prefetch=prefetch)
         assert prefetch._job is None
         # a subgroup enumeration never takes the whole-group table
-        prefetch.start(P(B23), 5000)
-        h = cosets.enumerate_cosets(P(B23), [parse_word("a", 2)], 5000,
-                                    prefetch=prefetch)
-        assert prefetch._job[0] == P(B23)
+        prefetch.start(P(text), 5000)
+        h = cosets.enumerate_cosets(P(text), a, 5000, prefetch=prefetch)
+        assert prefetch._job[0] == P(text)
     finally:
         prefetch.close()
-    assert (t.num_cosets, h.num_cosets) == (12, 9)
-    assert runs == [5000, 5000]
+    assert (t, h) == want
+    assert runs == [IN_PROCESS, 5000, IN_PROCESS, 5000]
+    assert forks == ([P(text)] * 2 if forked else [])
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)  # every child killed and reaped
 
 
 def test_starting_another_prefetch_kills_the_running_one():
@@ -670,14 +719,17 @@ def test_starting_another_prefetch_kills_the_running_one():
 
 
 def test_a_failed_child_leaves_the_enumeration_to_the_parent(monkeypatch):
-    want = cosets.enumerate_cosets(P(B23), (), 5000)
+    # B24 outgrows the in-process limit, so its prefetch forks
+    want = cosets.enumerate_cosets(P(B24), (), 6000)
     fail_in_children(monkeypatch)
     runs = count_felsch_runs(monkeypatch)
+    forks = count_forks(monkeypatch)
     prefetch = cosets.Prefetch()
     try:
-        prefetch.start(P(B23), 5000)
-        t = cosets.enumerate_cosets(P(B23), (), 5000, prefetch=prefetch)
+        prefetch.start(P(B24), 6000)
+        t = cosets.enumerate_cosets(P(B24), (), 6000, prefetch=prefetch)
     finally:
         prefetch.close()
     assert t == want
-    assert runs == [5000]  # the parent's own run
+    assert forks == [P(B24)]
+    assert runs == [IN_PROCESS, 6000]  # the prefetch's, then the parent's

@@ -14,7 +14,7 @@ from burnside import cosets, oracle, subgrp, tower
 from burnside.presentation import TowerStatus, tower_presentation
 from burnside.words import parse_word
 from support import (count_completions, count_enumerations,
-                     count_felsch_runs, fail_in_children)
+                     count_felsch_runs, count_forks, fail_in_children)
 
 
 def small_budgets(**kw):
@@ -648,25 +648,44 @@ def report_without_helper(monkeypatch, m, n, budgets, resume=None) -> str:
 STRETCH_2_4 = dict(stage_max_cosets=5000)  # rank 7 exhausts it quickly
 
 
-@pytest.mark.parametrize("n, budgets, starts, runs", [
-    # the rank-5 stage, the first the probe cannot prove infinite, serves
-    # the census from the helper's table
-    (3, {}, [(5, 100_000)], []),
-    # rank 7 reads the table of the run it started
-    (4, STRETCH_2_4, [(7, 5000)], []),
+def forked_ranks(forks) -> list:
+    return [len(p.relators) + 1 for p in forks]
+
+
+IN_PROCESS = cosets.IN_PROCESS_DEFINITIONS
+
+
+@pytest.mark.parametrize("n, budgets, starts, forks, runs", [
+    # the rank-5 stage, the first the probe cannot prove infinite, closes
+    # within the helper's in-process run, which serves the census
+    (3, {}, [(5, 100_000)], [], [IN_PROCESS]),
+    # rank 7 outgrows it and reads the table of the child it forked
+    (4, STRETCH_2_4, [(7, 5000)], [7], [IN_PROCESS]),
     # the run halts at rank 3, on its candidate budget
-    (3, dict(max_candidates=3), [], []),
+    (3, dict(max_candidates=3), [], [], []),
     # the run stops at rank 5, before the stage the helper would enumerate
-    (4, dict(STRETCH_2_4, max_ranks=5), [], []),
+    (4, dict(STRETCH_2_4, max_ranks=5), [], [], []),
 ])
-def test_helper_leaves_the_report_unchanged(n, budgets, starts, runs,
+def test_helper_leaves_the_report_unchanged(n, budgets, starts, forks, runs,
                                             monkeypatch):
     budgets = tower.Budgets(**budgets)
     want = report_without_helper(monkeypatch, 2, n, budgets)
     started = helper_starts(monkeypatch)
+    forked = count_forks(monkeypatch)
     felsch = count_felsch_runs(monkeypatch)
     assert tower_report(2, n, budgets) == want
-    assert (started, felsch) == (starts, runs)
+    assert (started, forked_ranks(forked), felsch) == (starts, forks, runs)
+
+
+@pytest.mark.parametrize("m, n", [(2, 2), (2, 3), (3, 2), (1, 5), (1, 7)])
+def test_desk_scale_towers_fork_nothing(m, n, monkeypatch):
+    # their closing stages, of 4, 27, 8, 5 and 7 elements, close within
+    # the helper's in-process run
+    started = helper_starts(monkeypatch)
+    forked = count_forks(monkeypatch)
+    res = tower.run_tower(m, n)
+    assert res.status is TowerStatus.TERMINATED_EQUALS_BURNSIDE
+    assert started and forked == []
 
 
 def test_resumed_run_starts_the_helper_at_its_open_stage(monkeypatch):
@@ -675,9 +694,11 @@ def test_resumed_run_starts_the_helper_at_its_open_stage(monkeypatch):
     budgets = tower.Budgets(**STRETCH_2_4)
     want = report_without_helper(monkeypatch, 2, 4, budgets, cp)
     started = helper_starts(monkeypatch)
+    forked = count_forks(monkeypatch)
     felsch = count_felsch_runs(monkeypatch)
     assert tower_report(2, 4, budgets, cp) == want
-    assert (started, felsch) == ([(7, 5000)], [])
+    assert (started, forked_ranks(forked), felsch) == \
+        ([(7, 5000)], [7], [IN_PROCESS])
 
 
 def test_a_raising_rank_reaps_the_helper(monkeypatch):
@@ -699,10 +720,14 @@ def test_a_raising_rank_reaps_the_helper(monkeypatch):
 
 
 def test_a_failed_helper_leaves_the_stage_to_the_parent(monkeypatch):
-    want = report_without_helper(monkeypatch, 2, 3, tower.Budgets())
+    # rank 7 of (2,4) outgrows the helper's in-process run, so it forks
+    budgets = tower.Budgets(**STRETCH_2_4)
+    want = report_without_helper(monkeypatch, 2, 4, budgets)
     fail_in_children(monkeypatch)
     started = helper_starts(monkeypatch)
+    forked = count_forks(monkeypatch)
     felsch = count_felsch_runs(monkeypatch)
-    assert tower_report(2, 3, tower.Budgets()) == want
-    # the census order 27 sizes the parent's own run: 20 * 27 + 1000
-    assert (started, felsch) == ([(5, 100_000)], [1540])
+    assert tower_report(2, 4, budgets) == want
+    # the helper's in-process run, then the parent's own
+    assert (started, forked_ranks(forked), felsch) == \
+        ([(7, 5000)], [7], [IN_PROCESS, 5000])

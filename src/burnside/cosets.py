@@ -29,7 +29,10 @@ Everything downstream that says "order" or "trace" sits on a closed
 table: a closed table over the trivial subgroup is the regular action of
 the group on itself, so element orders, conjugacy and the center are all
 plain permutation computations here, and where coset 0 goes already
-decides an element.
+decides an element. A closed table keeps the enumerator's layout, one
+column per letter, and so does every finite action built on one
+(``Action``: the realization here, ``subgrp.QuotientAction``), with one
+breadth-first transversal and one ``trace``.
 
 A ``Prefetch`` runs one whole-presentation enumeration ahead of need.
 It makes the first ``IN_PROCESS_DEFINITIONS`` definitions itself, which
@@ -339,26 +342,21 @@ class _Enumerator:
 
 @dataclass
 class CosetTable:
-    """Result of an enumeration. rows is None unless status == "closed";
-    closed rows are compacted in definition order, coset 0 first."""
+    """Result of an enumeration. cols is None unless status == "closed";
+    a closed table is stored by letter, cols[x][c] being where coset c
+    goes along letter x, with its cosets compacted in definition order,
+    coset 0 first. Columns are the one layout of a finite action here."""
 
     rank: int
     status: str  # "closed" | "exhausted"
     num_cosets: int
     defined_total: int
     subgroup: tuple = ()
-    rows: Optional[list] = field(default=None, repr=False)
+    cols: Optional[list] = field(default=None, repr=False)
 
     @property
     def closed(self) -> bool:
         return self.status == "closed"
-
-    def trace(self, c: int, word: Iterable[int]) -> int:
-        if not self.closed:
-            raise ValueError("trace needs a closed table")
-        for x in word:
-            c = self.rows[c][x]
-        return c
 
 
 def enumerate_cosets(p: Presentation, subgroup: Sequence[Word] = (),
@@ -421,10 +419,9 @@ def _finish(p: Presentation, enum: _Enumerator,
         cols.append(_gather(renum, col))
     table = CosetTable(
         rank=p.rank, status="closed", num_cosets=len(live),
-        defined_total=enum.defined_total, subgroup=subgroup,
-        rows=[list(row) for row in zip(*cols)],
+        defined_total=enum.defined_total, subgroup=subgroup, cols=cols,
     )
-    _validate_closed(p, table, cols)
+    _validate_closed(p, table)
     return table
 
 
@@ -529,17 +526,15 @@ def _gather(seq: Sequence[int], idx: Sequence[int]) -> tuple:
     return itemgetter(*idx)(seq) if len(idx) > 1 else (seq[idx[0]],)
 
 
-def _validate_closed(p: Presentation, t: CosetTable,
-                     cols: Optional[Sequence[Sequence[int]]] = None):
+def _validate_closed(p: Presentation, t: CosetTable):
     """Soundness self-check of a closed table: relators act trivially and
-    the subgroup fixes coset 0. ``cols`` may give the table's columns.
+    the subgroup fixes coset 0.
 
     A relator u^k (u its primitive root) is checked as a map on all
     cosets at once: the map of u, composed a letter at a time, raised to
     the k-th power by repeated squaring. Composition is associative, so
     this is the map that tracing u^k letter by letter gives."""
-    if cols is None:
-        cols = list(zip(*t.rows))
+    cols = t.cols
     start = tuple(range(t.num_cosets))
     for r in p.relators:
         u, k = primitive_root(r)
@@ -557,7 +552,7 @@ def _validate_closed(p: Presentation, t: CosetTable,
         if cur != start:
             raise AssertionError("relator does not stabilize a coset")
     for g in t.subgroup:
-        if t.trace(0, g) != 0:
+        if trace(cols, 0, g) != 0:
             raise AssertionError("subgroup generator moves coset 0")
 
 
@@ -573,17 +568,74 @@ def export_csv(t: CosetTable) -> str:
         headers.append(format_word((mk(i),), t.rank))
         headers.append(format_word((mk(i, True),), t.rank))
     buf.write(",".join(headers) + "\n")
-    for c, row in enumerate(t.rows):
+    for c, row in enumerate(zip(*t.cols)):
         buf.write(",".join([str(c)] + [str(d) for d in row]) + "\n")
     return buf.getvalue()
 
 
-class FiniteRealization:
+def trace(cols: Sequence[Sequence[int]], c: int, word: Iterable[int]) -> int:
+    """Where point c goes along word, in the action given by cols."""
+    for x in word:
+        c = cols[x][c]
+    return c
+
+
+def transversal(cols: Sequence[Sequence[int]], size: int) -> List[Word]:
+    """Shortlex-least word taking point 0 to each of the size points,
+    breadth-first over points, then letters in order. It is also the
+    transitivity check: an action that leaves a point unreached raises
+    ValueError."""
+    reps: List[Optional[Word]] = [None] * size
+    reps[0] = ()
+    queue = [0]
+    for c in queue:  # grows while it is read
+        rep = reps[c]
+        for x, col in enumerate(cols):
+            d = col[c]
+            if reps[d] is None:
+                reps[d] = rep + (x,)
+                queue.append(d)
+    if len(queue) != size:
+        raise ValueError("the action is not transitive: "
+                         f"{len(queue)} of {size} points reached from 0")
+    return reps  # type: ignore[return-value]
+
+
+class Action:
+    """A finite transitive action stored by columns: cols[x][c] is where
+    point c goes along letter x, for every letter, inverses included.
+    reps[c] is the shortlex-least word taking point 0 to c. An action
+    that is not transitive raises ValueError."""
+
+    def __init__(self, cols: Sequence[Sequence[int]], size: int):
+        self.cols = cols
+        self.size = size
+        self.reps: List[Word] = transversal(cols, size)
+
+    def trace(self, c: int, word: Iterable[int]) -> int:
+        return trace(self.cols, c, word)
+
+    def eval_word(self, word: Iterable[int]) -> int:
+        return trace(self.cols, 0, word)
+
+    def element_order(self, word: Word) -> int:
+        """The least d >= 1 with word^d fixing point 0: in a regular
+        action the order of word, in any transitive one the least power
+        of word in the stabilizer of 0."""
+        cols = self.cols
+        c = trace(cols, 0, word)
+        d = 1
+        while c:
+            c = trace(cols, c, word)
+            d += 1
+        return d
+
+
+class FiniteRealization(Action):
     """The regular action read off a closed table over the trivial subgroup.
 
     Cosets are group elements; tracing a word from coset 0 is evaluation.
-    Element c's canonical word is the shortlex-least word reaching c
-    (breadth-first over letters in order gives exactly that).
+    Element c's canonical word is the shortlex-least word reaching c.
     """
 
     def __init__(self, table: CosetTable):
@@ -591,27 +643,9 @@ class FiniteRealization:
             raise ValueError("realization needs a closed table")
         if table.subgroup:
             raise ValueError("realization needs the trivial subgroup")
-        self.table = table
+        super().__init__(table.cols, table.num_cosets)
         self.order = table.num_cosets
         self.rank = table.rank
-        self.reps: List[Word] = transversal_words(table.rows, table.rank)
-
-    def trace(self, c: int, word: Iterable[int]) -> int:
-        return self.table.trace(c, word)
-
-    def eval_word(self, word: Iterable[int]) -> int:
-        return self.table.trace(0, word)
-
-    def element_order(self, word: Word) -> int:
-        c = self.eval_word(word)
-        if c == 0:
-            return 1
-        d = 1
-        cur = c
-        while cur != 0:
-            cur = self.trace(cur, word)
-            d += 1
-        return d
 
     @cached_property
     def element_orders(self) -> List[int]:
@@ -621,7 +655,7 @@ class FiniteRealization:
         powers, and g^k has order d / gcd(k, d), so an element met on an
         earlier trace is never traced itself.
         """
-        rows = self.table.rows
+        cols = self.cols
         orders = [1] + [0] * (self.order - 1)
         for c in range(1, self.order):
             if orders[c]:
@@ -630,8 +664,7 @@ class FiniteRealization:
             powers, cur = [0], c  # powers[k] is the coset of word^k
             while cur:
                 powers.append(cur)
-                for x in word:
-                    cur = rows[cur][x]
+                cur = trace(cols, cur, word)
             d = len(powers)
             for k, p in enumerate(powers):
                 orders[p] = d // math.gcd(k, d)
@@ -639,26 +672,6 @@ class FiniteRealization:
 
     def exponent(self) -> int:
         return math.lcm(*self.element_orders)
-
-
-def transversal_words(rows: list, rank: int) -> List[Word]:
-    """Shortlex-minimal word reaching each coset from 0 (BFS, letter order)."""
-    n = len(rows)
-    reps: List[Optional[Word]] = [None] * n
-    reps[0] = ()
-    queue = [0]
-    qi = 0
-    while qi < len(queue):
-        c = queue[qi]
-        qi += 1
-        for x in range(2 * rank):
-            d = rows[c][x]
-            if reps[d] is None:
-                reps[d] = reps[c] + (x,)
-                queue.append(d)
-    if any(r is None for r in reps):
-        raise AssertionError("coset graph is not connected")
-    return reps  # type: ignore[return-value]
 
 
 def realize(table: CosetTable) -> FiniteRealization:
@@ -686,11 +699,10 @@ def center(r: FiniteRealization):
     z is central iff it commutes with each plain generator x, that is
     iff z x and x z send coset 0 to the same place.
     """
-    rows = r.table.rows
-    gens = range(0, 2 * r.rank, 2)
+    gens = r.cols[0::2]
     out = []
     for c, z in enumerate(r.reps):
-        if all(rows[c][x] == r.trace(rows[0][x], z) for x in gens):
+        if all(col[c] == r.trace(col[0], z) for col in gens):
             out.append(z)
     out.sort(key=shortlex_key)
     return out

@@ -316,12 +316,11 @@ class StageContext:
         if len(nfs) != order:
             raise AssertionError("normal-form table has wrong order")
         index = {w: i for i, w in enumerate(nfs)}
-        rows = [[index[system.reduce(w + (x,))]
-                 for x in range(self.presentation.num_symbols)]
-                for w in nfs]
+        cols = [[index[system.reduce(w + (x,))] for w in nfs]
+                for x in range(self.presentation.num_symbols)]
         return cosets.realize(cosets.CosetTable(
             rank=self.presentation.rank, status="closed", num_cosets=order,
-            defined_total=order, subgroup=(), rows=rows))
+            defined_total=order, subgroup=(), cols=cols))
 
 
 def element_order(ctx: StageContext, w: Word, n_hint: int = 1
@@ -415,7 +414,7 @@ def _power_trace(ctx: StageContext, sys: rewrite.RewritingSystem, w: Word,
     # the hit proves w^d = 1; pin exactness before trusting d
     image_lcm = 1
     for name, certifier in ctx.certifiers():
-        image_lcm = math.lcm(image_lcm, certifier.action.order_of_image(w))
+        image_lcm = math.lcm(image_lcm, certifier.action.element_order(w))
     if image_lcm == d:
         return OrderVerdict("finite", d, evidence={
             "strategy": "kb-power",

@@ -5,14 +5,17 @@ infinite-order certificates built from all of that.
 The certificate construction: given a finite quotient Q of the presented
 group G (either the torsion part of the abelianization, or a concrete
 permutation realization), the kernel H has index |Q| and its coset table
-is just Q's own action. Rewriting each relator from each coset into
-Schreier generators gives the rows of H's abelianized relation matrix M;
-rewriting w^s (s = order of the image of w in Q, so w^s lands in H)
-gives a vector v. An integer vector f with M.f = 0 is a homomorphism
-from H onto a subgroup of Z, and f.v != 0 means w^s has infinite order
-in H, hence w has infinite order in G. The certificate carries f and
-f.v, so a third party replays it with a coset trace and integer dot
-products alone; only finding f takes a Smith normal form.
+is just Q's own action, stored by columns as every finite action is
+(``cosets.Action``), with the transversal its transitivity check found.
+Rewriting each relator from each coset into Schreier generators gives
+the rows of H's abelianized relation matrix M; rewriting w^s (s = order
+of the image of w in Q, so w^s lands in H) gives a vector v. An integer
+vector f with M.f = 0 is a homomorphism from H onto a subgroup of Z, and
+f.v != 0 means w^s has infinite order in H, hence w has infinite order
+in G. The certificate carries f and f.v, so a third party replays it
+with a coset trace and integer dot products alone; only finding f takes
+a Smith normal form. A quotient spec is untrusted input: every modulus
+and image entry must be exactly an integer.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .cosets import transversal_words
+from .cosets import Action
 from .presentation import Presentation
 from .words import (
     ORDER_ID,
@@ -40,36 +43,33 @@ from .words import (
 
 @dataclass
 class SchreierData:
-    rank: int
-    rows: list
+    cols: list
     reps: list
     gen_of_edge: Dict[Tuple[int, int], int]
     gens: list
     num_gens: int
 
 
-def schreier_data(rows: list, rank: int) -> SchreierData:
-    """Transversal plus Schreier generators for the subgroup a closed
-    table describes (coset 0 is the subgroup): one generator per
+def schreier_data(cols: list, reps: list) -> SchreierData:
+    """Schreier generators for the subgroup a closed table describes
+    (coset 0 is the subgroup), given its columns and the breadth-first
+    transversal ``cosets.transversal`` read from them: one generator per
     non-tree edge (c, x) with x a plain letter, numbered by c, then x."""
-    n = len(rows)
-    reps = transversal_words(rows, rank)
     # the breadth-first tree edge into coset d is the last letter of reps[d]
     tree = set()
-    for d in range(1, n):
+    for d in range(1, len(reps)):
         x = reps[d][-1]
-        tree.add((rows[d][x ^ 1], x))
+        tree.add((cols[x ^ 1][d], x))
         tree.add((d, x ^ 1))
     gen_of_edge: Dict[Tuple[int, int], int] = {}
     gens: List[Word] = []
-    for c in range(n):
-        for g in range(0, 2 * rank, 2):
+    for c in range(len(reps)):
+        for g in range(0, len(cols), 2):
             if (c, g) not in tree:
-                d = rows[c][g]
-                word = free_reduce(reps[c] + (g,) + invert(reps[d]))
+                word = free_reduce(reps[c] + (g,) + invert(reps[cols[g][c]]))
                 gen_of_edge[(c, g)] = len(gens)
                 gens.append(word)
-    return SchreierData(rank, rows, reps, gen_of_edge, gens, len(gens))
+    return SchreierData(cols, reps, gen_of_edge, gens, len(gens))
 
 
 class NotInSubgroup(ValueError):
@@ -87,17 +87,16 @@ def rewrite_in_subgroup(sd: SchreierData, w: Word, start: int = 0) -> Word:
     c = start
     out = []
     for x in w:
+        d = sd.cols[x][c]
         if x & 1:
-            d = sd.rows[c][x]
             gid = sd.gen_of_edge.get((d, x ^ 1))
             if gid is not None:
                 out.append(2 * gid + 1)
-            c = d
         else:
             gid = sd.gen_of_edge.get((c, x))
             if gid is not None:
                 out.append(2 * gid)
-            c = sd.rows[c][x]
+        c = d
     if c != start:
         raise NotInSubgroup(f"trace ends at coset {c}, not {start}")
     return free_reduce(out)
@@ -273,45 +272,57 @@ def abelian_invariants(p: Presentation) -> AbelianInvariants:
 # --- quotient actions ------------------------------------------------------
 
 
+def _spec_fields(spec: dict) -> Tuple[list, list]:
+    """(moduli, images) of a quotient spec, every modulus and image entry
+    exactly an int (a bool is no int); a permutation spec has no moduli.
+    A missing or ill-typed field raises ValueError."""
+    kind = spec.get("kind")
+    if kind not in ("abelian", "permutation"):
+        raise ValueError(f"unknown quotient kind {kind!r}")
+    moduli = _json_field(spec, "moduli", list, int) if kind == "abelian" \
+        else None
+    images = _json_field(spec, "images", list, list)
+    if any(type(a) is not int for v in images for a in v):
+        raise ValueError("quotient images must hold only integers")
+    return moduli, images
+
+
 def spec_size(spec: dict) -> int:
     """Element count of a quotient spec, read without building it."""
-    if spec["kind"] == "abelian":
-        return math.prod(int(d) for d in spec["moduli"]) if spec["moduli"] else 1
-    return len(spec["images"][0]) if spec["images"] else 1
+    moduli, images = _spec_fields(spec)
+    if moduli is not None:
+        return math.prod(moduli)
+    return len(images[0]) if images else 1
 
 
-class QuotientAction:
+class QuotientAction(Action):
     """A finite quotient of the presented group, given concretely enough
     to trace: spec kind "abelian" carries invariant-factor moduli and a
-    coordinate vector per generator; kind "permutation" carries the rows
-    of a regular permutation action (a closed coset table over the
-    trivial subgroup). Element 0 is the identity either way, and the
-    rows ARE the coset table of the kernel. A spec whose images do not
-    reach every point from 0 is no such table, and raises ValueError."""
+    coordinate vector per generator; kind "permutation" carries each
+    generator's image, which is its plain-letter column. Element 0 is the
+    identity either way, and the columns ARE the coset table of the
+    kernel. A spec whose images do not reach every point from 0 is no
+    such table, and raises ValueError."""
 
     def __init__(self, spec: dict, rank: int):
-        self.spec = spec
-        self.rank = rank
-        kind = spec["kind"]
-        if kind == "abelian":
-            moduli = [int(d) for d in spec["moduli"]]
+        moduli, images = _spec_fields(spec)
+        cols = []
+        if moduli is not None:
             if any(d < 2 for d in moduli):
                 raise ValueError("abelian moduli must all be >= 2")
-            images = [list(map(int, v)) for v in spec["images"]]
             if len(images) != rank or any(len(v) != len(moduli) for v in images):
                 raise ValueError("need one coordinate vector per generator")
             # element index = position in lexicographic order of the
             # coordinate tuples
             elements = list(itertools.product(*(range(d) for d in moduli)))
             index = {e: c for c, e in enumerate(elements)}
-            self.size = len(elements)
-            self.rows = [
-                [index[tuple((a + sign * b) % d
-                             for a, b, d in zip(e, img, moduli))]
-                 for img in images for sign in (1, -1)]
-                for e in elements]
-        elif kind == "permutation":
-            images = [list(map(int, perm)) for perm in spec["images"]]
+            size = len(elements)
+            for img in images:
+                for step in (img, [-b for b in img]):
+                    cols.append([index[tuple(
+                        (a + b) % d for a, b, d in zip(e, step, moduli))]
+                        for e in elements])
+        else:
             if len(images) != rank:
                 raise ValueError("need one permutation per generator")
             size = len(images[0]) if images else 1
@@ -320,49 +331,14 @@ class QuotientAction:
             for perm in images:
                 if sorted(perm) != list(range(size)):
                     raise ValueError("generator image is not a permutation")
-            # the inverse lists the points in the order of their images
-            inverses = [sorted(range(size), key=perm.__getitem__)
-                        for perm in images]
-            self.size = size
-            self.rows = [[g[c] for perm, inv in zip(images, inverses)
-                          for g in (perm, inv)] for c in range(size)]
-        else:
-            raise ValueError(f"unknown quotient kind {kind!r}")
-        # the rows are a coset table only if the images generate a
-        # transitive action: every point reached from 0
-        reached = [False] * self.size
-        reached[0] = True
-        queue = [0]
-        for c in queue:  # grows while it is read
-            for d in self.rows[c]:
-                if not reached[d]:
-                    reached[d] = True
-                    queue.append(d)
-        if len(queue) != self.size:
-            raise ValueError("the action is not transitive: "
-                             f"{len(queue)} of {self.size} points "
-                             "reached from 0")
-
-    def trace(self, c: int, w: Word) -> int:
-        for x in w:
-            c = self.rows[c][x]
-        return c
-
-    def order_of_image(self, w: Word) -> int:
-        c = self.trace(0, w)
-        d = 1
-        while c != 0:
-            c = self.trace(c, w)
-            d += 1
-        return d
+                # the inverse lists the points in the order of their images
+                cols += (perm, sorted(range(size), key=perm.__getitem__))
+        super().__init__(cols, size)
 
 
-def permutation_quotient(rows: list, rank: int) -> dict:
-    """Quotient spec from a closed regular table (realization rows)."""
-    images = []
-    for i in range(rank):
-        images.append([rows[c][2 * i] for c in range(len(rows))])
-    return {"kind": "permutation", "images": images}
+def permutation_quotient(cols: list) -> dict:
+    """Quotient spec from a closed regular table's columns."""
+    return {"kind": "permutation", "images": [list(col) for col in cols[0::2]]}
 
 
 # --- infinite-order certificates -------------------------------------------
@@ -390,7 +366,7 @@ class Kernel:
         self.presentation = p
         self.quotient_spec = quotient_spec
         self.action = QuotientAction(quotient_spec, p.rank)
-        self.sd = schreier_data(self.action.rows, p.rank)
+        self.sd = schreier_data(self.action.cols, self.action.reps)
         self.num_gens = self.sd.num_gens
         self.relations = []
         for c in range(self.action.size):
@@ -406,7 +382,7 @@ class Kernel:
     def power_vector(self, w: Word) -> Tuple[int, list]:
         """(s, v): s is the order of w's image in the quotient, so w^s
         lies in H, and v counts the Schreier generators in w^s."""
-        s = self.action.order_of_image(w)
+        s = self.action.element_order(w)
         return s, _exponent_vector(
             rewrite_in_subgroup(self.sd, power(w, s)), self.num_gens)
 

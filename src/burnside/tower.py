@@ -418,8 +418,8 @@ def verify_independence(result: TowerResult, budgets: Budgets) -> dict:
         return {"status": "unavailable", "reason": "no realized group"}
     m, n = result.m, result.n
     full_order = result.realization.order
-    full_quotient = ("full-realization", subgrp.permutation_quotient(
-        result.realization.table.rows, m))
+    full_quotient = ("full-realization",
+                     subgrp.permutation_quotient(result.realization.cols))
     entries = []
     unresolved = 0
     for i, period in enumerate(result.periods):

@@ -10,7 +10,8 @@ from collections import deque
 from fractions import Fraction
 
 from burnside import cosets, kernels, rewrite
-from burnside.words import invert, shortlex_key
+from burnside.words import (format_word, free_reduce, invert, letter,
+                            shortlex_key)
 
 # the JSON type of every field an order certificate must carry
 CERT_TYPES = {"schema": str, "presentation": dict, "word": str, "power": int,
@@ -611,3 +612,155 @@ def knuth_bendix_eager(system, max_rules=rewrite.DEFAULT_MAX_RULES,
     )
     return rewrite.RewritingSystem(system.rank, final,
                                    confluent=budget_hit is None, stats=stats)
+
+
+# --- the row layout, a reference for the column layout ----------------------
+#
+# Finite actions were once stored by coset: rows[c][x] is where coset c goes
+# along letter x. What follows is that code, kept as a reference: the
+# column layout must give the same transversal, orders, center, conjugacy
+# witnesses, CSV bytes, Schreier generators and relation rows.
+
+
+def table_rows(t) -> list:
+    """A closed CosetTable's rows, read off its columns."""
+    return [list(row) for row in zip(*t.cols)]
+
+
+def row_transversal(rows: list, rank: int) -> list:
+    """Shortlex-minimal word reaching each coset from 0 (BFS, letter order)."""
+    n = len(rows)
+    reps = [None] * n
+    reps[0] = ()
+    queue = [0]
+    qi = 0
+    while qi < len(queue):
+        c = queue[qi]
+        qi += 1
+        for x in range(2 * rank):
+            d = rows[c][x]
+            if reps[d] is None:
+                reps[d] = reps[c] + (x,)
+                queue.append(d)
+    if any(r is None for r in reps):
+        raise AssertionError("coset graph is not connected")
+    return reps
+
+
+class RowRealization:
+    """The regular action of a closed table over the trivial subgroup,
+    stored by rows."""
+
+    def __init__(self, t):
+        self.rows = table_rows(t)
+        self.order = t.num_cosets
+        self.rank = t.rank
+        self.reps = row_transversal(self.rows, t.rank)
+
+    def trace(self, c, word):
+        for x in word:
+            c = self.rows[c][x]
+        return c
+
+    def element_order(self, word):
+        c = self.trace(0, word)
+        d = 1
+        while c != 0:
+            c = self.trace(c, word)
+            d += 1
+        return d
+
+    def element_orders(self) -> list:
+        return [self.element_order(w) for w in self.reps]
+
+    def exponent(self) -> int:
+        return math.lcm(*self.element_orders())
+
+    def center(self) -> list:
+        rows = self.rows
+        out = [z for c, z in enumerate(self.reps)
+               if all(rows[c][x] == self.trace(rows[0][x], z)
+                      for x in range(0, 2 * self.rank, 2))]
+        out.sort(key=shortlex_key)
+        return out
+
+    def conjugacy_decide(self, u, v):
+        cu = self.trace(0, u)
+        for c, g in enumerate(self.reps):
+            if self.trace(cu, g) == self.trace(c, v):
+                return True, g
+        return False, None
+
+
+def rows_csv(t) -> str:
+    """cosets.export_csv written from the table's rows."""
+    headers = ["coset"]
+    for i in range(1, t.rank + 1):
+        headers.append(format_word((letter(i),), t.rank))
+        headers.append(format_word((letter(i, True),), t.rank))
+    lines = [",".join(headers)]
+    for c, row in enumerate(table_rows(t)):
+        lines.append(",".join([str(c)] + [str(d) for d in row]))
+    return "".join(line + "\n" for line in lines)
+
+
+def quotient_rows(spec: dict, rank: int) -> list:
+    """The rows of a valid quotient spec's action: element 0 is the
+    identity; an abelian spec's elements are its coordinate tuples in
+    lexicographic order."""
+    if spec["kind"] == "abelian":
+        moduli = spec["moduli"]
+        elements = list(itertools.product(*(range(d) for d in moduli)))
+        index = {e: c for c, e in enumerate(elements)}
+        return [[index[tuple((a + sign * b) % d
+                             for a, b, d in zip(e, img, moduli))]
+                 for img in spec["images"] for sign in (1, -1)]
+                for e in elements]
+    images = spec["images"]
+    size = len(images[0]) if images else 1
+    inverses = [sorted(range(size), key=perm.__getitem__) for perm in images]
+    return [[g[c] for perm, inv in zip(images, inverses) for g in (perm, inv)]
+            for c in range(size)]
+
+
+def row_schreier_data(rows: list, rank: int):
+    """(reps, gen_of_edge, gens) of the subgroup a closed table describes:
+    one generator per non-tree edge (c, x), x a plain letter, numbered by
+    c, then x."""
+    n = len(rows)
+    reps = row_transversal(rows, rank)
+    tree = set()
+    for d in range(1, n):
+        x = reps[d][-1]
+        tree.add((rows[d][x ^ 1], x))
+        tree.add((d, x ^ 1))
+    gen_of_edge = {}
+    gens = []
+    for c in range(n):
+        for g in range(0, 2 * rank, 2):
+            if (c, g) not in tree:
+                d = rows[c][g]
+                gen_of_edge[(c, g)] = len(gens)
+                gens.append(free_reduce(reps[c] + (g,) + invert(reps[d])))
+    return reps, gen_of_edge, gens
+
+
+def row_exponent_vector(rows: list, gen_of_edge: dict, num_gens: int, w,
+                        start: int = 0):
+    """Signed counts of the Schreier generators a trace of w from start
+    crosses, or None when the trace does not return to start."""
+    v = [0] * num_gens
+    c = start
+    for x in w:
+        if x & 1:
+            d = rows[c][x]
+            gid = gen_of_edge.get((d, x ^ 1))
+            if gid is not None:
+                v[gid] -= 1
+            c = d
+        else:
+            gid = gen_of_edge.get((c, x))
+            if gid is not None:
+                v[gid] += 1
+            c = rows[c][x]
+    return v if c == start else None

@@ -360,6 +360,20 @@ def test_resume_rejects_a_retired_certificate_schema(tmp_path, capsys):
                    "'burnside/order-certificate/1'\n")
 
 
+def _audit_problems(cp, tmp_path):
+    """(exit code, [(word, problem)]) of an audited resume from cp, which
+    must write no traceback."""
+    f = tmp_path / "cp.json"
+    f.write_text(json.dumps(cp))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["--format", "json", "tower", "-m", "2", "-n", "3",
+                         "--resume", str(f), "--audit"])
+    assert "Traceback" not in err.getvalue()
+    return code, [(d["word"], d["problem"]) for d in
+                  json.loads(out.getvalue())["audit"]["disagreements"]]
+
+
 @pytest.mark.parametrize("spec", [
     {"kind": "permutation", "images": [[0, 1]]},
     {"kind": "abelian", "moduli": [2], "images": [[0]]}])
@@ -371,19 +385,62 @@ def test_audit_reports_a_non_transitive_certificate(tmp_path, spec):
     entry["certificate"].update(
         presentation={"rank": 1, "relators": ["aa"]}, word="a",
         quotient=spec, kernel_index=2)
-    f = tmp_path / "cp.json"
-    f.write_text(json.dumps(cp))
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(["--format", "json", "tower", "-m", "2", "-n", "3",
-                         "--resume", str(f), "--audit"])
-    assert code == 1
-    assert "Traceback" not in err.getvalue()
-    problems = [(d["word"], d["problem"])
-                for d in json.loads(out.getvalue())["audit"]["disagreements"]]
-    assert problems == [(entry["word"], "certificate replay failed: bad "
-                         "quotient spec: the action is not transitive: 1 of "
-                         "2 points reached from 0")]
+    assert _audit_problems(cp, tmp_path) == (1, [(
+        entry["word"], "certificate replay failed: bad quotient spec: the "
+                       "action is not transitive: 1 of 2 points reached "
+                       "from 0")])
+
+
+def test_audit_reports_non_integer_moduli(tmp_path):
+    # int() once read 3.5 as 3, so this certificate replayed and the
+    # audit said 100%
+    cp = json.loads(_log_checkpoint_text())
+    quotient = cp["partial_log"][-1]["certificate"]["quotient"]
+    assert quotient["moduli"] == [3, 3]
+    quotient["moduli"] = [3.5, 3.5]
+    assert _audit_problems(cp, tmp_path) == (1, [(
+        "aB", "certificate replay failed: bad quotient spec: certificate "
+              "field 'moduli' is missing or ill-typed")])
+
+
+# JSON values that are no integer, 3.0 and false among them
+NOT_AN_INT = st.sampled_from([v for v in JSON_JUNK if type(v) is not int]
+                             + [3.0, 1.0, False])
+
+
+@st.composite
+def bad_quotients(draw):
+    """The log's abelian quotient spec, broken one way: a field dropped,
+    or a whole field, a modulus, an image or an image entry set to a
+    value that is no integer."""
+    q = json.loads(_log_checkpoint_text())["partial_log"][-1][
+        "certificate"]["quotient"]
+    how = draw(st.sampled_from(["drop", "field", "modulus", "image",
+                                "image entry"]))
+    if how == "drop":
+        del q[draw(st.sampled_from(sorted(q)))]
+    elif how == "field":
+        q[draw(st.sampled_from(sorted(q)))] = draw(NOT_AN_INT)
+    elif how == "modulus":
+        q["moduli"][draw(st.integers(0, 1))] = draw(NOT_AN_INT)
+    elif how == "image":
+        q["images"][draw(st.integers(0, 1))] = draw(NOT_AN_INT)
+    else:
+        q["images"][draw(st.integers(0, 1))][draw(st.integers(0, 1))] = \
+            draw(NOT_AN_INT)
+    return q
+
+
+@settings(max_examples=40, deadline=None)
+@given(quotient=bad_quotients())
+def test_audit_reports_a_mutated_quotient_spec(tmp_path_factory, quotient):
+    cp = json.loads(_log_checkpoint_text())
+    cp["partial_log"][-1]["certificate"]["quotient"] = quotient
+    code, problems = _audit_problems(cp, tmp_path_factory.mktemp("cp"))
+    assert code == 1, quotient
+    assert [word for word, _ in problems] == ["aB"], problems
+    assert problems[0][1].startswith(
+        "certificate replay failed: bad quotient spec: "), problems
 
 
 def test_coset_closed(pres, capsys):

@@ -11,6 +11,7 @@ import pytest
 from burnside import cosets, oracle
 from burnside.presentation import Presentation, parse_presentation
 from support import (
+    RowRealization,
     TwoSidedEnumerator,
     center_by_rows,
     count_felsch_runs,
@@ -19,6 +20,7 @@ from support import (
     element_row,
     fail_in_children,
     multiplication_table,
+    rows_csv,
 )
 from burnside.words import (cyclic_reduce, format_word, free_reduce, invert,
                             parse_word, primitive_root)
@@ -74,7 +76,7 @@ def test_infinite_group_exhausts():
     t = cosets.enumerate_cosets(P(DINF), (), 400)
     assert not t.closed
     assert t.status == "exhausted"
-    assert t.rows is None
+    assert t.cols is None
 
 
 def test_budget_must_be_positive():
@@ -87,21 +89,21 @@ def test_closed_table_is_sane():
     n = t.num_cosets
     for c in range(n):
         for x in range(4):
-            d = t.rows[c][x]
+            d = t.cols[x][c]
             assert 0 <= d < n
-            assert t.rows[d][x ^ 1] == c  # inverse edges match
+            assert t.cols[x ^ 1][d] == c  # inverse edges match
 
 
 def test_validation_rejects_a_table_a_relator_moves():
     p = P(B23)
     t = cosets.enumerate_cosets(p, (), 5000)
-    rows = [row[:] for row in t.rows]
+    cols = [list(col) for col in t.cols]
     # swap where cosets 1 and 2 go along a, keeping the table a permutation
-    u, v = rows[1][0], rows[2][0]
-    rows[1][0], rows[2][0], rows[u][1], rows[v][1] = v, u, 2, 1
+    u, v = cols[0][1], cols[0][2]
+    cols[0][1], cols[0][2], cols[1][u], cols[1][v] = v, u, 2, 1
     bad = cosets.CosetTable(rank=2, status="closed", num_cosets=27,
-                            defined_total=27, rows=rows)
-    moved = {c for c in range(27) if any(bad.trace(c, r) != c
+                            defined_total=27, cols=cols)
+    moved = {c for c in range(27) if any(cosets.trace(cols, c, r) != c
                                          for r in p.relators)}
     assert 0 < len(moved) < 27
     cosets._validate_closed(p, t)
@@ -303,8 +305,8 @@ def enumerate_both(p, subgroup, max_cosets, monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(cosets, "_Enumerator", TwoSidedEnumerator)
         want = cosets.enumerate_cosets(p, subgroup, max_cosets)
-    assert (got.status, got.num_cosets, got.defined_total, got.rows) == \
-        (want.status, want.num_cosets, want.defined_total, want.rows)
+    assert (got.status, got.num_cosets, got.defined_total, got.cols) == \
+        (want.status, want.num_cosets, want.defined_total, want.cols)
     return got
 
 
@@ -390,13 +392,13 @@ def naive_validation(p, t):
         for c in range(t.num_cosets):
             d = c
             for x in r:
-                d = t.rows[d][x]
+                d = t.cols[x][d]
             if d != c:
                 return "relator does not stabilize a coset"
     for g in t.subgroup:
         d = 0
         for x in g:
-            d = t.rows[d][x]
+            d = t.cols[x][d]
         if d != 0:
             return "subgroup generator moves coset 0"
     return None
@@ -413,12 +415,13 @@ def column_validation(p, t):
 def corrupted(t, rng):
     """A copy of closed table t where two cosets swap their targets along
     one plain letter, so it stays a permutation table."""
-    rows = [row[:] for row in t.rows]
+    cols = [list(col) for col in t.cols]
     x = 2 * rng.randrange(t.rank)
     u, v = rng.sample(range(t.num_cosets), 2)
-    rows[u][x], rows[v][x] = rows[v][x], rows[u][x]
-    rows[rows[u][x]][x ^ 1], rows[rows[v][x]][x ^ 1] = u, v
-    return dataclasses.replace(t, rows=rows)
+    col, inv = cols[x], cols[x ^ 1]
+    col[u], col[v] = col[v], col[u]
+    inv[col[u]], inv[col[v]] = u, v
+    return dataclasses.replace(t, cols=cols)
 
 
 def test_power_map_check_agrees_with_letter_by_letter_tracing():
@@ -638,8 +641,8 @@ def test_a_continued_run_ends_as_a_fresh_one(text, first, then):
     enum.max_cosets = then
     got = cosets._finish(p, enum)
     want = cosets.enumerate_cosets(p, (), then)
-    assert (got.status, got.num_cosets, got.defined_total, got.rows) == \
-        (want.status, want.num_cosets, want.defined_total, want.rows)
+    assert (got.status, got.num_cosets, got.defined_total, got.cols) == \
+        (want.status, want.num_cosets, want.defined_total, want.cols)
 
 
 @pytest.mark.parametrize("text, child, budget, reused, forked", [
@@ -733,3 +736,41 @@ def test_a_failed_child_leaves_the_enumeration_to_the_parent(monkeypatch):
     assert t == want
     assert forks == [P(B24)]
     assert runs == [IN_PROCESS, 6000]  # the prefetch's, then the parent's
+
+
+def check_against_rows(t, rng):
+    """The column layout of closed table t against the row-layout
+    reference: transversal, element orders, exponent, center, CSV bytes,
+    and the orders and conjugacy witnesses of a few random words."""
+    r, ref = cosets.realize(t), RowRealization(t)
+    assert r.reps == ref.reps
+    assert r.element_orders == ref.element_orders()
+    assert r.exponent() == ref.exponent()
+    assert cosets.center(r) == ref.center()
+    assert cosets.export_csv(t) == rows_csv(t)
+    for _ in range(3):
+        u, v = (tuple(rng.randrange(2 * t.rank)
+                      for _ in range(rng.randint(0, 5))) for _ in range(2))
+        g = rng.choice(ref.reps)
+        assert r.element_order(u) == ref.element_order(u)
+        for w in (v, invert(g) + u + g):  # a random word, then a conjugate
+            assert cosets.conjugacy_decide(r, u, w) == \
+                ref.conjugacy_decide(u, w)
+
+
+@pytest.mark.parametrize("text", [B23, B24, D6],
+                         ids=["B(2,3)", "B(2,4)", "D(6)"])
+def test_column_layout_matches_the_row_layout(text):
+    t = cosets.enumerate_cosets(P(text))
+    assert t.closed
+    check_against_rows(t, random.Random(7))
+
+
+def test_column_layout_matches_the_row_layout_on_seeded_stages():
+    rng = random.Random(41)
+    tables = 0
+    while tables < 30:
+        t = cosets.enumerate_cosets(random_power_presentation(rng), (), 3000)
+        if t.closed:
+            check_against_rows(t, rng)
+            tables += 1

@@ -7,8 +7,8 @@ import time
 
 import pytest
 
-from burnside import subgrp
-from burnside.cosets import enumerate_cosets
+from burnside import cosets, subgrp
+from burnside.cosets import enumerate_cosets, transversal
 from burnside.presentation import parse_presentation
 from burnside.subgrp import (
     Certificate,
@@ -26,7 +26,7 @@ from burnside.subgrp import (
     snf_diagonal,
     verify_certificate,
 )
-from burnside.words import format_word, parse_word
+from burnside.words import format_word, parse_word, power
 from support import (
     CERT_TYPES,
     JSON_JUNK,
@@ -34,6 +34,9 @@ from support import (
     determinant,
     determinantal_divisors,
     in_rational_row_space,
+    quotient_rows,
+    row_exponent_vector,
+    row_schreier_data,
 )
 
 
@@ -45,6 +48,7 @@ DINF = "gens 2\nrel aa\nrel bb\n"
 TRIANGLE = "gens 2\nrel aaa\nrel bbb\nrel ababab\n"
 KLEIN = "gens 2\nrel aa\nrel bb\nrel abab\n"
 B23 = "gens 2\nrel aaa\nrel bbb\nrel ababab\nrel aBaBaB\n"
+D6 = "gens 2\nrel aaaaaa\nrel bb\nrel abab\n"  # dihedral, order 12
 
 
 # --- Schreier data ---------------------------------------------------------
@@ -56,7 +60,7 @@ def test_schreier_rank_index_2():
     gens = [parse_word(w, 2) for w in ("aa", "bb", "ab")]
     t = enumerate_cosets(free2, gens, 100)
     assert t.closed and t.num_cosets == 2
-    sd = schreier_data(t.rows, 2)
+    sd = schreier_data(t.cols, transversal(t.cols, t.num_cosets))
     # Nielsen-Schreier: rank = index*(m-1) + 1
     assert sd.num_gens == 3
     assert sorted(format_word(g, 2) for g in sd.gens) == ["aa", "ab", "bA"]
@@ -67,7 +71,7 @@ def test_schreier_rank_index_3():
     gens = [parse_word(w, 2) for w in ("aaa", "b", "abA", "aabAA")]
     t = enumerate_cosets(free2, gens, 100)
     assert t.closed and t.num_cosets == 3
-    sd = schreier_data(t.rows, 2)
+    sd = schreier_data(t.cols, transversal(t.cols, t.num_cosets))
     assert sd.num_gens == 4
 
 
@@ -75,7 +79,7 @@ def test_rewrite_rejects_nonmember():
     free2 = P("gens 2\n")
     gens = [parse_word(w, 2) for w in ("aa", "bb", "ab")]
     t = enumerate_cosets(free2, gens, 100)
-    sd = schreier_data(t.rows, 2)
+    sd = schreier_data(t.cols, transversal(t.cols, t.num_cosets))
     with pytest.raises(NotInSubgroup):
         rewrite_in_subgroup(sd, parse_word("a", 2))
     # membership rewrite roundtrips through the generators
@@ -155,7 +159,7 @@ def test_abelian_invariants_carry_the_torsion_quotient():
     assert ab.quotient["kind"] == "abelian" and ab.quotient["moduli"] == [6]
     kc = KernelCertifier(p, ab.quotient)
     assert kc.action.size == 6
-    assert [kc.action.order_of_image(parse_word(w, 3))
+    assert [kc.action.element_order(parse_word(w, 3))
             for w in ("a", "b", "ab", "c")] == [2, 3, 6, 1]
     # the spec is not part of the invariants' value
     assert ab == dataclasses.replace(ab, quotient={})
@@ -345,6 +349,33 @@ def test_permutation_quotient_needs_a_point():
         False, "bad quotient spec: a permutation action needs a point")
 
 
+@pytest.mark.parametrize("field, value, reason", [
+    ("moduli", [2.5, 2.5], "certificate field 'moduli' is missing or "
+                           "ill-typed"),
+    ("moduli", ["2", "2"], "certificate field 'moduli' is missing or "
+                           "ill-typed"),
+    ("images", [[True, False], [False, True]],
+     "quotient images must hold only integers")])
+def test_an_abelian_spec_holds_exact_integers(field, value, reason):
+    # int() once read 2.5 and "2" as 2, and True as 1, so these replayed
+    cert = certify(DINF, "ab")
+    assert json.dumps(cert.quotient[field]) != json.dumps(value)
+    assert verify_certificate(cert) == (True, "ok")
+    bad = dataclasses.replace(cert, quotient={**cert.quotient, field: value})
+    assert verify_certificate(bad) == (False, f"bad quotient spec: {reason}")
+
+
+def test_a_permutation_spec_holds_exact_integers():
+    spec = {"kind": "permutation", "images": [[1.0, 0.0]]}
+    with pytest.raises(ValueError, match="only integers"):
+        QuotientAction(spec, 1)
+    cert = Certificate(presentation=P("gens 1\nrel aa\n"),
+                       word=parse_word("a", 1), power=2, quotient=spec,
+                       kernel_index=2, homomorphism=(), value=1)
+    assert verify_certificate(cert) == (
+        False, "bad quotient spec: quotient images must hold only integers")
+
+
 def test_certificate_replay_is_bounded():
     cert = certify(DINF, "ab")
     huge = {"kind": "abelian", "moduli": [10**6, 10**6],
@@ -398,7 +429,7 @@ def _small_stages(rng, count):
                                    f"rel {'b' * rng.randint(2, 3)}\n"),
                                  (), 200)
             if t.closed and t.num_cosets <= 64:
-                spec = permutation_quotient(t.rows, 2)
+                spec = permutation_quotient(t.cols)
         if subgrp.spec_size(spec) <= 64:
             out.append((p, spec))
     return out
@@ -424,12 +455,69 @@ def test_certify_matches_the_rational_row_space():
     assert min(seen.values()) > 10, seen
 
 
+def test_kernel_matches_the_row_layout():
+    # the action's columns, Schreier data, relation rows and certificates
+    # against the row-layout reference, on both spec kinds: seeded stages,
+    # then B(2,3) and D(6) as quotients of groups they satisfy
+    rng = random.Random(5)
+    stages = _small_stages(rng, 30) + [
+        (P(TRIANGLE), abelian_invariants(P(B23)).quotient),
+        (P(TRIANGLE), permutation_quotient(
+            enumerate_cosets(P(B23), (), 5000).cols)),
+        (P("gens 2\nrel bb\nrel abab\n"), permutation_quotient(
+            enumerate_cosets(P(D6), (), 5000).cols))]
+    assert {spec["kind"] for _, spec in stages} == {"abelian", "permutation"}
+    certified = 0
+    for p, spec in stages:
+        kc = KernelCertifier(p, spec)
+        rows = quotient_rows(spec, p.rank)
+        assert [list(row) for row in zip(*kc.action.cols)] == rows
+        reps, gen_of_edge, gens = row_schreier_data(rows, p.rank)
+        assert (kc.action.reps, kc.sd.gen_of_edge, kc.sd.gens) == \
+            (reps, gen_of_edge, gens)
+        assert kc.relations == [
+            row_exponent_vector(rows, gen_of_edge, len(gens), r, c)
+            for c in range(len(rows)) for r in p.relators]
+        for _ in range(4):
+            w = parse_word("".join(rng.choice("abAB")
+                                   for _ in range(rng.randint(1, 5))), 2)
+            s = 1
+            while row_exponent_vector(rows, gen_of_edge, len(gens),
+                                      power(w, s)) is None:
+                s += 1
+            v = row_exponent_vector(rows, gen_of_edge, len(gens), power(w, s))
+            values = [sum(a * b for a, b in zip(f, v))
+                      for f in kc.homomorphisms]
+            want = next(((s, f, value) for f, value
+                         in zip(kc.homomorphisms, values) if value), None)
+            cert = kc.certify(w)
+            assert want == (cert and (cert.power, cert.homomorphism,
+                                      cert.value))
+            certified += want is not None
+    assert certified > 10
+
+
+def test_a_kernel_build_searches_its_action_once(monkeypatch):
+    # the transitivity check's transversal is the Schreier transversal
+    sizes = []
+    search = cosets.transversal
+
+    def counted(cols, size):
+        sizes.append(size)
+        return search(cols, size)
+
+    monkeypatch.setattr(cosets, "transversal", counted)
+    p = P(TRIANGLE)
+    subgrp.Kernel(p, abelian_invariants(p).quotient)
+    assert sizes == [9]
+
+
 def test_ladder_leaves_out_rungs_over_the_bound():
     p = P(DINF)
     ab = abelian_invariants(p)
     # the regular action of S3 = <a, b | a^2, b^2, (ab)^3>
     s3 = permutation_quotient(
-        enumerate_cosets(P(DINF + "rel ababab\n"), (), 100).rows, 2)
+        enumerate_cosets(P(DINF + "rel ababab\n"), (), 100).cols)
     assert [name for name, _ in ladder(p, ab, 3)] == []
     rungs = ladder(p, ab, 5, extra=[("s3", s3)])
     assert [(name, kc.action.size) for name, kc in rungs] == [
@@ -469,9 +557,9 @@ def test_a_finite_cyclic_torsion_rung_builds_no_relation_rows(monkeypatch):
     for text in ("a", "aa", "aaa", "A", "aaaaaa"):
         w = parse_word(text, 1)
         assert rung.certify(w) is full.certify(w) is None
-        assert rung.action.order_of_image(w) == \
-            full.action.order_of_image(w)
-    assert rung.action.order_of_image(parse_word("aa", 1)) == 3
+        assert rung.action.element_order(w) == \
+            full.action.element_order(w)
+    assert rung.action.element_order(parse_word("aa", 1)) == 3
     # a cyclic group with free rank, or a second generator, keeps its rows
     for text in ("gens 1\n", "gens 2\nrel aa\nrel bbb\n"):
         q = P(text)

@@ -95,9 +95,6 @@ class FiniteGroupTable:
                         span.append(h)
         return gens
 
-    def mul(self, g: int, h: int) -> int:
-        return self.rows[g][h]
-
     def inverse(self, g: int) -> int:
         return self._inverse[g]
 

@@ -2,9 +2,9 @@
 
 A presentation is immutable: rank m plus a tuple of relators, each a
 nonempty, freely and cyclically reduced word over generators 1..m.
-Relators that arrive unreduced are reduced on construction and the fixup
-is recorded as a warning rather than an error; an empty relator (or one
-that reduces to empty) is rejected outright since it says nothing.
+Relators that arrive unreduced are reduced on construction, which
+changes no group; an empty relator (or one that reduces to empty) is
+rejected outright since it says nothing.
 
 File format, one directive per line:
 
@@ -19,7 +19,7 @@ File format, one directive per line:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .words import (
@@ -38,13 +38,11 @@ from .words import (
 class Presentation:
     rank: int
     relators: tuple
-    warnings: tuple = field(default=(), compare=False)
 
     def __post_init__(self):
         if self.rank < 1:
             raise ValueError("presentation needs at least one generator")
         fixed = []
-        warnings = list(self.warnings)
         for k, r in enumerate(self.relators):
             r = tuple(r)
             if max_generator(r) > self.rank:
@@ -56,14 +54,8 @@ class Presentation:
             core, conj = cyclic_reduce(red)
             if not core:
                 raise ValueError(f"relator {k + 1} reduces to the empty word")
-            if core != r:
-                warnings.append(
-                    f"relator {k + 1} {format_word(r, self.rank)} reduced to "
-                    f"{format_word(core, self.rank)}"
-                )
             fixed.append(core)
         object.__setattr__(self, "relators", tuple(fixed))
-        object.__setattr__(self, "warnings", tuple(warnings))
 
     @property
     def num_symbols(self) -> int:

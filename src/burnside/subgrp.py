@@ -1,21 +1,24 @@
-"""Finite-index subgroup machinery: Schreier transversals, Reidemeister
-rewriting, integer Smith normal form, abelian invariants, and the
-infinite-order certificates built from all of that.
+"""Finite-index subgroup machinery: Schreier generators counted along
+coset traces (Reidemeister-Schreier, abelianized), integer Smith normal
+form, abelian invariants, and the infinite-order certificates built from
+all of that.
 
 The certificate construction: given a finite quotient Q of the presented
 group G (either the torsion part of the abelianization, or a concrete
 permutation realization), the kernel H has index |Q| and its coset table
 is just Q's own action, stored by columns as every finite action is
 (``cosets.Action``), with the transversal its transitivity check found.
-Rewriting each relator from each coset into Schreier generators gives
-the rows of H's abelianized relation matrix M; rewriting w^s (s = order
-of the image of w in Q, so w^s lands in H) gives a vector v. An integer
-vector f with M.f = 0 is a homomorphism from H onto a subgroup of Z, and
-f.v != 0 means w^s has infinite order in H, hence w has infinite order
-in G. The certificate carries f and f.v, so a third party replays it
-with a coset trace and integer dot products alone; only finding f takes
-a Smith normal form. A quotient spec is untrusted input: every modulus
-and image entry must be exactly an integer.
+Tracing each relator from each coset and counting, with signs, the
+Schreier generators it crosses gives the rows of H's abelianized
+relation matrix M; no word over the Schreier generators is ever spelled.
+Tracing w from coset 0 until the walk returns (s times, s = order of the
+image of w in Q, so w^s lands in H) counts the vector v of w^s. An
+integer vector f with M.f = 0 is a homomorphism from H onto a subgroup
+of Z, and f.v != 0 means w^s has infinite order in H, hence w has
+infinite order in G. The certificate carries f and f.v, so a third party
+replays it with a coset trace and integer dot products alone; only
+finding f takes a Smith normal form. A quotient spec is untrusted
+input: every modulus and image entry must be exactly an integer.
 """
 
 from __future__ import annotations
@@ -23,90 +26,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from .cosets import Action
 from .presentation import Presentation
-from .words import (
-    ORDER_ID,
-    Word,
-    format_word,
-    free_reduce,
-    invert,
-    parse_word,
-    power,
-)
-
-
-# --- Schreier / Reidemeister ---------------------------------------------
-
-
-@dataclass
-class SchreierData:
-    cols: list
-    reps: list
-    gen_of_edge: Dict[Tuple[int, int], int]
-    gens: list
-    num_gens: int
-
-
-def schreier_data(cols: list, reps: list) -> SchreierData:
-    """Schreier generators for the subgroup a closed table describes
-    (coset 0 is the subgroup), given its columns and the breadth-first
-    transversal ``cosets.transversal`` read from them: one generator per
-    non-tree edge (c, x) with x a plain letter, numbered by c, then x."""
-    # the breadth-first tree edge into coset d is the last letter of reps[d]
-    tree = set()
-    for d in range(1, len(reps)):
-        x = reps[d][-1]
-        tree.add((cols[x ^ 1][d], x))
-        tree.add((d, x ^ 1))
-    gen_of_edge: Dict[Tuple[int, int], int] = {}
-    gens: List[Word] = []
-    for c in range(len(reps)):
-        for g in range(0, len(cols), 2):
-            if (c, g) not in tree:
-                word = free_reduce(reps[c] + (g,) + invert(reps[cols[g][c]]))
-                gen_of_edge[(c, g)] = len(gens)
-                gens.append(word)
-    return SchreierData(cols, reps, gen_of_edge, gens, len(gens))
-
-
-class NotInSubgroup(ValueError):
-    pass
-
-
-def rewrite_in_subgroup(sd: SchreierData, w: Word, start: int = 0) -> Word:
-    """Rewrite an ambient word into Schreier-generator letters.
-
-    With start = c this rewrites rep[c] * w * rep[c.w]^-1; the trace must
-    return to ``start`` (i.e. the conjugated word lies in the subgroup).
-    Letters in the result use the same packed encoding, over the
-    Schreier alphabet.
-    """
-    c = start
-    out = []
-    for x in w:
-        d = sd.cols[x][c]
-        if x & 1:
-            gid = sd.gen_of_edge.get((d, x ^ 1))
-            if gid is not None:
-                out.append(2 * gid + 1)
-        else:
-            gid = sd.gen_of_edge.get((c, x))
-            if gid is not None:
-                out.append(2 * gid)
-        c = d
-    if c != start:
-        raise NotInSubgroup(f"trace ends at coset {c}, not {start}")
-    return free_reduce(out)
-
-
-def _exponent_vector(w: Word, num_gens: int) -> list:
-    v = [0] * num_gens
-    for x in w:
-        v[x >> 1] += -1 if x & 1 else 1
-    return v
+from .words import ORDER_ID, Word, format_word, free_reduce, parse_word
 
 
 # --- integer matrices / Smith normal form ---------------------------------
@@ -246,6 +170,13 @@ class AbelianInvariants:
         return self.free_rank == 0
 
 
+def _exponent_vector(w: Word, num_gens: int) -> list:
+    v = [0] * num_gens
+    for x in w:
+        v[x >> 1] += -1 if x & 1 else 1
+    return v
+
+
 def abelian_invariants(p: Presentation) -> AbelianInvariants:
     """Invariant factors of G^ab from the relator exponent matrix, and
     the quotient spec of its torsion part, both from one SNF.
@@ -355,36 +286,73 @@ class NotAQuotient(ValueError):
 
 class Kernel:
     """The kernel H of a quotient action of the presented group, with its
-    Schreier data and one abelianized Reidemeister relation row per
-    (coset, relator), in raw letter counts (free reduction is irrelevant
-    after abelianization). The action is one of the group only if every
-    relator closes at every point, which the rows trace anyway: one that
-    does not raises NotAQuotient. A spec that is no transitive action
-    raises ValueError."""
+    Schreier generators and one abelianized Reidemeister relation row per
+    (point, relator).
+
+    H has one Schreier generator per edge (c, x), x a plain letter, off
+    the breadth-first tree of the action's transversal, whose edge into
+    point d is the last letter of reps[d]. ``gens[x >> 1][c]`` numbers
+    the edge (c, x), by c and then x, and is None on a tree edge. A row
+    counts the generators that a relator's trace from a point crosses,
+    each with its sign; free reduction changes no count. The action is
+    one of the group only if every relator closes at every point, which
+    the rows trace anyway: one that does not raises NotAQuotient. A spec
+    that is no transitive action raises ValueError."""
 
     def __init__(self, p: Presentation, quotient_spec: dict):
         self.presentation = p
         self.quotient_spec = quotient_spec
-        self.action = QuotientAction(quotient_spec, p.rank)
-        self.sd = schreier_data(self.action.cols, self.action.reps)
-        self.num_gens = self.sd.num_gens
+        self.action = action = QuotientAction(quotient_spec, p.rank)
+        cols, size = action.cols, action.size
+        self.gens = gens = [[0] * size for _ in range(p.rank)]
+        for d in range(1, size):
+            x = action.reps[d][-1]
+            # the tree edge into d, read along its plain letter
+            gens[x >> 1][d if x & 1 else cols[x ^ 1][d]] = None
+        n = 0
+        for c in range(size):
+            for col in gens:
+                if col[c] is not None:
+                    col[c] = n
+                    n += 1
+        self.num_gens = n
         self.relations = []
-        for c in range(self.action.size):
+        for c in range(size):
             for r in p.relators:
-                try:
-                    word = rewrite_in_subgroup(self.sd, r, start=c)
-                except NotInSubgroup:
+                row = [0] * n
+                if self.count_trace(r, c, row) != c:
                     raise NotAQuotient(
                         f"relator {format_word(r, p.rank)} does not close "
-                        f"at point {c}") from None
-                self.relations.append(_exponent_vector(word, self.num_gens))
+                        f"at point {c}")
+                self.relations.append(row)
+
+    def count_trace(self, w: Word, c: int, v: list) -> int:
+        """Walk w from point c, adding 1 to v at each Schreier generator
+        crossed forwards and -1 at each crossed backwards; return the
+        point where the walk ends."""
+        cols, gens = self.action.cols, self.gens
+        for x in w:
+            d = cols[x][c]
+            if x & 1:
+                g = gens[x >> 1][d]
+                if g is not None:
+                    v[g] -= 1
+            else:
+                g = gens[x >> 1][c]
+                if g is not None:
+                    v[g] += 1
+            c = d
+        return c
 
     def power_vector(self, w: Word) -> Tuple[int, list]:
-        """(s, v): s is the order of w's image in the quotient, so w^s
-        lies in H, and v counts the Schreier generators in w^s."""
-        s = self.action.element_order(w)
-        return s, _exponent_vector(
-            rewrite_in_subgroup(self.sd, power(w, s)), self.num_gens)
+        """(s, v): s is the order of w's image in the quotient, the
+        number of traces of w from point 0 until the walk returns there,
+        so w^s lies in H; v counts the Schreier generators in w^s."""
+        v = [0] * self.num_gens
+        s, c = 1, self.count_trace(w, 0, v)
+        while c:
+            s, c = s + 1, self.count_trace(w, c, v)
+        return s, v
 
 
 def _dot(f: Sequence[int], v: Sequence[int]) -> int:

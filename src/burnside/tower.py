@@ -512,17 +512,16 @@ def center_report(result: TowerResult) -> dict:
 def audit_tower(result: TowerResult, budgets: Budgets) -> dict:
     """Recompute every logged verdict in a fresh StageContext per rank.
 
-    Finite(d): replay the proof that w^d = 1 (reducing w^d along the
-    fresh context's capped tiers, then by the full completion, when it
-    fits in ``max_relator_letters``; otherwise, or if that fails, the
-    fresh context's stage closure, which enumerates under
-    ``stage_max_cosets``)
-    and pin exactness against the terminal realization, where the image
-    of w must have order exactly d (order in a quotient divides order in
-    the stage divides d, so equality at the bottom forces equality).
-    Infinite: replay the serialized certificate, which must be for the
-    logged word in this stage. Filtered words: run the unfiltered oracle
-    and require a Finite verdict.
+    Finite(d): re-derive the word's order with the oracle in the fresh
+    context, which must answer Finite(d): a word's verdict is the first
+    pinned hit along the tiers, so the fresh context reaches the logged
+    one, and a logged order that is a multiple of the true one is caught
+    even when the tower did not terminate. The terminal realization, if
+    any, must also give w the order d. Infinite: the serialized
+    certificate must be for the logged word in this stage, which is
+    checked before it is replayed, so a certificate for another stage
+    builds no kernel. Filtered words: run the unfiltered oracle and
+    require a Finite verdict.
     """
     checks = {"finite": 0, "infinite": 0, "filtered": 0}
     disagreements = []
@@ -547,27 +546,20 @@ def audit_tower(result: TowerResult, budgets: Budgets) -> dict:
             elif entry["verdict"] == "finite":
                 checks["finite"] += 1
                 d = entry["order"]
-                # a checkpoint may claim any order, so w^d is built only
-                # within the relator budget, and reduced along the capped
-                # tiers first, as the oracle reads them; past it, only the
-                # stage's realization can re-prove d
-                if d * len(w) > budgets.max_relator_letters or not (
-                        any(s.reduce(w * d) == () for s in ctx.capped_tiers())
-                        or ctx.kb().reduce(w * d) == ()):
-                    closed = ctx.closure()
-                    if closed is None or closed[0].element_order(w) != d:
-                        problems.append(
-                            (entry, f"could not re-prove order {d}"))
+                v = oracle.element_order(ctx, w, result.n)
+                if not v.finite or v.order != d:
+                    problems.append((entry, f"could not re-prove order {d}"))
                 if terminal is not None and terminal.element_order(w) != d:
                     problems.append((entry, "terminal realization order "
                                      f"{terminal.element_order(w)} != {d}"))
             elif entry["verdict"] == "infinite":
                 checks["infinite"] += 1
                 cert = subgrp.Certificate.from_json_dict(entry["certificate"])
-                ok, reason = subgrp.verify_certificate(
-                    cert, budgets.max_kernel_index)
-                if ok and (cert.word, cert.presentation) != (w, p):
+                if (cert.word, cert.presentation) != (w, p):
                     ok, reason = False, "it is for another word or stage"
+                else:
+                    ok, reason = subgrp.verify_certificate(
+                        cert, budgets.max_kernel_index)
                 if not ok:
                     problems.append(
                         (entry, f"certificate replay failed: {reason}"))

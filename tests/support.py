@@ -10,8 +10,7 @@ from collections import deque
 from fractions import Fraction
 
 from burnside import cosets, kernels, rewrite
-from burnside.words import (format_word, free_reduce, invert, letter,
-                            shortlex_key)
+from burnside.words import format_word, invert, letter, shortlex_key
 
 # the JSON type of every field an order certificate must carry
 CERT_TYPES = {"schema": str, "presentation": dict, "word": str, "power": int,
@@ -724,9 +723,9 @@ def quotient_rows(spec: dict, rank: int) -> list:
 
 
 def row_schreier_data(rows: list, rank: int):
-    """(reps, gen_of_edge, gens) of the subgroup a closed table describes:
-    one generator per non-tree edge (c, x), x a plain letter, numbered by
-    c, then x."""
+    """(reps, gen_of_edge) of the subgroup a closed table describes: one
+    Schreier generator per non-tree edge (c, x), x a plain letter,
+    numbered by c, then x."""
     n = len(rows)
     reps = row_transversal(rows, rank)
     tree = set()
@@ -735,21 +734,17 @@ def row_schreier_data(rows: list, rank: int):
         tree.add((rows[d][x ^ 1], x))
         tree.add((d, x ^ 1))
     gen_of_edge = {}
-    gens = []
     for c in range(n):
         for g in range(0, 2 * rank, 2):
             if (c, g) not in tree:
-                d = rows[c][g]
-                gen_of_edge[(c, g)] = len(gens)
-                gens.append(free_reduce(reps[c] + (g,) + invert(reps[d])))
-    return reps, gen_of_edge, gens
+                gen_of_edge[(c, g)] = len(gen_of_edge)
+    return reps, gen_of_edge
 
 
-def row_exponent_vector(rows: list, gen_of_edge: dict, num_gens: int, w,
-                        start: int = 0):
+def row_exponent_vector(rows: list, gen_of_edge: dict, w, start: int = 0):
     """Signed counts of the Schreier generators a trace of w from start
     crosses, or None when the trace does not return to start."""
-    v = [0] * num_gens
+    v = [0] * len(gen_of_edge)
     c = start
     for x in w:
         if x & 1:

@@ -5,13 +5,17 @@ import dataclasses
 import functools
 import io
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from burnside import cli, tower
+from burnside import cli, subgrp, tower
 from burnside.dihedral import build_cyclic, build_quaternion
 from burnside.subgrp import Certificate, verify_certificate
 from support import CERT_TYPES, JSON_JUNK, table_csv
@@ -375,20 +379,61 @@ def _audit_problems(cp, tmp_path):
 
 
 @pytest.mark.parametrize("spec", [
-    {"kind": "permutation", "images": [[0, 1]]},
-    {"kind": "abelian", "moduli": [2], "images": [[0]]}])
+    {"kind": "permutation", "images": [[0, 1], [0, 1]]},
+    {"kind": "abelian", "moduli": [2], "images": [[0], [0]]}])
 def test_audit_reports_a_non_transitive_certificate(tmp_path, spec):
-    # a certificate over <a | a^2> whose quotient fixes both points: its
-    # replay fails as a bad spec, which the audit reports
+    # a certificate for the logged word and stage whose quotient fixes
+    # both points: its replay fails as a bad spec, which the audit reports
     cp = json.loads(_log_checkpoint_text())
     entry = cp["partial_log"][-1]
-    entry["certificate"].update(
-        presentation={"rank": 1, "relators": ["aa"]}, word="a",
-        quotient=spec, kernel_index=2)
+    entry["certificate"].update(quotient=spec, kernel_index=2)
     assert _audit_problems(cp, tmp_path) == (1, [(
         entry["word"], "certificate replay failed: bad quotient spec: the "
                        "action is not transitive: 1 of 2 points reached "
                        "from 0")])
+
+
+def test_audit_refuses_a_certificate_for_another_stage_unbuilt(
+        tmp_path, monkeypatch):
+    # a certificate over <a | a^2> is refused for the logged stage before
+    # its kernel, which a crafted checkpoint may make large, is built
+    built = []
+    init = subgrp.Kernel.__init__
+
+    def recorded(self, p, spec):
+        built.append(p)
+        init(self, p, spec)
+
+    monkeypatch.setattr(subgrp.Kernel, "__init__", recorded)
+    cp = json.loads(_log_checkpoint_text())
+    entry = cp["partial_log"][-1]
+    entry["certificate"].update(
+        presentation={"rank": 1, "relators": ["aa"]}, word="a",
+        quotient={"kind": "permutation", "images": [[1, 0]]}, kernel_index=2)
+    assert _audit_problems(cp, tmp_path) == (1, [(
+        "aB", "certificate replay failed: it is for another word or stage")])
+    assert built and all(p.rank == 2 for p in built)
+
+
+def test_audit_catches_a_multiple_of_the_true_order(tmp_path, capsys):
+    # the run halts at rank 2 without a terminal realization, so only the
+    # re-derived order can tell 6 from the order 3 of a in <a, b | a^3>
+    cp = tmp_path / "cp.json"
+    code, _, _ = run(["tower", "-m", "2", "-n", "3", "--max-candidates", "1",
+                      "--checkpoint", str(cp)], capsys)
+    assert code == 2
+    data = json.loads(cp.read_text())
+    assert data["partial_log"] == [{"word": "a", "verdict": "finite",
+                                    "order": 3, "strategy": "kb-power"}]
+    data["partial_log"][0]["order"] = 6
+    cp.write_text(json.dumps(data))
+    code, out, err = run(["--format", "json", "tower", "-m", "2", "-n", "3",
+                          "--resume", str(cp), "--max-candidates", "1",
+                          "--audit"], capsys)
+    assert code == 1 and err == ""
+    assert [(d["word"], d["stage_rank"], d["problem"])
+            for d in json.loads(out)["audit"]["disagreements"]] == [
+        ("a", 2, "could not re-prove order 6")]
 
 
 def test_audit_reports_non_integer_moduli(tmp_path):
@@ -595,6 +640,17 @@ def test_abelian(pres, capsys):
     rep = json.loads(out)
     assert rep["torsion"] == [3, 3]
     assert rep["free_rank"] == 0
+
+
+def test_the_package_runs_as_a_module(pres):
+    # python -m burnside runs the CLI from a checkout, with src on the path
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "burnside", "--format", "json", "abelian",
+         pres(B23)], env=env, capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout)["torsion"] == [3, 3]
 
 
 def test_embed_found_and_refuted(tmp_path, capsys):

@@ -16,7 +16,6 @@ def test_klein_file():
     p = parse_presentation("gens 2\nrel aa\nrel bb\nrel abab\n")
     assert p.rank == 2
     assert p.relators == ((0, 0), (2, 2), (0, 2, 0, 2))
-    assert not p.warnings
 
 
 def test_free_group_file():
@@ -49,11 +48,11 @@ def test_syntax_errors_carry_line():
         parse_presentation("gens 0\n")
 
 
-def test_non_cyclically_reduced_relator_warns():
+def test_non_cyclically_reduced_relator_is_reduced():
     p = parse_presentation("gens 2\nrel abA\n")
-    # stored cyclically reduced, with the adjustment recorded
+    # stored freely and cyclically reduced
     assert p.relators == ((2,),)
-    assert p.warnings
+    assert Presentation(2, ((0, 1, 0, 2, 1),)).relators == ((2,),)
 
 
 def test_power_relator():

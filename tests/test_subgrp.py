@@ -8,25 +8,23 @@ import time
 import pytest
 
 from burnside import cosets, subgrp
-from burnside.cosets import enumerate_cosets, transversal
+from burnside.cosets import enumerate_cosets
 from burnside.presentation import parse_presentation
 from burnside.subgrp import (
     Certificate,
     DEFAULT_MAX_KERNEL_INDEX,
+    Kernel,
     KernelCertifier,
     NotAQuotient,
-    NotInSubgroup,
     QuotientAction,
     abelian_invariants,
     ladder,
     permutation_quotient,
-    rewrite_in_subgroup,
-    schreier_data,
     smith_normal_form,
     snf_diagonal,
     verify_certificate,
 )
-from burnside.words import format_word, parse_word, power
+from burnside.words import parse_word, power
 from support import (
     CERT_TYPES,
     JSON_JUNK,
@@ -60,10 +58,12 @@ def test_schreier_rank_index_2():
     gens = [parse_word(w, 2) for w in ("aa", "bb", "ab")]
     t = enumerate_cosets(free2, gens, 100)
     assert t.closed and t.num_cosets == 2
-    sd = schreier_data(t.cols, transversal(t.cols, t.num_cosets))
-    # Nielsen-Schreier: rank = index*(m-1) + 1
-    assert sd.num_gens == 3
-    assert sorted(format_word(g, 2) for g in sd.gens) == ["aa", "ab", "bA"]
+    k = Kernel(free2, permutation_quotient(t.cols))
+    # Nielsen-Schreier: rank = index*(m-1) + 1; the tree edge (0, a) has
+    # no number, and bA, aa, ab are numbered by point, then letter
+    assert k.num_gens == 3
+    assert k.gens == [[None, 1], [0, 2]]
+    assert k.relations == []
 
 
 def test_schreier_rank_index_3():
@@ -71,20 +71,9 @@ def test_schreier_rank_index_3():
     gens = [parse_word(w, 2) for w in ("aaa", "b", "abA", "aabAA")]
     t = enumerate_cosets(free2, gens, 100)
     assert t.closed and t.num_cosets == 3
-    sd = schreier_data(t.cols, transversal(t.cols, t.num_cosets))
-    assert sd.num_gens == 4
-
-
-def test_rewrite_rejects_nonmember():
-    free2 = P("gens 2\n")
-    gens = [parse_word(w, 2) for w in ("aa", "bb", "ab")]
-    t = enumerate_cosets(free2, gens, 100)
-    sd = schreier_data(t.cols, transversal(t.cols, t.num_cosets))
-    with pytest.raises(NotInSubgroup):
-        rewrite_in_subgroup(sd, parse_word("a", 2))
-    # membership rewrite roundtrips through the generators
-    w = parse_word("aabb", 2)
-    assert rewrite_in_subgroup(sd, w)  # nonempty, no exception
+    k = Kernel(free2, permutation_quotient(t.cols))
+    assert k.num_gens == 4
+    assert sum(g is None for col in k.gens for g in col) == 2
 
 
 # --- Smith normal form -----------------------------------------------------
@@ -472,20 +461,22 @@ def test_kernel_matches_the_row_layout():
         kc = KernelCertifier(p, spec)
         rows = quotient_rows(spec, p.rank)
         assert [list(row) for row in zip(*kc.action.cols)] == rows
-        reps, gen_of_edge, gens = row_schreier_data(rows, p.rank)
-        assert (kc.action.reps, kc.sd.gen_of_edge, kc.sd.gens) == \
-            (reps, gen_of_edge, gens)
+        reps, gen_of_edge = row_schreier_data(rows, p.rank)
+        assert kc.action.reps == reps
+        assert {(c, 2 * i): g for i, col in enumerate(kc.gens)
+                for c, g in enumerate(col) if g is not None} == gen_of_edge
+        assert kc.num_gens == len(gen_of_edge)
         assert kc.relations == [
-            row_exponent_vector(rows, gen_of_edge, len(gens), r, c)
+            row_exponent_vector(rows, gen_of_edge, r, c)
             for c in range(len(rows)) for r in p.relators]
         for _ in range(4):
             w = parse_word("".join(rng.choice("abAB")
                                    for _ in range(rng.randint(1, 5))), 2)
             s = 1
-            while row_exponent_vector(rows, gen_of_edge, len(gens),
-                                      power(w, s)) is None:
+            while row_exponent_vector(rows, gen_of_edge, power(w, s)) is None:
                 s += 1
-            v = row_exponent_vector(rows, gen_of_edge, len(gens), power(w, s))
+            v = row_exponent_vector(rows, gen_of_edge, power(w, s))
+            assert kc.power_vector(w) == (s, v)
             values = [sum(a * b for a, b in zip(f, v))
                       for f in kc.homomorphisms]
             want = next(((s, f, value) for f, value

@@ -431,10 +431,6 @@ class DihedralProductSpec:
         lead = build_dihedral(self.n)
         return lead, (lead if self.n0 == 1 else build_dihedral(2 ** self.k))
 
-    def ambient(self, copies: int) -> LazyProduct:
-        lead, copy = self.factor_tables()
-        return LazyProduct([lead] + [copy] * copies)
-
 
 @dataclass
 class EmbedResult:

@@ -8,9 +8,9 @@ group G (either the torsion part of the abelianization, or a concrete
 permutation realization), the kernel H has index |Q| and its coset table
 is just Q's own action, stored by columns as every finite action is
 (``cosets.Action``), with the transversal its transitivity check found.
-Tracing each relator from each coset and counting, with signs, the
-Schreier generators it crosses gives the rows of H's abelianized
-relation matrix M; no word over the Schreier generators is ever spelled.
+Tracing each relator's primitive root round its cycles and counting,
+with signs, the Schreier generators it crosses gives the rows of H's
+abelianized relation matrix M; no Schreier word is ever spelled.
 Tracing w from coset 0 until the walk returns (s times, s = order of the
 image of w in Q, so w^s lands in H) counts the vector v of w^s. An
 integer vector f with M.f = 0 is a homomorphism from H onto a subgroup
@@ -30,7 +30,8 @@ from typing import Optional, Sequence, Tuple
 
 from .cosets import Action
 from .presentation import Presentation
-from .words import ORDER_ID, Word, format_word, free_reduce, parse_word
+from .words import (ORDER_ID, Word, format_word, free_reduce, parse_word,
+                    primitive_root)
 
 
 # --- integer matrices / Smith normal form ---------------------------------
@@ -286,18 +287,18 @@ class NotAQuotient(ValueError):
 
 class Kernel:
     """The kernel H of a quotient action of the presented group, with its
-    Schreier generators and one abelianized Reidemeister relation row per
-    (point, relator).
+    Schreier generators.
 
     H has one Schreier generator per edge (c, x), x a plain letter, off
     the breadth-first tree of the action's transversal, whose edge into
     point d is the last letter of reps[d]. ``gens[x >> 1][c]`` numbers
-    the edge (c, x), by c and then x, and is None on a tree edge. A row
-    counts the generators that a relator's trace from a point crosses,
-    each with its sign; free reduction changes no count. The action is
-    one of the group only if every relator closes at every point, which
-    the rows trace anyway: one that does not raises NotAQuotient. A spec
-    that is no transitive action raises ValueError."""
+    the edge (c, x), by c and then x, and is None on a tree edge. A
+    relator's row at a point counts the generators that its trace from
+    there crosses, each with its sign; free reduction changes no count.
+    A relator u^k (u its primitive root) goes k/l times round the cycle
+    of u through the point, l the cycle's length, so all points of a
+    cycle share one row, and the relator closes there only if l divides
+    k. A spec that is no transitive action raises ValueError."""
 
     def __init__(self, p: Presentation, quotient_spec: dict):
         self.presentation = p
@@ -316,43 +317,57 @@ class Kernel:
                     col[c] = n
                     n += 1
         self.num_gens = n
-        self.relations = []
-        for c in range(size):
-            for r in p.relators:
-                row = [0] * n
-                if self.count_trace(r, c, row) != c:
-                    raise NotAQuotient(
-                        f"relator {format_word(r, p.rank)} does not close "
-                        f"at point {c}")
-                self.relations.append(row)
 
-    def count_trace(self, w: Word, c: int, v: list) -> int:
-        """Walk w from point c, adding 1 to v at each Schreier generator
-        crossed forwards and -1 at each crossed backwards; return the
-        point where the walk ends."""
+    def cycle(self, w: Word, c: int) -> Tuple[list, list]:
+        """(points, v): trace w from point c again and again until the
+        walk returns to c; points lists where each trace starts, c first,
+        and v adds 1 at each Schreier generator crossed forwards and -1
+        at each crossed backwards."""
         cols, gens = self.action.cols, self.gens
-        for x in w:
-            d = cols[x][c]
-            if x & 1:
-                g = gens[x >> 1][d]
-                if g is not None:
-                    v[g] -= 1
-            else:
-                g = gens[x >> 1][c]
-                if g is not None:
-                    v[g] += 1
-            c = d
-        return c
+        v = [0] * self.num_gens
+        points, start = [], c
+        while True:
+            points.append(c)
+            for x in w:
+                d = cols[x][c]
+                if x & 1:
+                    g = gens[x >> 1][d]
+                    if g is not None:
+                        v[g] -= 1
+                else:
+                    g = gens[x >> 1][c]
+                    if g is not None:
+                        v[g] += 1
+                c = d
+            if c == start:
+                return points, v
 
     def power_vector(self, w: Word) -> Tuple[int, list]:
         """(s, v): s is the order of w's image in the quotient, the
         number of traces of w from point 0 until the walk returns there,
         so w^s lies in H; v counts the Schreier generators in w^s."""
-        v = [0] * self.num_gens
-        s, c = 1, self.count_trace(w, 0, v)
-        while c:
-            s, c = s + 1, self.count_trace(w, c, v)
-        return s, v
+        points, v = self.cycle(w, 0)
+        return len(points), v
+
+    def relator_cycles(self, r: Word):
+        """Yield (points, row) for each cycle of r's primitive root u,
+        r = u^k, by lowest point, which comes first: row is the relation
+        row of r at every one of the points. A cycle whose length does
+        not divide k raises NotAQuotient at its lowest point."""
+        u, k = primitive_root(r)
+        seen = bytearray(self.action.size)
+        for c in range(self.action.size):
+            if seen[c]:
+                continue
+            points, row = self.cycle(u, c)
+            turns, rest = divmod(k, len(points))
+            if rest:
+                raise NotAQuotient(
+                    f"relator {format_word(r, self.presentation.rank)} "
+                    f"does not close at point {c}")
+            for d in points:
+                seen[d] = 1
+            yield points, row if turns == 1 else [turns * a for a in row]
 
 
 def _dot(f: Sequence[int], v: Sequence[int]) -> int:
@@ -438,6 +453,13 @@ class KernelCertifier(Kernel):
 
     def __init__(self, p: Presentation, quotient_spec: dict):
         super().__init__(p, quotient_spec)
+        # the rows by (point, relator), one list for every point of a cycle
+        width = len(p.relators)
+        self.relations = [None] * (self.action.size * width)
+        for j, r in enumerate(p.relators):
+            for points, row in self.relator_cycles(r):
+                for c in points:
+                    self.relations[c * width + j] = row
         S, V = smith_normal_form(self.relations, ncols=self.num_gens)
         diag = snf_diagonal(S, self.num_gens)
         self.homomorphisms = [
@@ -471,42 +493,24 @@ class KernelCertifier(Kernel):
         return None
 
 
-class TrivialKernel:
-    """The rung of a quotient that is the whole group, so its kernel is
-    trivial: free rank 0, no certificate, and no relation row built. The
-    action stays, since an image order is still read from it."""
-
-    kernel_free_rank = 0
-
-    def __init__(self, p: Presentation, quotient_spec: dict):
-        self.quotient_spec = quotient_spec
-        self.action = QuotientAction(quotient_spec, p.rank)
-
-    def certify(self, w: Word) -> Optional[Certificate]:
-        return None
-
-
 class Ladder:
     """The certifier ladder of one presentation: named quotient specs,
-    each rung's certifier (of the class given with its spec) built on
-    first use and kept.
+    each rung's certifier built on first use and kept.
 
     Iterating yields (name, certifier) pairs in rung order and builds a
     rung only when the iteration reaches it, so a search that stops at
     rung k never builds the rungs above k."""
 
-    def __init__(self, p: Presentation,
-                 rungs: Sequence[Tuple[str, dict, type]]):
+    def __init__(self, p: Presentation, rungs: Sequence[Tuple[str, dict]]):
         self.presentation = p
-        self.names = [name for name, _, _ in rungs]
-        self._rungs = [(spec, kind) for _, spec, kind in rungs]
+        self.names = [name for name, _ in rungs]
+        self._specs = [spec for _, spec in rungs]
         self._built: dict = {}
 
     def __iter__(self):
-        for k, name in enumerate(self.names):
+        for k, (name, spec) in enumerate(zip(self.names, self._specs)):
             if k not in self._built:
-                spec, kind = self._rungs[k]
-                self._built[k] = kind(self.presentation, spec)
+                self._built[k] = KernelCertifier(self.presentation, spec)
             yield name, self._built[k]
 
 
@@ -515,13 +519,8 @@ def ladder(p: Presentation, ab: AbelianInvariants, max_kernel_index: int,
     """The certifier ladder of p: one rung for the torsion quotient of
     G^ab (``ab`` holds its spec), then one per (name, spec) of ``extra``,
     in order. A spec of more than ``max_kernel_index`` elements is left
-    out before it is built; the others are built on first use. A finite
-    cyclic group (rank 1, free rank 0) is its own abelianization, so its
-    torsion rung is a TrivialKernel."""
-    cyclic = p.rank == 1 and ab.free_rank == 0
-    rungs = [("abelian-torsion", ab.quotient,
-              TrivialKernel if cyclic else KernelCertifier),
-             *((name, spec, KernelCertifier) for name, spec in extra)]
+    out before it is built; the others are built on first use."""
+    rungs = [("abelian-torsion", ab.quotient), *extra]
     return Ladder(p, [rung for rung in rungs
                       if spec_size(rung[1]) <= max_kernel_index])
 
@@ -530,13 +529,14 @@ def verify_certificate(cert: Certificate,
                        max_kernel_index: int = DEFAULT_MAX_KERNEL_INDEX):
     """Independent replay of a certificate; returns (ok, reason).
 
-    The kernel is rebuilt from the quotient spec and presentation (the
-    action, the Schreier generators and the relation rows); then f must
-    have one entry per Schreier generator and vanish on every row, the
-    power must be the image order of the word, and f.v must equal the
-    claimed value, which is not 0. No SNF runs. The claimed index is
-    checked against ``max_kernel_index`` and the spec's element count
-    first, so an oversized quotient is never built.
+    The kernel is rebuilt from the quotient spec and presentation, and
+    each relation row is checked against f as it is counted, once per
+    relator cycle, so no relation matrix is held. Every relator must
+    close, f must have one entry per Schreier generator and vanish on
+    every row, the power must be the image order of the word, and f.v
+    must equal the claimed value, which is not 0. No SNF runs. The
+    claimed index is checked against ``max_kernel_index`` and the spec's
+    element count first, so an oversized quotient is never built.
     """
     if cert.kernel_index > max_kernel_index:
         return False, (f"kernel index {cert.kernel_index} exceeds the "
@@ -545,20 +545,24 @@ def verify_certificate(cert: Certificate,
         if spec_size(cert.quotient) != cert.kernel_index:
             return False, "kernel index mismatch"
         k = Kernel(cert.presentation, cert.quotient)
-    except NotAQuotient as e:
-        return False, f"quotient does not satisfy the relators: {e}"
     except (KeyError, TypeError, ValueError) as e:
         return False, f"bad quotient spec: {e}"
+    f, relators = cert.homomorphism, cert.presentation.relators
+    try:  # row (point, relator) is numbered point * relators + relator
+        missed = min((points[0] * len(relators) + j
+                      for j, r in enumerate(relators)
+                      for points, row in k.relator_cycles(r) if _dot(f, row)),
+                     default=None)
+    except NotAQuotient as e:
+        return False, f"quotient does not satisfy the relators: {e}"
     w = free_reduce(cert.word)
     if not w:
         return False, "empty word cannot have infinite order"
-    f = cert.homomorphism
     if len(f) != k.num_gens:
         return False, (f"homomorphism has {len(f)} entries, not one per "
                        f"Schreier generator ({k.num_gens})")
-    for i, row in enumerate(k.relations):
-        if _dot(f, row):
-            return False, f"homomorphism is not 0 on relation row {i}"
+    if missed is not None:
+        return False, f"homomorphism is not 0 on relation row {missed}"
     s, v = k.power_vector(w)
     if s != cert.power:
         return False, f"power mismatch: image order is {s}, not {cert.power}"

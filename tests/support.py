@@ -9,7 +9,7 @@ import os
 from collections import deque
 from fractions import Fraction
 
-from burnside import cosets, kernels, rewrite
+from burnside import cosets, kernels, rewrite, subgrp
 from burnside.words import format_word, invert, letter, shortlex_key
 
 # the JSON type of every field an order certificate must carry
@@ -35,6 +35,22 @@ def count_enumerations(monkeypatch) -> list:
 
     monkeypatch.setattr(cosets, "enumerate_cosets", counted)
     return budgets
+
+
+def count_cycle_letters(monkeypatch) -> list:
+    """Route subgrp.Kernel.cycle through a counter for this test; the
+    returned list collects (relator count of the kernel's presentation,
+    letters the walk traced) of each call."""
+    traced = []
+    cycle = subgrp.Kernel.cycle
+
+    def counted(self, w, c):
+        points, v = cycle(self, w, c)
+        traced.append((len(self.presentation.relators), len(w) * len(points)))
+        return points, v
+
+    monkeypatch.setattr(subgrp.Kernel, "cycle", counted)
+    return traced
 
 
 def count_completions(monkeypatch) -> list:

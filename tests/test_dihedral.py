@@ -16,6 +16,13 @@ from support import (is_abelian, level_generating_tuple, multiplication_table,
                      table_csv)
 
 
+def ambient_of(spec, copies):
+    """D(n) x D(2^k)^copies as embed_search builds it, from the spec's
+    factor tables."""
+    lead, copy = spec.factor_tables()
+    return dh.LazyProduct([lead] + [copy] * copies)
+
+
 def test_dihedral_small():
     k4 = dh.build_dihedral(2)
     assert k4.order == 4
@@ -187,7 +194,7 @@ def test_spec_decomposition():
     assert (s.k, s.n0) == (2, 1)
     s = dh.DihedralProductSpec(12)
     assert (s.k, s.n0) == (2, 3)
-    amb = s.ambient(2)
+    amb = ambient_of(s, 2)
     assert amb.order == 24 * 8 * 8
     with pytest.raises(ValueError):
         dh.DihedralProductSpec(0)
@@ -231,7 +238,7 @@ def test_found_embeddings_are_verified_injective_homs():
     # replay the embedding of C4 by hand through the lazy ambient
     spec = dh.DihedralProductSpec(4)
     r = dh.embed_search(dh.build_cyclic(4), spec, r_max=0)
-    amb = spec.ambient(r.copies_tried)
+    amb = ambient_of(spec, r.copies_tried)
     c4 = dh.build_cyclic(4)
     images = {g: tuple(img) for g, img in zip(r.generators, r.images)}
     # generator image has matching order
@@ -309,7 +316,7 @@ def backtracking_embed_search(sub, spec, r_max=4):
         return "embedding", 0
     structural = 0
     for copies in range(0, r_max + 1):
-        ambient = spec.ambient(copies)
+        ambient = ambient_of(spec, copies)
         if dh._structural_obstruction(sub, ambient) is not None:
             structural += 1
             continue
@@ -356,7 +363,7 @@ def backtracking_embed_search(sub, spec, r_max=4):
 def _replay_witness(sub, spec, result):
     """Extend the reported generator images over sub through the ambient
     and replay the whole map with _verify_embedding."""
-    ambient = spec.ambient(result.copies_tried)
+    ambient = ambient_of(spec, result.copies_tried)
     phi = _close_partial(sub, result.generators,
                          [tuple(img) for img in result.images], ambient)
     assert phi is not None and len(phi) == sub.order
@@ -714,7 +721,7 @@ def test_verify_embedding_rejects_broken_maps():
     spec = dh.DihedralProductSpec(4)
     sub = _c2_power(2)
     r = dh.embed_search(sub, spec, r_max=1)
-    ambient = spec.ambient(r.copies_tried)
+    ambient = ambient_of(spec, r.copies_tried)
     phi = _close_partial(sub, r.generators, [tuple(img) for img in r.images],
                          ambient)
     maps = _coordinate_maps(phi, ambient)

@@ -72,6 +72,20 @@ def test_infinite_stage_skips_closure():
     assert ok
 
 
+def test_a_finite_completion_with_an_infinite_language_is_infinite(
+        monkeypatch):
+    # A5 * A5 has a finite abelianization and no free kernel rank in its
+    # ladder, but its confluent system's normal forms run round a cycle
+    ctx = oracle.StageContext(P("gens 4\nrel aa\nrel bbb\nrel ababababab\n"
+                                "rel cc\nrel ddd\nrel cdcdcdcdcd\n"))
+    enumerations = count_enumerations(monkeypatch)
+    assert ctx.infiniteness() == {"probe": "normal-form-automaton-cycle",
+                                  "rules": 36}
+    assert ctx.closure() is None and enumerations == []
+    v = oracle.element_order(ctx, parse_word("ac", 4))
+    assert v.kind == "unknown" and v.evidence["strategy"] == "exhausted"
+
+
 def test_verdict_log_entry_shape():
     v = order_of(B23, "ab")
     entry = v.log_entry("ab")

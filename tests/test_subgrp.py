@@ -1,9 +1,11 @@
 """Schreier subgroup data, Smith normal form, order certificates."""
 
 import dataclasses
+import itertools
 import json
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -29,6 +31,7 @@ from support import (
     CERT_TYPES,
     JSON_JUNK,
     check_smith_form,
+    count_cycle_letters,
     determinant,
     determinantal_divisors,
     in_rational_row_space,
@@ -63,7 +66,9 @@ def test_schreier_rank_index_2():
     # no number, and bA, aa, ab are numbered by point, then letter
     assert k.num_gens == 3
     assert k.gens == [[None, 1], [0, 2]]
-    assert k.relations == []
+    # a goes round the 2-cycle (0 1) and crosses aa, generator 1
+    assert k.cycle(parse_word("a", 2), 0) == ([0, 1], [0, 1, 0])
+    assert k.power_vector(parse_word("a", 2)) == (2, [0, 1, 0])
 
 
 def test_schreier_rank_index_3():
@@ -380,6 +385,27 @@ def test_certificate_replay_is_bounded():
     assert verify_certificate(cert, max_kernel_index=4) == (True, "ok")
 
 
+def test_a_replay_holds_no_relation_matrix():
+    # an index-2048 certificate over seven relators: a dense relation
+    # matrix is 2,048 x 7 rows of 2,049 integers, over 200 MB, but the
+    # replay counts and checks one row at a time
+    rels = ["a" * 64, "b" * 32, "abAB", "aabAAB", "abbABB", "aabbAABB",
+            "aaabAAAB"]
+    p = P("gens 2\n" + "".join(f"rel {r}\n" for r in rels))
+    spec = {"kind": "abelian", "moduli": [64, 32],
+            "images": [[1, 0], [0, 1]]}
+    cert = Certificate(presentation=p, word=parse_word("a", 2), power=64,
+                       quotient=spec, kernel_index=2048,
+                       homomorphism=(0,) * 2049, value=0)
+    tracemalloc.start()
+    try:
+        assert verify_certificate(cert) == (False, "value is zero")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8_000_000, peak
+
+
 def test_coordinates_back_the_certificate():
     # v holds the coordinates of w^s over the Schreier generators, and
     # the certificate's value is f.v
@@ -444,17 +470,27 @@ def test_certify_matches_the_rational_row_space():
     assert min(seen.values()) > 10, seen
 
 
+# <a, b | a^3, (ab)^4> on 7 points: a = (0 1 3), and ab = (1 2)(3 4 5 6)
+# fixes 0, so the cycles of ab have lengths 1, 2 and 4
+A_3_CYCLE = [1, 3, 2, 0, 4, 5, 6]
+AB_CYCLES = [0, 2, 1, 4, 5, 6, 3]
+SEVEN_POINTS = {"kind": "permutation", "images": [
+    A_3_CYCLE, [AB_CYCLES[A_3_CYCLE.index(d)] for d in range(7)]]}
+
+
 def test_kernel_matches_the_row_layout():
     # the action's columns, Schreier data, relation rows and certificates
     # against the row-layout reference, on both spec kinds: seeded stages,
-    # then B(2,3) and D(6) as quotients of groups they satisfy
+    # then B(2,3) and D(6) as quotients of groups they satisfy, then an
+    # action on which ab, the root of (ab)^4, has cycles of three lengths
     rng = random.Random(5)
     stages = _small_stages(rng, 30) + [
         (P(TRIANGLE), abelian_invariants(P(B23)).quotient),
         (P(TRIANGLE), permutation_quotient(
             enumerate_cosets(P(B23), (), 5000).cols)),
         (P("gens 2\nrel bb\nrel abab\n"), permutation_quotient(
-            enumerate_cosets(P(D6), (), 5000).cols))]
+            enumerate_cosets(P(D6), (), 5000).cols)),
+        (P("gens 2\nrel aaa\nrel abababab\n"), SEVEN_POINTS)]
     assert {spec["kind"] for _, spec in stages} == {"abelian", "permutation"}
     certified = 0
     for p, spec in stages:
@@ -526,36 +562,43 @@ def test_ladder_leaves_out_rungs_over_the_bound():
         list(rungs)
 
 
-def test_a_finite_cyclic_torsion_rung_builds_no_relation_rows(monkeypatch):
-    # <a | a^12, a^18> is cyclic of order 6: the torsion quotient is the
-    # whole group, so its kernel is trivial and answers without any rows
+def test_a_cyclic_torsion_rung_traces_each_relator_once_round(monkeypatch):
+    # <a | a^12, a^18> is cyclic of order 6, and a goes once round the
+    # torsion quotient's one 6-cycle for each relator: 12 letters, where
+    # tracing each whole relator from each of the 6 points took 180
     p = P("gens 1\nrel " + "a" * 12 + "\nrel " + "a" * 18 + "\n")
     ab = abelian_invariants(p)
-    full = KernelCertifier(p, ab.quotient)
-    built = []
-    init = subgrp.Kernel.__init__
-
-    def counted_init(self, p, spec):
-        built.append(spec["kind"])
-        init(self, p, spec)
-
-    monkeypatch.setattr(subgrp.Kernel, "__init__", counted_init)
+    traced = count_cycle_letters(monkeypatch)
     rungs = list(ladder(p, ab, DEFAULT_MAX_KERNEL_INDEX))
     assert [name for name, _ in rungs] == ["abelian-torsion"]
     (_, rung), = rungs
-    assert isinstance(rung, subgrp.TrivialKernel) and built == []
-    assert rung.kernel_free_rank == full.kernel_free_rank == 0
+    assert sum(letters for _, letters in traced) == 12
+    assert rung.relations == [[2], [3]] * 6
+    assert rung.kernel_free_rank == 0
     for text in ("a", "aa", "aaa", "A", "aaaaaa"):
-        w = parse_word(text, 1)
-        assert rung.certify(w) is full.certify(w) is None
-        assert rung.action.element_order(w) == \
-            full.action.element_order(w)
+        assert rung.certify(parse_word(text, 1)) is None
     assert rung.action.element_order(parse_word("aa", 1)) == 3
-    # a cyclic group with free rank, or a second generator, keeps its rows
-    for text in ("gens 1\n", "gens 2\nrel aa\nrel bbb\n"):
-        q = P(text)
-        list(ladder(q, abelian_invariants(q), DEFAULT_MAX_KERNEL_INDEX))
-    assert built == ["abelian", "abelian"]
+
+
+def test_a_relator_may_fail_only_on_a_later_cycle():
+    # (ab)^2 closes on the cycles of ab of lengths 1 and 2, not on the
+    # 4-cycle (3 4 5 6)
+    p = P("gens 2\nrel abab\n")
+    k = Kernel(p, SEVEN_POINTS)
+    cycles = k.relator_cycles(p.relators[0])
+    assert [points for points, _ in itertools.islice(cycles, 2)] == [
+        [0], [1, 2]]
+    with pytest.raises(NotAQuotient, match="relator abab does not close "
+                                           "at point 3"):
+        next(cycles)
+    with pytest.raises(NotAQuotient, match="at point 3"):
+        KernelCertifier(p, SEVEN_POINTS)
+    cert = Certificate(presentation=p, word=parse_word("a", 2), power=3,
+                       quotient=SEVEN_POINTS, kernel_index=7,
+                       homomorphism=(), value=1)
+    assert verify_certificate(cert) == (
+        False, "quotient does not satisfy the relators: relator abab does "
+               "not close at point 3")
 
 
 @pytest.mark.parametrize("key", sorted(CERT_TYPES))

@@ -13,8 +13,9 @@ import pytest
 from burnside import cosets, oracle, subgrp, tower
 from burnside.presentation import TowerStatus, tower_presentation
 from burnside.words import parse_word
-from support import (count_completions, count_enumerations,
-                     count_felsch_runs, count_forks, fail_in_children)
+from support import (count_completions, count_cycle_letters,
+                     count_enumerations, count_felsch_runs, count_forks,
+                     fail_in_children)
 
 
 def small_budgets(**kw):
@@ -170,23 +171,16 @@ def count_ladder_builds(monkeypatch) -> list:
     return built
 
 
-def test_a_cyclic_stage_builds_no_relation_rows(monkeypatch):
-    # B(1,5) is its own abelianization, so the tower, its verification
-    # and its audit never build the stage's torsion kernel: its rows
-    # would trace the relator a^5 from each of the 5 points
-    built = []
-    init = subgrp.Kernel.__init__
-
-    def counted_init(self, p, spec):
-        built.append(len(p.relators))
-        init(self, p, spec)
-
-    monkeypatch.setattr(subgrp.Kernel, "__init__", counted_init)
+def test_a_cyclic_stage_traces_its_relator_once_round(monkeypatch):
+    # B(1,5)'s rank-2 stage <a | a^5> is its own abelianization: its
+    # torsion rung walks a once round the one 5-cycle, 5 letters, where
+    # tracing a^5 from each of the 5 points took 25
+    traced = count_cycle_letters(monkeypatch)
     b = tower.Budgets()
     res = tower.run_tower(1, 5, b)
     rep = tower.build_report(res, b, audit=tower.audit_tower(res, b))
     assert rep["result"]["order"] == 5
-    assert 1 not in built  # only the dropped, relator-free presentation
+    assert [letters for relators, letters in traced if relators] == [5]
 
 
 def test_independence_builds_a_rung_only_when_asked(monkeypatch):
@@ -261,6 +255,22 @@ def test_checkpoint_and_resume():
     assert resumed.order == 27
     assert resumed.period_texts() == ["a", "b", "ab", "aB"]
     assert any("resumed" in note for note in resumed.notes)
+
+
+def test_a_closed_stage_whose_exponent_exceeds_n_stalls_divergent():
+    # a checkpoint standing in for a run that proved aabb infinite: rank 8
+    # closes at order 16,384 with an element of order 8
+    cp = {"schema": tower.CHECKPOINT_SCHEMA, "m": 2, "n": 4, "cursor": None,
+          "periods": ["a", "b", "ab", "aB", "aab", "abb", "aabb"]}
+    res = tower.run_tower(2, 4, resume=cp)
+    assert res.status is TowerStatus.STALLED_DIVERGENT
+    assert (res.order, res.exponent) == (16384, 8)
+    assert res.notes == ["resumed at rank 8",
+                         "element abaB has order 8, which does not divide 4"]
+    rep = tower.build_report(res, tower.Budgets(), verifications=False)
+    assert rep["status"] == "stalled-divergent"
+    assert rep["result"] == {"order": 16384, "exponent": 8,
+                             "exponent_divides_n": False}
 
 
 def test_resume_notes_each_budget_that_differs():

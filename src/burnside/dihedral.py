@@ -5,8 +5,9 @@ in D(n) x D(2^k)^r, n = 2^k * n0 with n0 odd, for some r <= r_max. H
 embeds in a direct product exactly when homomorphisms into the factors
 have trivially intersecting kernels, so the search streams Hom(H, D)
 once per factor and meets kernels, bitsets over H, as they arrive. The
-ambient stays a lazy product of coordinate tuples, so its order may
-exceed any table cap; a found embedding is replayed in it coordinatewise.
+ambient is never built: it is its list of factor tables, so its order
+may exceed any table cap, and a found embedding is replayed factor by
+factor.
 """
 
 from __future__ import annotations
@@ -38,13 +39,6 @@ class FiniteGroupTable:
         self.name = name or f"group of order {self.order}"
         if verify:
             self._verify()
-        self._inverse = [0] * self.order
-        for g in range(self.order):
-            row = self.rows[g]
-            for h in range(self.order):
-                if row[h] == 0:
-                    self._inverse[g] = h
-                    break
         self._order_cache: Dict[int, int] = {}
         self._spectrum: Optional[Dict[int, int]] = None
 
@@ -62,7 +56,7 @@ class FiniteGroupTable:
                 raise TableError(f"column {h} is not a permutation")
         # Light's test: the s with (g s) k = g (s k) for all g, k are
         # closed under the product, so it suffices to check the s of a
-        # set whose left-normed products from 0 reach every element
+        # set whose products reach every element
         rows = self.rows
         for s in self._spanning_set():
             row_s = rows[s]
@@ -75,28 +69,12 @@ class FiniteGroupTable:
                         f"associativity fails at ({g}, {s}, {k})")
 
     def _spanning_set(self) -> List[int]:
-        """Elements, taken greedily in order, whose left-normed products
-        from 0 reach every element: each is the least one not yet
-        reached."""
-        rows = self.rows
-        reached = [True] + [False] * (self.order - 1)
-        span = [0]  # the elements reached, in the order they were
+        """Elements, taken greedily in order, that generate the table:
+        each is the least one not yet reached. In a table not yet
+        verified, each reached element is still a product of them."""
         gens: List[int] = []
-        for s in range(1, self.order):
-            if reached[s]:
-                continue
-            gens.append(s)
-            for g in span:  # grows while it is read
-                row = rows[g]
-                for t in gens:
-                    h = row[t]
-                    if not reached[h]:
-                        reached[h] = True
-                        span.append(h)
+        self._span(range(1, self.order), gens)
         return gens
-
-    def inverse(self, g: int) -> int:
-        return self._inverse[g]
 
     def element_order(self, g: int) -> int:
         cached = self._order_cache.get(g)
@@ -125,33 +103,36 @@ class FiniteGroupTable:
 
     def closure(self, gens: Sequence[int]) -> List[int]:
         """Subgroup generated by gens, as a sorted element list."""
-        seen = {0}
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for g in frontier:
-                for s in gens:
-                    h = self.rows[g][s]
-                    if h not in seen:
-                        seen.add(h)
-                        nxt.append(h)
-            frontier = nxt
-        return sorted(seen)
+        return sorted(self._span(gens, []))
+
+    def _span(self, elements: Iterable[int], taken: List[int]) -> List[int]:
+        """The span of elements, grown by _join one element at a time;
+        each element outside the span so far is appended to taken."""
+        span, inside = [0], bytearray(self.order)
+        inside[0] = 1
+        for a in elements:
+            if not inside[a]:
+                span, inside = _join(self.rows, span, inside, taken, a)
+                taken.append(a)
+        return span
 
     @classmethod
     def from_csv(cls, text: str) -> "FiniteGroupTable":
         reader = csv.reader(io.StringIO(text))
-        header = next(reader)
-        if len(header) < 2 or header[0] != "order":
-            raise TableError("missing table header")
-        order = int(header[1])
-        if order < 1:
-            raise TableError(f"table order must be >= 1, got {order}")
-        if order * order > MAX_TABLE_CELLS:
-            raise TableError(f"table of order {order} needs {order * order} "
-                             f"cells (cap {MAX_TABLE_CELLS})")
-        name = header[3] if len(header) > 3 else ""
-        rows = [[int(c) for c in row] for row in reader if row]
+        try:
+            header = next(reader, [])
+            if len(header) < 2 or header[0] != "order":
+                raise TableError("missing table header")
+            order = int(header[1])
+            if order < 1:
+                raise TableError(f"table order must be >= 1, got {order}")
+            if order * order > MAX_TABLE_CELLS:
+                raise TableError(f"table of order {order} needs {order ** 2}"
+                                 f" cells (cap {MAX_TABLE_CELLS})")
+            name = header[3] if len(header) > 3 else ""
+            rows = [[int(c) for c in row] for row in reader if row]
+        except csv.Error as exc:  # e.g. a field over the csv module's limit
+            raise TableError(f"unreadable table CSV: {exc}") from None
         if len(rows) != order:
             raise TableError(f"expected {order} rows, got {len(rows)}")
         return cls(rows, name=name, verify=True)
@@ -228,8 +209,7 @@ def build_quaternion() -> FiniteGroupTable:
 
 
 def direct_product(tables: Sequence[FiniteGroupTable]) -> FiniteGroupTable:
-    """Materialized product table. Refuses above MAX_TABLE_CELLS cells;
-    use LazyProduct beyond that."""
+    """Materialized product table. Refuses above MAX_TABLE_CELLS cells."""
     if not tables:
         raise ValueError("need at least one factor")
     result = tables[0]
@@ -239,7 +219,7 @@ def direct_product(tables: Sequence[FiniteGroupTable]) -> FiniteGroupTable:
         if order * order > MAX_TABLE_CELLS:
             raise TableError(
                 f"product of order {order} needs {order * order} cells "
-                f"(cap {MAX_TABLE_CELLS}); use LazyProduct")
+                f"(cap {MAX_TABLE_CELLS})")
         rows = []
         for g in range(order):
             ga, gb = divmod(g, b.order)
@@ -253,45 +233,18 @@ def direct_product(tables: Sequence[FiniteGroupTable]) -> FiniteGroupTable:
     return result
 
 
-class LazyProduct:
-    """Direct product of finite group tables with elements as coordinate
-    tuples; nothing is materialized, so the ambient order may exceed any
-    table cap."""
-
-    def __init__(self, factors: Sequence[FiniteGroupTable]):
-        if not factors:
-            raise ValueError("need at least one factor")
-        self.factors = list(factors)
-        self.order = 1
-        for f in self.factors:
-            self.order *= f.order
-        self.name = " x ".join(f.name for f in self.factors)
-        self.identity = (0,) * len(self.factors)
-
-    def mul(self, g: Tuple[int, ...], h: Tuple[int, ...]) -> Tuple[int, ...]:
-        return tuple(f.rows[a][b]
-                     for f, a, b in zip(self.factors, g, h))
-
-    def inverse(self, g: Tuple[int, ...]) -> Tuple[int, ...]:
-        return tuple(f.inverse(a) for f, a in zip(self.factors, g))
-
-    def element_order(self, g: Tuple[int, ...]) -> int:
-        return lcm(*(f.element_order(a)
-                     for f, a in zip(self.factors, g)))
-
-    def exponent(self) -> int:
-        return lcm(*(f.exponent() for f in self.factors))
-
-    def order_spectrum(self) -> Dict[int, int]:
-        spectrum = {1: 1}
-        for f in self.factors:
-            grown: Dict[int, int] = {}
-            for b, k in f.order_spectrum().items():
-                for a, m in spectrum.items():
-                    d = lcm(a, b)
-                    grown[d] = grown.get(d, 0) + m * k
-            spectrum = grown
-        return spectrum
+def _product_spectrum(factors: Sequence[FiniteGroupTable]) -> Dict[int, int]:
+    """Order spectrum of the direct product of factors: an element's
+    order is the lcm of its coordinates' orders."""
+    spectrum = {1: 1}
+    for f in factors:
+        grown: Dict[int, int] = {}
+        for b, k in f.order_spectrum().items():
+            for a, m in spectrum.items():
+                d = lcm(a, b)
+                grown[d] = grown.get(d, 0) + m * k
+        spectrum = grown
+    return spectrum
 
 
 # --- minimal generating tuples ----------------------------------------------
@@ -324,7 +277,8 @@ def _elementary_quotients(
     as a bitmask over H (one byte per element) and d = dim H/N, the rank
     of H's largest elementary abelian p-quotient. N is the normal closure
     of the commutators and the p-th powers of any generating set."""
-    rows, inv, order = table.rows, table._inverse, table.order
+    rows, order = table.rows, table.order
+    inv = [row.index(0) for row in rows]
     gens = table._spanning_set()
     quotients = []
     for p in range(2, order + 1):
@@ -417,13 +371,8 @@ class DihedralProductSpec:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("exponent must be >= 1")
-        k = 0
-        n0 = self.n
-        while n0 % 2 == 0:
-            n0 //= 2
-            k += 1
-        self.k = k
-        self.n0 = n0
+        self.k = (self.n & -self.n).bit_length() - 1  # the lowest set bit
+        self.n0 = self.n >> self.k
 
     def factor_tables(self) -> Tuple[FiniteGroupTable, FiniteGroupTable]:
         """Fresh tables of the lead factor D(n) and the copy D(2^k), one
@@ -460,13 +409,14 @@ class EmbedResult:
 
 
 def _structural_obstruction(sub: FiniteGroupTable,
-                            ambient: LazyProduct) -> Optional[str]:
+                            factors: Sequence[FiniteGroupTable]
+                            ) -> Optional[str]:
     """Cheap necessary conditions: exponent divisibility and order
     spectrum availability (an order-d subgroup element needs an order-d
     ambient element). The lcm closure over coordinate orders ignores the
     copy count, so it can only under-refute, never over-refute."""
     ambient_orders = set()
-    for f in ambient.factors:
+    for f in factors:
         ambient_orders.update(f.order_spectrum())
     amb_exp = lcm(*ambient_orders)
     feasible = {1}
@@ -634,14 +584,14 @@ class _MeetSearch:
 
 
 def _verify_embedding(sub: FiniteGroupTable, maps: Sequence[Sequence[int]],
-                      ambient: LazyProduct) -> bool:
+                      factors: Sequence[FiniteGroupTable]) -> bool:
     """Full replay of the map h -> (maps[0][h], maps[1][h], ...): each
     coordinate is multiplicative on every pair in its factor's table, and
     the coordinates together are injective."""
-    if len(maps) != len(ambient.factors):
+    if len(maps) != len(factors):
         return False
     codes = [0] * sub.order
-    for m, f in zip(maps, ambient.factors):
+    for m, f in zip(maps, factors):
         for g, row in enumerate(sub.rows):
             image_row = f.rows[m[g]]
             if [image_row[x] for x in m] != [m[gh] for gh in row]:
@@ -684,12 +634,13 @@ def embed_search(sub: FiniteGroupTable, spec: DihedralProductSpec,
     structural: List[str] = []
     need = sub.order_spectrum()
     for copies in range(0, r_max + 1):
-        ambient = LazyProduct([lead_table] + [copy_table] * copies)
-        obstruction = _structural_obstruction(sub, ambient)
+        factors = [lead_table] + [copy_table] * copies
+        ambient = " x ".join(f.name for f in factors)
+        obstruction = _structural_obstruction(sub, factors)
         if obstruction is not None:
             structural.append(obstruction)
             continue
-        room = ambient.order_spectrum()
+        room = _product_spectrum(factors)
         if any(room.get(d, 0) < k for d, k in need.items()):
             continue  # too few elements of some order; no refutation either
         if search is None:
@@ -699,17 +650,17 @@ def embed_search(sub: FiniteGroupTable, spec: DihedralProductSpec,
             path = search.search(copies)
         except _BudgetStop:
             return EmbedResult(status="budget_exceeded", subgroup=sub.name,
-                               ambient=ambient.name, copies_tried=copies,
+                               ambient=ambient, copies_tried=copies,
                                reason=f"node budget {budget} exhausted",
                                nodes=nodes)
         if path is not None:
             maps = [search.maps[lead_table.order][path[0]]]
             maps += [search.maps[copy_table.order][k] for k in path[1:]]
             maps += [[0] * sub.order] * (copies + 1 - len(maps))  # trivial
-            if not _verify_embedding(sub, maps, ambient):
+            if not _verify_embedding(sub, maps, factors):
                 raise AssertionError("search produced a non-embedding")
             return EmbedResult(
-                status="embedding", subgroup=sub.name, ambient=ambient.name,
+                status="embedding", subgroup=sub.name, ambient=ambient,
                 copies_tried=copies,
                 images=[tuple(m[g] for m in maps) for g in gens],
                 generators=gens, nodes=nodes)

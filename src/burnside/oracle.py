@@ -143,7 +143,7 @@ class StageContext:
                  prefetch: Optional[cosets.Prefetch] = None):
         self.presentation = p
         self.budgets = budgets if budgets is not None else Budgets()
-        self.prefetch = prefetch  # may hold the stage enumeration
+        self.prefetch = prefetch  # where the stage enumeration starts
         self._kb = None
         self._tiers: Optional[list] = None
         self._completion = None  # the capped completion, until it ends
@@ -248,11 +248,16 @@ class StageContext:
 
         The quotient probe first; then, for a confluent rewriting system,
         a cycle in the normal-form automaton (exact in that case, and
-        sound outright).
+        sound outright). A stage the quotient probe leaves open may
+        close, so a prefetch first starts its enumeration, which then
+        overlaps the completion.
         """
         if self._infinite is self._UNSET:
             evidence = self.quotient_probe()
             if evidence is None:
+                if self.prefetch is not None:
+                    self.prefetch.start(self.presentation,
+                                        self.budgets.stage_max_cosets)
                 sys = self.kb()
                 if sys.confluent and rewrite.language_infinite(sys):
                     evidence = {

@@ -318,42 +318,39 @@ class Kernel:
                     n += 1
         self.num_gens = n
 
-    def cycle(self, w: Word, c: int) -> Tuple[list, list]:
+    def cycle(self, w: Word, c: int) -> Tuple[list, dict]:
         """(points, v): trace w from point c again and again until the
         walk returns to c; points lists where each trace starts, c first,
-        and v adds 1 at each Schreier generator crossed forwards and -1
-        at each crossed backwards."""
+        and v maps each Schreier generator to the times it is crossed
+        forwards less the times backwards, where that is not 0."""
         cols, gens = self.action.cols, self.gens
-        v = [0] * self.num_gens
+        v: dict = {}
         points, start = [], c
         while True:
             points.append(c)
             for x in w:
                 d = cols[x][c]
-                if x & 1:
-                    g = gens[x >> 1][d]
-                    if g is not None:
-                        v[g] -= 1
-                else:
-                    g = gens[x >> 1][c]
-                    if g is not None:
-                        v[g] += 1
+                g = gens[x >> 1][d if x & 1 else c]
+                if g is not None:
+                    v[g] = v.get(g, 0) + (-1 if x & 1 else 1)
                 c = d
             if c == start:
-                return points, v
+                return points, {g: a for g, a in v.items() if a}
 
-    def power_vector(self, w: Word) -> Tuple[int, list]:
+    def power_vector(self, w: Word) -> Tuple[int, dict]:
         """(s, v): s is the order of w's image in the quotient, the
         number of traces of w from point 0 until the walk returns there,
-        so w^s lies in H; v counts the Schreier generators in w^s."""
+        so w^s lies in H; v counts the Schreier generators in w^s, as in
+        ``cycle``."""
         points, v = self.cycle(w, 0)
         return len(points), v
 
     def relator_cycles(self, r: Word):
         """Yield (points, row) for each cycle of r's primitive root u,
         r = u^k, by lowest point, which comes first: row is the relation
-        row of r at every one of the points. A cycle whose length does
-        not divide k raises NotAQuotient at its lowest point."""
+        row of r at every one of the points, as its nonzero counts. A
+        cycle whose length does not divide k raises NotAQuotient at its
+        lowest point."""
         u, k = primitive_root(r)
         seen = bytearray(self.action.size)
         for c in range(self.action.size):
@@ -367,11 +364,13 @@ class Kernel:
                     f"does not close at point {c}")
             for d in points:
                 seen[d] = 1
-            yield points, row if turns == 1 else [turns * a for a in row]
+            yield points, row if turns == 1 else {
+                g: turns * a for g, a in row.items()}
 
 
-def _dot(f: Sequence[int], v: Sequence[int]) -> int:
-    return sum(a * b for a, b in zip(f, v))
+def _dot(f: Sequence[int], v: dict) -> int:
+    """f.v for v a map from Schreier generators to nonzero counts."""
+    return sum(f[g] * a for g, a in v.items())
 
 
 def _json_field(data: dict, key: str, kind: type,
@@ -453,11 +452,15 @@ class KernelCertifier(Kernel):
 
     def __init__(self, p: Presentation, quotient_spec: dict):
         super().__init__(p, quotient_spec)
-        # the rows by (point, relator), one list for every point of a cycle
+        # the dense rows by (point, relator), one list for every point of
+        # a cycle
         width = len(p.relators)
         self.relations = [None] * (self.action.size * width)
         for j, r in enumerate(p.relators):
-            for points, row in self.relator_cycles(r):
+            for points, counts in self.relator_cycles(r):
+                row = [0] * self.num_gens
+                for g, a in counts.items():
+                    row[g] = a
                 for c in points:
                     self.relations[c * width + j] = row
         S, V = smith_normal_form(self.relations, ncols=self.num_gens)
@@ -548,11 +551,12 @@ def verify_certificate(cert: Certificate,
     except (KeyError, TypeError, ValueError) as e:
         return False, f"bad quotient spec: {e}"
     f, relators = cert.homomorphism, cert.presentation.relators
+    fits = len(f) == k.num_gens  # a misfit is reported after the closure
     try:  # row (point, relator) is numbered point * relators + relator
         missed = min((points[0] * len(relators) + j
                       for j, r in enumerate(relators)
-                      for points, row in k.relator_cycles(r) if _dot(f, row)),
-                     default=None)
+                      for points, row in k.relator_cycles(r)
+                      if fits and _dot(f, row)), default=None)
     except NotAQuotient as e:
         return False, f"quotient does not satisfy the relators: {e}"
     w = free_reduce(cert.word)

@@ -21,14 +21,10 @@ first Infinite or Unknown verdict, so ``max_candidates`` bounds the
 oracle calls of a rank exactly.
 
 A run owns one ``cosets.Prefetch`` and closes it, killing any helper
-process, before it returns or raises. A rank whose stage the quotient
-probe cannot prove infinite may close, so it starts the whole-stage
-enumeration before it completes the stage itself. The prefetch makes the
-first definitions in process, where the desk-scale stages close; a
-stage that outgrows them, whose enumeration is then usually the largest
-single step of a run, goes on in a forked helper process and overlaps
-the stage's completion. The stage reads the prefetched table only when
-it is the one it would compute itself.
+process, before it returns or raises. Its ``StageContext`` starts the
+whole-stage enumeration there before it completes a stage that may
+close; one that outgrows the first definitions goes on in a forked
+helper process and overlaps the completion.
 """
 
 from __future__ import annotations
@@ -129,8 +125,7 @@ def _too_long(w: Word, n: int, budgets: Budgets) -> bool:
 def next_period(m: int, n: int, periods: Sequence[Word], budgets: Budgets,
                 prefetch: cosets.Prefetch, cursor: Optional[Word] = None,
                 prior_log: Optional[list] = None) -> RankOutcome:
-    """Resolve one rank: find the next period or close the stage. A stage
-    that may close starts its enumeration in the prefetch."""
+    """Resolve one rank: find the next period or close the stage."""
     rank = len(periods) + 1
     for w in periods:
         if _too_long(w, n, budgets):
@@ -143,8 +138,6 @@ def next_period(m: int, n: int, periods: Sequence[Word], budgets: Budgets,
     p = tower_presentation(m, n, periods)
     stage_relators = [format_word(r, m) for r in p.relators]
     ctx = oracle.StageContext(p, budgets, prefetch)
-    if ctx.quotient_probe() is None:
-        prefetch.start(p, budgets.stage_max_cosets)
     probe = ctx.infiniteness()
     closed = ctx.closure()  # None when the probe proved the stage infinite
     if closed is not None:
@@ -423,23 +416,23 @@ def verify_independence(result: TowerResult, budgets: Budgets) -> dict:
     entries = []
     unresolved = 0
     for i, period in enumerate(result.periods):
-        kept = tuple(power_relator(w, n) for j, w in enumerate(result.periods)
-                     if j != i)
-        ctx = oracle.StageContext(Presentation(m, kept), budgets)
+        dropped = Presentation(m, tuple(
+            power_relator(w, n) for j, w in enumerate(result.periods)
+            if j != i))
         entry = {
             "dropped_relator": format_word(power_relator(period, n), m),
             "dropped_period": format_word(period, m),
         }
         # certificates first: one proves the dropped group infinite, so
         # its enumeration could never have closed; a rung is built only
-        # once a candidate has failed every rung below it
-        certifiers = subgrp.ladder(ctx.presentation, ctx.abelian(),
+        # once a candidate has failed every rung below it. A kept period
+        # has finite order there, so no rung can certify it
+        certifiers = subgrp.ladder(dropped, subgrp.abelian_invariants(dropped),
                                    budgets.max_kernel_index,
                                    extra=[full_quotient])
         candidates = itertools.chain(
-            [period], (w for j, w in enumerate(result.periods) if j != i),
-            itertools.islice(reduced_words(m),
-                             budgets.independence_candidates))
+            [period], itertools.islice(reduced_words(m),
+                                       budgets.independence_candidates))
         found = next(((w, name, cert) for w in candidates
                       for name, certifier in certifiers
                       if (cert := certifier.certify(w)) is not None),
@@ -461,7 +454,7 @@ def verify_independence(result: TowerResult, budgets: Budgets) -> dict:
             # a dependent relator leaves the order unchanged, so the
             # closure probe only needs headroom near the full order
             t = cosets.enumerate_cosets(
-                ctx.presentation, (),
+                dropped, (),
                 min(budgets.stage_max_cosets, 20 * full_order + 2000))
             if t.closed:
                 entry["evidence"] = {

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: exit codes, formats, artifact files."""
 
 import contextlib
+import csv
 import dataclasses
 import functools
 import io
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from burnside import cli, subgrp, tower
+from burnside import cli, dihedral, subgrp, tower
 from burnside.dihedral import build_cyclic, build_quaternion
 from burnside.subgrp import Certificate, verify_certificate
 from support import CERT_TYPES, JSON_JUNK, table_csv
@@ -708,6 +709,77 @@ def test_embed_refuses_a_table_above_the_cell_cap(tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and "90000 cells" in err
+    assert "Traceback" not in err
+
+
+def embed_error(path):
+    """(exit code, stdout, stderr) of `embed path -n 4`, run in process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["embed", str(path), "-n", "4"])
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "missing table header"),
+    ("order,8,name,Q8\n1," + "9" * 200_000 + "\n",  # over the csv limit
+     "field larger than field limit"),
+    ("rows,2\n0,1\n1,0\n", "missing table header"),
+    ("order,2\n0,1\n", "expected 2 rows, got 1"),
+    ("order,2\n1,0\n0,1\n", "0 is not an identity"),
+    ("order,3\n0,1,2\n1,0,2\n2,0,1\n", "column 1 is not a permutation"),
+])
+def test_embed_refuses_a_bad_table(tmp_path, text, message):
+    f = tmp_path / "t.csv"
+    f.write_text(text)
+    code, out, err = embed_error(f)
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and message in err, err
+    assert "Traceback" not in err
+
+
+_TABLE_ROWS = [build_quaternion().rows, build_cyclic(5).rows,
+               dihedral.build_dihedral(3).rows]
+
+
+@st.composite
+def mutated_tables(draw):
+    """A valid table CSV with one mutation that makes it invalid: cut
+    short, a row dropped, two unequal cells swapped, or a cell replaced
+    by text with no digit or by a huge field."""
+    rows = [list(r) for r in draw(st.sampled_from(_TABLE_ROWS))]
+    order = len(rows)
+    how = draw(st.sampled_from(["truncate", "drop", "swap", "text", "huge"]))
+    if how == "drop":
+        del rows[draw(st.integers(0, len(rows) - 1))]
+    cells = [(g, h) for g in range(len(rows)) for h in range(len(rows[g]))]
+    if how == "swap":
+        (g, h), (i, j) = draw(st.lists(st.sampled_from(cells), min_size=2,
+                                       max_size=2, unique=True).filter(
+            lambda c: rows[c[0][0]][c[0][1]] != rows[c[1][0]][c[1][1]]))
+        rows[g][h], rows[i][j] = rows[i][j], rows[g][h]
+    if how in ("text", "huge"):
+        g, h = draw(st.sampled_from(cells))
+        rows[g][h] = draw(st.text("ab ,\"\n-_.", min_size=1)) \
+            if how == "text" else draw(st.sampled_from("9x")) * draw(
+                st.sampled_from([5_000, 200_000]))
+    buf = io.StringIO()
+    csv.writer(buf).writerows([["order", order]] + rows)
+    text = buf.getvalue()
+    if how == "truncate":
+        text = text[:draw(st.integers(0, len(text.rstrip()) - 1))]
+    return how, text
+
+
+@settings(max_examples=80, deadline=None)
+@given(mutation=mutated_tables())
+def test_embed_refuses_a_mutated_table(tmp_path_factory, mutation):
+    _, text = mutation
+    f = tmp_path_factory.mktemp("table") / "t.csv"
+    f.write_text(text)
+    code, out, err = embed_error(f)
+    assert (code, out) == (1, ""), mutation
+    assert err.startswith("error:") and err.count("\n") == 1, err
     assert "Traceback" not in err
 
 

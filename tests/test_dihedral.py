@@ -17,10 +17,20 @@ from support import (is_abelian, level_generating_tuple, multiplication_table,
 
 
 def ambient_of(spec, copies):
-    """D(n) x D(2^k)^copies as embed_search builds it, from the spec's
-    factor tables."""
+    """D(n) x D(2^k)^copies as embed_search builds it: the list of the
+    spec's factor tables."""
     lead, copy = spec.factor_tables()
-    return dh.LazyProduct([lead] + [copy] * copies)
+    return [lead] + [copy] * copies
+
+
+def coordinate_mul(factors, g, h):
+    """Product of two elements of the direct product of factors, each a
+    tuple of coordinates."""
+    return tuple(f.rows[a][b] for f, a, b in zip(factors, g, h))
+
+
+def coordinate_order(factors, g):
+    return math.lcm(*(f.element_order(a) for f, a in zip(factors, g)))
 
 
 def test_dihedral_small():
@@ -59,6 +69,12 @@ def test_table_verification_catches_garbage():
              [2, 4, 0, 1, 3],
              [3, 2, 4, 0, 1],
              [4, 3, 1, 2, 0]], verify=True)
+
+
+def test_an_empty_table_is_refused():
+    # from_csv refuses an order below 1 first, so the CLI never gets here
+    with pytest.raises(dh.TableError, match="empty table"):
+        dh.FiniteGroupTable([], verify=True)
 
 
 def reduced_latin_squares(n):
@@ -163,22 +179,17 @@ def test_product_exponent_is_lcm():
         assert prod.exponent() == want
 
 
-def test_lazy_product_agrees_with_table():
-    factors = [dh.build_dihedral(4), dh.build_dihedral(2)]
-    lazy = dh.LazyProduct(factors)
-    table = dh.direct_product(factors)
-    assert lazy.order == table.order
-    assert lazy.exponent() == table.exponent()
-    # identical order spectra, counted over coordinate tuples
-    coords = itertools.product(*(range(f.order) for f in lazy.factors))
-    assert Counter(map(lazy.element_order, coords)) == table.order_spectrum()
-    assert lazy.order_spectrum() == table.order_spectrum()
-    assert lazy.element_order(lazy.identity) == 1
-    # mul/inverse consistency on a few coordinates
-    g = (2, 1)
-    h = (3, 2)
-    gh = lazy.mul(g, h)
-    assert lazy.mul(lazy.inverse(g), gh) == h
+def test_product_spectrum_agrees_with_table():
+    # the spectrum embed_search reads equals the materialized table's and
+    # a count over coordinate tuples
+    for factors in ([dh.build_dihedral(4), dh.build_dihedral(2)],
+                    [dh.build_cyclic(3), dh.build_quaternion()],
+                    [dh.build_dihedral(3)], [dh.build_cyclic(2)] * 3):
+        table = dh.direct_product(factors)
+        coords = itertools.product(*(range(f.order) for f in factors))
+        counted = Counter(coordinate_order(factors, g) for g in coords)
+        assert dh._product_spectrum(factors) == table.order_spectrum() \
+            == counted
 
 
 def test_minimal_generating_tuple():
@@ -194,8 +205,7 @@ def test_spec_decomposition():
     assert (s.k, s.n0) == (2, 1)
     s = dh.DihedralProductSpec(12)
     assert (s.k, s.n0) == (2, 3)
-    amb = ambient_of(s, 2)
-    assert amb.order == 24 * 8 * 8
+    assert [f.order for f in ambient_of(s, 2)] == [24, 8, 8]
     with pytest.raises(ValueError):
         dh.DihedralProductSpec(0)
 
@@ -235,7 +245,7 @@ def test_quaternion_never_fits():
 
 
 def test_found_embeddings_are_verified_injective_homs():
-    # replay the embedding of C4 by hand through the lazy ambient
+    # replay the embedding of C4 by hand through the factor tables
     spec = dh.DihedralProductSpec(4)
     r = dh.embed_search(dh.build_cyclic(4), spec, r_max=0)
     amb = ambient_of(spec, r.copies_tried)
@@ -243,7 +253,7 @@ def test_found_embeddings_are_verified_injective_homs():
     images = {g: tuple(img) for g, img in zip(r.generators, r.images)}
     # generator image has matching order
     for g, img in images.items():
-        assert amb.element_order(img) == c4.element_order(g)
+        assert coordinate_order(amb, img) == c4.element_order(g)
 
 
 def test_sampled_burnside_subgroups_embed():
@@ -269,31 +279,32 @@ def test_subgroup_table_requires_closure():
 
 # --- reference: the product-element backtracking search ----------------------
 #
-# embed_search used to backtrack over LazyProduct coordinate tuples. It is
-# kept here, unchanged apart from living outside the module, as the
+# embed_search used to backtrack over coordinate tuples of the ambient
+# direct product. It is kept here, outside the module, as the
 # reference the kernel search must agree with on status and least r.
 
 
 def _elements_of_order(ambient, d):
     pools = [sorted(x for x in range(f.order) if d % f.element_order(x) == 0)
-             for f in ambient.factors]
+             for f in ambient]
     for combo in itertools.product(*pools):
-        if ambient.element_order(combo) == d:
+        if coordinate_order(ambient, combo) == d:
             yield combo
 
 
 def _close_partial(sub, gens, images, ambient):
-    phi = {0: ambient.identity}
+    identity = (0,) * len(ambient)
+    phi = {0: identity}
     frontier = [0]
     while frontier:
         nxt = []
         for g in frontier:
             for s, img in zip(gens, images):
                 h = sub.rows[g][s]
-                cand = ambient.mul(phi[g], img)
+                cand = coordinate_mul(ambient, phi[g], img)
                 known = phi.get(h)
                 if known is None:
-                    if h != 0 and cand == ambient.identity:
+                    if h != 0 and cand == identity:
                         return None
                     phi[h] = cand
                     nxt.append(h)
@@ -306,7 +317,7 @@ def _close_partial(sub, gens, images, ambient):
 def _coordinate_maps(phi, ambient):
     """phi (element -> coordinate tuple) as one image list per factor."""
     return [[phi[h][i] for h in range(len(phi))]
-            for i in range(len(ambient.factors))]
+            for i in range(len(ambient))]
 
 
 def backtracking_embed_search(sub, spec, r_max=4):
@@ -326,7 +337,8 @@ def backtracking_embed_search(sub, spec, r_max=4):
             candidate_pool.append(pool)
             by_square = {}
             for cand in pool:
-                by_square.setdefault(ambient.mul(cand, cand), []).append(cand)
+                by_square.setdefault(coordinate_mul(ambient, cand, cand),
+                                     []).append(cand)
             square_index.append(by_square)
         images = []
 
@@ -336,7 +348,7 @@ def backtracking_embed_search(sub, spec, r_max=4):
                 return phi if phi is not None and len(phi) == sub.order \
                     else None
             partial = (_close_partial(sub, gens[:idx], images, ambient)
-                       if idx else {0: ambient.identity})
+                       if idx else {0: (0,) * len(ambient)})
             if partial is None:
                 return None
             forced = partial.get(sub.rows[gens[idx]][gens[idx]])
@@ -396,6 +408,39 @@ def _d4xd4_draws(seed):
     ambient = dh.direct_product([d4, d4])
     return [dh.subgroup_table(ambient, e)
             for e in dh.sample_subgroups(ambient, 8, seed=seed)]
+
+
+def breadth_first_closure(table, gens):
+    """<gens> by a breadth-first search over right multiplication."""
+    seen, frontier = {0}, [0]
+    while frontier:
+        grown = []
+        for g in frontier:
+            for h in (table.rows[g][s] for s in gens):
+                if h not in seen:
+                    seen.add(h)
+                    grown.append(h)
+        frontier = grown
+    return sorted(seen)
+
+
+def test_span_routine_matches_breadth_first_search():
+    # closure and the greedy spanning set both fold Dimino's _join; each
+    # must give what a breadth-first search gives
+    rng = random.Random(7)
+    tables = list(_named_groups().values()) + _d4xd4_draws(1)
+    tables += [dh.build_quaternion(), dh.direct_product(
+        [dh.build_dihedral(4), dh.build_dihedral(4)])]
+    for table in tables:
+        greedy = []
+        for s in range(1, table.order):
+            if s not in breadth_first_closure(table, greedy):
+                greedy.append(s)
+        assert table._spanning_set() == greedy, table.name
+        for _ in range(20):
+            gens = [rng.randrange(table.order)
+                    for _ in range(rng.randint(0, 3))]
+            assert table.closure(gens) == breadth_first_closure(table, gens)
 
 
 def _assert_matches_reference(sub, spec, r_max):
@@ -728,7 +773,7 @@ def test_verify_embedding_rejects_broken_maps():
     assert dh._verify_embedding(sub, maps, ambient)
     # still injective, but one image moved outside the embedded copy, so
     # the products through it fail
-    lead = ambient.factors[0]
+    lead = ambient[0]
     assert lead.order > sub.order
     broken = [list(m) for m in maps]
     broken[0][1] = next(x for x in range(lead.order) if x not in maps[0])
@@ -736,7 +781,7 @@ def test_verify_embedding_rejects_broken_maps():
         == sub.order
     assert not dh._verify_embedding(sub, broken, ambient)
     # multiplicative but not injective: the trivial map
-    trivial = [[0] * sub.order for _ in ambient.factors]
+    trivial = [[0] * sub.order for _ in ambient]
     assert not dh._verify_embedding(sub, trivial, ambient)
     # one coordinate too many
     assert not dh._verify_embedding(sub, maps + [[0] * sub.order], ambient)

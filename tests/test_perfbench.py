@@ -41,3 +41,10 @@ def test_traced_smoke_run_is_correct(tmp_path):
 @pytest.mark.parametrize("seed", [0, 3])
 def test_traced_embed_run_is_correct(tmp_path, seed):
     assert traced_run(tmp_path, "embed-q8", seed)["correct"] is True
+
+
+# the tower workloads traced: stretch's rank 7 forks the stage helper,
+# and each layer the tracer requires of a workload must be called
+@pytest.mark.parametrize("workload", ["tower-classical", "tower-stretch"])
+def test_traced_tower_run_is_correct(tmp_path, workload):
+    assert traced_run(tmp_path, workload, 3)["correct"] is True

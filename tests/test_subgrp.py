@@ -26,7 +26,7 @@ from burnside.subgrp import (
     snf_diagonal,
     verify_certificate,
 )
-from burnside.words import parse_word, power
+from burnside.words import parse_word, power, primitive_root
 from support import (
     CERT_TYPES,
     JSON_JUNK,
@@ -43,6 +43,11 @@ from support import (
 
 def P(text):
     return parse_presentation(text)
+
+
+def dense(v, n):
+    """A map from Schreier generators to counts as a vector of length n."""
+    return [v.get(g, 0) for g in range(n)]
 
 
 DINF = "gens 2\nrel aa\nrel bb\n"
@@ -67,8 +72,10 @@ def test_schreier_rank_index_2():
     assert k.num_gens == 3
     assert k.gens == [[None, 1], [0, 2]]
     # a goes round the 2-cycle (0 1) and crosses aa, generator 1
-    assert k.cycle(parse_word("a", 2), 0) == ([0, 1], [0, 1, 0])
-    assert k.power_vector(parse_word("a", 2)) == (2, [0, 1, 0])
+    points, v = k.cycle(parse_word("a", 2), 0)
+    assert (points, dense(v, 3)) == ([0, 1], [0, 1, 0])
+    s, v = k.power_vector(parse_word("a", 2))
+    assert (s, dense(v, 3)) == (2, [0, 1, 0])
 
 
 def test_schreier_rank_index_3():
@@ -414,14 +421,16 @@ def test_coordinates_back_the_certificate():
     w = parse_word("aB", 2)
     cert = kc.certify(w)
     s, v = kc.power_vector(w)
+    v = dense(v, kc.num_gens)
     assert s == cert.power == 3
-    assert len(v) == len(cert.homomorphism) == kc.num_gens
+    assert len(cert.homomorphism) == kc.num_gens
     assert sum(a * b for a, b in zip(cert.homomorphism, v)) == cert.value != 0
     # every free homomorphism vanishes on every relation row
     assert all(sum(a * b for a, b in zip(f, row)) == 0
                for f in kc.homomorphisms for row in kc.relations)
     # (ab)^3 is a relator, so no homomorphism sees it
     s, v = kc.power_vector(parse_word("ab", 2))
+    v = dense(v, kc.num_gens)
     assert s == 3 and all(sum(a * b for a, b in zip(f, v)) == 0
                           for f in kc.homomorphisms)
 
@@ -461,7 +470,8 @@ def test_certify_matches_the_rational_row_space():
             w = parse_word("".join(rng.choice("abAB")
                                    for _ in range(rng.randint(1, 5))), 2)
             _, v = kc.power_vector(w)
-            outside = not in_rational_row_space(kc.relations, v)
+            outside = not in_rational_row_space(kc.relations,
+                                                dense(v, kc.num_gens))
             cert = kc.certify(w)
             assert (cert is not None) == outside, (str(p), spec, w)
             seen[outside] += 1
@@ -512,7 +522,8 @@ def test_kernel_matches_the_row_layout():
             while row_exponent_vector(rows, gen_of_edge, power(w, s)) is None:
                 s += 1
             v = row_exponent_vector(rows, gen_of_edge, power(w, s))
-            assert kc.power_vector(w) == (s, v)
+            got_s, got_v = kc.power_vector(w)
+            assert (got_s, dense(got_v, kc.num_gens)) == (s, v)
             values = [sum(a * b for a, b in zip(f, v))
                       for f in kc.homomorphisms]
             want = next(((s, f, value) for f, value
@@ -522,6 +533,26 @@ def test_kernel_matches_the_row_layout():
                                       cert.value))
             certified += want is not None
     assert certified > 10
+
+
+def test_a_cycle_row_holds_only_the_counts_its_walk_crosses():
+    # a row keeps only nonzero counts, at most one per letter of the walk
+    # round its cycle: the cycle's length times its root's letters. That
+    # walk may cross more generators than the root has letters: on the 7
+    # points, the root ab crosses 3 round its 2-cycle and 4 round its
+    # 4-cycle
+    stages = _small_stages(random.Random(5), 30) + [
+        (P("gens 2\nrel aaa\nrel abababab\n"), SEVEN_POINTS)]
+    sizes = []
+    for p, spec in stages:
+        k = Kernel(p, spec)
+        for r in p.relators:
+            u, _ = primitive_root(r)
+            for points, row in k.relator_cycles(r):
+                assert 0 not in row.values()
+                assert len(row) <= len(points) * len(u)
+                sizes.append((len(row), len(u)))
+    assert any(entries > letters for entries, letters in sizes)
 
 
 def test_a_kernel_build_searches_its_action_once(monkeypatch):

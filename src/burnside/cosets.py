@@ -50,14 +50,13 @@ import io
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
 from typing import Iterable, List, Optional, Sequence
 
 from .presentation import Presentation
-from .words import (Word, format_word, free_reduce, invert, primitive_root,
-                    shortlex_key)
+from .words import (Record, Word, format_word, free_reduce, invert,
+                    primitive_root, shortlex_key)
 
 DEFAULT_MAX_COSETS = 2 * 10**6
 
@@ -340,19 +339,21 @@ class _Enumerator:
         return sum(1 for c in range(len(self.p)) if self.p[c] == c)
 
 
-@dataclass
-class CosetTable:
+class CosetTable(Record):
     """Result of an enumeration. cols is None unless status == "closed";
     a closed table is stored by letter, cols[x][c] being where coset c
     goes along letter x, with its cosets compacted in definition order,
     coset 0 first. Columns are the one layout of a finite action here."""
 
-    rank: int
-    status: str  # "closed" | "exhausted"
-    num_cosets: int
-    defined_total: int
-    subgroup: tuple = ()
-    cols: Optional[list] = field(default=None, repr=False)
+    def __init__(self, rank: int, status: str, num_cosets: int,
+                 defined_total: int, subgroup: tuple = (),
+                 cols: Optional[list] = None):
+        self.rank = rank
+        self.status = status  # "closed" | "exhausted"
+        self.num_cosets = num_cosets
+        self.defined_total = defined_total
+        self.subgroup = subgroup
+        self.cols = cols
 
     @property
     def closed(self) -> bool:

@@ -12,13 +12,13 @@ factor.
 
 from __future__ import annotations
 
-import csv
 import io
 import random
-from dataclasses import dataclass
 from math import lcm, log
 from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
                     Sequence, Tuple)
+
+from .words import Record
 
 MAX_TABLE_CELLS = 1 << 16  # materialized tables stop at order 256
 
@@ -87,12 +87,6 @@ class FiniteGroupTable:
         self._order_cache[g] = d
         return d
 
-    def exponent(self) -> int:
-        e = 1
-        for g in range(self.order):
-            e = lcm(e, self.element_order(g))
-        return e
-
     def order_spectrum(self) -> Dict[int, int]:
         if self._spectrum is None:
             self._spectrum = {}
@@ -118,6 +112,7 @@ class FiniteGroupTable:
 
     @classmethod
     def from_csv(cls, text: str) -> "FiniteGroupTable":
+        import csv  # only the embed command reads a table file
         reader = csv.reader(io.StringIO(text))
         try:
             header = next(reader, [])
@@ -359,20 +354,19 @@ def minimal_generating_tuple(table: FiniteGroupTable) -> List[int]:
 # --- embedding search --------------------------------------------------------
 
 
-@dataclass
-class DihedralProductSpec:
+class DihedralProductSpec(Record):
     """Ambient family D(h=n) x D(h=2^k)^r where n = 2^k * n0, n0 odd.
 
     The lead factor has order 2n; each extra copy is the dihedral
     2-group of order 2^(k+1). r is a search parameter.
     """
-    n: int
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int):
+        if n < 1:
             raise ValueError("exponent must be >= 1")
-        self.k = (self.n & -self.n).bit_length() - 1  # the lowest set bit
-        self.n0 = self.n >> self.k
+        self.n = n
+        self.k = (n & -n).bit_length() - 1  # the lowest set bit
+        self.n0 = n >> self.k
 
     def factor_tables(self) -> Tuple[FiniteGroupTable, FiniteGroupTable]:
         """Fresh tables of the lead factor D(n) and the copy D(2^k), one
@@ -381,16 +375,21 @@ class DihedralProductSpec:
         return lead, (lead if self.n0 == 1 else build_dihedral(2 ** self.k))
 
 
-@dataclass
-class EmbedResult:
-    status: str  # embedding | not_found_exhausted | budget_exceeded | refuted_structural
-    subgroup: str
-    ambient: str
-    copies_tried: int
-    images: Optional[List[Tuple[int, ...]]] = None
-    generators: Optional[List[int]] = None
-    reason: Optional[str] = None
-    nodes: int = 0
+class EmbedResult(Record):
+    def __init__(self, status: str, subgroup: str, ambient: str,
+                 copies_tried: int,
+                 images: Optional[List[Tuple[int, ...]]] = None,
+                 generators: Optional[List[int]] = None,
+                 reason: Optional[str] = None, nodes: int = 0):
+        # embedding | not_found_exhausted | budget_exceeded | refuted_structural
+        self.status = status
+        self.subgroup = subgroup
+        self.ambient = ambient
+        self.copies_tried = copies_tried
+        self.images = images
+        self.generators = generators
+        self.reason = reason
+        self.nodes = nodes
 
     def to_json_dict(self) -> dict:
         d = {

@@ -43,12 +43,11 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import asdict, dataclass, field, fields
 from typing import Optional, Tuple
 
 from . import cosets, rewrite, subgrp
 from .presentation import Presentation
-from .words import Word, free_reduce
+from .words import Record, Word, free_reduce
 
 # small orders of short words surface well within these budgets, and
 # most of them at the first step mark
@@ -57,8 +56,7 @@ CAPPED_MAX_STEPS = 100_000
 CAPPED_MARKS = (1_000, 10_000)
 
 
-@dataclass
-class Budgets:
+class Budgets(Record):
     """Every knob that bounds work. All overridable via CLI flags or
     BURNSIDE_<NAME> environment variables (ints), for CI; a subcommand
     reads only the variables of the budgets it takes.
@@ -67,18 +65,16 @@ class Budgets:
     may be 0. A bad value raises ValueError at construction.
     """
 
-    stage_max_cosets: int = 100_000
-    kb_max_rules: int = rewrite.DEFAULT_MAX_RULES
-    kb_max_len: int = rewrite.DEFAULT_MAX_LEN
-    kb_max_steps: int = rewrite.DEFAULT_MAX_STEPS
-    max_candidates: int = 10_000
-    max_kernel_index: int = subgrp.DEFAULT_MAX_KERNEL_INDEX
-    max_ranks: int = 64
-    max_relator_letters: int = 1_048_576
-    independence_candidates: int = 64
-
-    def __post_init__(self):
-        for name, value in asdict(self).items():
+    def __init__(self, stage_max_cosets: int = 100_000,
+                 kb_max_rules: int = rewrite.DEFAULT_MAX_RULES,
+                 kb_max_len: int = rewrite.DEFAULT_MAX_LEN,
+                 kb_max_steps: int = rewrite.DEFAULT_MAX_STEPS,
+                 max_candidates: int = 10_000,
+                 max_kernel_index: int = subgrp.DEFAULT_MAX_KERNEL_INDEX,
+                 max_ranks: int = 64, max_relator_letters: int = 1_048_576,
+                 independence_candidates: int = 64):
+        # the parameters after self, in order: the fields
+        for name, value in tuple(locals().items())[1:]:
             if type(value) is not int:
                 raise ValueError(f"budget {name} must be an integer, "
                                  f"got {value!r}")
@@ -86,13 +82,14 @@ class Budgets:
             if value < floor:
                 raise ValueError(f"budget {name} must be at least {floor}, "
                                  f"got {value}")
+            setattr(self, name, value)
 
     @classmethod
     def from_env(cls, names=None, **overrides) -> "Budgets":
         """Read BURNSIDE_<NAME> for each budget in names (all by default),
         then apply the overrides that are not None."""
         values = {}
-        for name in names or [f.name for f in fields(cls)]:
+        for name in names or cls().to_dict():
             var = f"BURNSIDE_{name.upper()}"
             text = os.environ.get(var)
             if text is not None:
@@ -105,15 +102,17 @@ class Budgets:
         return cls(**values)
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))
 
 
-@dataclass
-class OrderVerdict:
-    kind: str  # "finite" | "infinite" | "unknown"
-    order: Optional[int] = None
-    certificate: Optional[subgrp.Certificate] = None
-    evidence: dict = field(default_factory=dict)
+class OrderVerdict(Record):
+    def __init__(self, kind: str, order: Optional[int] = None,
+                 certificate: Optional[subgrp.Certificate] = None,
+                 evidence: Optional[dict] = None):
+        self.kind = kind  # "finite" | "infinite" | "unknown"
+        self.order = order
+        self.certificate = certificate
+        self.evidence = {} if evidence is None else evidence
 
     @property
     def finite(self) -> bool:
@@ -315,7 +314,7 @@ class StageContext:
         """Closed table over the trivial subgroup built from the normal
         forms of the confluent system, which has ``order`` of them. A
         shortlex normal form is a geodesic, so none is longer than
-        ``order - 1``."""
+        ``order - 1``. The table gets the check of a closed enumeration."""
         system = self.kb()
         nfs = list(rewrite.normal_forms(system, order))
         if len(nfs) != order:
@@ -323,9 +322,11 @@ class StageContext:
         index = {w: i for i, w in enumerate(nfs)}
         cols = [[index[system.reduce(w + (x,))] for w in nfs]
                 for x in range(self.presentation.num_symbols)]
-        return cosets.realize(cosets.CosetTable(
+        table = cosets.CosetTable(
             rank=self.presentation.rank, status="closed", num_cosets=order,
-            defined_total=order, subgroup=(), cols=cols))
+            defined_total=order, subgroup=(), cols=cols)
+        cosets._validate_closed(self.presentation, table)
+        return cosets.realize(table)
 
 
 def element_order(ctx: StageContext, w: Word, n_hint: int = 1

@@ -19,10 +19,10 @@ File format, one directive per line:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .words import (
+    Record,
     Word,
     WordSyntaxError,
     cyclic_reduce,
@@ -34,28 +34,30 @@ from .words import (
 )
 
 
-@dataclass(frozen=True)
-class Presentation:
-    rank: int
-    relators: tuple
+class Presentation(Record):
+    """Rank and reduced relators; immutable by convention, so hashable."""
 
-    def __post_init__(self):
-        if self.rank < 1:
+    def __init__(self, rank: int, relators: tuple):
+        if rank < 1:
             raise ValueError("presentation needs at least one generator")
         fixed = []
-        for k, r in enumerate(self.relators):
+        for k, r in enumerate(relators):
             r = tuple(r)
-            if max_generator(r) > self.rank:
+            if max_generator(r) > rank:
                 raise ValueError(
                     f"relator {k + 1} uses generator {max_generator(r)} "
-                    f"but rank is {self.rank}"
+                    f"but rank is {rank}"
                 )
             red = free_reduce(r)
             core, conj = cyclic_reduce(red)
             if not core:
                 raise ValueError(f"relator {k + 1} reduces to the empty word")
             fixed.append(core)
-        object.__setattr__(self, "relators", tuple(fixed))
+        self.rank = rank
+        self.relators = tuple(fixed)
+
+    def __hash__(self) -> int:
+        return hash((self.rank, self.relators))
 
     @property
     def num_symbols(self) -> int:

@@ -25,13 +25,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
 from .cosets import Action
 from .presentation import Presentation
-from .words import (ORDER_ID, Word, format_word, free_reduce, parse_word,
-                    primitive_root)
+from .words import (ORDER_ID, Record, Word, format_word, free_reduce,
+                    parse_word, primitive_root)
 
 
 # --- integer matrices / Smith normal form ---------------------------------
@@ -159,12 +158,23 @@ def snf_diagonal(S: list, ncols: Optional[int] = None) -> list:
     return [S[i][i] for i in range(n)]
 
 
-@dataclass(frozen=True)
-class AbelianInvariants:
-    torsion: tuple  # invariant factors > 1, divisibility chain order
-    free_rank: int
-    # quotient spec of the torsion part of G^ab (trivial if none)
-    quotient: dict = field(compare=False, repr=False)
+class AbelianInvariants(Record):
+    """Equal, and hashed, by torsion and free rank alone."""
+
+    def __init__(self, torsion: tuple, free_rank: int, quotient: dict):
+        self.torsion = torsion  # invariant factors > 1, divisibility chain
+        self.free_rank = free_rank
+        # quotient spec of the torsion part of G^ab (trivial if none)
+        self.quotient = quotient
+
+    def __eq__(self, other):
+        if type(other) is not AbelianInvariants:
+            return NotImplemented
+        return (self.torsion, self.free_rank) == \
+            (other.torsion, other.free_rank)
+
+    def __hash__(self) -> int:
+        return hash((self.torsion, self.free_rank))
 
     @property
     def finite(self) -> bool:
@@ -178,14 +188,26 @@ def _exponent_vector(w: Word, num_gens: int) -> list:
     return v
 
 
+# cells of the largest dense matrix abelian_invariants builds, the
+# relators x rank exponent matrix or the rank x rank transform V: far
+# above any desk-scale tower stage, and about 32 MB of list slots each
+MAX_ABELIAN_CELLS = 1 << 22
+
+
 def abelian_invariants(p: Presentation) -> AbelianInvariants:
     """Invariant factors of G^ab from the relator exponent matrix, and
     the quotient spec of its torsion part, both from one SNF.
 
     The projection G -> G^ab -> torsion summand is a homomorphism; in the
     Smith basis the i-th generator's coordinates are row i of V (e_i * V)
-    restricted to the torsion positions.
+    restricted to the torsion positions. A presentation whose matrices
+    would exceed MAX_ABELIAN_CELLS raises ValueError before any is built.
     """
+    cells = p.rank * max(p.rank, len(p.relators))
+    if cells > MAX_ABELIAN_CELLS:
+        raise ValueError(
+            f"abelian invariants of rank {p.rank} with {len(p.relators)} "
+            f"relators need {cells} matrix cells (cap {MAX_ABELIAN_CELLS})")
     rows = [_exponent_vector(r, p.rank) for r in p.relators]
     S, V = smith_normal_form(rows, ncols=p.rank)
     diag = snf_diagonal(S, p.rank)
@@ -384,19 +406,21 @@ def _json_field(data: dict, key: str, kind: type,
     return value
 
 
-@dataclass
-class Certificate:
+class Certificate(Record):
     """w has infinite order: ``homomorphism`` (f) vanishes on every
     relation row of the quotient's kernel, and ``value`` = f.v is not 0,
     where v counts the Schreier generators in w^power."""
 
-    presentation: Presentation
-    word: Word
-    power: int
-    quotient: dict
-    kernel_index: int
-    homomorphism: tuple
-    value: int
+    def __init__(self, presentation: Presentation, word: Word, power: int,
+                 quotient: dict, kernel_index: int, homomorphism: tuple,
+                 value: int):
+        self.presentation = presentation
+        self.word = word
+        self.power = power
+        self.quotient = quotient
+        self.kernel_index = kernel_index
+        self.homomorphism = homomorphism
+        self.value = value
 
     def to_json_dict(self) -> dict:
         return {

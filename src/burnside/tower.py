@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 from . import cosets, oracle, subgrp
@@ -44,6 +43,7 @@ from .presentation import (
 )
 from .words import (
     ORDER_ID,
+    Record,
     Word,
     cyclic_reduce,
     format_word,
@@ -82,20 +82,27 @@ def candidate_filter_reason(w: Word) -> Optional[str]:
     return None
 
 
-@dataclass
-class RankOutcome:
-    kind: str  # "period" | "closed" | "inconclusive"
-    rank: int
-    stage_relators: list
-    stage_probe: Optional[dict] = None
-    period: Optional[Word] = None
-    examined: int = 0
-    log: list = field(default_factory=list)
-    cursor: Optional[Word] = None
-    note: Optional[str] = None
-    realization: Optional[cosets.FiniteRealization] = None
-    closure: Optional[dict] = None
-    unknown_evidence: Optional[dict] = None
+class RankOutcome(Record):
+    def __init__(self, kind: str, rank: int, stage_relators: list,
+                 stage_probe: Optional[dict] = None,
+                 period: Optional[Word] = None, examined: int = 0,
+                 log: Optional[list] = None, cursor: Optional[Word] = None,
+                 note: Optional[str] = None,
+                 realization: Optional[cosets.FiniteRealization] = None,
+                 closure: Optional[dict] = None,
+                 unknown_evidence: Optional[dict] = None):
+        self.kind = kind  # "period" | "closed" | "inconclusive"
+        self.rank = rank
+        self.stage_relators = stage_relators
+        self.stage_probe = stage_probe
+        self.period = period
+        self.examined = examined
+        self.log = [] if log is None else log
+        self.cursor = cursor
+        self.note = note
+        self.realization = realization
+        self.closure = closure
+        self.unknown_evidence = unknown_evidence
 
     def to_dict(self, rank_sym: int) -> dict:
         d = {
@@ -195,19 +202,25 @@ def exponent_divides(r: cosets.FiniteRealization, n: int):
     return False, min(bad, key=shortlex_key)
 
 
-@dataclass
-class TowerResult:
-    m: int
-    n: int
-    status: TowerStatus
-    periods: tuple
-    ranks: List[RankOutcome]
-    realization: Optional[cosets.FiniteRealization] = None
-    order: Optional[int] = None
-    exponent: Optional[int] = None
-    exponent_witness: Optional[Word] = None
-    notes: list = field(default_factory=list)
-    checkpoint: Optional[dict] = None
+class TowerResult(Record):
+    def __init__(self, m: int, n: int, status: TowerStatus, periods: tuple,
+                 ranks: List[RankOutcome],
+                 realization: Optional[cosets.FiniteRealization] = None,
+                 order: Optional[int] = None, exponent: Optional[int] = None,
+                 exponent_witness: Optional[Word] = None,
+                 notes: Optional[list] = None,
+                 checkpoint: Optional[dict] = None):
+        self.m = m
+        self.n = n
+        self.status = status
+        self.periods = periods
+        self.ranks = ranks
+        self.realization = realization
+        self.order = order
+        self.exponent = exponent
+        self.exponent_witness = exponent_witness
+        self.notes = [] if notes is None else notes
+        self.checkpoint = checkpoint
 
     def period_texts(self) -> list:
         return [format_word(w, self.m) for w in self.periods]

@@ -228,3 +228,20 @@ def parse_word(text: str, rank: int) -> Word:
                 )
             letters.append(letter(idx, c.isupper()))
     return free_reduce(letters)
+
+
+class Record:
+    """Base of the engine's record classes: a record equals one of its
+    own class with equal attributes, and prints as its attributes. The
+    records are plain classes, so importing the engine runs no class
+    decorators. Defining __eq__ leaves a record unhashable unless its
+    class defines ``__hash__``."""
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={v!r}" for k, v in vars(self).items())
+        return f"{type(self).__name__}({fields})"

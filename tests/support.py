@@ -2,6 +2,7 @@
 
 import csv
 import heapq
+import inspect
 import io
 import itertools
 import math
@@ -18,6 +19,14 @@ CERT_TYPES = {"schema": str, "presentation": dict, "word": str, "power": int,
               "value": int}
 # one value of each JSON type
 JSON_JUNK = (None, "x", 1.5, True, ["x"], {"x": 1})
+
+
+def replaced(record, **changes):
+    """A copy of an engine record with some fields changed, built by its
+    constructor from the record's own values for the rest."""
+    params = inspect.signature(type(record)).parameters
+    fields = {name: getattr(record, name) for name in params}
+    return type(record)(**{**fields, **changes})
 
 
 def count_enumerations(monkeypatch) -> list:
@@ -279,6 +288,11 @@ def table_csv(t) -> str:
     writer.writerow(["order", t.order, "name", t.name])
     writer.writerows(t.rows)
     return buf.getvalue()
+
+
+def exponent(t) -> int:
+    """The lcm of the element orders of a FiniteGroupTable."""
+    return math.lcm(*(t.element_order(g) for g in range(t.order)))
 
 
 def is_abelian(t) -> bool:

@@ -2,7 +2,6 @@
 
 import contextlib
 import csv
-import dataclasses
 import functools
 import io
 import json
@@ -19,7 +18,7 @@ from hypothesis import strategies as st
 from burnside import cli, dihedral, subgrp, tower
 from burnside.dihedral import build_cyclic, build_quaternion
 from burnside.subgrp import Certificate, verify_certificate
-from support import CERT_TYPES, JSON_JUNK, table_csv
+from support import CERT_TYPES, JSON_JUNK, replaced, table_csv
 
 KLEIN = "gens 2\nrel aa\nrel bb\nrel abab\n"
 B23 = "gens 2\nrel aaa\nrel bbb\nrel ababab\nrel aBaBaB\n"
@@ -171,7 +170,7 @@ def test_tower_resume_rejects_checkpoint_without_periods(tmp_path, capsys):
     assert "error:" in err and "periods" in err
 
 
-BUDGET_NAMES = [f.name for f in dataclasses.fields(tower.Budgets)]
+BUDGET_NAMES = list(tower.Budgets().to_dict())
 
 # a value no budget field accepts: below every floor, or not an int
 bad_budget_values = st.one_of(
@@ -541,7 +540,7 @@ def test_order_refuses_a_certificate_that_does_not_replay(pres, tmp_path,
     def tampered(*args, **kwargs):
         verdict = real(*args, **kwargs)
         cert = verdict.certificate
-        verdict.certificate = dataclasses.replace(cert, value=cert.value + 1)
+        verdict.certificate = replaced(cert, value=cert.value + 1)
         return verdict
 
     monkeypatch.setattr(cli.oracle, "element_order", tampered)
@@ -634,6 +633,20 @@ def test_kb_rank_over_the_code_points_is_error(pres, capsys):
     assert "error:" in err and "557056" in err
 
 
+@pytest.mark.parametrize("argv", [["abelian", "FILE"], ["order", "FILE", "x2"],
+                                  ["tower", "-m", "50000000", "-n", "2"]])
+def test_a_huge_rank_is_refused_before_its_matrices(pres, capsys, argv):
+    # the abelian invariants' rank x rank transform would need 2.5e15 cells
+    huge = pres("gens 50000000\nrel x1\n")
+    t0 = time.monotonic()
+    code, out, err = run([huge if a == "FILE" else a for a in argv], capsys)
+    assert time.monotonic() - t0 < 1.0
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "rank 50000000" in err
+    assert "Traceback" not in err
+
+
 def test_abelian(pres, capsys):
     f = pres(B23)
     code, out, _ = run(["--format", "json", "abelian", f], capsys)
@@ -652,6 +665,22 @@ def test_the_package_runs_as_a_module(pres):
          pres(B23)], env=env, capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert json.loads(proc.stdout)["torsion"] == [3, 3]
+
+
+def test_importing_the_engine_loads_no_heavy_modules():
+    # start-up stays cheap: no records by dataclasses, which import inspect,
+    # ast and dis, and csv only once embed reads a table
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import sys\nbefore = set(sys.modules)\n"
+            "import burnside, burnside.cli\n"
+            "print(*sorted(set(sys.modules) - before))\n")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    loaded = set(proc.stdout.split())
+    assert "burnside.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect", "ast", "dis", "csv"}
 
 
 def test_embed_found_and_refuted(tmp_path, capsys):

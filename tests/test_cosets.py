@@ -1,6 +1,5 @@
 """Coset enumeration, realized finite groups, conjugacy, center."""
 
-import dataclasses
 import math
 import os
 import random
@@ -20,6 +19,7 @@ from support import (
     element_row,
     fail_in_children,
     multiplication_table,
+    replaced,
     rows_csv,
 )
 from burnside.words import (cyclic_reduce, format_word, free_reduce, invert,
@@ -421,7 +421,7 @@ def corrupted(t, rng):
     col, inv = cols[x], cols[x ^ 1]
     col[u], col[v] = col[v], col[u]
     inv[col[u]], inv[col[v]] = u, v
-    return dataclasses.replace(t, cols=cols)
+    return replaced(t, cols=cols)
 
 
 def test_power_map_check_agrees_with_letter_by_letter_tracing():

@@ -2,9 +2,9 @@
 
 import pytest
 
-from burnside import oracle, rewrite
-from burnside.presentation import parse_presentation
-from burnside.subgrp import verify_certificate
+from burnside import oracle, rewrite, tower
+from burnside.presentation import TowerStatus, parse_presentation
+from burnside.subgrp import abelian_invariants, verify_certificate
 from burnside.words import parse_word
 from support import count_completions, count_enumerations
 
@@ -56,6 +56,18 @@ def test_finite_stage_uses_closure():
     assert v.finite and v.order == 3
     assert v.evidence["strategy"] == "coset-closure"
     assert v.evidence["group_order"] == 27
+
+
+def test_a_corrupt_normal_form_table_is_refused(monkeypatch):
+    # ten cosets do not close B(2,3), so its normal forms realize it; with
+    # the product 1.a read as b, a relator moves a coset
+    ctx = oracle.StageContext(P(B23), oracle.Budgets(stage_max_cosets=10))
+    system = ctx.kb()
+    a, b = parse_word("a", 2), parse_word("b", 2)
+    reduce = system.reduce
+    monkeypatch.setattr(system, "reduce", lambda w: b if w == a else reduce(w))
+    with pytest.raises(AssertionError, match="relator does not stabilize"):
+        ctx.closure()
 
 
 def test_infinite_stage_skips_closure():
@@ -295,6 +307,24 @@ def test_capped_tiers_are_kept_and_shared(monkeypatch):
 def test_budgets_reject_bad_values(field, value):
     with pytest.raises(ValueError, match=field):
         oracle.Budgets(**{field: value})
+
+
+def test_records_compare_by_value_and_own_their_defaults():
+    a, b = oracle.OrderVerdict("unknown"), oracle.OrderVerdict("unknown")
+    assert a == b and a.evidence is not b.evidence
+    assert a != oracle.OrderVerdict("unknown", evidence={"strategy": "x"})
+    r, s = (tower.RankOutcome("closed", 1, []) for _ in range(2))
+    assert r == s and r.log is not s.log
+    t, u = (tower.TowerResult(1, 1, TowerStatus.STALLED_DIVERGENT, (), [])
+            for _ in range(2))
+    assert t == u and t.notes is not u.notes
+    assert {P(B23): 1}[P(B23)] == 1 and P(B23) != P(DINF)
+    assert hash(abelian_invariants(P(B23))) == \
+        hash(abelian_invariants(P("gens 2\nrel aaa\nrel bbb\nrel abAB\n")))
+    assert oracle.Budgets(stage_max_cosets=7) == \
+        oracle.Budgets(**{**oracle.Budgets().to_dict(), "stage_max_cosets": 7})
+    with pytest.raises(TypeError, match="oracle_max_cosets"):
+        oracle.Budgets(oracle_max_cosets=7)
 
 
 def test_budgets_floors_and_env(monkeypatch):

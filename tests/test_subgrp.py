@@ -1,6 +1,5 @@
 """Schreier subgroup data, Smith normal form, order certificates."""
 
-import dataclasses
 import itertools
 import json
 import random
@@ -36,6 +35,7 @@ from support import (
     determinantal_divisors,
     in_rational_row_space,
     quotient_rows,
+    replaced,
     row_exponent_vector,
     row_schreier_data,
 )
@@ -163,9 +163,24 @@ def test_abelian_invariants_carry_the_torsion_quotient():
     assert [kc.action.element_order(parse_word(w, 3))
             for w in ("a", "b", "ab", "c")] == [2, 3, 6, 1]
     # the spec is not part of the invariants' value
-    assert ab == dataclasses.replace(ab, quotient={})
+    assert ab == replaced(ab, quotient={})
     assert abelian_invariants(P(KLEIN)).quotient == {
         "kind": "abelian", "moduli": [2, 2], "images": [[1, 0], [0, 1]]}
+
+
+def test_abelian_invariants_refuse_matrices_over_the_cap(monkeypatch):
+    # the exponent matrix is relators x rank and its transform rank x rank
+    monkeypatch.setattr(subgrp, "MAX_ABELIAN_CELLS", 6)
+    ab = abelian_invariants(P("gens 2\nrel aa\nrel bb\nrel abAB\n"))
+    assert ab.torsion == (2, 2)  # 6 cells: at the cap
+    with pytest.raises(ValueError, match="rank 2 with 4 relators need 8"):
+        abelian_invariants(P("gens 2\nrel aa\nrel bb\nrel ab\nrel aB\n"))
+    with pytest.raises(ValueError, match="rank 3 with 0 relators need 9"):
+        abelian_invariants(P("gens 3\n"))
+    monkeypatch.undo()
+    # a rank of 50,000,000 is refused before any row is built
+    with pytest.raises(ValueError, match="rank 50000000 with 1 relators"):
+        abelian_invariants(P("gens 50000000\nrel x1\n"))
 
 
 # --- kernel certificates ---------------------------------------------------
@@ -222,13 +237,13 @@ def test_certificate_json_roundtrip():
 def test_certificate_tampering_is_caught():
     # the homomorphism and its value: test_homomorphism_tampering_is_rejected
     cert = certify(DINF, "ab")
-    bad = dataclasses.replace(cert, power=cert.power * 2)
+    bad = replaced(cert, power=cert.power * 2)
     ok, _ = verify_certificate(bad)
     assert not ok
-    bad = dataclasses.replace(cert, kernel_index=cert.kernel_index + 1)
+    bad = replaced(cert, kernel_index=cert.kernel_index + 1)
     ok, reason = verify_certificate(bad)
     assert not ok and "index" in reason
-    bad = dataclasses.replace(cert, word=parse_word("a", 2))
+    bad = replaced(cert, word=parse_word("a", 2))
     ok, _ = verify_certificate(bad)
     assert not ok
 
@@ -239,20 +254,20 @@ def _break_a_row(cert):
     f = list(cert.homomorphism)
     j = next(j for j, a in enumerate(f) if a)
     f[j] += 1
-    return dataclasses.replace(cert, homomorphism=tuple(f))
+    return replaced(cert, homomorphism=tuple(f))
 
 
 @pytest.mark.parametrize("tamper, reason", [
     (_break_a_row, "homomorphism is not 0 on relation row "),
-    (lambda c: dataclasses.replace(c, value=c.value + 1),
+    (lambda c: replaced(c, value=c.value + 1),
      "value mismatch: f.v is "),
-    (lambda c: dataclasses.replace(c, value=c.value - 1),
+    (lambda c: replaced(c, value=c.value - 1),
      "value mismatch: f.v is "),
-    (lambda c: dataclasses.replace(c, homomorphism=c.homomorphism[1:]),
+    (lambda c: replaced(c, homomorphism=c.homomorphism[1:]),
      "homomorphism has "),
-    (lambda c: dataclasses.replace(c, homomorphism=c.homomorphism * 2),
+    (lambda c: replaced(c, homomorphism=c.homomorphism * 2),
      "homomorphism has "),
-    (lambda c: dataclasses.replace(
+    (lambda c: replaced(
         c, homomorphism=(0,) * len(c.homomorphism), value=0),
      "value is zero"),
 ])
@@ -292,7 +307,7 @@ def test_oversized_quotient_is_rejected_before_it_is_built():
     cert = certify(DINF, "ab")
     huge = {"kind": "abelian", "moduli": [10**6, 10**6],
             "images": [[1, 0], [0, 1]]}
-    bad = dataclasses.replace(cert, quotient=huge)
+    bad = replaced(cert, quotient=huge)
     assert verify_certificate(bad) == (False, "kernel index mismatch")
 
 
@@ -362,7 +377,7 @@ def test_an_abelian_spec_holds_exact_integers(field, value, reason):
     cert = certify(DINF, "ab")
     assert json.dumps(cert.quotient[field]) != json.dumps(value)
     assert verify_certificate(cert) == (True, "ok")
-    bad = dataclasses.replace(cert, quotient={**cert.quotient, field: value})
+    bad = replaced(cert, quotient={**cert.quotient, field: value})
     assert verify_certificate(bad) == (False, f"bad quotient spec: {reason}")
 
 
@@ -381,7 +396,7 @@ def test_certificate_replay_is_bounded():
     cert = certify(DINF, "ab")
     huge = {"kind": "abelian", "moduli": [10**6, 10**6],
             "images": [[1, 0], [0, 1]]}
-    bad = dataclasses.replace(cert, quotient=huge, kernel_index=10**12)
+    bad = replaced(cert, quotient=huge, kernel_index=10**12)
     t0 = time.monotonic()
     assert verify_certificate(bad) == (
         False, f"kernel index {10**12} exceeds the bound "

@@ -1,7 +1,6 @@
 """Inductive period tower: pins for small exponents, resume, audits."""
 
 import copy
-import dataclasses
 import functools
 import json
 import os
@@ -15,7 +14,7 @@ from burnside.presentation import TowerStatus, tower_presentation
 from burnside.words import parse_word
 from support import (count_completions, count_cycle_letters,
                      count_enumerations, count_felsch_runs, count_forks,
-                     fail_in_children)
+                     fail_in_children, replaced)
 
 
 def small_budgets(**kw):
@@ -104,7 +103,7 @@ def _drop_evidence(rep):
 
 def _with_periods(m, n, texts):
     # the real run's realization, with a hand-picked list of periods
-    return dataclasses.replace(
+    return replaced(
         tower.run_tower(m, n),
         periods=tuple(parse_word(t, m) for t in texts))
 
@@ -452,7 +451,7 @@ def test_audit_falls_back_to_the_stage_enumeration(monkeypatch):
     assert _log_entry(res, 5, "aB") == {
         "word": "aB", "verdict": "finite", "order": 3,
         "strategy": "kb-power"}
-    short = dataclasses.replace(run, kb_max_steps=200)
+    short = replaced(run, kb_max_steps=200)
     ctx = oracle.StageContext(tower_presentation(2, 3, res.periods), short)
     assert ctx.kb().reduce(parse_word("aB", 2) * 3) != ()
     # ten cosets do not close the order-27 stage
@@ -461,7 +460,7 @@ def test_audit_falls_back_to_the_stage_enumeration(monkeypatch):
         ("aB", "could not re-prove order 3")]
     calls = count_enumerations(monkeypatch)
     audit = tower.audit_tower(
-        res, dataclasses.replace(short, stage_max_cosets=100))
+        res, replaced(short, stage_max_cosets=100))
     assert audit["agreement"] == "100%"
     assert calls == [100]  # the infinite stages of ranks 1-4 never enumerate
     assert sum(audit["checks"].values()) == sum(len(r.log) for r in res.ranks)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from datetime import datetime, timezone
@@ -224,6 +225,10 @@ def cmd_kb(args) -> int:
     if args.count_max_len < 0:
         raise _CliError("--count-max-len must be at least 0")
     p = load_presentation(args.presentation)
+    # the count is under 2 * (2 * rank)^len; Python writes at most 4,300 digits
+    if args.count_max_len * math.log10(2 * p.rank) >= 4299:
+        raise _CliError(f"--count-max-len {args.count_max_len} is too long "
+                        f"for rank {p.rank}: the count could not be written")
     budgets = _budgets_from(args, KB_BUDGETS)
     system = rewrite.complete_presentation(
         p, max_rules=budgets.kb_max_rules, max_len=budgets.kb_max_len,

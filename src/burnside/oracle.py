@@ -400,7 +400,7 @@ def element_order(ctx: StageContext, w: Word, n_hint: int = 1
 
 def _power_trace(ctx: StageContext, sys: rewrite.RewritingSystem, w: Word,
                  n_max: int, skipped: list) -> Optional[OrderVerdict]:
-    """Strategy 2 on sys: a Finite verdict when w^d reduces to 1 and d is
+    """Strategy 3 on sys: a Finite verdict when w^d reduces to 1 and d is
     pinned as the order; else None, with the attempt added to skipped."""
     d = rewrite.finite_order_by_powers(sys, w, n_max)
     if d is None:

@@ -8,17 +8,17 @@ group G (either the torsion part of the abelianization, or a concrete
 permutation realization), the kernel H has index |Q| and its coset table
 is just Q's own action, stored by columns as every finite action is
 (``cosets.Action``), with the transversal its transitivity check found.
-Tracing each relator's primitive root round its cycles and counting,
-with signs, the Schreier generators it crosses gives the rows of H's
-abelianized relation matrix M; no Schreier word is ever spelled.
+Tracing each relator's primitive root round each of its cycles and
+counting, with signs, the Schreier generators it crosses gives one row
+of H's abelianized relation matrix M; no Schreier word is spelled.
 Tracing w from coset 0 until the walk returns (s times, s = order of the
 image of w in Q, so w^s lands in H) counts the vector v of w^s. An
 integer vector f with M.f = 0 is a homomorphism from H onto a subgroup
 of Z, and f.v != 0 means w^s has infinite order in H, hence w has
 infinite order in G. The certificate carries f and f.v, so a third party
-replays it with a coset trace and integer dot products alone; only
-finding f takes a Smith normal form. A quotient spec is untrusted
-input: every modulus and image entry must be exactly an integer.
+replays it with a coset trace and integer dot products over those
+rows alone; only finding f takes a Smith normal form. A quotient spec
+is untrusted input: each modulus and image entry must be exactly an int.
 """
 
 from __future__ import annotations
@@ -188,10 +188,25 @@ def _exponent_vector(w: Word, num_gens: int) -> list:
     return v
 
 
-# cells of the largest dense matrix abelian_invariants builds, the
-# relators x rank exponent matrix or the rank x rank transform V: far
-# above any desk-scale tower stage, and about 32 MB of list slots each
-MAX_ABELIAN_CELLS = 1 << 22
+# cells of the largest dense matrix a Smith normal form is run over, its
+# rows x columns input or its columns x columns transform V: the
+# transform of a rank-2 kernel of index 2048 has 2,049^2, and the cap is
+# about 64 MB of list slots
+MAX_SMITH_CELLS = 1 << 23
+
+
+class SmithFormTooLarge(ValueError):
+    """An SNF's dense matrices would exceed MAX_SMITH_CELLS."""
+
+
+def check_smith_size(ncols: int, nrows: int, what: str) -> None:
+    """Raise SmithFormTooLarge, naming ``what``, if an SNF of nrows x
+    ncols would build more than MAX_SMITH_CELLS cells in its input or
+    its transform."""
+    cells = ncols * max(ncols, nrows)
+    if cells > MAX_SMITH_CELLS:
+        raise SmithFormTooLarge(
+            f"{what} need {cells} matrix cells (cap {MAX_SMITH_CELLS})")
 
 
 def abelian_invariants(p: Presentation) -> AbelianInvariants:
@@ -201,13 +216,11 @@ def abelian_invariants(p: Presentation) -> AbelianInvariants:
     The projection G -> G^ab -> torsion summand is a homomorphism; in the
     Smith basis the i-th generator's coordinates are row i of V (e_i * V)
     restricted to the torsion positions. A presentation whose matrices
-    would exceed MAX_ABELIAN_CELLS raises ValueError before any is built.
+    would exceed MAX_SMITH_CELLS raises SmithFormTooLarge before any is
+    built.
     """
-    cells = p.rank * max(p.rank, len(p.relators))
-    if cells > MAX_ABELIAN_CELLS:
-        raise ValueError(
-            f"abelian invariants of rank {p.rank} with {len(p.relators)} "
-            f"relators need {cells} matrix cells (cap {MAX_ABELIAN_CELLS})")
+    check_smith_size(p.rank, len(p.relators), f"abelian invariants of rank "
+                     f"{p.rank} with {len(p.relators)} relators")
     rows = [_exponent_vector(r, p.rank) for r in p.relators]
     S, V = smith_normal_form(rows, ncols=p.rank)
     diag = snf_diagonal(S, p.rank)
@@ -469,29 +482,26 @@ class KernelCertifier(Kernel):
     """A kernel that finds its homomorphisms to Z, reusable across words.
 
     One SNF of the relation matrix M, S = U.M.V, is built once per stage
-    quotient: each column j of V whose column of S is zero has
+    quotient, over one dense row per relator cycle, by lowest point and
+    then relator: each column j of V whose column of S is zero has
     M.V[:, j] = 0, and these columns span every homomorphism from the
-    kernel to Z, so a per-candidate check is a few dot products.
+    kernel to Z, so a per-candidate check is a few dot products. An SNF
+    over MAX_SMITH_CELLS raises SmithFormTooLarge before any row is dense.
     """
 
     def __init__(self, p: Presentation, quotient_spec: dict):
         super().__init__(p, quotient_spec)
-        # the dense rows by (point, relator), one list for every point of
-        # a cycle
-        width = len(p.relators)
-        self.relations = [None] * (self.action.size * width)
-        for j, r in enumerate(p.relators):
-            for points, counts in self.relator_cycles(r):
-                row = [0] * self.num_gens
-                for g, a in counts.items():
-                    row[g] = a
-                for c in points:
-                    self.relations[c * width + j] = row
-        S, V = smith_normal_form(self.relations, ncols=self.num_gens)
-        diag = snf_diagonal(S, self.num_gens)
-        self.homomorphisms = [
-            tuple(row[j] for row in V) for j in range(self.num_gens)
-            if j >= len(diag) or diag[j] == 0]
+        n = self.num_gens
+        # a cycle's lowest point is its own, so no two keys tie
+        cycles = sorted((points[0], j, row) for j, r in enumerate(p.relators)
+                        for points, row in self.relator_cycles(r))
+        check_smith_size(n, len(cycles), f"a kernel of index "
+                         f"{self.action.size} with {n} Schreier generators "
+                         f"and {len(cycles)} relator cycles")
+        S, V = smith_normal_form([[row.get(g, 0) for g in range(n)]
+                                  for _, _, row in cycles], ncols=n)
+        self.homomorphisms = [tuple(row[j] for row in V) for j in range(n)
+                              if j >= len(S) or S[j][j] == 0]
 
     @property
     def kernel_free_rank(self) -> int:
@@ -526,19 +536,30 @@ class Ladder:
 
     Iterating yields (name, certifier) pairs in rung order and builds a
     rung only when the iteration reaches it, so a search that stops at
-    rung k never builds the rungs above k."""
+    rung k never builds the rungs above k. A rung whose SNF would exceed
+    MAX_SMITH_CELLS is left out when it is reached, names included."""
 
     def __init__(self, p: Presentation, rungs: Sequence[Tuple[str, dict]]):
         self.presentation = p
-        self.names = [name for name, _ in rungs]
-        self._specs = [spec for _, spec in rungs]
-        self._built: dict = {}
+        self._rungs = list(rungs)  # a spec gives way to its certifier
+
+    @property
+    def names(self) -> list:
+        return [name for name, _ in self._rungs]
 
     def __iter__(self):
-        for k, (name, spec) in enumerate(zip(self.names, self._specs)):
-            if k not in self._built:
-                self._built[k] = KernelCertifier(self.presentation, spec)
-            yield name, self._built[k]
+        k = 0
+        while k < len(self._rungs):
+            name, spec = self._rungs[k]
+            if isinstance(spec, dict):
+                try:
+                    self._rungs[k] = name, KernelCertifier(self.presentation,
+                                                           spec)
+                except SmithFormTooLarge:
+                    del self._rungs[k]
+                    continue
+            yield self._rungs[k]
+            k += 1
 
 
 def ladder(p: Presentation, ab: AbelianInvariants, max_kernel_index: int,
@@ -546,7 +567,8 @@ def ladder(p: Presentation, ab: AbelianInvariants, max_kernel_index: int,
     """The certifier ladder of p: one rung for the torsion quotient of
     G^ab (``ab`` holds its spec), then one per (name, spec) of ``extra``,
     in order. A spec of more than ``max_kernel_index`` elements is left
-    out before it is built; the others are built on first use."""
+    out before it is built; the others are built on first use, and left
+    out then if their SNF would exceed MAX_SMITH_CELLS."""
     rungs = [("abelian-torsion", ab.quotient), *extra]
     return Ladder(p, [rung for rung in rungs
                       if spec_size(rung[1]) <= max_kernel_index])
@@ -557,11 +579,12 @@ def verify_certificate(cert: Certificate,
     """Independent replay of a certificate; returns (ok, reason).
 
     The kernel is rebuilt from the quotient spec and presentation, and
-    each relation row is checked against f as it is counted, once per
-    relator cycle, so no relation matrix is held. Every relator must
-    close, f must have one entry per Schreier generator and vanish on
-    every row, the power must be the image order of the word, and f.v
-    must equal the claimed value, which is not 0. No SNF runs. The
+    each relator cycle's row, which the certifier's SNF read too, is
+    checked against f as it is counted. Every relator must close, f must
+    have one entry per Schreier generator and vanish on every row (a
+    miss is named by relator and lowest point), the power must be the
+    image order of the word, and f.v must equal the claimed value, which
+    is not 0. No SNF runs and no relation matrix is held. The
     claimed index is checked against ``max_kernel_index`` and the spec's
     element count first, so an oversized quotient is never built.
     """
@@ -576,9 +599,8 @@ def verify_certificate(cert: Certificate,
         return False, f"bad quotient spec: {e}"
     f, relators = cert.homomorphism, cert.presentation.relators
     fits = len(f) == k.num_gens  # a misfit is reported after the closure
-    try:  # row (point, relator) is numbered point * relators + relator
-        missed = min((points[0] * len(relators) + j
-                      for j, r in enumerate(relators)
+    try:  # the first row f misses, by lowest point and then relator
+        missed = min(((points[0], j) for j, r in enumerate(relators)
                       for points, row in k.relator_cycles(r)
                       if fits and _dot(f, row)), default=None)
     except NotAQuotient as e:
@@ -590,7 +612,10 @@ def verify_certificate(cert: Certificate,
         return False, (f"homomorphism has {len(f)} entries, not one per "
                        f"Schreier generator ({k.num_gens})")
     if missed is not None:
-        return False, f"homomorphism is not 0 on relation row {missed}"
+        c, j = missed
+        return False, (f"homomorphism is not 0 on relator "
+                       f"{format_word(relators[j], cert.presentation.rank)} "
+                       f"at point {c}")
     s, v = k.power_vector(w)
     if s != cert.power:
         return False, f"power mismatch: image order is {s}, not {cert.power}"

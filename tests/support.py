@@ -11,7 +11,7 @@ from collections import deque
 from fractions import Fraction
 
 from burnside import cosets, kernels, rewrite, subgrp
-from burnside.words import format_word, invert, letter, shortlex_key
+from burnside.words import format_word, invert, letter, power, shortlex_key
 
 # the JSON type of every field an order certificate must carry
 CERT_TYPES = {"schema": str, "presentation": dict, "word": str, "power": int,
@@ -789,3 +789,34 @@ def row_exponent_vector(rows: list, gen_of_edge: dict, w, start: int = 0):
                 v[gid] += 1
             c = rows[c][x]
     return v if c == start else None
+
+
+class PointRowCertifier:
+    """The certifier as it was before its rows were one per relator
+    cycle, kept as a reference: every relator traced from every point of
+    the row layout, rows in (point, relator) order, one SNF over all of
+    them, and the free columns of its transform as the homomorphisms."""
+
+    def __init__(self, p, spec: dict):
+        self.rows = quotient_rows(spec, p.rank)
+        _, self.gen_of_edge = row_schreier_data(self.rows, p.rank)
+        n = len(self.gen_of_edge)
+        self.relations = [
+            row_exponent_vector(self.rows, self.gen_of_edge, r, c)
+            for c in range(len(self.rows)) for r in p.relators]
+        S, V = subgrp.smith_normal_form(self.relations, ncols=n)
+        diag = subgrp.snf_diagonal(S, n)
+        self.homomorphisms = [tuple(row[j] for row in V) for j in range(n)
+                              if j >= len(diag) or diag[j] == 0]
+
+    def certify(self, w):
+        """(power, homomorphism, value) of the certificate for w, or None."""
+        s = 1
+        while (v := row_exponent_vector(self.rows, self.gen_of_edge,
+                                        power(w, s))) is None:
+            s += 1
+        for f in self.homomorphisms:
+            value = sum(a * b for a, b in zip(f, v))
+            if value:
+                return s, f, value
+        return None

@@ -15,9 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from burnside import cli, dihedral, subgrp, tower
+from burnside import cli, dihedral, oracle, subgrp, tower
 from burnside.dihedral import build_cyclic, build_quaternion
 from burnside.subgrp import Certificate, verify_certificate
+from burnside.words import parse_word
 from support import CERT_TYPES, JSON_JUNK, replaced, table_csv
 
 KLEIN = "gens 2\nrel aa\nrel bb\nrel abab\n"
@@ -144,6 +145,22 @@ def test_kb_rejects_negative_count_max_len(pres, capsys):
     assert code == 1
     assert out == ""
     assert "error:" in err and "--count-max-len" in err
+
+
+@pytest.mark.parametrize("length", [7141, 20000, 2000000])
+def test_kb_rejects_a_count_it_could_not_write(pres, capsys, length):
+    # 4^7141 has 4,300 digits, past what Python writes in decimal; 20,000
+    # once counted and then failed to print, and 2,000,000 counted first
+    t0 = time.monotonic()
+    code, out, err = run(["kb", pres("gens 2\n"), "--count-max-len",
+                          str(length)], capsys)
+    assert time.monotonic() - t0 < 1.0
+    assert (code, out) == (1, "")
+    assert err == (f"error: --count-max-len {length} is too long for rank "
+                   "2: the count could not be written\n")
+    code, out, _ = run(["kb", pres("gens 2\n"), "--count-max-len", "7140"],
+                       capsys)
+    assert code == 0 and "normal forms up to length 7140: " in out
 
 
 def test_tower_checkpoint_resume(tmp_path, capsys):
@@ -364,9 +381,9 @@ def test_resume_rejects_a_retired_certificate_schema(tmp_path, capsys):
                    "'burnside/order-certificate/1'\n")
 
 
-def _audit_problems(cp, tmp_path):
-    """(exit code, [(word, problem)]) of an audited resume from cp, which
-    must write no traceback."""
+def _audit(cp, tmp_path):
+    """(exit code, audit block) of an audited resume from cp, which must
+    write no traceback."""
     f = tmp_path / "cp.json"
     f.write_text(json.dumps(cp))
     out, err = io.StringIO(), io.StringIO()
@@ -374,8 +391,13 @@ def _audit_problems(cp, tmp_path):
         code = cli.main(["--format", "json", "tower", "-m", "2", "-n", "3",
                          "--resume", str(f), "--audit"])
     assert "Traceback" not in err.getvalue()
-    return code, [(d["word"], d["problem"]) for d in
-                  json.loads(out.getvalue())["audit"]["disagreements"]]
+    return code, json.loads(out.getvalue())["audit"]
+
+
+def _audit_problems(cp, tmp_path):
+    """(exit code, [(word, problem)]) of an audited resume from cp."""
+    code, audit = _audit(cp, tmp_path)
+    return code, [(d["word"], d["problem"]) for d in audit["disagreements"]]
 
 
 @pytest.mark.parametrize("spec", [
@@ -486,6 +508,54 @@ def test_audit_reports_a_mutated_quotient_spec(tmp_path_factory, quotient):
     assert [word for word, _ in problems] == ["aB"], problems
     assert problems[0][1].startswith(
         "certificate replay failed: bad quotient spec: "), problems
+
+
+@st.composite
+def changed_certificates(draw):
+    """(field, certificate): the log's certificate with one homomorphism
+    entry, its value or its power set to another integer."""
+    cert = json.loads(_log_checkpoint_text())["partial_log"][-1][
+        "certificate"]
+    field = draw(st.sampled_from(["homomorphism", "value", "power"]))
+    if field == "homomorphism":
+        f = cert["homomorphism"]
+        i = draw(st.integers(0, len(f) - 1))
+        f[i] = draw(st.integers().filter(lambda a: a != f[i]))
+    else:
+        cert[field] = draw(st.integers().filter(lambda a: a != cert[field]))
+    return field, cert
+
+
+# the replay failure each field's change may give
+CHANGE_FAILURES = {
+    "homomorphism": ("homomorphism is not 0 on relator ",
+                     "value mismatch: "),
+    "value": ("value mismatch: ",),
+    "power": ("power mismatch: ",),
+}
+
+
+@settings(max_examples=30, deadline=None)
+@given(changed=changed_certificates())
+def test_audit_names_the_check_a_changed_certificate_fails(
+        tmp_path_factory, changed):
+    # a well-typed change to f, its value or the power fails the replay
+    # by name, unless the changed certificate still holds
+    field, cert = changed
+    cp = json.loads(_log_checkpoint_text())
+    cp["partial_log"][-1]["certificate"] = cert
+    code, audit = _audit(cp, tmp_path_factory.mktemp("cp"))
+    if verify_certificate(Certificate.from_json_dict(cert))[0]:
+        assert field == "homomorphism"
+        assert (code, audit["agreement"]) == (0, "100%")
+        return
+    assert code == 1, cert
+    (problem,) = audit["disagreements"]
+    assert problem["word"] == "aB"
+    reason = problem["problem"]
+    assert reason.startswith("certificate replay failed: "), reason
+    assert reason[len("certificate replay failed: "):].startswith(
+        CHANGE_FAILURES[field]), reason
 
 
 def test_coset_closed(pres, capsys):
@@ -645,6 +715,35 @@ def test_a_huge_rank_is_refused_before_its_matrices(pres, capsys, argv):
     assert out == ""
     assert err.startswith("error:") and "rank 50000000" in err
     assert "Traceback" not in err
+
+
+def test_a_certifier_whose_smith_form_is_over_the_cap_is_left_out(
+        pres, capsys):
+    # (Z/2)^11 x Z: the torsion rung has index 2,048 and 22,529 Schreier
+    # generators, whose dense rows once ran out of memory; it is left out
+    # the way --max-kernel-index 1024 leaves it out, and l stays Unknown
+    text = "gens 12\n" + "".join(
+        f"rel {x}{x}\n" for x in "abcdefghijk") + "".join(
+        f"rel {x}{y}{x.upper()}{y.upper()}\n"
+        for i, x in enumerate("abcdefghijk") for y in "abcdefghijk"[i + 1:])
+    f = pres(text)
+    verdicts = []
+    for flags in ([], ["--max-kernel-index", "1024"]):
+        t0 = time.monotonic()
+        code, out, err = run(["--format", "json", "order", f, "l", *flags],
+                             capsys)
+        assert time.monotonic() - t0 < 5.0
+        assert (code, err) == (2, "")
+        verdicts.append(json.loads(out)["verdict"])
+    assert verdicts[0] == verdicts[1] == {
+        "word": "l", "verdict": "unknown", "strategy": "exhausted"}
+    verdict = oracle.element_order(
+        oracle.StageContext(cli.load_presentation(f), oracle.Budgets()),
+        parse_word("l", 12))
+    assert verdict.evidence["attempts"][-1] == {
+        "strategy": "kernel-certificate",
+        "reason": "no quotient in the ladder separated the word",
+        "quotients": []}
 
 
 def test_abelian(pres, capsys):

@@ -18,6 +18,7 @@ from burnside.subgrp import (
     KernelCertifier,
     NotAQuotient,
     QuotientAction,
+    SmithFormTooLarge,
     abelian_invariants,
     ladder,
     permutation_quotient,
@@ -25,10 +26,11 @@ from burnside.subgrp import (
     snf_diagonal,
     verify_certificate,
 )
-from burnside.words import parse_word, power, primitive_root
+from burnside.words import format_word, parse_word, power, primitive_root
 from support import (
     CERT_TYPES,
     JSON_JUNK,
+    PointRowCertifier,
     check_smith_form,
     count_cycle_letters,
     determinant,
@@ -48,6 +50,12 @@ def P(text):
 def dense(v, n):
     """A map from Schreier generators to counts as a vector of length n."""
     return [v.get(g, 0) for g in range(n)]
+
+
+def cycle_rows(k):
+    """A kernel's relation rows, one per relator cycle, as vectors."""
+    return [dense(row, k.num_gens) for r in k.presentation.relators
+            for _, row in k.relator_cycles(r)]
 
 
 DINF = "gens 2\nrel aa\nrel bb\n"
@@ -170,7 +178,7 @@ def test_abelian_invariants_carry_the_torsion_quotient():
 
 def test_abelian_invariants_refuse_matrices_over_the_cap(monkeypatch):
     # the exponent matrix is relators x rank and its transform rank x rank
-    monkeypatch.setattr(subgrp, "MAX_ABELIAN_CELLS", 6)
+    monkeypatch.setattr(subgrp, "MAX_SMITH_CELLS", 6)
     ab = abelian_invariants(P("gens 2\nrel aa\nrel bb\nrel abAB\n"))
     assert ab.torsion == (2, 2)  # 6 cells: at the cap
     with pytest.raises(ValueError, match="rank 2 with 4 relators need 8"):
@@ -258,7 +266,7 @@ def _break_a_row(cert):
 
 
 @pytest.mark.parametrize("tamper, reason", [
-    (_break_a_row, "homomorphism is not 0 on relation row "),
+    (_break_a_row, "homomorphism is not 0 on relator "),
     (lambda c: replaced(c, value=c.value + 1),
      "value mismatch: f.v is "),
     (lambda c: replaced(c, value=c.value - 1),
@@ -442,7 +450,7 @@ def test_coordinates_back_the_certificate():
     assert sum(a * b for a, b in zip(cert.homomorphism, v)) == cert.value != 0
     # every free homomorphism vanishes on every relation row
     assert all(sum(a * b for a, b in zip(f, row)) == 0
-               for f in kc.homomorphisms for row in kc.relations)
+               for f in kc.homomorphisms for row in cycle_rows(kc))
     # (ab)^3 is a relator, so no homomorphism sees it
     s, v = kc.power_vector(parse_word("ab", 2))
     v = dense(v, kc.num_gens)
@@ -485,7 +493,7 @@ def test_certify_matches_the_rational_row_space():
             w = parse_word("".join(rng.choice("abAB")
                                    for _ in range(rng.randint(1, 5))), 2)
             _, v = kc.power_vector(w)
-            outside = not in_rational_row_space(kc.relations,
+            outside = not in_rational_row_space(cycle_rows(kc),
                                                 dense(v, kc.num_gens))
             cert = kc.certify(w)
             assert (cert is not None) == outside, (str(p), spec, w)
@@ -527,9 +535,14 @@ def test_kernel_matches_the_row_layout():
         assert {(c, 2 * i): g for i, col in enumerate(kc.gens)
                 for c, g in enumerate(col) if g is not None} == gen_of_edge
         assert kc.num_gens == len(gen_of_edge)
-        assert kc.relations == [
-            row_exponent_vector(rows, gen_of_edge, r, c)
-            for c in range(len(rows)) for r in p.relators]
+        for r in p.relators:
+            cycles = list(kc.relator_cycles(r))
+            assert sorted(c for points, _ in cycles for c in points) == \
+                list(range(len(rows)))
+            for points, row in cycles:
+                for c in points:
+                    assert dense(row, kc.num_gens) == \
+                        row_exponent_vector(rows, gen_of_edge, r, c)
         for _ in range(4):
             w = parse_word("".join(rng.choice("abAB")
                                    for _ in range(rng.randint(1, 5))), 2)
@@ -548,6 +561,44 @@ def test_kernel_matches_the_row_layout():
                                       cert.value))
             certified += want is not None
     assert certified > 10
+
+
+def test_certificates_match_the_point_row_reference_at_free_rank_one():
+    # one row per relator cycle spans what the (point, relator) rows did,
+    # so the free rank never moves; where it is 1 the homomorphism, and
+    # so every certificate, is the reference's byte for byte
+    rng = random.Random(11)
+    rank_one = 0
+    for p, spec in _small_stages(rng, 60):
+        kc, ref = KernelCertifier(p, spec), PointRowCertifier(p, spec)
+        assert kc.kernel_free_rank == len(ref.homomorphisms)
+        if kc.kernel_free_rank != 1:
+            continue
+        rank_one += 1
+        assert kc.homomorphisms == ref.homomorphisms
+        for _ in range(4):
+            w = parse_word("".join(rng.choice("abAB")
+                                   for _ in range(rng.randint(1, 5))), 2)
+            cert = kc.certify(w)
+            assert (cert and (cert.power, cert.homomorphism, cert.value)) \
+                == ref.certify(w)
+    assert rank_one > 10, rank_one
+
+
+def test_a_missed_row_is_named_by_its_relator_and_lowest_point():
+    # the first row, in the reference's (point, relator) order, that a
+    # broken f does not vanish on is the row of a relator at the lowest
+    # point of its cycle
+    for text, word in [(DINF, "ab"), (TRIANGLE, "aB")]:
+        cert = _break_a_row(certify(text, word))
+        p = cert.presentation
+        ref = PointRowCertifier(p, cert.quotient)
+        i = next(i for i, row in enumerate(ref.relations)
+                 if sum(a * b for a, b in zip(cert.homomorphism, row)))
+        c, j = divmod(i, len(p.relators))
+        assert verify_certificate(cert) == (
+            False, f"homomorphism is not 0 on relator "
+                   f"{format_word(p.relators[j], p.rank)} at point {c}")
 
 
 def test_a_cycle_row_holds_only_the_counts_its_walk_crosses():
@@ -608,18 +659,68 @@ def test_ladder_leaves_out_rungs_over_the_bound():
         list(rungs)
 
 
+def test_a_rung_over_the_smith_cap_is_left_out(monkeypatch):
+    # the torsion rung of <a, b | a^2, b^2> has 5 Schreier generators and
+    # 4 relator cycles, so its SNF needs 25 cells; S3's regular action
+    # has 7 and 6, so 49. Over the cap, a rung raises before its SNF and
+    # the ladder leaves it out, names included
+    p = P(DINF)
+    s3 = permutation_quotient(
+        enumerate_cosets(P(DINF + "rel ababab\n"), (), 100).cols)
+    snf_calls = []
+    snf = subgrp.smith_normal_form
+
+    def counted(M, ncols=None):
+        snf_calls.append(len(M))
+        return snf(M, ncols)
+
+    monkeypatch.setattr(subgrp, "smith_normal_form", counted)
+    monkeypatch.setattr(subgrp, "MAX_SMITH_CELLS", 25)
+    with pytest.raises(SmithFormTooLarge, match="index 6 with 7 Schreier "
+                       "generators and 6 relator cycles need 49 matrix"):
+        KernelCertifier(p, s3)
+    assert snf_calls == []
+    rungs = ladder(p, abelian_invariants(p), DEFAULT_MAX_KERNEL_INDEX,
+                   extra=[("s3", s3), ("s3-again", s3)])
+    assert rungs.names == ["abelian-torsion", "s3", "s3-again"]
+    assert [(name, kc.action.size) for name, kc in rungs] == [
+        ("abelian-torsion", 4)]
+    assert rungs.names == ["abelian-torsion"]
+    assert [name for name, _ in rungs] == ["abelian-torsion"]
+    monkeypatch.setattr(subgrp, "MAX_SMITH_CELLS", 24)
+    assert list(ladder(p, abelian_invariants(p), 4)) == []
+
+
+def test_the_smith_cap_holds_a_rank_two_rung_at_the_default_index():
+    # a rank-2 kernel of index 2048 has 2048 * (2 - 1) + 1 = 2,049
+    # Schreier generators, whose transform alone is 4,198,401 cells
+    n = DEFAULT_MAX_KERNEL_INDEX * (2 - 1) + 1
+    subgrp.check_smith_size(n, n, "a rank-2 kernel")
+    with pytest.raises(SmithFormTooLarge):
+        subgrp.check_smith_size(n, subgrp.MAX_SMITH_CELLS // n + 1, "rows")
+
+
 def test_a_cyclic_torsion_rung_traces_each_relator_once_round(monkeypatch):
     # <a | a^12, a^18> is cyclic of order 6, and a goes once round the
     # torsion quotient's one 6-cycle for each relator: 12 letters, where
-    # tracing each whole relator from each of the 6 points took 180
+    # tracing each whole relator from each of the 6 points took 180, and
+    # the SNF reads one row per relator, where it read one per point too
     p = P("gens 1\nrel " + "a" * 12 + "\nrel " + "a" * 18 + "\n")
     ab = abelian_invariants(p)
     traced = count_cycle_letters(monkeypatch)
+    snf_inputs = []
+    snf = subgrp.smith_normal_form
+
+    def recorded(M, ncols=None):
+        snf_inputs.append([list(row) for row in M])
+        return snf(M, ncols)
+
+    monkeypatch.setattr(subgrp, "smith_normal_form", recorded)
     rungs = list(ladder(p, ab, DEFAULT_MAX_KERNEL_INDEX))
     assert [name for name, _ in rungs] == ["abelian-torsion"]
     (_, rung), = rungs
     assert sum(letters for _, letters in traced) == 12
-    assert rung.relations == [[2], [3]] * 6
+    assert snf_inputs == [[[2], [3]]]
     assert rung.kernel_free_rank == 0
     for text in ("a", "aa", "aaa", "A", "aaaaaa"):
         assert rung.certify(parse_word(text, 1)) is None

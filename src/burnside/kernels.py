@@ -15,6 +15,12 @@ the lowest-id rule whose lhs is a suffix of the output, if any. A state
 stack beside the output stack lets a fired rule resume from the state of
 the shortened output.
 
+The trie is one edge table, keyed by ``state * num_symbols + letter``,
+not one child dict per state: a long completion's trie holds thousands
+of states, most with one or two children. A row fill reads a state's
+children letter by letter, which costs no more than the row copy it
+already makes.
+
 The automaton is live, so Knuth-Bendix completion keeps one for a whole
 run instead of rebuilding it after every rule change:
 
@@ -61,7 +67,7 @@ class RuleAutomaton:
     reversed)``, ready for the reducer to pop and push.
     """
 
-    __slots__ = ("num_symbols", "fire", "_children", "_fail", "_ends",
+    __slots__ = ("num_symbols", "fire", "_edges", "_fail", "_ends",
                  "_node", "_rows", "_path", "_filled")
 
     def __init__(self, num_symbols):
@@ -71,7 +77,7 @@ class RuleAutomaton:
                              f"letter), got {num_symbols}")
         self.num_symbols = num_symbols
         self.fire = {}
-        self._children = [{}]  # trie edges per state
+        self._edges = {}       # state * num_symbols + letter -> trie child
         self._fail = [0]       # failure link, valid once a parent row is filled
         self._ends = {}        # state -> sorted ids of active rules ending there
         self._node = {}        # rule id -> the state its lhs ends at
@@ -85,19 +91,19 @@ class RuleAutomaton:
             raise ValueError("rule with empty lhs")
         if rule_id in self.fire:
             raise ValueError(f"rule {rule_id} is already active")
-        children = self._children
+        edges = self._edges
+        n = self.num_symbols
         path = self._path
         prefixes = []         # the state of each proper prefix of lhs
         first = len(lhs) - 1  # the shortest of them whose rows can change
         state = 0
         for i, x in enumerate(lhs):
             prefixes.append(state)
-            nxt = children[state].get(x)
+            nxt = edges.get(state * n + x)
             if nxt is None:
                 first = min(first, i)
-                nxt = len(children)
-                children[state][x] = nxt
-                children.append({})
+                nxt = len(path)
+                edges[state * n + x] = nxt
                 self._fail.append(0)
                 path.append(chr(x) + path[state])
             state = nxt
@@ -132,7 +138,7 @@ class RuleAutomaton:
     @property
     def num_states(self):
         """Trie states, dead ones included."""
-        return len(self._children)
+        return len(self._path)
 
     def set_rhs(self, rule_id, rhs):
         """Replace the rhs of an active rule; no row depends on it."""
@@ -153,14 +159,19 @@ class RuleAutomaton:
             if not state:
                 break
             state = self._fail[state]
-        children = self._children
+        edges = self._edges
+        n = self.num_symbols
         fail = self._fail
         ends = self._ends
         path = self._path
         filled = self._filled
         for s in reversed(chain):
-            row = list(rows[fail[s]]) if s else [0] * self.num_symbols
-            for x, c in children[s].items():
+            row = list(rows[fail[s]]) if s else [0] * n
+            base = s * n
+            for x in range(n):
+                c = edges.get(base + x)
+                if c is None:
+                    continue
                 t = row[x]  # where the longest proper suffix of c's string goes
                 ids = ends.get(c)
                 if t >= 0:

@@ -6,12 +6,13 @@ terminates. Completion is the standard critical-pair loop with eager
 interreduction; pairs are processed shortest-first (sum of lhs lengths)
 from a heap, which keeps the search fair and the behavior deterministic.
 
-The heap holds pair groups, not pairs: a new rule pushes one entry per
-lhs length among the active rules, and a pop takes the group's next
-pair. Pairs still come out one at a time in shortest-first order, and
-the step budget charges every generated pair arithmetically when its
-rule is added, so the order, the count and any partial system are those
-of a heap that holds every pair. Interreduction visits, in id order,
+The heap holds one entry per rule, not one per pair: the entry stands
+for the rule's pairs with the rules of one lhs length, the least length
+whose group is still open, and a pop takes the group's next pair. Pairs
+still come out one at a time in shortest-first order, and the step
+budget charges every generated pair arithmetically when its rule is
+added, so the order, the count and any partial system are those of a
+heap that holds every pair. Interreduction visits, in id order,
 only the active rules whose lhs is at least as long as the new lhs: a
 shortlex rhs is never longer than its lhs, so no other rule can contain
 it. It tests containment on ``str`` copies of the rules, one code point
@@ -25,6 +26,7 @@ equal to w in the group) but not complete.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_right
 from collections import deque
 from typing import Iterable, Optional
 
@@ -152,15 +154,26 @@ def completion(system: RewritingSystem, marks: Iterable[int] = (),
     budget hit, and it is exactly what ``knuth_bendix`` returns: the
     marks change nothing else.
 
-    Critical pairs are queued lazily. A new rule r gets one heap entry per
-    lhs length L among the active rules, keyed by (len(lhs_r) + L, push
-    order); it stands for the pairs (r, o), (o, r) with every rule o of
-    lhs length L that existed at the push, by ascending o, with no (r, r)
-    twin. A pop takes the entry's next pair and puts the rest back under
-    the same key, so pairs come out in the order an eager heap of single
-    pairs would give them. Generating a pair costs 2 steps per active
-    rule, counted when the rule is added, and processing one costs a step;
-    a pair with a retired rule is skipped and costs nothing.
+    Critical pairs are queued lazily, one heap entry per rule r. The lhs
+    lengths L that have an active rule when r is added give r its groups:
+    the group of L stands for the pairs (r, o), (o, r) with every rule o
+    of lhs length L and id at most r, by ascending o, with no (r, r) twin,
+    that is ``2 * bisect_right(ids of length L, r)`` pairs, less one when
+    L is r's own length (ids only grow, so that count is the one at r's
+    addition). The entry holds r's least open group, keyed by
+    (len(lhs_r) + L, r), and a mask of the lengths still to come. A pop
+    takes the group's next pair and puts the rest back under the same
+    key. A group closes when its last pair is taken, or when it surfaces
+    with only retired pairs or a retired r, and the entry then moves on
+    to the next length in the mask. Two groups of one rule never tie on
+    cost, so pairs come out in the order of a heap with one entry per
+    rule and length, keyed by cost and push order, and so in the order an
+    eager heap of single pairs would give them. Groups close exactly when
+    that heap would pop them, so the heap empties at the same points and
+    the marks yield the same partial systems. Generating a pair costs 2
+    steps per active rule, counted when the rule is added, and processing
+    one costs a step; a pair with a retired rule is skipped and costs
+    nothing.
     """
     _check_rank(system.rank)
     num_symbols = 2 * system.rank
@@ -171,8 +184,10 @@ def completion(system: RewritingSystem, marks: Iterable[int] = (),
     live_by_len: dict = {}  # lhs length -> ids of the active rules
     generated = 0
     max_rule_len = 0
-    heap: list = []  # (cost, seq, rid, ids, pos, end): pairs pos..end-1
-    seq = 0
+    # (cost, rid, pos, end, lengths): pairs pos..end-1 of rid's group for
+    # the lowest set bit of the ``lengths`` mask; the higher bits are the
+    # groups still to come
+    heap: list = []
     equations: deque = deque((l, r) for l, r in system.rules)
     budget_hit = None
     steps = 0
@@ -199,8 +214,24 @@ def completion(system: RewritingSystem, marks: Iterable[int] = (),
                                confluent=final and budget_hit is None,
                                stats=stats)
 
+    def group(size, rid, lengths):
+        """The entry for the group of rule ``rid`` (lhs length ``size``)
+        at the lowest length in ``lengths``."""
+        length = (lengths & -lengths).bit_length() - 1
+        end = 2 * bisect_right(by_len[length], rid) - (length == size)
+        return (size + length, rid, 0, end, lengths)
+
+    def next_group(cost, rid, lengths):
+        """Replace the top entry by its rule's next group, or pop it."""
+        size = cost - ((lengths & -lengths).bit_length() - 1)
+        lengths &= lengths - 1
+        if lengths:
+            heapq.heapreplace(heap, group(size, rid, lengths))
+        else:
+            heapq.heappop(heap)
+
     def add_equation_as_rule(u, v):
-        nonlocal generated, max_rule_len, budget_hit, steps, seq
+        nonlocal generated, max_rule_len, budget_hit, steps
         u = current_reduce(u)
         v = current_reduce(v)
         pair = orient(u, v)
@@ -246,12 +277,8 @@ def completion(system: RewritingSystem, marks: Iterable[int] = (),
             budget_hit = "max_steps"
             return
         steps += count
-        for length, live in live_by_len.items():
-            if live:
-                ids = by_len[length]
-                end = 2 * len(ids) - (length == size)
-                heapq.heappush(heap, (size + length, seq, rid, ids, 0, end))
-                seq += 1
+        heapq.heappush(heap, group(size, rid, sum(
+            1 << length for length, live in live_by_len.items() if live)))
 
     while equations or heap:
         if budget_hit:
@@ -264,21 +291,22 @@ def completion(system: RewritingSystem, marks: Iterable[int] = (),
             yield current(False)
             while mark is not None and mark <= steps:
                 mark = next(marks, None)
-        cost, s, rid, ids, pos, end = heap[0]
+        cost, rid, pos, end, lengths = heap[0]
         if rid not in active:  # every pair of the group is dead
-            heapq.heappop(heap)
+            next_group(cost, rid, lengths)
             continue
+        ids = by_len[(lengths & -lengths).bit_length() - 1]
         while pos < end and ids[pos >> 1] not in active:
             pos = (pos | 1) + 1  # both pairs with a retired rule
         if pos >= end:
-            heapq.heappop(heap)
+            next_group(cost, rid, lengths)
             continue
         oid = ids[pos >> 1]
         i, j = (oid, rid) if pos & 1 else (rid, oid)
         if pos + 1 < end:
-            heapq.heapreplace(heap, (cost, s, rid, ids, pos + 1, end))
+            heapq.heapreplace(heap, (cost, rid, pos + 1, end, lengths))
         else:
-            heapq.heappop(heap)
+            next_group(cost, rid, lengths)
         steps += 1
         if steps > max_steps:
             budget_hit = "max_steps"

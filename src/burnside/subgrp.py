@@ -566,10 +566,16 @@ def ladder(p: Presentation, ab: AbelianInvariants, max_kernel_index: int,
            extra: Sequence[Tuple[str, dict]] = ()) -> Ladder:
     """The certifier ladder of p: one rung for the torsion quotient of
     G^ab (``ab`` holds its spec), then one per (name, spec) of ``extra``,
-    in order. A spec of more than ``max_kernel_index`` elements is left
+    in order, and last, when G^ab has both torsion and a free part, the
+    trivial quotient: its kernel is G itself, which certifies every word
+    with an image of infinite order in G^ab even when the torsion rung is
+    left out. A spec of more than ``max_kernel_index`` elements is left
     out before it is built; the others are built on first use, and left
     out then if their SNF would exceed MAX_SMITH_CELLS."""
     rungs = [("abelian-torsion", ab.quotient), *extra]
+    if ab.free_rank and ab.torsion:
+        rungs.append(("trivial", {"kind": "abelian", "moduli": [],
+                                  "images": [[] for _ in range(p.rank)]}))
     return Ladder(p, [rung for rung in rungs
                       if spec_size(rung[1]) <= max_kernel_index])
 

@@ -721,7 +721,8 @@ def test_a_certifier_whose_smith_form_is_over_the_cap_is_left_out(
         pres, capsys):
     # (Z/2)^11 x Z: the torsion rung has index 2,048 and 22,529 Schreier
     # generators, whose dense rows once ran out of memory; it is left out
-    # the way --max-kernel-index 1024 leaves it out, and l stays Unknown
+    # the way --max-kernel-index 1024 leaves it out, and the trivial rung
+    # after it certifies l, whose image in G^ab has infinite order
     text = "gens 12\n" + "".join(
         f"rel {x}{x}\n" for x in "abcdefghijk") + "".join(
         f"rel {x}{y}{x.upper()}{y.upper()}\n"
@@ -733,17 +734,20 @@ def test_a_certifier_whose_smith_form_is_over_the_cap_is_left_out(
         code, out, err = run(["--format", "json", "order", f, "l", *flags],
                              capsys)
         assert time.monotonic() - t0 < 5.0
-        assert (code, err) == (2, "")
+        assert (code, err) == (0, "")
         verdicts.append(json.loads(out)["verdict"])
-    assert verdicts[0] == verdicts[1] == {
-        "word": "l", "verdict": "unknown", "strategy": "exhausted"}
-    verdict = oracle.element_order(
-        oracle.StageContext(cli.load_presentation(f), oracle.Budgets()),
-        parse_word("l", 12))
-    assert verdict.evidence["attempts"][-1] == {
-        "strategy": "kernel-certificate",
-        "reason": "no quotient in the ladder separated the word",
-        "quotients": []}
+    assert verdicts[0] == verdicts[1]
+    cert = Certificate.from_json_dict(verdicts[0].pop("certificate"))
+    assert verdicts[0] == {"word": "l", "verdict": "infinite",
+                           "strategy": "kernel-certificate"}
+    assert verify_certificate(cert) == (True, "ok")
+    assert (cert.kernel_index, cert.homomorphism, cert.value) == \
+        (1, (0,) * 11 + (1,), 1)
+    ctx = oracle.StageContext(cli.load_presentation(f), oracle.Budgets())
+    verdict = oracle.element_order(ctx, parse_word("l", 12))
+    assert verdict.evidence == {"strategy": "kernel-certificate",
+                                "quotient": "trivial", "kernel_index": 1}
+    assert ctx.certifiers().names == ["trivial"]
 
 
 def test_abelian(pres, capsys):
@@ -933,6 +937,40 @@ def test_bad_presentation_is_error(pres, capsys):
     code, _, err = run(["kb", f], capsys)
     assert code == 1
     assert "error" in err
+
+
+@pytest.mark.parametrize("argv, text, message", [
+    (["kb", "FILE"], "gens 2\ngens 3\n",
+     "line 2, column 0: duplicate gens directive"),
+    (["kb", "FILE"], "gens 2\nrel aa bb\n",
+     "line 2, column 0: rel needs exactly one word"),
+    (["kb", "FILE"], "gens 2\nrelator aa\n",
+     "line 2, column 0: unknown directive 'relator'"),
+    (["kb", "FILE"], "# no generators\n\n",
+     "line 1, column 0: missing gens directive"),
+    (["kb", "FILE"], "gens 27\nrel x1X\n",
+     "line 2, column 4: column 3: missing generator number"),
+    (["kb", "FILE"], "gens 27\nrel x28\n",
+     "line 2, column 4: column 1: generator index 28 out of range 1..27"),
+    (["order", "FILE", ""], B23,
+     "column 0: empty word text (use '1' for the identity)"),
+    (["coset", "FILE", "--subgroup", "aA"], B23,
+     "subgroup generators must be nonempty"),
+], ids=["duplicate-gens", "rel-two-words", "unknown-directive",
+        "missing-gens", "missing-number", "index-out-of-range",
+        "empty-word", "empty-subgroup-generator"])
+def test_bad_input_is_one_error_line(argv, text, message, pres, capsys):
+    f = pres(text)
+    code, out, err = run([f if a == "FILE" else a for a in argv], capsys)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_embed_over_its_budget_is_inconclusive(tmp_path, capsys):
+    q8 = tmp_path / "q8.csv"
+    q8.write_text(table_csv(build_quaternion()))
+    code, out, err = run(["embed", str(q8), "-n", "4", "--budget", "1"],
+                         capsys)
+    assert (code, out, err) == (2, "budget exceeded after 2 nodes\n", "")
 
 
 def test_usage_error_exits_1(capsys):

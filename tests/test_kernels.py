@@ -240,13 +240,16 @@ def _random_rhs(rng, lhs):
 
 def _paths(automaton):
     """Each trie state's path, found by walking the trie edges."""
+    n = automaton.num_symbols
     paths = {0: ()}
     stack = [0]
     while stack:
         s = stack.pop()
-        for x, c in automaton._children[s].items():
-            paths[c] = paths[s] + (x,)
-            stack.append(c)
+        for x in range(n):
+            c = automaton._edges.get(s * n + x)
+            if c is not None:
+                paths[c] = paths[s] + (x,)
+                stack.append(c)
     return paths
 
 

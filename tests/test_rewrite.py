@@ -1,6 +1,8 @@
 """Knuth-Bendix layer: seeding, completion, normal forms, order detector."""
 
+import hashlib
 import random
+import tracemalloc
 
 import pytest
 
@@ -22,6 +24,14 @@ from burnside.words import (
 
 def P(text):
     return parse_presentation(text)
+
+
+def test_a_rule_must_be_shortlex_oriented():
+    with pytest.raises(ValueError, match=r"rule not shortlex-oriented: "
+                                         r"\(0,\) -> \(0, 0\)"):
+        rewrite.RewritingSystem(1, [((0,), (0, 0))])
+    with pytest.raises(ValueError, match="not shortlex-oriented"):
+        rewrite.RewritingSystem(1, [((0,), (0,))])
 
 
 def test_seed_rules_a_squared():
@@ -314,6 +324,24 @@ def test_completion_read_at_dense_marks_ends_as_one_call():
     assert closed > 100
 
 
+@pytest.mark.parametrize("text, yields", [
+    ("gens 1\nrel aa\n", 1),
+    ("gens 2\n", 1),
+    ("gens 2\nrel aa\nrel bb\nrel abab\n", 2),
+    ("gens 2\nrel aaa\nrel bbb\nrel ababab\nrel aBaBaB\n", 2),
+])
+def test_a_mark_at_the_last_step_yields_while_pairs_are_queued(text, yields):
+    # the last pair reaches the mark; a partial system comes first only
+    # when groups of pairs with retired rules are still queued then, as
+    # in a heap with one entry per rule and lhs length
+    seed = rewrite.rules_from_presentation(P(text))
+    end = rewrite.knuth_bendix(seed)
+    tiers = list(rewrite.completion(seed, [end.stats["steps"]]))
+    assert len(tiers) == yields
+    assert all(tier.rules == end.rules for tier in tiers)
+    assert [tier.confluent for tier in tiers] == [False] * (yields - 1) + [True]
+
+
 # transition rows each completion below may fill, 18,000 in all: a rule
 # change drops only the rows it can alter (3,218, 4,903 and 5,909 rows
 # are filled), where dropping every row refilled 359,724
@@ -344,6 +372,49 @@ def test_n4_stage_completion_stats(rank, stats, monkeypatch):
     assert (got["rules_generated"], got["rules_active"], got["steps"]) == stats
     assert got["budget_hit"] == "max_steps"
     assert 0 < fills < MAX_ROW_FILLS[rank]
+
+
+# sha256 of repr((rules, stats, confluent)) of two completions at default
+# budgets that stop at the step budget with a partial system: the rank-7
+# (2,4) tower stage, and B(2,4) from nine of its relators. A change to
+# the pair order, the step count or interreduction moves a digest
+B24 = "gens 2\n" + "".join(
+    f"rel {w * 4}\n"
+    for w in "a b ab aB aab abb aabb abaB abAb".split())
+COMPLETION_SHA256 = {
+    "(2,4) rank 7":
+        "26fc3317af3bb0c4b3da233b572f9a21ac9aa99420d5ba538bdfa67dae74137d",
+    "B(2,4), nine relators":
+        "bec00af3be5fc7f5894b4de9f1df4a3845344bab91582ac2357ca60ec21c4587",
+}
+
+# the traced peak of the rank-7 completion, in bytes: 3.6 MB with one
+# heap entry per rule and lhs length and one child dict per trie state,
+# about 2.1 MB with one entry per rule and one trie edge table
+COMPLETION_PEAK_BYTES = 2_600_000
+
+
+def _completion_digest(system):
+    return hashlib.sha256(repr(
+        (system.rules, system.stats, system.confluent)).encode()).hexdigest()
+
+
+def test_budget_limited_completions_are_pinned_and_stay_small():
+    periods = [parse_word(t, 2) for t in TOWER_PERIODS[4].split()]
+    stage = tower_presentation(2, 4, periods)
+    tracemalloc.start()
+    try:
+        system = rewrite.complete_presentation(stage)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert system.stats["budget_hit"] == "max_steps"
+    assert _completion_digest(system) == COMPLETION_SHA256["(2,4) rank 7"]
+    assert peak < COMPLETION_PEAK_BYTES, peak
+    system = rewrite.complete_presentation(P(B24))
+    assert system.stats["budget_hit"] == "max_steps"
+    assert _completion_digest(system) == \
+        COMPLETION_SHA256["B(2,4), nine relators"]
 
 
 def test_completion_rank_is_bounded_by_the_code_points(monkeypatch):

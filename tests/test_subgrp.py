@@ -389,6 +389,24 @@ def test_an_abelian_spec_holds_exact_integers(field, value, reason):
     assert verify_certificate(bad) == (False, f"bad quotient spec: {reason}")
 
 
+@pytest.mark.parametrize("quotient, reason", [
+    ({"kind": "abelian", "moduli": [1, 4], "images": [[0, 1], [0, 2]]},
+     "abelian moduli must all be >= 2"),
+    ({"kind": "abelian", "moduli": [2, 2], "images": [[1, 0]]},
+     "need one coordinate vector per generator"),
+    ({"kind": "abelian", "moduli": [2, 2], "images": [[1, 0], [0]]},
+     "need one coordinate vector per generator"),
+    ({"kind": "permutation", "images": [[1, 2, 3, 0]]},
+     "need one permutation per generator"),
+])
+def test_a_spec_of_the_wrong_shape_is_refused(quotient, reason):
+    # each spec has the claimed 4 elements, so only its shape is wrong
+    cert = certify(DINF, "ab")
+    assert cert.kernel_index == subgrp.spec_size(quotient) == 4
+    bad = replaced(cert, quotient=quotient)
+    assert verify_certificate(bad) == (False, f"bad quotient spec: {reason}")
+
+
 def test_a_permutation_spec_holds_exact_integers():
     spec = {"kind": "permutation", "images": [[1.0, 0.0]]}
     with pytest.raises(ValueError, match="only integers"):

@@ -60,6 +60,11 @@ from .words import (Record, Word, format_word, free_reduce, invert,
 
 DEFAULT_MAX_COSETS = 2 * 10**6
 
+# table cells, one per letter and coset, that a run's budget may reach:
+# every rank up to 33 fits at DEFAULT_MAX_COSETS, and a larger product is
+# refused before any column is built
+MAX_COSET_CELLS = 2**27
+
 # Felsch definitions a Prefetch makes in its caller before it forks. A
 # fork costs the parent 4-6 ms: the fork itself, then about 900
 # copy-on-write page faults as it goes on writing its heap. The rank-7
@@ -368,14 +373,25 @@ def enumerate_cosets(p: Presentation, subgroup: Sequence[Word] = (),
     Over the trivial subgroup, a ``prefetch`` that already ran this
     enumeration hands its table over instead (see ``Prefetch.take``).
     """
-    if max_cosets < 1:
-        raise ValueError("max_cosets must be at least 1")
+    _check_budget(p, max_cosets)
     subgroup = tuple(free_reduce(tuple(w)) for w in subgroup)
     if prefetch is not None and not subgroup:
         table = prefetch.take(p, max_cosets)
         if table is not None:
             return table
     return _finish(p, _Enumerator(p, max_cosets), subgroup)
+
+
+def _check_budget(p: Presentation, max_cosets: int) -> None:
+    """Refuse a budget below 1, or one whose table could exceed
+    ``MAX_COSET_CELLS``, before any column exists."""
+    if max_cosets < 1:
+        raise ValueError("max_cosets must be at least 1")
+    if p.num_symbols * max_cosets > MAX_COSET_CELLS:
+        raise ValueError(
+            f"a coset table of rank {p.rank} at a budget of {max_cosets} "
+            f"cosets could need {p.num_symbols * max_cosets} cells, over "
+            f"the cap of {MAX_COSET_CELLS}")
 
 
 def _finish(p: Presentation, enum: _Enumerator,
@@ -449,7 +465,9 @@ class Prefetch:
     def start(self, p: Presentation, max_cosets: int):
         """Enumerate p's cosets at max_cosets, in a child once the run
         outgrows ``IN_PROCESS_DEFINITIONS``; a job held for another
-        presentation or budget is dropped first, its child killed."""
+        presentation or budget is dropped first, its child killed. The
+        whole budget is checked as ``enumerate_cosets`` checks it."""
+        _check_budget(p, max_cosets)
         if self._job is not None and self._job[:2] == (p, max_cosets):
             return
         self.close()

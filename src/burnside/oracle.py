@@ -15,13 +15,13 @@ For a word w in a presented group the cascade tries, in order:
 4. Unknown, carrying the budgets that were exhausted.
 
 The capped tiers come in a fixed order: the seed rules whose lhs fits
-``CAPPED_MAX_LEN``, then one capped completion read at each of
-``CAPPED_MARKS`` steps and at its end. The completion advances only when
-no tier reached so far pinned a hit, and only then does the stage
-complete in full. A certified word has no power that reduces to 1 and a
-pinned hit is the exact order, so this sequence changes no verdict, and
-a word's verdict is the first pinned hit along the tiers, whatever was
-asked before it.
+``CAPPED_MAX_LEN``, then one completion of the whole seed capped at
+``CAPPED_MAX_LEN`` and ``CAPPED_MAX_STEPS``. The completion runs only
+when the seed rules pinned no hit, and the stage completes in full only
+when neither tier did. A certified word has no power that reduces to 1
+and a pinned hit is the exact order, so this sequence changes no
+verdict, and a word's verdict is the first pinned hit along the tiers,
+whatever was asked before it.
 
 Every verdict carries machine-checkable evidence. Unknown is contagious
 by design: callers must treat it as "stop", never as "probably finite".
@@ -49,11 +49,11 @@ from . import cosets, rewrite, subgrp
 from .presentation import Presentation
 from .words import Record, Word, free_reduce
 
-# small orders of short words surface well within these budgets, and
-# most of them at the first step mark
+# the seed rules pin most small orders of short words; of the desk
+# towers' words, only aaB at the (2,4) tower's rank 6 needs derived rules,
+# and a completion within these budgets pins it (d = 4, at 1,002 steps)
 CAPPED_MAX_LEN = 16
-CAPPED_MAX_STEPS = 100_000
-CAPPED_MARKS = (1_000, 10_000)
+CAPPED_MAX_STEPS = 1_000
 
 
 class Budgets(Record):
@@ -145,7 +145,7 @@ class StageContext:
         self.prefetch = prefetch  # where the stage enumeration starts
         self._kb = None
         self._tiers: Optional[list] = None
-        self._completion = None  # the capped completion, until it ends
+        self._seed: Optional[rewrite.RewritingSystem] = None  # tiers' seed
         self._abelian = None
         self._certifiers: Optional[subgrp.Ladder] = None
         self._quotient_probe = self._UNSET
@@ -175,33 +175,28 @@ class StageContext:
     def capped_tiers(self):
         """Yield the capped tiers of a tiered stage (none otherwise) in
         their fixed order: tier 0, the seed rules whose lhs fits
-        ``CAPPED_MAX_LEN``; then the one completion capped at
-        ``CAPPED_MAX_LEN`` and ``CAPPED_MAX_STEPS``, read at each of
-        ``CAPPED_MARKS`` and at its end. Each reached tier is kept, and
-        the completion advances only when the caller reads past them. A
-        confluent end hit no budget, so it is also ``kb()``."""
+        ``CAPPED_MAX_LEN``; then the completion of the whole seed capped
+        at ``CAPPED_MAX_LEN`` and ``CAPPED_MAX_STEPS``, run only when a
+        caller reads past tier 0. Both are kept. A confluent capped
+        completion hit no budget, so it is also ``kb()``."""
         if self._tiers is None:
             self._tiers = []
             if self.tiered():
-                seed = rewrite.rules_from_presentation(self.presentation)
-                self._tiers.append(rewrite.RewritingSystem(seed.rank, [
-                    rule for rule in seed.rules
+                self._seed = rewrite.rules_from_presentation(self.presentation)
+                self._tiers.append(rewrite.RewritingSystem(self._seed.rank, [
+                    rule for rule in self._seed.rules
                     if len(rule[0]) <= CAPPED_MAX_LEN]))
-                self._completion = rewrite.completion(
-                    seed, CAPPED_MARKS, max_rules=self.budgets.kb_max_rules,
-                    max_len=CAPPED_MAX_LEN, max_steps=CAPPED_MAX_STEPS)
-        tiers = self._tiers
-        i = 0
-        while i < len(tiers) or self._completion is not None:
-            if i == len(tiers):
-                tier = next(self._completion)
-                tiers.append(tier)
-                if tier.confluent or tier.stats["budget_hit"]:  # the end
-                    self._completion = None
-                    if tier.confluent and self._kb is None:
-                        self._kb = tier
-            yield tiers[i]
-            i += 1
+        if not self._tiers:
+            return
+        yield self._tiers[0]
+        if len(self._tiers) == 1:
+            capped = rewrite.knuth_bendix(
+                self._seed, max_rules=self.budgets.kb_max_rules,
+                max_len=CAPPED_MAX_LEN, max_steps=CAPPED_MAX_STEPS)
+            self._tiers.append(capped)
+            if capped.confluent and self._kb is None:
+                self._kb = capped
+        yield self._tiers[1]
 
     def abelian(self) -> subgrp.AbelianInvariants:
         if self._abelian is None:

@@ -131,28 +131,9 @@ def knuth_bendix(system: RewritingSystem,
     """Huet-style completion with interreduction. Returns a new system.
 
     confluent=True on the result means both work queues drained within
-    budget; any budget breach leaves a sound partial system with
-    stats["budget_hit"] naming the limit. It is the one system
-    ``completion`` yields without marks.
-    """
-    for final in completion(system, (), max_rules, max_len, max_steps):
-        pass
-    return final
-
-
-def completion(system: RewritingSystem, marks: Iterable[int] = (),
-               max_rules: int = DEFAULT_MAX_RULES,
-               max_len: int = DEFAULT_MAX_LEN,
-               max_steps: int = DEFAULT_MAX_STEPS):
-    """Completion as a generator, read before it ends.
-
-    Once ``steps`` reaches each mark, at the next loop boundary with no
-    equation waiting, it yields the active rules in id order as a
-    partial system (not confluent, no budget hit): every rule is an
-    equation of the group, so it reduces soundly. Marks passed together
-    yield once. The last yield is the end system, confluent or with a
-    budget hit, and it is exactly what ``knuth_bendix`` returns: the
-    marks change nothing else.
+    budget; any budget breach leaves a sound partial system (every rule
+    is an equation of the group) with stats["budget_hit"] naming the
+    limit.
 
     Critical pairs are queued lazily, one heap entry per rule r. The lhs
     lengths L that have an active rule when r is added give r its groups:
@@ -168,9 +149,7 @@ def completion(system: RewritingSystem, marks: Iterable[int] = (),
     to the next length in the mask. Two groups of one rule never tie on
     cost, so pairs come out in the order of a heap with one entry per
     rule and length, keyed by cost and push order, and so in the order an
-    eager heap of single pairs would give them. Groups close exactly when
-    that heap would pop them, so the heap empties at the same points and
-    the marks yield the same partial systems. Generating a pair costs 2
+    eager heap of single pairs would give them. Generating a pair costs 2
     steps per active rule, counted when the rule is added, and processing
     one costs a step; a pair with a retired rule is skipped and costs
     nothing.
@@ -191,28 +170,12 @@ def completion(system: RewritingSystem, marks: Iterable[int] = (),
     equations: deque = deque((l, r) for l, r in system.rules)
     budget_hit = None
     steps = 0
-    marks = iter(sorted(marks))
-    mark = next(marks, None)
 
     # one live automaton over the active rules for the whole completion
     automaton = kernels.build_index((), num_symbols)
 
     def current_reduce(w):
         return kernels.reduce_word(automaton, w)
-
-    def current(final):
-        rules = [(lhs, rhs) for lhs, rhs, _, _ in active.values()]
-        stats = dict(system.stats)
-        stats.update(
-            rules_generated=generated,
-            rules_active=len(rules),
-            steps=steps,
-            max_rule_len=max_rule_len,
-            budget_hit=budget_hit,
-        )
-        return RewritingSystem(system.rank, rules,
-                               confluent=final and budget_hit is None,
-                               stats=stats)
 
     def group(size, rid, lengths):
         """The entry for the group of rule ``rid`` (lhs length ``size``)
@@ -287,10 +250,6 @@ def completion(system: RewritingSystem, marks: Iterable[int] = (),
             u, v = equations.popleft()
             add_equation_as_rule(u, v)
             continue
-        if mark is not None and steps >= mark:
-            yield current(False)
-            while mark is not None and mark <= steps:
-                mark = next(marks, None)
         cost, rid, pos, end, lengths = heap[0]
         if rid not in active:  # every pair of the group is dead
             next_group(cost, rid, lengths)
@@ -319,7 +278,17 @@ def completion(system: RewritingSystem, marks: Iterable[int] = (),
             if text1[-k:] == text2[:k]:
                 equations.append((rhs1 + lhs2[k:], lhs1[:-k] + rhs2))
 
-    yield current(True)
+    rules = [(lhs, rhs) for lhs, rhs, _, _ in active.values()]
+    stats = dict(system.stats)
+    stats.update(
+        rules_generated=generated,
+        rules_active=len(rules),
+        steps=steps,
+        max_rule_len=max_rule_len,
+        budget_hit=budget_hit,
+    )
+    return RewritingSystem(system.rank, rules, confluent=budget_hit is None,
+                           stats=stats)
 
 
 def complete_presentation(p: Presentation, **budgets) -> RewritingSystem:

@@ -65,32 +65,30 @@ def count_cycle_letters(monkeypatch) -> list:
 def count_completions(monkeypatch) -> list:
     """Route every Knuth-Bendix completion through a counter for this
     test; the returned list collects (stage rank, max_len, max_steps,
-    steps) of each completion read at least once, the stage rank being one
-    more than the relator count of the presentation seeded by
-    rewrite.rules_from_presentation (None for a system built otherwise),
-    and steps those of the last system read from it so far."""
+    steps) of each call, the stage rank being one more than the relator
+    count of the presentation seeded by rewrite.rules_from_presentation
+    (None for a system built otherwise), and steps those of the system
+    the call returned."""
     calls = []
     ranks = {}  # id of a seed -> (the seed, its stage rank)
     seed_rules = rewrite.rules_from_presentation
-    completion = rewrite.completion
+    knuth_bendix = rewrite.knuth_bendix
 
     def seeded(p):
         system = seed_rules(p)
         ranks[id(system)] = (system, len(p.relators) + 1)
         return system
 
-    def counted(system, marks=(), max_rules=rewrite.DEFAULT_MAX_RULES,
+    def counted(system, max_rules=rewrite.DEFAULT_MAX_RULES,
                 max_len=rewrite.DEFAULT_MAX_LEN,
                 max_steps=rewrite.DEFAULT_MAX_STEPS):
         rank = ranks.get(id(system), (None, None))[1]
-        i = len(calls)
-        calls.append((rank, max_len, max_steps, 0))
-        for tier in completion(system, marks, max_rules, max_len, max_steps):
-            calls[i] = (rank, max_len, max_steps, tier.stats["steps"])
-            yield tier
+        end = knuth_bendix(system, max_rules, max_len, max_steps)
+        calls.append((rank, max_len, max_steps, end.stats["steps"]))
+        return end
 
     monkeypatch.setattr(rewrite, "rules_from_presentation", seeded)
-    monkeypatch.setattr(rewrite, "completion", counted)
+    monkeypatch.setattr(rewrite, "knuth_bendix", counted)
     return calls
 
 

@@ -31,11 +31,11 @@ B24 = "gens 2\n" + "".join(f"rel {w * 4}\n" for w in B24_WORDS)
 
 
 # sha256 of report_to_json(build_report(...)) at default budgets: the
-# audited (2,2), (2,3), (1,5), (1,2^48) and (2,2^48) reports, the (2,4)
-# checkpoint report, the same report audited, and the (2,4) report resumed
-# from the max_candidates=2 checkpoint. Any change to a report byte
-# outside `execution` moves a digest; a deliberate one updates it here,
-# with a CHANGES.md line.
+# audited (2,2), (2,3), (1,5), (1,2^48), (2,2^48), (3,2), (3,3), (2,5) and
+# (1,7) reports, the (2,4) checkpoint report, the same report audited, and
+# the (2,4) report resumed from the max_candidates=2 checkpoint. Any
+# change to a report byte outside `execution` moves a digest; a deliberate
+# one updates it here, with a CHANGES.md line.
 REPORT_SHA256 = {
     (2, 2): "4b1081ed0627ffdf7ed710875efc7be316b1780f0adb96d4458df3131ef3e041",
     (2, 3): "0e8b03e1732e9636fd7d0b28d89ee606be9f984ed1b7a81010f3acc1e46caa99",
@@ -44,6 +44,10 @@ REPORT_SHA256 = {
         "cf6673e54f7cdf96eff057c8271e600dfc1e8ace2f497844f6b7ff8927515f67",
     (2, 2**48):
         "64957637b3c3393071cee2f2e123ec746ed69745c4d9d6703275c3b4434a1f50",
+    (3, 2): "9c0b8b18e77877e6c5bf9c264588b2123b485da5215066d56f1e2d844b56d3c4",
+    (3, 3): "458e9f4494539323bb17f7503fabbce5d5f5063a6b40b96d21cb46d11b1c99ac",
+    (2, 5): "e78198e398922151d40edb28e7184e13447cb5dc603a862efe96523ea857050f",
+    (1, 7): "98525fbd4518e2c2d34e0ca269cbcd3ff2379c4c605bf04f2985084a12f70ac1",
     (2, 4): "360949cfada37fe4817db47cfb5bf2e21d16c8dc71567ea004b307c334ead9ef",
     "(2,4) audited":
         "3cc05db1c61f5a7297d77697e713666caae551910a43fccc2466156013a4676b",
@@ -240,7 +244,7 @@ def test_criterion_07c_quaternion_refuted():
 
 
 @pytest.mark.parametrize("m, n", [(2, 2), (2, 3), (1, 5), (1, 2**48),
-                                  (2, 2**48)])
+                                  (2, 2**48), (3, 2), (3, 3), (2, 5), (1, 7)])
 def test_audited_report_bytes_are_pinned(m, n):
     b = tower.Budgets()
     res = tower.run_tower(m, n, b)

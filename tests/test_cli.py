@@ -704,9 +704,11 @@ def test_kb_rank_over_the_code_points_is_error(pres, capsys):
 
 
 @pytest.mark.parametrize("argv", [["abelian", "FILE"], ["order", "FILE", "x2"],
-                                  ["tower", "-m", "50000000", "-n", "2"]])
+                                  ["tower", "-m", "50000000", "-n", "2"],
+                                  ["coset", "FILE", "--max-cosets", "10"]])
 def test_a_huge_rank_is_refused_before_its_matrices(pres, capsys, argv):
-    # the abelian invariants' rank x rank transform would need 2.5e15 cells
+    # the abelian invariants' rank x rank transform would need 2.5e15
+    # cells, and a coset table 1e8 columns at any budget
     huge = pres("gens 50000000\nrel x1\n")
     t0 = time.monotonic()
     code, out, err = run([huge if a == "FILE" else a for a in argv], capsys)
@@ -963,6 +965,57 @@ def test_bad_input_is_one_error_line(argv, text, message, pres, capsys):
     f = pres(text)
     code, out, err = run([f if a == "FILE" else a for a in argv], capsys)
     assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+_PRESENTATIONS = [KLEIN, B23, DINF, "gens 2\nrel aaa\nrel bbb\nrel ababab\n",
+                  "# Z/5\ngens 1\nrel x1x1x1x1x1\n"]
+# each subcommand that reads a presentation file, at small budgets
+_SMALL = ["--kb-max-rules", "200", "--kb-max-steps", "2000"]
+_READERS = [["coset", "FILE", "--max-cosets", "200"],
+            ["order", "FILE", "a", "--stage-max-cosets", "200",
+             "--max-kernel-index", "64", *_SMALL],
+            ["kb", "FILE", "--count-max-len", "4", *_SMALL],
+            ["abelian", "FILE"]]
+
+
+@st.composite
+def mutated_presentations(draw):
+    """A presentation file with one mutation: cut short, a line dropped
+    or repeated, or a character replaced or inserted, from the file
+    format's own alphabet and a few strangers."""
+    text = draw(st.sampled_from(_PRESENTATIONS))
+    lines = text.splitlines(keepends=True)
+    how = draw(st.sampled_from(["truncate", "drop", "repeat", "replace",
+                                "insert"]))
+    if how == "truncate":
+        return how, text[:draw(st.integers(0, len(text) - 1))]
+    if how in ("drop", "repeat"):
+        i = draw(st.integers(0, len(lines) - 1))
+        lines[i:i + 1] = [] if how == "drop" else [lines[i]] * 2
+        return how, "".join(lines)
+    i = draw(st.integers(0, len(text) - 1))
+    new = draw(st.text("gensrlabABxX0123456789 #\n\t-!", min_size=1,
+                       max_size=3))
+    return how, text[:i] + new + text[i + (how == "replace"):]
+
+
+@settings(max_examples=60, deadline=None)
+@given(mutation=mutated_presentations())
+def test_a_mutated_presentation_exits_cleanly(tmp_path_factory, mutation):
+    # every reader answers, is inconclusive, or exits 1 with one error line
+    f = tmp_path_factory.mktemp("pres") / "g.txt"
+    f.write_text(mutation[1])
+    for argv in _READERS:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main([str(f) if a == "FILE" else a for a in argv])
+        err = err.getvalue()
+        if code == 1:
+            assert out.getvalue() == "", (argv, mutation)
+            assert err.startswith("error:") and err.count("\n") == 1, \
+                (argv, mutation, err)
+        else:
+            assert code in (0, 2) and err == "", (argv, mutation, err)
 
 
 def test_embed_over_its_budget_is_inconclusive(tmp_path, capsys):

@@ -84,6 +84,38 @@ def test_budget_must_be_positive():
         cosets.enumerate_cosets(P(KLEIN), (), 0)
 
 
+def test_a_budget_over_the_cell_cap_is_refused_before_any_column(
+        monkeypatch):
+    # the cap bounds the whole budget a run may reach, so a Prefetch that
+    # would start in process refuses what its child could go on to; the
+    # trivial group closes at one coset under any budget at the cap
+    budgets = []
+    init = cosets._Enumerator.__init__
+
+    def counted(self, p, max_cosets):
+        budgets.append(max_cosets)
+        init(self, p, max_cosets)
+
+    monkeypatch.setattr(cosets._Enumerator, "__init__", counted)
+    trivial = P("gens 1\nrel a\n")
+    most = cosets.MAX_COSET_CELLS // trivial.num_symbols
+    assert cosets.enumerate_cosets(trivial, (), most).num_cosets == 1
+    prefetch = cosets.Prefetch()
+    try:
+        prefetch.start(trivial, most)
+        assert prefetch._job[2] is None  # closed in process, no child
+        for refused in (lambda: cosets.enumerate_cosets(trivial, (), most + 1),
+                        lambda: prefetch.start(trivial, most + 1)):
+            with pytest.raises(ValueError, match=(
+                    f"rank 1 at a budget of {most + 1} cosets could need "
+                    f"{cosets.MAX_COSET_CELLS + 2} cells, over the cap of "
+                    f"{cosets.MAX_COSET_CELLS}$")):
+                refused()
+    finally:
+        prefetch.close()
+    assert budgets == [most, min(most, cosets.IN_PROCESS_DEFINITIONS)]
+
+
 def test_closed_table_is_sane():
     t = cosets.enumerate_cosets(P(B23), (), 5000)
     n = t.num_cosets

@@ -43,8 +43,19 @@ def test_traced_embed_run_is_correct(tmp_path, seed):
     assert traced_run(tmp_path, "embed-q8", seed)["correct"] is True
 
 
+# rewrite.knuth_bendix (calls, steps) per traced pass; on stretch, the
+# rank-7 stage's full completion (1,000,002 steps) and the capped one
+# that pins aaB at rank 6 (1,002 steps)
+COMPLETIONS = {"tower-classical": (3, 1845), "tower-stretch": (2, 1_001_004)}
+
+
 # the tower workloads traced: stretch's rank 7 forks the stage helper,
 # and each layer the tracer requires of a workload must be called
 @pytest.mark.parametrize("workload", ["tower-classical", "tower-stretch"])
 def test_traced_tower_run_is_correct(tmp_path, workload):
-    assert traced_run(tmp_path, workload, 3)["correct"] is True
+    result = traced_run(tmp_path, workload, 3)
+    assert result["correct"] is True
+    metrics = result["metrics"]
+    assert (metrics["rewrite.knuth_bendix.calls"]["value"],
+            metrics["rewrite.knuth_bendix.steps"]["value"]) == \
+        COMPLETIONS[workload]

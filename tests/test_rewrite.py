@@ -266,80 +266,39 @@ def test_lazy_pairs_match_eager_completion():
                     ("max_rules", None), ("max_len", None)}
 
 
-def _read_at_marks(seed, marks, **budgets):
-    """What a completion yields at marks, and the one system a
-    knuth_bendix call at the same budgets returns: the last yield must be
-    that system exactly, and every yield before it a partial system that
-    passed its mark."""
-    tiers = list(rewrite.completion(seed, marks, **budgets))
-    want = rewrite.knuth_bendix(seed, **budgets)
-    got = tiers[-1]
-    assert (got.rules, got.stats, got.confluent) == \
-        (want.rules, want.stats, want.confluent)
-    steps = [tier.stats["steps"] for tier in tiers]
-    assert steps == sorted(steps)
-    pending = sorted(marks)
-    for tier in tiers[:-1]:
-        assert not tier.confluent and tier.stats["budget_hit"] is None
-        assert pending and tier.stats["steps"] >= pending[0]
-        pending = [mark for mark in pending if mark > tier.stats["steps"]]
-    return tiers
-
-
-def test_completion_read_at_the_oracle_marks_ends_as_one_call():
-    # every stage of the n=3 and n=4 towers, at the oracle's cap; each
-    # system read reduces every relator to 1
+def test_the_capped_completion_of_every_tower_stage_reduces_its_relators():
+    # every stage of the n=3 and n=4 towers, completed at the oracle's cap
     for n in (3, 4):
         periods = [parse_word(t, 2) for t in TOWER_PERIODS[n].split()]
         for k in range(len(periods) + 1):
             p = tower_presentation(2, n, periods[:k])
-            tiers = _read_at_marks(
-                rewrite.rules_from_presentation(p), oracle.CAPPED_MARKS,
+            system = rewrite.knuth_bendix(
+                rewrite.rules_from_presentation(p),
                 max_len=oracle.CAPPED_MAX_LEN,
                 max_steps=oracle.CAPPED_MAX_STEPS)
-            assert len(tiers) == 1 + sum(
-                mark <= tiers[-1].stats["steps"] for mark in oracle.CAPPED_MARKS)
-            for tier in tiers:
-                assert all(tier.reduce(r) == () for r in p.relators), (n, k)
+            assert all(system.reduce(r) == () for r in p.relators), (n, k)
 
 
-def test_completion_read_at_dense_marks_ends_as_one_call():
+def test_every_rule_of_a_budget_limited_completion_holds_in_the_group():
     # a partial system need not reduce a relator to 1 (it is not
     # confluent, and the relator's own rule may be retired), but every rule
-    # in it holds in the group: checked in each group that closes
+    # in it holds in the group: checked in each group that closes, for
+    # completions stopped at random step budgets
     rng = random.Random(7)
     closed = 0
     for p in _random_presentations(200, 11):
-        marks = rng.sample(range(1, 2000), 12)
-        tiers = _read_at_marks(rewrite.rules_from_presentation(p), marks,
-                               max_steps=2000)
+        seed = rewrite.rules_from_presentation(p)
+        systems = [rewrite.knuth_bendix(seed, max_steps=max_steps)
+                   for max_steps in rng.sample(range(1, 2000), 3)]
         t = cosets.enumerate_cosets(p, (), 500)
         if not t.closed:
             continue
         closed += 1
         r = cosets.realize(t)
-        for tier in tiers:
-            for lhs, rhs in tier.rules:
+        for system in systems:
+            for lhs, rhs in system.rules:
                 assert element_row(r, lhs) == element_row(r, rhs), p
     assert closed > 100
-
-
-@pytest.mark.parametrize("text, yields", [
-    ("gens 1\nrel aa\n", 1),
-    ("gens 2\n", 1),
-    ("gens 2\nrel aa\nrel bb\nrel abab\n", 2),
-    ("gens 2\nrel aaa\nrel bbb\nrel ababab\nrel aBaBaB\n", 2),
-])
-def test_a_mark_at_the_last_step_yields_while_pairs_are_queued(text, yields):
-    # the last pair reaches the mark; a partial system comes first only
-    # when groups of pairs with retired rules are still queued then, as
-    # in a heap with one entry per rule and lhs length
-    seed = rewrite.rules_from_presentation(P(text))
-    end = rewrite.knuth_bendix(seed)
-    tiers = list(rewrite.completion(seed, [end.stats["steps"]]))
-    assert len(tiers) == yields
-    assert all(tier.rules == end.rules for tier in tiers)
-    assert [tier.confluent for tier in tiers] == [False] * (yields - 1) + [True]
 
 
 # transition rows each completion below may fill, 18,000 in all: a rule

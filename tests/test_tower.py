@@ -595,17 +595,17 @@ def test_stages_proved_infinite_run_no_full_completion(monkeypatch):
     assert calls == []
 
 
-def test_n4_stages_stop_their_completion_at_the_first_mark(monkeypatch):
+def test_n4_stages_pin_aaB_with_the_capped_completion(monkeypatch):
     # of the n=4 tower's stages, all proved infinite up to rank 6, only
     # rank 6 has a word (aaB) its seed rules do not pin, and the capped
-    # completion pins it at its first mark, in the scan and in the audit
+    # completion pins it, in the scan and in the audit
     calls = count_completions(monkeypatch)
     res = tower.run_tower(2, 4, tower.Budgets(max_ranks=6))
     assert [o.rank for o in res.ranks] == [1, 2, 3, 4, 5, 6]
-    assert calls == [(6, 16, 100_000, 1024)]
+    assert calls == [(6, 16, 1_000, 1002)]
     calls.clear()
     assert tower.audit_tower(res, tower.Budgets())["agreement"] == "100%"
-    assert calls == [(6, 16, 100_000, 1024)]
+    assert calls == [(6, 16, 1_000, 1002)]
 
 
 def test_verdicts_do_not_depend_on_the_order_of_questions():

@@ -166,7 +166,10 @@ def cmd_coset(args) -> int:
         summary = f"closed: {what} {table.num_cosets} " \
                   f"({table.defined_total} cosets defined)\n"
     else:
-        summary = f"exhausted at budget {budget} " \
+        # a run ends short of its budget only at the table's cell cap
+        limit = (f"budget {budget}" if table.defined_total == budget else
+                 f"the cap of {cosets.MAX_COSET_CELLS} table cells")
+        summary = f"exhausted at {limit} " \
                   f"({table.defined_total} cosets defined)\n"
     if table.closed and args.table_out:
         summary += f"table written to {args.table_out}\n"

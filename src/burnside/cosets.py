@@ -60,9 +60,9 @@ from .words import (Record, Word, format_word, free_reduce, invert,
 
 DEFAULT_MAX_COSETS = 2 * 10**6
 
-# table cells, one per letter and coset, that a run's budget may reach:
-# every rank up to 33 fits at DEFAULT_MAX_COSETS, and a larger product is
-# refused before any column is built
+# table cells, one per letter and defined coset, that a run may fill
+# (8 bytes each): a run that would define a coset past them ends
+# exhausted, as at its budget
 MAX_COSET_CELLS = 2**27
 
 # Felsch definitions a Prefetch makes in its caller before it forks. A
@@ -72,6 +72,12 @@ MAX_COSET_CELLS = 2**27
 # 3.6 ms (2-core x86-64 host, Python 3.11), so a stage that closes within
 # this many definitions is done in process in less time than a fork costs.
 IN_PROCESS_DEFINITIONS = 1024
+
+# the largest rank enumerated: its empty columns and conjugate buckets
+# take about 17 MB before any coset is defined, and its table still holds
+# IN_PROCESS_DEFINITIONS cosets within MAX_COSET_CELLS; a larger rank is
+# refused before any column is built
+MAX_COSET_RANK = MAX_COSET_CELLS // (2 * IN_PROCESS_DEFINITIONS)
 
 # the column of the empty word: every coset stays where it is
 _IDENTITY = range(sys.maxsize)
@@ -83,8 +89,12 @@ class BudgetExhausted(Exception):
 
 class _Enumerator:
     def __init__(self, p: Presentation, max_cosets: int):
+        if p.rank > MAX_COSET_RANK:
+            raise ValueError(f"coset enumeration handles rank at most "
+                             f"{MAX_COSET_RANK}, got rank {p.rank}")
         self.ns = p.num_symbols
         self.max_cosets = max_cosets
+        self.max_rows = MAX_COSET_CELLS // self.ns  # cosets the cells hold
         # cols[x][c] is where coset c goes along letter x, -1 for a gap;
         # the columns only grow in place, as the conjugates hold them
         self.cols: List[List[int]] = [[-1] for _ in range(self.ns)]
@@ -153,7 +163,8 @@ class _Enumerator:
         self.deductions.append((a, x, None))
 
     def define(self, a: int, x: int):
-        if self.defined_total >= self.max_cosets:
+        if self.defined_total >= self.max_cosets or \
+                self.defined_total >= self.max_rows:
             raise BudgetExhausted
         b = len(self.p)
         cols = self.cols
@@ -373,25 +384,14 @@ def enumerate_cosets(p: Presentation, subgroup: Sequence[Word] = (),
     Over the trivial subgroup, a ``prefetch`` that already ran this
     enumeration hands its table over instead (see ``Prefetch.take``).
     """
-    _check_budget(p, max_cosets)
+    if max_cosets < 1:
+        raise ValueError("max_cosets must be at least 1")
     subgroup = tuple(free_reduce(tuple(w)) for w in subgroup)
     if prefetch is not None and not subgroup:
         table = prefetch.take(p, max_cosets)
         if table is not None:
             return table
     return _finish(p, _Enumerator(p, max_cosets), subgroup)
-
-
-def _check_budget(p: Presentation, max_cosets: int) -> None:
-    """Refuse a budget below 1, or one whose table could exceed
-    ``MAX_COSET_CELLS``, before any column exists."""
-    if max_cosets < 1:
-        raise ValueError("max_cosets must be at least 1")
-    if p.num_symbols * max_cosets > MAX_COSET_CELLS:
-        raise ValueError(
-            f"a coset table of rank {p.rank} at a budget of {max_cosets} "
-            f"cosets could need {p.num_symbols * max_cosets} cells, over "
-            f"the cap of {MAX_COSET_CELLS}")
 
 
 def _finish(p: Presentation, enum: _Enumerator,
@@ -465,9 +465,7 @@ class Prefetch:
     def start(self, p: Presentation, max_cosets: int):
         """Enumerate p's cosets at max_cosets, in a child once the run
         outgrows ``IN_PROCESS_DEFINITIONS``; a job held for another
-        presentation or budget is dropped first, its child killed. The
-        whole budget is checked as ``enumerate_cosets`` checks it."""
-        _check_budget(p, max_cosets)
+        presentation or budget is dropped first, its child killed."""
         if self._job is not None and self._job[:2] == (p, max_cosets):
             return
         self.close()

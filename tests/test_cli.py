@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from burnside import cli, dihedral, oracle, subgrp, tower
+from burnside import cli, cosets, dihedral, oracle, subgrp, tower
 from burnside.dihedral import build_cyclic, build_quaternion
 from burnside.subgrp import Certificate, verify_certificate
 from burnside.words import parse_word
@@ -583,6 +583,25 @@ def test_coset_exhausted_is_inconclusive(pres, capsys):
     assert "exhausted" in out
 
 
+def test_coset_of_a_wide_trivial_presentation_closes(pres, capsys):
+    # 34 generators, each a relator: the default budget is no bar
+    text = "gens 34\n" + "".join(f"rel x{i}\n" for i in range(1, 35))
+    code, out, _ = run(["coset", pres(text)], capsys)
+    assert (code, out.splitlines()[-1]) == (0, "closed: order 1 "
+                                               "(35 cosets defined)")
+
+
+def test_coset_exhausted_at_the_cell_cap_says_so(pres, capsys,
+                                                 monkeypatch):
+    monkeypatch.setattr(cosets, "MAX_COSET_CELLS", 4 * 40)
+    code, out, _ = run(["coset", pres(DINF), "--max-cosets", "300"], capsys)
+    assert code == 2
+    assert out.splitlines()[-1] == \
+        "exhausted at the cap of 160 table cells (40 cosets defined)"
+    code, out, _ = run(["coset", pres(DINF), "--max-cosets", "40"], capsys)
+    assert out.splitlines()[-1] == "exhausted at budget 40 (40 cosets defined)"
+
+
 def test_order_finite(pres, capsys):
     f = pres(B23)
     code, out, _ = run(["order", f, "aB"], capsys)
@@ -708,7 +727,7 @@ def test_kb_rank_over_the_code_points_is_error(pres, capsys):
                                   ["coset", "FILE", "--max-cosets", "10"]])
 def test_a_huge_rank_is_refused_before_its_matrices(pres, capsys, argv):
     # the abelian invariants' rank x rank transform would need 2.5e15
-    # cells, and a coset table 1e8 columns at any budget
+    # cells, and a coset table 1e8 columns before its first coset
     huge = pres("gens 50000000\nrel x1\n")
     t0 = time.monotonic()
     code, out, err = run([huge if a == "FILE" else a for a in argv], capsys)

@@ -84,36 +84,51 @@ def test_budget_must_be_positive():
         cosets.enumerate_cosets(P(KLEIN), (), 0)
 
 
-def test_a_budget_over_the_cell_cap_is_refused_before_any_column(
-        monkeypatch):
-    # the cap bounds the whole budget a run may reach, so a Prefetch that
-    # would start in process refuses what its child could go on to; the
-    # trivial group closes at one coset under any budget at the cap
-    budgets = []
-    init = cosets._Enumerator.__init__
-
-    def counted(self, p, max_cosets):
-        budgets.append(max_cosets)
-        init(self, p, max_cosets)
-
-    monkeypatch.setattr(cosets._Enumerator, "__init__", counted)
-    trivial = P("gens 1\nrel a\n")
-    most = cosets.MAX_COSET_CELLS // trivial.num_symbols
-    assert cosets.enumerate_cosets(trivial, (), most).num_cosets == 1
+def test_a_rank_over_the_cap_is_refused_before_any_column(monkeypatch):
+    # a Prefetch refuses it as enumerate_cosets does, by the enumerator
+    # it would start with; at the largest rank, a trivial group whose
+    # relators x1 and x_i = x_(i+1) deduce every entry still closes
+    built = []
+    monkeypatch.setattr(cosets._Enumerator, "_conjugates",
+                        lambda self, relators: built.append(self.ns) or [])
+    rank = cosets.MAX_COSET_RANK
+    huge = Presentation(rank + 1, ((0,),))
     prefetch = cosets.Prefetch()
     try:
-        prefetch.start(trivial, most)
-        assert prefetch._job[2] is None  # closed in process, no child
-        for refused in (lambda: cosets.enumerate_cosets(trivial, (), most + 1),
-                        lambda: prefetch.start(trivial, most + 1)):
+        for refused in (lambda: cosets.enumerate_cosets(huge, (), 10),
+                        lambda: prefetch.start(huge, 10)):
             with pytest.raises(ValueError, match=(
-                    f"rank 1 at a budget of {most + 1} cosets could need "
-                    f"{cosets.MAX_COSET_CELLS + 2} cells, over the cap of "
-                    f"{cosets.MAX_COSET_CELLS}$")):
+                    f"rank at most {rank}, got rank {rank + 1}$")):
                 refused()
     finally:
         prefetch.close()
-    assert budgets == [most, min(most, cosets.IN_PROCESS_DEFINITIONS)]
+    assert built == []
+    monkeypatch.undo()
+    relators = ((0,),) + tuple((2 * i, 2 * i + 3) for i in range(rank - 1))
+    t = cosets.enumerate_cosets(Presentation(rank, relators), (), 10)
+    assert (t.status, t.num_cosets) == ("closed", 1)
+
+
+@pytest.mark.parametrize("budget", [50, 3000])
+def test_a_run_ends_exhausted_at_the_cell_cap(budget, monkeypatch):
+    # the table holds 40 cosets of rank 2, in process or in a forked
+    # child: the run ends as one at a budget of 40 does, and a budget
+    # within the cap is read as before
+    monkeypatch.setattr(cosets, "MAX_COSET_CELLS", 4 * 40)
+    want = cosets.enumerate_cosets(P(DINF), (), 40)
+    assert (want.status, want.defined_total) == ("exhausted", 40)
+    got = cosets.enumerate_cosets(P(DINF), (), budget)
+    prefetch = cosets.Prefetch()
+    try:
+        prefetch.start(P(DINF), budget)
+        taken = prefetch.take(P(DINF), budget)
+    finally:
+        prefetch.close()
+    for t in (got, taken):
+        assert (t.status, t.num_cosets, t.defined_total) == \
+            (want.status, want.num_cosets, want.defined_total)
+    assert cosets.enumerate_cosets(P(DINF), (), 39).defined_total == 39
+    assert cosets.enumerate_cosets(P(KLEIN), (), budget).num_cosets == 4
 
 
 def test_closed_table_is_sane():

@@ -1,11 +1,15 @@
 """Order-of-element oracle: cascade of strategies, evidence, certificates."""
 
+import itertools
+import random
+
 import pytest
 
 from burnside import oracle, rewrite, tower
-from burnside.presentation import TowerStatus, parse_presentation
+from burnside.presentation import (Presentation, TowerStatus,
+                                   parse_presentation)
 from burnside.subgrp import abelian_invariants, verify_certificate
-from burnside.words import parse_word
+from burnside.words import cyclic_reduce, free_reduce, parse_word
 from support import count_completions, count_enumerations
 
 
@@ -295,6 +299,56 @@ def test_capped_tiers_are_kept_and_shared(monkeypatch):
     assert next(first) is again[1] and next(first, None) is None
     assert list(ctx.capped_tiers()) == again
     assert calls == [(4, *CAPPED, 1001)]
+
+
+class Tierless(oracle.StageContext):
+    def capped_tiers(self):
+        return iter(())
+
+
+def test_the_capped_tiers_move_no_definite_verdict(monkeypatch):
+    # seeded stages <a, b | a^p, b^q, u^e, ...> that the quotients prove
+    # infinite over a finite abelianization, so their torsion needs the
+    # power trace: every word of up to 3 letters gets the kind and order
+    # it gets from the full completion alone, or a pinned order where
+    # that completion gives up; each capped tier pins some of them
+    trace = oracle._power_trace
+    pins = set()
+
+    def traced(ctx, system, w, n_max, skipped):
+        v = trace(ctx, system, w, n_max, skipped)
+        tiers = ctx._tiers or []
+        pins.update(i for i, t in enumerate(tiers) if t is system and v)
+        return v
+
+    monkeypatch.setattr(oracle, "_power_trace", traced)
+    rng = random.Random(37)
+    budgets = oracle.Budgets(kb_max_steps=20_000)
+    stages = 0
+    while stages < 24:
+        relators = [(0,) * rng.randint(2, 6), (2,) * rng.randint(2, 6)]
+        for _ in range(rng.randint(1, 2)):
+            u = ()
+            while len(u) < 2:
+                u = cyclic_reduce(free_reduce(tuple(
+                    rng.randrange(4) for _ in range(rng.randint(2, 4)))))[0]
+            relators.append(u * rng.randint(2, 4))
+        p = Presentation(2, tuple(relators))
+        ctx = oracle.StageContext(p, budgets)
+        if ctx.abelian().free_rank or not ctx.tiered():
+            continue
+        stages += 1
+        alone = Tierless(p, budgets)
+        for n in (1, 2, 3):
+            for w in itertools.product(range(4), repeat=n):
+                if free_reduce(w) != w:
+                    continue
+                v = oracle.element_order(ctx, w, 4)
+                u = oracle.element_order(alone, w, 4)
+                assert (v.kind, v.order) == (u.kind, u.order) or (
+                    u.kind, v.evidence["exactness"]) == (
+                    "unknown", "quotient-match"), (p, w, v, u)
+    assert pins == {0, 1}
 
 
 @pytest.mark.parametrize("field, value", [

@@ -394,6 +394,12 @@ def enumerate_cosets(p: Presentation, subgroup: Sequence[Word] = (),
     return _finish(p, _Enumerator(p, max_cosets), subgroup)
 
 
+def near_order_limit(order: int, max_cosets: int) -> int:
+    """The budget, within max_cosets, of an enumeration expected to
+    close at a known group order: headroom near it."""
+    return min(max_cosets, 20 * order + 2000)
+
+
 def _finish(p: Presentation, enum: _Enumerator,
             subgroup: tuple = ()) -> CosetTable:
     """Run ``enum`` to its end, after tracing the subgroup generators from

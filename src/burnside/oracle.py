@@ -7,11 +7,14 @@ For a word w in a presented group the cascade tries, in order:
 2. infinite-order certificates through the stage's quotient ladder (the
    torsion quotient of the abelianization), which answer at once when
    no rung's kernel has a free part;
-3. a power trace w, w^2, ... looking for a reduction to the empty word,
-   first along the capped tiers of a stage the quotients prove
-   infinite, then by Knuth-Bendix within budget; a hit proves w^d = 1,
-   and d is the exact order when the system is confluent or when some
-   cached quotient already exhibits an element of order d underneath w;
+3. a power trace w, w^2, ..., w^N looking for a reduction to the empty
+   word, N the stage's ``power_cap`` (4 times the lcm of the exponents k
+   of its relators u^k, u primitive, at most ``MAX_POWERS``: 4n on a
+   stage of B(m, n)), first along the capped tiers of a stage the
+   quotients prove infinite, then by Knuth-Bendix within budget; a hit
+   proves w^d = 1, and d is the exact order when the system is confluent
+   or when some cached quotient already exhibits an element of order d
+   underneath w;
 4. Unknown, carrying the budgets that were exhausted.
 
 The capped tiers come in a fixed order: the seed rules whose lhs fits
@@ -47,13 +50,17 @@ from typing import Optional, Tuple
 
 from . import cosets, rewrite, subgrp
 from .presentation import Presentation
-from .words import Record, Word, free_reduce
+from .words import Record, Word, free_reduce, primitive_root
 
 # the seed rules pin most small orders of short words; of the desk
 # towers' words, only aaB at the (2,4) tower's rank 6 needs derived rules,
 # and a completion within these budgets pins it (d = 4, at 1,002 steps)
 CAPPED_MAX_LEN = 16
 CAPPED_MAX_STEPS = 1_000
+# the power search is a bounded probe, not a proof of infiniteness, so a
+# hard cap is sound; without it asymptotic-regime exponents would turn
+# the trace into an unbounded loop
+MAX_POWERS = 4096
 
 
 class Budgets(Record):
@@ -143,6 +150,9 @@ class StageContext:
         self.presentation = p
         self.budgets = budgets if budgets is not None else Budgets()
         self.prefetch = prefetch  # where the stage enumeration starts
+        # the powers the trace tries (see the module docstring)
+        self.power_cap = min(4 * math.lcm(
+            *(primitive_root(r)[1] for r in p.relators)), MAX_POWERS)
         self._kb = None
         self._tiers: Optional[list] = None
         self._seed: Optional[rewrite.RewritingSystem] = None  # tiers' seed
@@ -283,7 +293,7 @@ class StageContext:
         order = rewrite.count_normal_forms(sys)[0] if sys.confluent else None
         limit = self.budgets.stage_max_cosets
         if order is not None:
-            limit = min(limit, 20 * order + 1000)
+            limit = cosets.near_order_limit(order, limit)
         t = cosets.enumerate_cosets(self.presentation, (), limit,
                                     prefetch=self.prefetch)
         if t.closed:
@@ -324,10 +334,8 @@ class StageContext:
         return cosets.realize(table)
 
 
-def element_order(ctx: StageContext, w: Word, n_hint: int = 1
-                  ) -> OrderVerdict:
-    """Run the cascade on one word of the context's stage. n_hint scales
-    the power search."""
+def element_order(ctx: StageContext, w: Word) -> OrderVerdict:
+    """Run the cascade on one word of the context's stage."""
     w = free_reduce(tuple(w))
     skipped = []
     if not w:
@@ -367,19 +375,15 @@ def element_order(ctx: StageContext, w: Word, n_hint: int = 1
     # that reduces to 1, and a pinned hit is never certifiable, so the
     # order of strategies 2 and 3 changes no verdict
     verdict = _certify(ctx, w)
-    # the power search is a bounded probe, not a proof of infiniteness,
-    # so a hard cap is sound; without it asymptotic-regime exponents
-    # would turn this strategy into an unbounded loop
-    n_max = min(max(4 * n_hint, 4), 4096)
     # strategy 3: the power trace along the capped tiers (a word's
     # verdict is the first pinned hit along them), then the full system
     if verdict is None:
         for system in ctx.capped_tiers():
-            verdict = _power_trace(ctx, system, w, n_max, [])
+            verdict = _power_trace(ctx, system, w, [])
             if verdict is not None:
                 break
     if verdict is None:
-        verdict = _power_trace(ctx, ctx.kb(), w, n_max, skipped)
+        verdict = _power_trace(ctx, ctx.kb(), w, skipped)
     if verdict is not None:
         return verdict
     skipped.append({
@@ -394,14 +398,15 @@ def element_order(ctx: StageContext, w: Word, n_hint: int = 1
 
 
 def _power_trace(ctx: StageContext, sys: rewrite.RewritingSystem, w: Word,
-                 n_max: int, skipped: list) -> Optional[OrderVerdict]:
-    """Strategy 3 on sys: a Finite verdict when w^d reduces to 1 and d is
-    pinned as the order; else None, with the attempt added to skipped."""
-    d = rewrite.finite_order_by_powers(sys, w, n_max)
+                 skipped: list) -> Optional[OrderVerdict]:
+    """Strategy 3 on sys: a Finite verdict when w^d reduces to 1 for some
+    d up to the stage's power cap and d is pinned as the order; else
+    None, with the attempt added to skipped."""
+    d = rewrite.finite_order_by_powers(sys, w, ctx.power_cap)
     if d is None:
         skipped.append({
             "strategy": "kb-power",
-            "reason": f"no power up to {n_max} reduced to 1",
+            "reason": f"no power up to {ctx.power_cap} reduced to 1",
             "confluent": sys.confluent,
         })
         return None

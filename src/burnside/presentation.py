@@ -117,7 +117,8 @@ def parse_presentation(text: str) -> Presentation:
                 raise PresentationSyntaxError("rel before gens", lineno)
             if len(fields) != 2:
                 raise PresentationSyntaxError("rel needs exactly one word", lineno)
-            col = raw.index(fields[1])
+            # the word starts after the directive, which may contain it
+            col = raw.index(fields[1], raw.index("rel") + 3)
             try:
                 w = parse_word(fields[1], rank)
             except WordSyntaxError as e:

@@ -173,7 +173,7 @@ def next_period(m: int, n: int, periods: Sequence[Word], budgets: Budgets,
                 stage_probe=probe, examined=examined, log=log, cursor=last_done,
                 note=f"candidate budget {budgets.max_candidates} exhausted",
             )
-        v = oracle.element_order(ctx, w, n)
+        v = oracle.element_order(ctx, w)
         if v.kind == "unknown":
             return RankOutcome(
                 kind="inconclusive", rank=rank,
@@ -466,9 +466,8 @@ def verify_independence(result: TowerResult, budgets: Budgets) -> dict:
         else:
             # a dependent relator leaves the order unchanged, so the
             # closure probe only needs headroom near the full order
-            t = cosets.enumerate_cosets(
-                dropped, (),
-                min(budgets.stage_max_cosets, 20 * full_order + 2000))
+            t = cosets.enumerate_cosets(dropped, (), cosets.near_order_limit(
+                full_order, budgets.stage_max_cosets))
             if t.closed:
                 entry["evidence"] = {
                     "kind": "closed-enumeration",
@@ -545,14 +544,14 @@ def audit_tower(result: TowerResult, budgets: Budgets) -> dict:
             w = parse_word(entry["word"], result.m)
             if "filtered" in entry:
                 checks["filtered"] += 1
-                v = oracle.element_order(ctx, w, result.n)
+                v = oracle.element_order(ctx, w)
                 if v.kind != "finite":
                     problems.append((entry, f"filtered word got {v.kind}, "
                                      "expected finite"))
             elif entry["verdict"] == "finite":
                 checks["finite"] += 1
                 d = entry["order"]
-                v = oracle.element_order(ctx, w, result.n)
+                v = oracle.element_order(ctx, w)
                 if not v.finite or v.order != d:
                     problems.append((entry, f"could not re-prove order {d}"))
                 if terminal is not None and terminal.element_order(w) != d:

@@ -56,11 +56,13 @@ REPORT_SHA256 = {
 }
 
 # sha256 of `burnside --format json order` outside `execution`
-# (json.dumps with sorted keys), with its exit code, for words of two
-# stages the quotients prove infinite: the n=3 rank-4 stage, and the n=4
-# rank-5 stage, where aabb is an Unknown that lists its attempts
+# (json.dumps with sorted keys), with its exit code, for words of three
+# stages the quotients prove infinite: the n=3 rank-4 stage, the n=4
+# rank-5 stage, where aabb is an Unknown that lists its attempts, and the
+# n=5 rank-2 stage, where a needs five powers of the trace
 TRIANGLE = "gens 2\nrel aaa\nrel bbb\nrel ababab\n"
 FOURTH_POWERS = "gens 2\nrel aaaa\nrel bbbb\nrel abababab\nrel aBaBaBaB\n"
+FIFTH_POWER = "gens 2\nrel aaaaa\n"
 ORDER_SHA256 = {
     (TRIANGLE, "ab"): (0, "f303f61e09c95f393de7826ce07ec8f4"
                           "45bfee8593442c306f8f3fa2abd07211"),
@@ -70,6 +72,8 @@ ORDER_SHA256 = {
                             "856eefa6122477b8ff76687148bf3ae5"),
     (FOURTH_POWERS, "aabb"): (2, "418a99b5040908df90c3015f7736ea66"
                                  "1c44fab62ffb4bc341cfe4e906d73fc3"),
+    (FIFTH_POWER, "a"): (0, "4001fec2ef385472405c0fa80c956692"
+                            "a18c4442dc3ef5de405435ee26b424ba"),
 }
 
 

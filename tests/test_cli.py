@@ -973,12 +973,16 @@ def test_bad_presentation_is_error(pres, capsys):
      "line 2, column 4: column 3: missing generator number"),
     (["kb", "FILE"], "gens 27\nrel x28\n",
      "line 2, column 4: column 1: generator index 28 out of range 1..27"),
+    (["kb", "FILE"], "gens 2\nrel e\n",
+     "line 2, column 4: column 0: letter 'e' needs rank >= 5, "
+     "presentation has rank 2"),
     (["order", "FILE", ""], B23,
      "column 0: empty word text (use '1' for the identity)"),
     (["coset", "FILE", "--subgroup", "aA"], B23,
      "subgroup generators must be nonempty"),
 ], ids=["duplicate-gens", "rel-two-words", "unknown-directive",
         "missing-gens", "missing-number", "index-out-of-range",
+        "word-inside-directive",
         "empty-word", "empty-subgroup-generator"])
 def test_bad_input_is_one_error_line(argv, text, message, pres, capsys):
     f = pres(text)

@@ -7,7 +7,7 @@ import pytest
 
 from burnside import oracle, rewrite, tower
 from burnside.presentation import (Presentation, TowerStatus,
-                                   parse_presentation)
+                                   parse_presentation, tower_presentation)
 from burnside.subgrp import abelian_invariants, verify_certificate
 from burnside.words import cyclic_reduce, free_reduce, parse_word
 from support import count_completions, count_enumerations
@@ -122,8 +122,7 @@ def test_unknown_is_contagious_not_invented():
                      for w in ("a", "b", "ab", "aB", "aab", "abb"))
     p = P("gens 2\n" + rels + "\n")
     b = oracle.Budgets(stage_max_cosets=2000, kb_max_steps=20000)
-    v = oracle.element_order(oracle.StageContext(p, b), parse_word("aabb", 2),
-                             n_hint=4)
+    v = oracle.element_order(oracle.StageContext(p, b), parse_word("aabb", 2))
     assert v.kind == "unknown"
     attempts = v.evidence["attempts"]
     names = [a["strategy"] for a in attempts]
@@ -144,12 +143,42 @@ def test_kb_power_strategy_on_small_budget():
     assert v.evidence["exactness"] == "quotient-match"
 
 
-def test_n_hint_extends_power_search():
-    # without the hint the power search stops too early for order 5
-    p = P("gens 1\nrel aaaaa\n")
-    v = oracle.element_order(oracle.StageContext(p), parse_word("a", 1),
-                             n_hint=5)
-    assert v.finite and v.order == 5
+def test_the_power_cap_comes_from_the_relators():
+    # 4 times the lcm of the exponents k of the relators u^k, u primitive
+    for text, cap in [("gens 2\n", 4), ("gens 2\nrel aaaaa\n", 20),
+                      ("gens 2\nrel abababab\nrel aaaaaa\n", 48),
+                      ("gens 1\nrel " + "a" * 5000 + "\n", oracle.MAX_POWERS)]:
+        assert oracle.StageContext(P(text)).power_cap == cap
+
+
+def test_the_power_cap_reaches_a_relator_exponent_over_4():
+    # <a, b | a^5> is infinite, so nothing closes, and only a trace of
+    # five powers pins a, with no hint from the caller
+    ctx = oracle.StageContext(P("gens 2\nrel aaaaa\n"))
+    v = oracle.element_order(ctx, parse_word("a", 2))
+    assert ctx.closure() is None
+    assert (v.kind, v.order, v.evidence) == ("finite", 5, {
+        "strategy": "kb-power", "exactness": "quotient-match",
+        "quotient_order_lcm": 5})
+
+
+def test_the_tower_and_order_agree_on_logged_verdicts():
+    # `burnside order` asks a fresh context of the stage alone; it must
+    # give each definite verdict the (2,5) tower logs at ranks 2-3 the
+    # same kind and order, the generators' order 5 among them
+    res = tower.run_tower(2, 5, tower.Budgets(max_ranks=3))
+    logged = []
+    for outcome in res.ranks[1:]:
+        ctx = oracle.StageContext(
+            tower_presentation(2, 5, res.periods[:outcome.rank - 1]))
+        for entry in outcome.log:
+            if entry.get("verdict") in ("finite", "infinite"):
+                v = oracle.element_order(ctx, parse_word(entry["word"], 2))
+                assert (v.kind, v.order) == (entry["verdict"],
+                                             entry.get("order")), entry
+                logged.append((entry["word"], v.order))
+    assert logged == [("a", 5), ("A", 5), ("b", None),
+                      ("a", 5), ("A", 5), ("b", 5), ("B", 5), ("ab", None)]
 
 
 def test_stage_context_caches_are_reused(monkeypatch):
@@ -160,8 +189,8 @@ def test_stage_context_caches_are_reused(monkeypatch):
     assert v1.order == 3 and v2.order == 3
     assert ctx.closure()[1]["order"] == 27
     # one enumeration serves both words, with headroom near the census
-    # order: 20 * 27 + 1000 cosets
-    assert calls == [1540]
+    # order: 20 * 27 + 2000 cosets
+    assert calls == [2540]
 
 
 def test_infinite_stage_needs_no_warm_up(monkeypatch):
@@ -315,8 +344,8 @@ def test_the_capped_tiers_move_no_definite_verdict(monkeypatch):
     trace = oracle._power_trace
     pins = set()
 
-    def traced(ctx, system, w, n_max, skipped):
-        v = trace(ctx, system, w, n_max, skipped)
+    def traced(ctx, system, w, skipped):
+        v = trace(ctx, system, w, skipped)
         tiers = ctx._tiers or []
         pins.update(i for i, t in enumerate(tiers) if t is system and v)
         return v
@@ -343,8 +372,8 @@ def test_the_capped_tiers_move_no_definite_verdict(monkeypatch):
             for w in itertools.product(range(4), repeat=n):
                 if free_reduce(w) != w:
                     continue
-                v = oracle.element_order(ctx, w, 4)
-                u = oracle.element_order(alone, w, 4)
+                v = oracle.element_order(ctx, w)
+                u = oracle.element_order(alone, w)
                 assert (v.kind, v.order) == (u.kind, u.order) or (
                     u.kind, v.evidence["exactness"]) == (
                     "unknown", "quotient-match"), (p, w, v, u)

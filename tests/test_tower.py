@@ -623,7 +623,7 @@ def test_verdicts_do_not_depend_on_the_order_of_questions():
         for order in (logged[::-1], shuffled):
             ctx = oracle.StageContext(p)
             for entry in order:
-                v = oracle.element_order(ctx, parse_word(entry["word"], 2), 4)
+                v = oracle.element_order(ctx, parse_word(entry["word"], 2))
                 assert v.log_entry(entry["word"]) == entry
 
 
